@@ -172,6 +172,10 @@ def _cmd_train(args) -> int:
         runs = list(train_online(model, train_ds, labeled, cfg))
     else:  # two-stage
         pairing = build_pairing_config(doc)
+        if pairing.mode == "online":
+            raise ConfigError(
+                'pairing.mode "online" has no materialised pair set: use --regime online'
+            )
         if pairing.mode == "exhaustive":
             pairs, label_pool = pair_exhaustive(train_ds), train_ds
         elif pairing.mode == "disjoint":

@@ -31,6 +31,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _IdLookup:
+    """Vectorised id -> row lookup for a feature source with ``ids`` and ``x``.
+
+    Uses a cached stable argsort of the ids and matches a ``{id: row}`` dict
+    built in row order: a duplicate id resolves to its last row, and an
+    unknown id raises ``KeyError``.
+    """
+
+    @cached_property
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.ids, kind="stable")
+        return order, self.ids[order]
+
+    def positions_of(self, ids) -> np.ndarray:
+        """Row positions of the given ids, in the given order."""
+        order, sorted_ids = self._id_order
+        q = np.asarray(ids, dtype=np.int64).ravel()
+        # side="right" lands after the last of equal ids; k = -1 (below
+        # every id) wraps to the largest id, which cannot equal q.
+        k = np.searchsorted(sorted_ids, q, side="right") - 1
+        hit = sorted_ids[k] == q if len(sorted_ids) else np.zeros(len(q), dtype=bool)
+        if not hit.all():
+            raise KeyError(f"unknown example id {q[np.argmin(hit)]}")
+        return order[k]
+
+    def features_for(self, ids: np.ndarray) -> np.ndarray:
+        """Feature rows for the given ids, in the given order."""
+        return self.x[self.positions_of(ids)]
+
+
 def sufficient_label(y: int, y_prime: int) -> int:
     """Binary pair label: 1 when the two class labels agree, else 0."""
     return int(y == y_prime)
@@ -46,7 +76,7 @@ class FullyLabeledExample:
 
 
 @dataclass(frozen=True)
-class FullyLabeledDataset:
+class FullyLabeledDataset(_IdLookup):
     """Ordered collection of examples with unique ids and a declared class count.
 
     Arrays are read-only after construction.  Use ``from_arrays`` for dtype
@@ -81,15 +111,8 @@ class FullyLabeledDataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    @cached_property
-    def _id_index(self) -> dict:
-        return {int(i): k for k, i in enumerate(self.ids)}
-
     def index_of(self, example_id: int) -> int:
-        try:
-            return self._id_index[int(example_id)]
-        except KeyError:
-            raise KeyError(f"unknown example id {example_id}") from None
+        return int(self.positions_of([example_id])[0])
 
     def example(self, example_id: int) -> FullyLabeledExample:
         k = self.index_of(example_id)
@@ -99,14 +122,8 @@ class FullyLabeledDataset:
         for k in range(len(self)):
             yield FullyLabeledExample(id=int(self.ids[k]), x=self.x[k], y=int(self.y[k]))
 
-    def features_for(self, ids: np.ndarray) -> np.ndarray:
-        """Feature rows for the given ids, in the given order."""
-        idx = np.array([self.index_of(i) for i in np.asarray(ids).ravel()], dtype=np.int64)
-        return self.x[idx]
-
     def labels_for(self, ids: np.ndarray) -> np.ndarray:
-        idx = np.array([self.index_of(i) for i in np.asarray(ids).ravel()], dtype=np.int64)
-        return self.y[idx]
+        return self.y[self.positions_of(ids)]
 
     def subset(self, positions: np.ndarray) -> "FullyLabeledDataset":
         """New dataset from row positions (ids preserved)."""
@@ -117,12 +134,11 @@ class FullyLabeledDataset:
         )
 
     def subset_by_ids(self, ids) -> "FullyLabeledDataset":
-        pos = np.array([self.index_of(i) for i in ids], dtype=np.int64)
-        return self.subset(pos)
+        return self.subset(self.positions_of(ids))
 
 
 @dataclass(frozen=True)
-class EmbeddedFeatures:
+class EmbeddedFeatures(_IdLookup):
     """Feature store for pair collections whose records carry no class labels.
 
     Produced when pairs are serialized inline (features embedded per slot);
@@ -139,14 +155,6 @@ class EmbeddedFeatures:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    @cached_property
-    def _id_index(self) -> dict:
-        return {int(i): k for k, i in enumerate(self.ids)}
-
-    def features_for(self, ids: np.ndarray) -> np.ndarray:
-        idx = np.array([self._id_index[int(i)] for i in np.asarray(ids).ravel()], dtype=np.int64)
-        return self.x[idx]
 
 
 FeatureSource = Union[FullyLabeledDataset, EmbeddedFeatures]
@@ -217,13 +225,17 @@ class PairDataset:
         """Sorted unique ids appearing on either side of any pair."""
         return np.unique(np.concatenate([self.a_ids, self.b_ids]))
 
-    def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize (features_a, features_b, t) through the source."""
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row positions of both pair sides in the source's feature array."""
         if self.source is None:
             raise ValueError("pair collection has no feature source attached")
-        xa = self.source.features_for(self.a_ids)
-        xb = self.source.features_for(self.b_ids)
-        return xa, xb, np.asarray(self.t, dtype=np.int64)
+        return self.source.positions_of(self.a_ids), self.source.positions_of(self.b_ids)
+
+    def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Materialize (features_a, features_b, t) through the source."""
+        pa, pb = self.positions()
+        x = self.source.x
+        return x[pa], x[pb], np.asarray(self.t, dtype=np.int64)
 
     def attach_source(self, source: FeatureSource) -> "PairDataset":
         return PairDataset(a_ids=self.a_ids, b_ids=self.b_ids, t=self.t, source=source)

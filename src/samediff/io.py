@@ -19,6 +19,7 @@ what makes bit-level reproducibility checks possible downstream.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -362,7 +363,11 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
 
 
 def load_model(path: str) -> tuple[TwoPartClassifier, int]:
-    """Read a checkpoint back; returns the model and its training seed."""
+    """Read a checkpoint back; returns the model and its training seed.
+
+    A file whose counts or parameters are inconsistent raises
+    ``DataFormatError`` even when its checksum is valid.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 36:
@@ -372,36 +377,49 @@ def load_model(path: str) -> tuple[TwoPartClassifier, int]:
     (stored_crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise DataFormatError(f"{path}: checksum failure")
+    try:
+        return _parse_checkpoint(blob, path)
+    except DataFormatError:
+        raise
+    except (struct.error, ValueError, OverflowError) as e:
+        raise DataFormatError(f"{path}: corrupt checkpoint: {e}") from None
+
+
+def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
     version, flags, radius, seed, class_count, n_layers = struct.unpack(
         "<HHdqII", blob[4:32]
     )
     if version != CKPT_VERSION:
         raise DataFormatError(f"{path}: version mismatch: {version}")
+    end = len(blob) - 4
     off = 32
+
+    def floats(*shape) -> np.ndarray:
+        # Every count is checked against the bytes left before it is read.
+        nonlocal off
+        count = math.prod(shape)
+        if 8 * count > end - off:
+            raise DataFormatError(
+                f"{path}: parameter block of {count} values overruns the file"
+            )
+        out = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+        off += 8 * count
+        return out
+
     layers = []
     for _ in range(n_layers):
         fan_in, fan_out, act = struct.unpack_from("<IIB", blob, off)
         off += 9
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=off).reshape(
-            fan_in, fan_out
-        ).copy()
-        off += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off).copy()
-        off += 8 * fan_out
+        w = floats(fan_in, fan_out)
+        b = floats(fan_out)
         if act not in _ACT_NAMES:
             raise DataFormatError(f"{path}: unknown activation code {act}")
         layers.append(Layer(w=w, b=b, activation=_ACT_NAMES[act]))
     rows, rep_dim = struct.unpack_from("<II", blob, off)
     off += 8
-    hw = np.frombuffer(blob, dtype="<f8", count=rows * rep_dim, offset=off).reshape(
-        rows, rep_dim
-    ).copy()
-    off += 8 * rows * rep_dim
-    hb = None
-    if flags & 1:
-        hb = np.frombuffer(blob, dtype="<f8", count=rows, offset=off).copy()
-        off += 8 * rows
-    if off != len(blob) - 4:
+    hw = floats(rows, rep_dim)
+    hb = floats(rows) if flags & 1 else None
+    if off != end:
         raise DataFormatError(f"{path}: truncated or oversized parameter block")
     model = TwoPartClassifier(
         hidden=HiddenNetwork(layers),

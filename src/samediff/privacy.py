@@ -181,16 +181,11 @@ def encrypt_disjoint(
     """
     id_pairs, holdout = pair_disjoint(ds, n_pairs, seed=seed)
     n = len(id_pairs)
-    dim = ds.dim
-    slot_x = np.empty((2 * n, dim))
-    slot_labels: dict[int, int] = {}
-    for k in range(n):
-        a, b = int(id_pairs.a_ids[k]), int(id_pairs.b_ids[k])
-        slot_x[2 * k] = ds.x[ds.index_of(a)]
-        slot_x[2 * k + 1] = ds.x[ds.index_of(b)]
-        slot_labels[2 * k] = int(ds.y[ds.index_of(a)])
-        slot_labels[2 * k + 1] = int(ds.y[ds.index_of(b)])
-    slots = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=slot_x)
+    rows = np.empty(2 * n, dtype=np.int64)
+    rows[0::2] = ds.positions_of(id_pairs.a_ids)
+    rows[1::2] = ds.positions_of(id_pairs.b_ids)
+    slot_labels = dict(enumerate(ds.y[rows].tolist()))
+    slots = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=ds.x[rows])
     released = PairDataset(
         a_ids=np.arange(0, 2 * n, 2, dtype=np.int64),
         b_ids=np.arange(1, 2 * n, 2, dtype=np.int64),

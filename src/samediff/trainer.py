@@ -7,6 +7,14 @@ A fully-supervised joint baseline and an online variant, which expands each
 shuffled minibatch into its B(B-1)/2 pairs on the fly, share the same
 machinery.
 
+Every pair-stage step is a few whole-batch numpy calls, because at these
+tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
+resolves pair ids to feature rows once per run and pushes each batch's
+a-sides and b-sides through one forward and one backward pass.  The online
+step and its validation risk share one expansion (``_BatchPairs``): cached
+upper-triangle indices per batch size, ``take`` for the pair sides, and one
+``np.bincount`` per feature column to sum pair gradients back onto rows.
+
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,
 0.001 x 5 epochs) is a tenth of the long recipe (200/100/50) for quick
 runs; the head stage runs 50 epochs at 0.1.  All shuffling and splitting
@@ -16,6 +24,7 @@ identical parameters.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -204,32 +213,40 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
         val_pairs = None   # positive-free split cannot score this loss
     n_train = len(train_pairs)
     run = TrainRun(stage="step1", config=cfg.echo())
+    # Ids resolve to feature rows once; each epoch permutes the row
+    # positions and each batch slices them.
+    pos_a, pos_b = train_pairs.positions()
+    x = train_pairs.source.x
+    t_all = np.asarray(train_pairs.t, dtype=np.int64)
 
     best_risk = np.inf
     best_hidden = None
     for epoch, lr in _epoch_plan(cfg.schedule):
         perm = substream(cfg.seed, "shuffle", "step1", epoch).permutation(n_train)
+        ep_a, ep_b, ep_t = pos_a[perm], pos_b[perm], t_all[perm]
         total, seen = 0.0, 0
         for lo in range(0, n_train, cfg.batch_size):
-            batch = train_pairs.take(perm[lo:lo + cfg.batch_size])
-            xa, xb, t = batch.gather()
+            sl = slice(lo, lo + cfg.batch_size)
+            t = ep_t[sl]
+            xa = x.take(ep_a[sl], axis=0)
+            xb = x.take(ep_b[sl], axis=0)
             if cfg.augment is not None:
                 arng = substream(cfg.seed, "augment", epoch, lo)
                 xa = cfg.augment(xa, arng)
                 xb = cfg.augment(xb, arng)
             if loss_name == "contrastive" and not np.any(t == 1):
                 continue
-            ua, ca = model.features_cached(xa)
-            ub, cb = model.features_cached(xb)
+            # Both sides go through one forward and one backward pass: the
+            # batch's rows are [a-sides; b-sides].
+            m = len(t)
+            u, cache = model.features_cached(np.concatenate([xa, xb]))
             risk, dua, dub = pair_risk_batch(
-                loss_name, ua, ub, t, radius=model.radius, beta=cfg.beta
+                loss_name, u[:m], u[m:], t, radius=model.radius, beta=cfg.beta
             )
-            ga = model.backward_features(ca, dua)
-            gb = model.backward_features(cb, dub)
-            summed = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(ga, gb)]
-            model.hidden.sgd_step(summed, lr)
-            total += risk * len(batch)
-            seen += len(batch)
+            grads = model.backward_features(cache, np.concatenate([dua, dub]))
+            model.hidden.sgd_step(grads, lr)
+            total += risk * m
+            seen += m
         train_loss = total / max(seen, 1)
         val_metric = None
         if val_pairs is not None:
@@ -349,22 +366,66 @@ def train_baseline_full(
     return run
 
 
+@functools.lru_cache(maxsize=8)
+def _triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ii, jj, [ii; jj]) for the B(B-1)/2 pairs i < j of a batch of b rows.
+
+    Cached per batch size and read-only, since every caller shares them.
+    """
+    ii, jj = np.triu_indices(b, k=1)
+    both = np.concatenate([ii, jj])
+    for a in (ii, jj, both):
+        a.flags.writeable = False
+    return ii, jj, both
+
+
+class _BatchPairs:
+    """A minibatch expanded into its B(B-1)/2 pairs at the feature level.
+
+    Shared by the online training step and its validation risk.
+    """
+
+    def __init__(self, y: np.ndarray):
+        self.size = len(y)
+        self.ii, self.jj, self._both = _triu_pairs(self.size)
+        self.t = (y.take(self.ii) == y.take(self.jj)).astype(np.int64)
+
+    def risk(self, loss_name: str, u: np.ndarray, radius: float, beta: float | None):
+        """``pair_risk_batch`` over the expanded pairs of features u."""
+        return pair_risk_batch(
+            loss_name, u.take(self.ii, axis=0), u.take(self.jj, axis=0), self.t,
+            radius=radius, beta=beta,
+        )
+
+    def scatter(self, dua: np.ndarray, dub: np.ndarray) -> np.ndarray:
+        """Sum the pair-side gradients back onto the batch rows.
+
+        One bincount per feature column over [ii; jj] adds, for every row,
+        its a-side terms and then its b-side terms in pair order: the same
+        order, and so the same result, as np.add.at on ii then jj.
+        """
+        du = np.empty((self.size, dua.shape[1]))
+        for c in range(dua.shape[1]):
+            du[:, c] = np.bincount(
+                self._both, weights=np.concatenate([dua[:, c], dub[:, c]]), minlength=self.size
+            )
+        return du
+
+
 def _online_epoch_risk(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig, loss_name: str) -> float:
     """Pair risk over fixed-order minibatch expansions (no shuffling)."""
     total, seen = 0.0, 0
     for lo in range(0, len(ds), cfg.batch_size):
         sl = slice(lo, min(lo + cfg.batch_size, len(ds)))
-        y = ds.y[sl]
-        if len(y) < 2:
+        if sl.stop - sl.start < 2:
             continue
-        ii, jj = np.triu_indices(len(y), k=1)
-        t = (y[ii] == y[jj]).astype(np.int64)
-        if loss_name == "contrastive" and not np.any(t == 1):
+        pairs = _BatchPairs(ds.y[sl])
+        if loss_name == "contrastive" and not np.any(pairs.t == 1):
             continue
         u = model.features(ds.x[sl])
-        risk, _, _ = pair_risk_batch(loss_name, u[ii], u[jj], t, radius=model.radius, beta=cfg.beta)
-        total += risk * len(t)
-        seen += len(t)
+        risk, _, _ = pairs.risk(loss_name, u, model.radius, cfg.beta)
+        total += risk * len(pairs.t)
+        seen += len(pairs.t)
     return total / max(seen, 1)
 
 
@@ -379,7 +440,11 @@ def train_online(
     Each epoch reshuffles the examples; every minibatch of B examples is
     expanded to its B(B-1)/2 pairs at the feature level (the position-level
     image of ``online_epoch_pairs``), so the peak pair buffer is bounded by
-    the batch size and never by the quadratic global pair count.
+    the batch size and never by the quadratic global pair count.  The batch
+    takes one forward pass; the pair-side gradients are summed back onto
+    its rows with a per-column ``np.bincount`` in the order ``np.add.at``
+    would use, then one backward pass follows.  Validation expands its
+    fixed-order batches the same way.
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
@@ -398,26 +463,20 @@ def train_online(
             idx = perm[lo:lo + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            x = train_ds.x[idx]
+            x = train_ds.x.take(idx, axis=0)
             if cfg.augment is not None:
                 x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            y = train_ds.y[idx]
-            ii, jj = np.triu_indices(len(idx), k=1)
-            t = (y[ii] == y[jj]).astype(np.int64)
-            if loss_name == "contrastive" and not np.any(t == 1):
+            pairs = _BatchPairs(train_ds.y.take(idx))
+            n_pairs = len(pairs.t)
+            if loss_name == "contrastive" and not np.any(pairs.t == 1):
                 continue
-            run.max_pair_buffer = max(run.max_pair_buffer, len(t))
+            run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
             u, cache = model.features_cached(x)
-            risk, dua, dub = pair_risk_batch(
-                loss_name, u[ii], u[jj], t, radius=model.radius, beta=cfg.beta
-            )
-            du = np.zeros_like(u)
-            np.add.at(du, ii, dua)
-            np.add.at(du, jj, dub)
-            grads = model.backward_features(cache, du)
+            risk, dua, dub = pairs.risk(loss_name, u, model.radius, cfg.beta)
+            grads = model.backward_features(cache, pairs.scatter(dua, dub))
             model.hidden.sgd_step(grads, lr)
-            total += risk * len(t)
-            seen += len(t)
+            total += risk * n_pairs
+            seen += n_pairs
         train_loss = total / max(seen, 1)
         val_metric = None
         if val_ds is not None:

@@ -1,6 +1,8 @@
 """Command-line interface and run-config validation."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from samediff import (
     load_csv,
     load_model,
     load_pairs,
+    save_model,
     validate_config,
 )
 from samediff.theory import SuiteResult
@@ -128,6 +131,25 @@ class TestExitCodes:
         path.write_text(json.dumps({"version": 1, "dataset": {}, "oops": 1}))
         assert cli_main(["train", "--config", str(path)]) == 2
         assert "unknown key 'oops'" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_is_data_error(self, tmp_path, capsys):
+        """A checkpoint with a valid CRC but impossible layer counts."""
+        doc = base_config()
+        model = build_model(doc, build_datasets(doc)[0], 0)
+        path = tmp_path / "bad.ckpt"
+        save_model(model, str(path), seed=0)
+        blob = bytearray(path.read_bytes())
+        blob[32:40] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # layer 0 fan_in, fan_out
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
+        assert "overruns the file" in capsys.readouterr().err
+
+    def test_online_pairing_mode_needs_online_regime(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, pairing={"mode": "online", "n_pairs": 100})
+        out = str(tmp_path / "out")
+        assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
+        assert "--regime online" in capsys.readouterr().err
 
     def test_verification_failure_is_exit_three(self, capsys, monkeypatch):
         import samediff.cli as cli_mod

@@ -199,3 +199,61 @@ class TestEmbeddedFeatures:
         feats = EmbeddedFeatures(ids=np.array([0, 1, 2]), x=np.eye(3))
         np.testing.assert_array_equal(feats.features_for(np.array([2, 0])), np.eye(3)[[2, 0]])
         assert not hasattr(feats, "y")
+
+
+def _dict_rows(ids, query):
+    """The original lookup: a dict built in row order, one entry per id."""
+    index = {int(i): k for k, i in enumerate(ids)}
+    return np.array([index[int(q)] for q in query], dtype=np.int64)
+
+
+def _labeled_source(ids, x):
+    return FullyLabeledDataset.from_arrays(x, np.arange(len(ids)) % 3, 3, ids=ids)
+
+
+def _embedded_source(ids, x):
+    return EmbeddedFeatures(ids=ids, x=x)
+
+
+@pytest.mark.parametrize("make", [_labeled_source, _embedded_source], ids=["labeled", "embedded"])
+class TestIdLookup:
+    """Both feature sources resolve id arrays exactly as a row-order dict did."""
+
+    def test_duplicate_id_resolves_to_last_row(self, make):
+        src = make(np.array([7, 3, 7, 5, 3]), np.arange(10.0).reshape(5, 2))
+        np.testing.assert_array_equal(src.features_for(np.array([7, 3, 5])), src.x[[2, 4, 3]])
+
+    def test_unknown_id_raises_key_error(self, make):
+        src = make(np.array([4, 8]), np.zeros((2, 2)))
+        for query, bad in (([4, 9, 8], 9), ([1], 1), ([99, 2], 99)):
+            with pytest.raises(KeyError, match=rf"unknown example id {bad}\b"):
+                src.features_for(np.array(query))
+
+    def test_empty_query_and_empty_source(self, make):
+        src = make(np.array([4, 8]), np.ones((2, 3)))
+        assert src.features_for(np.array([], dtype=np.int64)).shape == (0, 3)
+        empty = make(np.array([], dtype=np.int64), np.zeros((0, 3)))
+        assert empty.features_for(np.array([], dtype=np.int64)).shape == (0, 3)
+        with pytest.raises(KeyError, match="unknown example id 4"):
+            empty.features_for(np.array([4]))
+
+    def test_matches_dict_lookup_on_seeded_ids(self, make):
+        rng = np.random.default_rng(11)
+        ids = rng.choice(10_000, size=300, replace=False)
+        src = make(ids, rng.normal(size=(300, 2)))
+        query = rng.choice(ids, size=1000)
+        np.testing.assert_array_equal(src.features_for(query), src.x[_dict_rows(ids, query)])
+
+
+def test_labels_and_subset_by_ids_match_dict_lookup():
+    rng = np.random.default_rng(12)
+    ids = rng.choice(5_000, size=200, replace=False)
+    ds = FullyLabeledDataset.from_arrays(rng.normal(size=(200, 3)), rng.integers(0, 4, 200), 4, ids=ids)
+    query = rng.choice(ids, size=50, replace=False)
+    rows = _dict_rows(ids, query)
+    np.testing.assert_array_equal(ds.labels_for(query), ds.y[rows])
+    sub = ds.subset_by_ids(query.tolist())
+    np.testing.assert_array_equal(sub.ids, query)
+    np.testing.assert_array_equal(sub.x, ds.x[rows])
+    np.testing.assert_array_equal(sub.y, ds.y[rows])
+    assert ds.index_of(int(query[0])) == rows[0]

@@ -284,6 +284,31 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="unknown activation code 9"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [
+            (32, "<Q", 2**64 - 1),   # layer 0 fan_in and fan_out: count overflows int64
+            (36, "<I", 0xFFFFFFFF),  # layer 0 fan_out
+            (32, "<I", 0xFFFFFFFF),  # layer 0 fan_in
+            (36, "<I", 31),          # layer 0 fan_out one short
+            (28, "<I", 0xFFFFFFFF),  # layer count
+            (28, "<I", 1),           # layer count one short
+            (24, "<I", 0),           # class count
+            (-28, "<I", 0xFFFFFFFF),  # head rows
+            (-24, "<I", 3),           # head rep_dim
+        ],
+    )
+    def test_crc_valid_inconsistent_counts(self, tmp_path, rng42, offset, fmt, value):
+        model = tiny_model(rng42, hidden=(32,))
+        path = tmp_path / "m.ckpt"
+        save_model(model, str(path), seed=0)
+        blob = bytearray(path.read_bytes())
+        at = offset % len(blob)
+        blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        path.write_bytes(patch_crc(bytes(blob)))
+        with pytest.raises(DataFormatError):
+            load_model(str(path))
+
 
 class TestSynthetic:
     def test_deterministic(self):

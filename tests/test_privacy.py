@@ -184,3 +184,20 @@ class TestEncryptDisjoint:
         xb, _, tb = rb.gather()
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(ta, tb)
+
+    def test_slots_match_per_slot_reference(self):
+        """Slot features and the attacked labels equal the original per-slot
+        dict lookups, on a dataset whose ids are not row numbers."""
+        base = generate_synthetic("blobs", n_per_class=30, seed=6)
+        ids = np.random.default_rng(6).choice(10_000, size=len(base), replace=False)
+        ds = FullyLabeledDataset.from_arrays(base.x, base.y, base.class_count, ids=ids)
+        released, _, rep = encrypt_disjoint(ds, 20, seed=4)
+        id_pairs, _ = pair_disjoint(ds, 20, seed=4)
+        row = {int(i): k for k, i in enumerate(ds.ids)}
+        slot_x, slot_labels = [], {}
+        for k, (a, b) in enumerate(zip(id_pairs.a_ids, id_pairs.b_ids)):
+            slot_x += [ds.x[row[int(a)]], ds.x[row[int(b)]]]
+            slot_labels[2 * k] = int(ds.y[row[int(a)]])
+            slot_labels[2 * k + 1] = int(ds.y[row[int(b)]])
+        np.testing.assert_array_equal(released.source.x, np.array(slot_x))
+        assert rep.strength == strength_report(released, slot_labels)
