@@ -41,7 +41,6 @@ from .io import (
     load_csv,
     load_idx,
     load_model,
-    load_pairs,
     save_csv,
     save_model,
     save_pairs,

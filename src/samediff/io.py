@@ -248,6 +248,12 @@ def generate_synthetic(
 # -- pair files -----------------------------------------------------------
 
 
+def _pair_records(dim: int, inline: bool) -> np.dtype:
+    """One SDPF record: the two sides (ids, or dim features each) and t."""
+    side = ("<f8", (dim,)) if inline else ("<i8",)
+    return np.dtype([("a", *side), ("b", *side), ("t", "u1")])
+
+
 def save_pairs(pairs: PairDataset, path: str, inline: bool = False) -> None:
     """Serialize a pair set; inline form embeds features and drops all ids.
 
@@ -255,18 +261,14 @@ def save_pairs(pairs: PairDataset, path: str, inline: bool = False) -> None:
     """
     n = len(pairs)
     if inline:
-        xa, xb, t = pairs.gather()
-        dim = xa.shape[1]
-        parts = [PAIR_MAGIC, struct.pack("<HHIQ", PAIR_VERSION, 1, dim, n)]
-        rec = struct.Struct(f"<{dim}d{dim}dB")
-        for k in range(n):
-            parts.append(rec.pack(*xa[k], *xb[k], int(t[k])))
+        a, b, t = pairs.gather()
+        dim = a.shape[1]
     else:
-        parts = [PAIR_MAGIC, struct.pack("<HHIQ", PAIR_VERSION, 0, 0, n)]
-        rec = struct.Struct("<qqB")
-        for k in range(n):
-            parts.append(rec.pack(int(pairs.a_ids[k]), int(pairs.b_ids[k]), int(pairs.t[k])))
-    payload = b"".join(parts)
+        a, b, t = pairs.a_ids, pairs.b_ids, pairs.t
+        dim = 0
+    rec = np.empty(n, dtype=_pair_records(dim, inline))
+    rec["a"], rec["b"], rec["t"] = a, b, t
+    payload = PAIR_MAGIC + struct.pack("<HHIQ", PAIR_VERSION, int(inline), dim, n) + rec.tobytes()
     with open(path, "wb") as f:
         f.write(payload)
         f.write(struct.pack("<I", zlib.crc32(payload)))
@@ -292,38 +294,26 @@ def load_pairs(path: str, source=None) -> PairDataset:
     if version != PAIR_VERSION:
         raise DataFormatError(f"{path}: version mismatch: {version}")
     inline = bool(flags & 1)
-    body = blob[20:-4]
-    if inline:
-        rec = struct.Struct(f"<{dim}d{dim}dB")
-        if len(body) != n * rec.size:
-            raise DataFormatError(f"{path}: truncated: {len(body)} body bytes for {n} records")
-        xa = np.empty((n, dim))
-        xb = np.empty((n, dim))
-        t = np.empty(n, dtype=np.uint8)
-        for k in range(n):
-            vals = rec.unpack_from(body, k * rec.size)
-            xa[k] = vals[:dim]
-            xb[k] = vals[dim:2 * dim]
-            t[k] = vals[2 * dim]
-        slot_x = np.empty((2 * n, dim))
-        slot_x[0::2] = xa
-        slot_x[1::2] = xb
-        slots = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=slot_x)
-        return PairDataset(
-            a_ids=np.arange(0, 2 * n, 2, dtype=np.int64),
-            b_ids=np.arange(1, 2 * n, 2, dtype=np.int64),
-            t=t,
-            source=slots,
-        )
-    rec = struct.Struct("<qqB")
-    if len(body) != n * rec.size:
+    body = memoryview(blob)[20:-4]
+    # Python ints: a hostile count or dim cannot overflow this check.
+    if len(body) != n * (16 * dim + 1 if inline else 17):
         raise DataFormatError(f"{path}: truncated: {len(body)} body bytes for {n} records")
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
-    t = np.empty(n, dtype=np.uint8)
-    for k in range(n):
-        a[k], b[k], t[k] = rec.unpack_from(body, k * rec.size)
-    return PairDataset(a_ids=a, b_ids=b, t=t, source=source)
+    try:
+        rec = np.frombuffer(body, dtype=_pair_records(dim, inline), count=n)
+    except ValueError as e:
+        raise DataFormatError(f"{path}: unsupported record layout: {e}") from None
+    if inline:
+        slot_x = np.empty((2 * n, dim))
+        slot_x[0::2] = rec["a"]
+        slot_x[1::2] = rec["b"]
+        source = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=slot_x)
+        a, b = np.arange(0, 2 * n, 2, dtype=np.int64), np.arange(1, 2 * n, 2, dtype=np.int64)
+    else:
+        a, b = rec["a"], rec["b"]
+    try:
+        return PairDataset(a_ids=a, b_ids=b, t=rec["t"], source=source)
+    except ValueError as e:  # non-canonical ids or an agreement byte above 1
+        raise DataFormatError(f"{path}: invalid records: {e}") from None
 
 
 # -- checkpoints ----------------------------------------------------------

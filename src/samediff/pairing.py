@@ -8,7 +8,9 @@ Four regimes with very different privacy/coverage trade-offs:
   from what is left; both are removed after pairing.
 * sampled: a target number of distinct pairs drawn batch-wise, where each
   batch first picks M unique classes and then pairs records only inside
-  that class pool (M controls the same-class fraction).
+  that class pool (M controls the same-class fraction).  Pairs are drawn
+  as whole arrays of triangular codes over id ranks, so a seed yields
+  different pairs than the earlier one-pair-at-a-time sampler did.
 * online: the full pair expansion of one minibatch, built per step so the
   quadratic pair set never has to be materialized.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset, sufficient_label
+from .data import FullyLabeledDataset, PairDataset
 from .rng import substream
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 BATCH_GRANULARITY = 1024
+SMALL_POOL = 1 << 16   # pools up to this many pairs are enumerated
 
 
 @dataclass(frozen=True)
@@ -96,27 +99,54 @@ def pair_disjoint(
         )
     rng = substream(seed, "pairing", "disjoint")
     order = np.argsort(ds.ids, kind="stable")   # positions sorted by id
-    alive = np.ones(n, dtype=bool)              # indexed in id order
-    anchor_cursor = 0
-    a_out = np.empty(n_pairs, dtype=np.int64)
-    b_out = np.empty(n_pairs, dtype=np.int64)
-    t_out = np.empty(n_pairs, dtype=np.uint8)
+    # Records in id order.  Anchors stay in place as the prefix rest[:k];
+    # partners are popped, so rest[k + 1:] is what the k-th anchor may pair
+    # with, and rest[n_pairs:] is the remainder.
+    rest = list(range(n))
+    partners = []
     for k in range(n_pairs):
-        while not alive[anchor_cursor]:
-            anchor_cursor += 1
-        anchor = anchor_cursor
-        alive[anchor] = False
-        remaining = np.flatnonzero(alive)
-        partner = int(remaining[rng.integers(len(remaining))])
-        alive[partner] = False
-        pa, pb = order[anchor], order[partner]
-        ya, yb = int(ds.y[pa]), int(ds.y[pb])
-        ida, idb = int(ds.ids[pa]), int(ds.ids[pb])
-        a_out[k], b_out[k] = min(ida, idb), max(ida, idb)
-        t_out[k] = sufficient_label(ya, yb)
-    survivors = order[np.flatnonzero(alive)]
-    remainder = ds.subset(np.sort(survivors))
-    return PairDataset(a_ids=a_out, b_ids=b_out, t=t_out, source=ds), remainder
+        partners.append(rest.pop(k + 1 + int(rng.integers(len(rest) - k - 1))))
+    pa = order[rest[:n_pairs]]
+    pb = order[partners]
+    t = (ds.y[pa] == ds.y[pb]).astype(np.uint8)
+    remainder = ds.subset(np.sort(order[rest[n_pairs:]]))
+    return PairDataset(a_ids=ds.ids[pa], b_ids=ds.ids[pb], t=t, source=ds), remainder
+
+
+def _tri_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert c = j(j-1)/2 + i: the pair 0 <= i < j behind each code."""
+    j = np.floor((1.0 + np.sqrt(8.0 * codes + 1.0)) / 2.0).astype(np.int64)
+    j -= j * (j - 1) // 2 > codes          # correct float rounding either way
+    j += (j + 1) * j // 2 <= codes
+    return codes - j * (j - 1) // 2, j
+
+
+def _tri_codes(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Triangular code of each unordered pair {i, j}, i != j."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return hi * (hi - 1) // 2 + lo
+
+
+def _untaken(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Mask of the keys absent from the sorted array ``taken``."""
+    if not len(taken):
+        return np.ones(len(keys), dtype=bool)
+    k = np.minimum(np.searchsorted(taken, keys), len(taken) - 1)
+    return taken[k] != keys
+
+
+def _complement(taken: np.ndarray, cap: int) -> np.ndarray:
+    """The codes in [0, cap) absent from the sorted array ``taken``."""
+    edges = np.concatenate(([-1], taken, [cap]))
+    gaps = np.diff(edges) - 1
+    ends = np.cumsum(gaps)
+    k = np.arange(ends[-1])
+    return k + np.repeat(edges[:-1] + 1 - (ends - gaps), gaps)
+
+
+def _pick(rng: np.random.Generator, keys: np.ndarray, quota: int) -> np.ndarray:
+    """Up to ``quota`` of the keys, uniformly without replacement."""
+    return keys[rng.choice(len(keys), size=min(quota, len(keys)), replace=False)]
 
 
 def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
@@ -126,6 +156,16 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     draws unordered record pairs without replacement from the pooled
     examples of those classes.  No self-pairs, no duplicates across the
     whole output.
+
+    Pairs are handled in rank space: a pair's key is the triangular code
+    ``hi * (hi - 1) / 2 + lo`` of the id ranks ``lo < hi``, and the taken
+    keys are one sorted array.  Pools of at most 2^16 pairs are enumerated
+    and the batch's quota is picked from their untaken keys; so are the
+    untaken keys of the whole dataset once at most 2^16 of them remain and
+    the batch pools every record.  Larger pools draw triangular codes
+    uniformly and keep the first quota untaken keys in draw order.  The
+    stream differs from the earlier per-pair sampler's: a seed now yields
+    different (equally distributed) pairs than it did before.
     """
     n = len(ds)
     cap = n * (n - 1) // 2
@@ -143,12 +183,14 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
         raise ValueError("class_batch_size must be at least 1")
     m = min(m, len(present))
 
-    taken: set[tuple[int, int]] = set()
-    a_out: list[int] = []
-    b_out: list[int] = []
-    t_out: list[int] = []
+    order = np.argsort(ds.ids, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    taken = np.empty(0, dtype=np.int64)   # sorted keys
+    batches = []
+    count = 0
     stalled = 0
-    while len(a_out) < cfg.n_pairs:
+    while count < cfg.n_pairs:
         chosen = rng.choice(present, size=m, replace=False)
         pool = np.flatnonzero(np.isin(ds.y, chosen))
         # after many fruitless batches widen to the full dataset so the
@@ -160,46 +202,34 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
         if pool_cap == 0:
             stalled += 1
             continue
-        quota = min(BATCH_GRANULARITY, cfg.n_pairs - len(a_out))
-        got = 0
-        if quota * 2 >= pool_cap or pool_cap <= 4096:
+        quota = min(BATCH_GRANULARITY, cfg.n_pairs - count)
+        r = rank[pool]
+        if p == n and cap - len(taken) <= SMALL_POOL:
+            keys = _pick(rng, _complement(taken, cap), quota)
+        elif pool_cap <= SMALL_POOL:
             ii, jj = np.triu_indices(p, k=1)
-            ids_lo = np.minimum(ds.ids[pool[ii]], ds.ids[pool[jj]])
-            ids_hi = np.maximum(ds.ids[pool[ii]], ds.ids[pool[jj]])
-            free = [
-                k for k in range(pool_cap)
-                if (int(ids_lo[k]), int(ids_hi[k])) not in taken
-            ]
-            if free:
-                pick = rng.choice(len(free), size=min(quota, len(free)), replace=False)
-                for k in pick:
-                    key = (int(ids_lo[free[k]]), int(ids_hi[free[k]]))
-                    taken.add(key)
-                    a_out.append(key[0])
-                    b_out.append(key[1])
-                    got += 1
+            keys = _tri_codes(r[ii], r[jj])
+            keys = _pick(rng, keys[_untaken(keys, taken)], quota)
         else:
-            attempts = 0
-            while got < quota and attempts < 20 * quota:
-                attempts += 1
-                i, j = rng.integers(p), rng.integers(p)
-                if i == j:
-                    continue
-                pa, pb = int(pool[i]), int(pool[j])
-                key = (min(int(ds.ids[pa]), int(ds.ids[pb])),
-                       max(int(ds.ids[pa]), int(ds.ids[pb])))
-                if key in taken:
-                    continue
-                taken.add(key)
-                a_out.append(key[0])
-                b_out.append(key[1])
-                got += 1
-        stalled = 0 if got else stalled + 1
+            # at least (pool_cap - |taken|) / pool_cap of the codes are untaken
+            free = max(pool_cap - len(taken), 1)
+            draws = min(20 * quota, 2 * quota + quota * len(taken) // free)
+            ii, jj = _tri_pairs(rng.integers(pool_cap, size=draws))
+            keys = _tri_codes(r[ii], r[jj])
+            _, first = np.unique(keys, return_index=True)
+            keys = keys[np.sort(first)]
+            keys = keys[_untaken(keys, taken)][:quota]
+        if len(keys):
+            batches.append(keys)
+            fresh = np.sort(keys)
+            taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
+            count += len(keys)
+        stalled = 0 if len(keys) else stalled + 1
 
-    a_ids = np.array(a_out, dtype=np.int64)
-    b_ids = np.array(b_out, dtype=np.int64)
-    t = (ds.labels_for(a_ids) == ds.labels_for(b_ids)).astype(np.uint8)
-    return PairDataset(a_ids=a_ids, b_ids=b_ids, t=t, source=ds)
+    lo, hi = _tri_pairs(np.concatenate(batches))
+    lo, hi = order[lo], order[hi]
+    t = (ds.y[lo] == ds.y[hi]).astype(np.uint8)
+    return PairDataset(a_ids=ds.ids[lo], b_ids=ds.ids[hi], t=t, source=ds)
 
 
 def online_epoch_pairs(batch: FullyLabeledDataset) -> PairDataset:

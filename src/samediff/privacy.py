@@ -31,7 +31,6 @@ from .data import EmbeddedFeatures, FullyLabeledDataset, PairDataset
 from .pairing import max_disjoint_pairs, pair_disjoint
 
 __all__ = [
-    "UnionFind",
     "StrengthReport",
     "EncryptionReport",
     "recover_clusters",
@@ -41,58 +40,46 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items, path compression and
-    union by size."""
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.size: dict = {}
-
-    def add(self, item) -> None:
-        if item not in self.parent:
-            self.parent[item] = item
-            self.size[item] = 1
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def recover_clusters(pairs: PairDataset) -> list[list[int]]:
     """The attack: connected components of participants under t = 1 edges.
 
     Participants touched only by t = 0 pairs stay singletons; disagreement
     edges are constraints the attacker knows but cannot merge on.
     Components are sorted by smallest member for stable output.
+
+    Array connected components: every participant points at a root, first
+    itself.  Each round hooks the larger root of every edge whose ends
+    have different roots under the smaller one, then jumps pointers to
+    their pointers' pointers until every participant points at a root.
+    Roots only ever hook under smaller roots, so each component ends up
+    pointing at its smallest participant.
     """
-    uf = UnionFind()
-    for pid in pairs.participant_ids():
-        uf.add(int(pid))
-    for a, b, t in zip(pairs.a_ids, pairs.b_ids, pairs.t):
-        if t == 1:
-            uf.union(int(a), int(b))
-    groups: dict = {}
-    for pid in pairs.participant_ids():
-        groups.setdefault(uf.find(int(pid)), []).append(int(pid))
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    ids = pairs.participant_ids()
+    same = pairs.t == 1
+    ea = np.searchsorted(ids, pairs.a_ids[same])
+    eb = np.searchsorted(ids, pairs.b_ids[same])
+    label = np.arange(len(ids))
+    while True:
+        ra, rb = label[ea], label[eb]
+        split = ra != rb
+        if not split.any():
+            break
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    members = ids[order].tolist()
+    return [members[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(members)])]
 
 
-def _pairs2(n: np.ndarray) -> np.ndarray:
-    return n * (n - 1) // 2
+def _pairs2(counts: np.ndarray) -> np.int64:
+    """Number of unordered pairs within groups of the given sizes."""
+    return (counts * (counts - 1) // 2).sum()
 
 
 def pairwise_agreement(
@@ -102,28 +89,19 @@ def pairwise_agreement(
     true class partition agree (same-cluster vs same-class).
 
     Computed from contingency counts, so it is exact and linear in the
-    participant count.
+    participant count.  The components must be disjoint.
     """
-    comp_of = {}
-    for g, comp in enumerate(components):
-        for pid in comp:
-            comp_of[pid] = g
-    ids = sorted(comp_of)
-    total = len(ids) * (len(ids) - 1) // 2
+    sizes = [len(comp) for comp in components]
+    n = sum(sizes)
+    total = n * (n - 1) // 2
     if total == 0:
         raise ValueError("agreement needs at least 2 participants")
-    contingency: dict[tuple[int, int], int] = {}
-    comp_sizes: dict[int, int] = {}
-    class_sizes: dict[int, int] = {}
-    for pid in ids:
-        g = comp_of[pid]
-        c = int(true_labels[pid])
-        contingency[(g, c)] = contingency.get((g, c), 0) + 1
-        comp_sizes[g] = comp_sizes.get(g, 0) + 1
-        class_sizes[c] = class_sizes.get(c, 0) + 1
-    both = sum(_pairs2(np.int64(v)) for v in contingency.values())
-    same_comp = sum(_pairs2(np.int64(v)) for v in comp_sizes.values())
-    same_class = sum(_pairs2(np.int64(v)) for v in class_sizes.values())
+    comp = np.repeat(np.arange(len(sizes)), sizes)
+    labels = [int(true_labels[pid]) for members in components for pid in members]
+    _, cls = np.unique(np.array(labels, dtype=np.int64), return_inverse=True)
+    both = _pairs2(np.unique(comp * len(labels) + cls, return_counts=True)[1])
+    same_comp = _pairs2(np.bincount(comp))
+    same_class = _pairs2(np.bincount(cls))
     true_pos = both
     true_neg = total - same_comp - same_class + both
     return float((true_pos + true_neg) / total)

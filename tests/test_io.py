@@ -217,6 +217,49 @@ class TestPairFiles:
             load_pairs(str(path))
 
 
+    @pytest.mark.parametrize(
+        "inline, field, value",
+        [
+            (True, "dim", 2**32 - 1),
+            (False, "n", 2**63 - 1),
+            (True, "n", 2**63 - 1),
+            (False, "n", 2**62),  # n * 17 bytes is beyond int64
+            (True, "n", 2**60),   # n * 49 bytes (dim 3) is beyond int64
+            (True, "n", 0),       # count below the body
+        ],
+    )
+    def test_crc_valid_hostile_header(self, tmp_path, rng42, inline, field, value):
+        ds = roundtrip_ds(rng42, n=6)
+        path = tmp_path / "p.sdpf"
+        save_pairs(pair_exhaustive(ds), str(path), inline=inline)
+        blob = bytearray(path.read_bytes())
+        if field == "dim":
+            blob[8:12] = struct.pack("<I", value)
+        else:
+            blob[12:20] = struct.pack("<Q", value)
+        path.write_bytes(patch_crc(bytes(blob)))
+        with pytest.raises(DataFormatError, match="body bytes"):
+            load_pairs(str(path))
+
+    def test_huge_dim_without_records(self, tmp_path):
+        """Zero records leave the body check nothing to catch; the record
+        layout itself is refused."""
+        payload = b"SDPF" + struct.pack("<HHIQ", 1, 1, 2**32 - 1, 0)
+        path = tmp_path / "p.sdpf"
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(DataFormatError, match="unsupported record layout"):
+            load_pairs(str(path))
+
+    def test_inline_body_one_byte_short(self, tmp_path, rng42):
+        ds = roundtrip_ds(rng42, n=6)
+        path = tmp_path / "p.sdpf"
+        save_pairs(pair_exhaustive(ds), str(path), inline=True)
+        blob = path.read_bytes()
+        path.write_bytes(patch_crc(blob[:-5] + blob[-4:]))
+        with pytest.raises(DataFormatError, match="body bytes for 15 records"):
+            load_pairs(str(path))
+
+
 class TestCheckpoints:
     def test_round_trip_binary_head(self, tmp_path, rng42):
         model = tiny_model(rng42)

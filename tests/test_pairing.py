@@ -151,6 +151,95 @@ class TestSampled:
         assert np.all(pairs.t == 1)
 
 
+class TestSampledContract:
+    """The rank-space sampler's contract, independent of its random stream."""
+
+    @staticmethod
+    def check_valid(ds, pairs, count):
+        assert len(pairs) == count
+        assert np.all(pairs.a_ids < pairs.b_ids)
+        assert len(set(zip(pairs.a_ids.tolist(), pairs.b_ids.tolist()))) == count
+        same = ds.labels_for(pairs.a_ids) == ds.labels_for(pairs.b_ids)
+        np.testing.assert_array_equal(pairs.t, same.astype(np.uint8))
+
+    def test_valid_over_sizes_and_budgets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            classes = int(rng.integers(1, 8))
+            per_class = int(rng.integers(1, 120))
+            ds = balanced_dataset(classes, per_class, seed=int(rng.integers(2**31)))
+            cap = len(ds) * (len(ds) - 1) // 2
+            if cap == 0:
+                continue
+            count = int(rng.integers(1, min(cap, 5000) + 1))
+            m = int(rng.integers(1, classes + 1))
+            cfg = PairingConfig(n_pairs=count, class_batch_size=m, seed=int(rng.integers(99)))
+            self.check_valid(ds, pair_sampled(ds, cfg), count)
+
+    def test_seed_determines_output(self):
+        ds = balanced_dataset(4, 200, seed=3)
+        runs = [pair_sampled(ds, PairingConfig(n_pairs=3000, seed=s)) for s in (5, 5, 6)]
+        np.testing.assert_array_equal(runs[0].a_ids, runs[1].a_ids)
+        np.testing.assert_array_equal(runs[0].b_ids, runs[1].b_ids)
+        np.testing.assert_array_equal(runs[0].t, runs[1].t)
+        assert not np.array_equal(runs[0].a_ids * 10**6 + runs[0].b_ids,
+                                  runs[2].a_ids * 10**6 + runs[2].b_ids)
+
+    def test_every_block_stays_within_m_classes(self):
+        """Each 1024-pair block comes from one batch of M classes (the pools
+        are big enough that every batch fills its quota)."""
+        ds = balanced_dataset(10, 200, seed=8)
+        for m in (1, 2, 3):
+            pairs = pair_sampled(ds, PairingConfig(n_pairs=5000, class_batch_size=m, seed=2))
+            ya, yb = ds.labels_for(pairs.a_ids), ds.labels_for(pairs.b_ids)
+            for lo in range(0, len(pairs), 1024):
+                classes = set(ya[lo:lo + 1024].tolist()) | set(yb[lo:lo + 1024].tolist())
+                assert len(classes) <= m
+
+    def test_non_contiguous_and_negative_ids(self):
+        rng = np.random.default_rng(4)
+        n = 400
+        ids = rng.choice(np.arange(-10**9, 10**9, 7919), size=n, replace=False)
+        y = rng.integers(0, 3, size=n)
+        ds = FullyLabeledDataset.from_arrays(rng.normal(size=(n, 2)), y, 3, ids=ids)
+        assert np.any(ds.ids < 0)
+        for count in (50, 3000, n * (n - 1) // 2):
+            pairs = pair_sampled(ds, PairingConfig(n_pairs=count, class_batch_size=3, seed=1))
+            self.check_valid(ds, pairs, count)
+            assert np.all(np.isin(pairs.a_ids, ids)) and np.all(np.isin(pairs.b_ids, ids))
+
+    def test_roughly_uniform_over_a_small_pool(self):
+        """One pair out of a 10-record, one-class pool (45 pairs): across
+        seeds every pair turns up, none far more often than the others."""
+        ds = FullyLabeledDataset.from_arrays(np.zeros((10, 1)), np.zeros(10, dtype=int), 1)
+        hits = np.zeros((10, 10), dtype=int)
+        for seed in range(2700):
+            pairs = pair_sampled(ds, PairingConfig(n_pairs=1, seed=seed))
+            hits[pairs.a_ids[0], pairs.b_ids[0]] += 1
+        counts = hits[np.triu_indices(10, k=1)]
+        assert counts.sum() == 2700
+        assert counts.min() > 30 and counts.max() < 95  # 60 expected, sd 7.7
+
+    def test_roughly_uniform_over_a_large_pool(self):
+        """Draws from a pool of more than 2^16 pairs cover both ends of the
+        id range about equally."""
+        ds = balanced_dataset(1, 2000, seed=1)
+        pairs = pair_sampled(ds, PairingConfig(n_pairs=20000, seed=3))
+        ids = np.concatenate([pairs.a_ids, pairs.b_ids])
+        per_decile = np.bincount(ids * 10 // len(ds), minlength=10)
+        assert np.all(np.abs(per_decile / 4000 - 1.0) < 0.1)
+
+    def test_full_cap_of_300_equals_exhaustive(self):
+        ds = balanced_dataset(3, 100, seed=9)
+        cap = len(ds) * (len(ds) - 1) // 2
+        assert cap == 44850
+        sampled = pair_sampled(ds, PairingConfig(n_pairs=cap, seed=4))
+        exhaustive = pair_exhaustive(ds)
+        s = set(zip(sampled.a_ids.tolist(), sampled.b_ids.tolist(), sampled.t.tolist()))
+        e = set(zip(exhaustive.a_ids.tolist(), exhaustive.b_ids.tolist(), exhaustive.t.tolist()))
+        assert s == e
+
+
 class TestOnline:
     def test_expansion_counts(self):
         for b in (2, 5, 17):
