@@ -45,7 +45,7 @@ from .io import (
     save_model,
     save_pairs,
 )
-from .pairing import PairingConfig, pair_disjoint, pair_exhaustive, pair_sampled
+from .pairing import PairingConfig, build_pairs
 from .privacy import encrypt_disjoint
 from .theory import generalization_bound, run_verification_suite
 from .trainer import train_baseline_full, train_online, train_two_stage
@@ -106,22 +106,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_convert(args) -> int:
     ds = load_csv(args.data, args.class_count)
-    if args.mode == "exhaustive":
-        pairs = pair_exhaustive(ds)
-    elif args.mode == "disjoint":
-        pairs, remainder = pair_disjoint(ds, args.n_pairs, seed=args.seed)
-        if args.remainder_out:
-            save_csv(remainder, args.remainder_out)
-    else:
-        pairs = pair_sampled(
-            ds,
-            PairingConfig(
-                mode="sampled",
-                n_pairs=args.n_pairs,
-                class_batch_size=args.class_batch_size,
-                seed=args.seed,
-            ),
-        )
+    pairs, remainder = build_pairs(ds, PairingConfig(
+        mode=args.mode, n_pairs=args.n_pairs,
+        class_batch_size=args.class_batch_size, seed=args.seed,
+    ))
+    if args.mode == "disjoint" and args.remainder_out:
+        save_csv(remainder, args.remainder_out)
     save_pairs(pairs, args.out, inline=args.inline)
     same = int(np.sum(pairs.t == 1))
     print(f"wrote {len(pairs)} pairs ({same} same-class) to {args.out}")
@@ -175,12 +165,7 @@ def _cmd_train(args) -> int:
             raise ConfigError(
                 'pairing.mode "online" has no materialised pair set: use --regime online'
             )
-        if pairing.mode == "exhaustive":
-            pairs, label_pool = pair_exhaustive(train_ds), train_ds
-        elif pairing.mode == "disjoint":
-            pairs, label_pool = pair_disjoint(train_ds, pairing.n_pairs, seed=pairing.seed)
-        else:
-            pairs, label_pool = pair_sampled(train_ds, pairing), train_ds
+        pairs, label_pool = build_pairs(train_ds, pairing)
         labeled = stratified_subset(
             label_pool, per_class * label_pool.class_count, cfg.seed
         )

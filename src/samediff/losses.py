@@ -32,12 +32,7 @@ from .model import TwoPartClassifier
 
 __all__ = [
     "PairBatchContext",
-    "hinge_unbounded",
-    "cross_entropy",
-    "pair_loss_sqdist",
-    "pair_loss_ncs",
     "pair_loss_contrastive",
-    "pair_loss_mse",
     "pair_risk_batch",
     "head_loss_batch",
     "empirical_risk_full",
@@ -48,34 +43,6 @@ PAIR_LOSSES = ("sqdist", "ncs", "contrastive", "mse")
 HEAD_LOSSES = ("hinge", "xent")
 
 _RISK_CHUNK = 8192
-
-
-# -- scalar surfaces ------------------------------------------------------
-
-
-def hinge_unbounded(y_hat: float, y: int) -> float:
-    """Unbounded hinge -y * yhat for y in {-1, +1}."""
-    if y not in (-1, 1):
-        raise ValueError(f"hinge target must be -1 or +1, got {y}")
-    return -float(y) * float(y_hat)
-
-
-def cross_entropy(scores: np.ndarray, y: int) -> float:
-    """Softmax cross-entropy of one score vector, max-subtracted for stability."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("cross_entropy expects a single score vector")
-    if not 0 <= y < len(s):
-        raise ValueError(f"label {y} outside score vector of length {len(s)}")
-    shifted = s - s.max()
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[y])
-
-
-def pair_loss_sqdist(u: np.ndarray, u_prime: np.ndarray, t: int) -> float:
-    """Signed squared distance: positive sign for same-class pairs."""
-    d = np.asarray(u, dtype=np.float64) - np.asarray(u_prime, dtype=np.float64)
-    sign = 1.0 if t == 1 else -1.0
-    return float(sign * np.dot(d, d))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,47 +87,50 @@ class PairBatchContext:
         return len(self.kernel)
 
 
-def _ncs_norms(ctx: PairBatchContext) -> tuple[float, float]:
-    kn = float(np.linalg.norm(ctx.kernel))
-    sn = float(np.linalg.norm(ctx.target))
-    if kn < 1e-300 or sn < 1e-300:
-        raise ValueError("degenerate kernel batch: zero-norm kernel or target vector")
-    return kn, sn
+def _reduce_pair_values(
+    name: str, values: np.ndarray, t: np.ndarray, radius: float, beta: float | None
+) -> tuple[float, np.ndarray]:
+    """Risk of one batch of pairs and its gradient with respect to the values.
 
-
-def pair_loss_ncs(ctx: PairBatchContext, i: int) -> float:
-    """Per-pair share of the negated cosine similarity.
-
-    Defined as -n * k_i * k*_i / (||K|| ||K*||) so the batch mean equals
-    -cos(K, K*).
+    The per-pair values are the squared distances ||u - u'||^2 for sqdist
+    and the kernel values <u, u'> for every other loss.  This is the only
+    place the loss formulas are written; the training batch and the
+    whole-set risk both reduce through it.
     """
-    kn, sn = _ncs_norms(ctx)
-    n = len(ctx)
-    return float(-n * ctx.kernel[i] * ctx.target[i] / (kn * sn))
+    n = len(values)
+    if name == "sqdist":
+        sign = np.where(t == 1, 1.0, -1.0)
+        return float(np.mean(sign * values)), sign * (1.0 / n)
+    if beta is None:
+        beta = -radius * radius
+    target = np.where(t == 1, radius * radius, beta)
+    if name == "ncs":
+        kn = float(np.linalg.norm(values))
+        sn = float(np.linalg.norm(target))
+        if kn < 1e-300 or sn < 1e-300:
+            raise ValueError("degenerate kernel batch: zero-norm kernel or target vector")
+        dot = float(np.dot(values, target))
+        return -dot / (kn * sn), -target / (kn * sn) + dot * values / (kn ** 3 * sn)
+    if name == "contrastive":
+        pos = t == 1
+        if not np.any(pos):
+            raise ValueError("contrastive loss needs at least one same-class pair in the batch")
+        m = float(values.max())
+        e = np.exp(values - m)
+        log_all = m + np.log(np.sum(e))
+        log_pos = m + np.log(np.sum(np.exp(values[pos] - m)))
+        e_pos = np.where(pos, e, 0.0)
+        return float(log_all - log_pos), e / e.sum() - e_pos / e_pos.sum()
+    resid = values - target   # mse
+    return float(np.mean(resid * resid)), (2.0 / n) * resid
 
 
 def pair_loss_contrastive(ctx: PairBatchContext) -> float:
     """Batch-level contrastive objective over the kernel values."""
-    pos = ctx.t == 1
-    if not np.any(pos):
-        raise ValueError("contrastive loss needs at least one same-class pair in the batch")
-    m = float(ctx.kernel.max())
-    log_all = m + np.log(np.sum(np.exp(ctx.kernel - m)))
-    log_pos = m + np.log(np.sum(np.exp(ctx.kernel[pos] - m)))
-    return float(log_all - log_pos)
-
-
-def pair_loss_mse(ctx: PairBatchContext, i: int) -> float:
-    """Squared kernel residual for one pair."""
-    d = ctx.kernel[i] - ctx.target[i]
-    return float(d * d)
+    return _reduce_pair_values("contrastive", ctx.kernel, ctx.t, ctx.radius, ctx.beta)[0]
 
 
 # -- batched training surfaces -------------------------------------------
-
-
-def _kernel_grad_to_features(dk, ua, ub):
-    return dk[:, None] * ub, dk[:, None] * ua
 
 
 def pair_risk_batch(
@@ -181,41 +151,15 @@ def pair_risk_batch(
     ua = np.asarray(ua, dtype=np.float64)
     ub = np.asarray(ub, dtype=np.float64)
     t = np.asarray(t)
-    n = len(t)
-    if n == 0:
+    if len(t) == 0:
         raise ValueError("empty pair batch")
-
     if name == "sqdist":
         diff = ua - ub
-        sign = np.where(t == 1, 1.0, -1.0)
-        risk = float(np.mean(sign * _row_dots(diff, diff)))
-        dua = (2.0 / n) * sign[:, None] * diff
+        risk, dv = _reduce_pair_values(name, _row_dots(diff, diff), t, radius, beta)
+        dua = (2.0 * dv)[:, None] * diff
         return risk, dua, -dua
-
-    ctx = PairBatchContext.from_features(ua, ub, t, radius=radius, beta=beta)
-    k, ks = ctx.kernel, ctx.target
-
-    if name == "ncs":
-        kn, sn = _ncs_norms(ctx)
-        dot = float(np.dot(k, ks))
-        risk = -dot / (kn * sn)
-        dk = -ks / (kn * sn) + dot * k / (kn ** 3 * sn)
-    elif name == "contrastive":
-        risk = pair_loss_contrastive(ctx)
-        pos = ctx.t == 1
-        m = float(k.max())
-        e = np.exp(k - m)
-        soft_all = e / e.sum()
-        e_pos = np.where(pos, e, 0.0)
-        soft_pos = e_pos / e_pos.sum()
-        dk = soft_all - soft_pos
-    else:  # mse
-        resid = k - ks
-        risk = float(np.mean(resid * resid))
-        dk = (2.0 / n) * resid
-
-    dua, dub = _kernel_grad_to_features(dk, ua, ub)
-    return float(risk), dua, dub
+    risk, dk = _reduce_pair_values(name, _row_dots(ua, ub), t, radius, beta)
+    return risk, dk[:, None] * ub, dk[:, None] * ua
 
 
 def head_loss_batch(
@@ -284,42 +228,24 @@ def empirical_risk_pairs(
 ) -> float:
     """Pair risk of the model over a whole pair set, uniform 1/n weighting.
 
-    For the batch-level losses the entire set is the batch: kernel values
-    are accumulated chunk by chunk and reduced once at the end.
+    For the batch-level losses the entire set is the batch: per-pair values
+    are computed chunk by chunk and reduced once at the end.
     """
     if loss not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {loss!r}")
     n = len(pairs)
     if n == 0:
         raise ValueError("empty pair set")
-    r = model.radius
-    if beta is None:
-        beta = -r * r
-
-    sq_total = 0.0
-    kernel_parts: list[np.ndarray] = []
+    values = []
     for lo in range(0, n, _RISK_CHUNK):
         part = pairs.take(np.arange(lo, min(lo + _RISK_CHUNK, n)))
-        xa, xb, t = part.gather()
+        xa, xb, _ = part.gather()
         ua = model.features(xa)
         ub = model.features(xb)
         if loss == "sqdist":
             diff = ua - ub
-            sign = np.where(t == 1, 1.0, -1.0)
-            sq_total += float(np.sum(sign * _row_dots(diff, diff)))
+            values.append(_row_dots(diff, diff))
         else:
-            kernel_parts.append(_row_dots(ua, ub))
-
-    if loss == "sqdist":
-        return sq_total / n
-
-    k = np.concatenate(kernel_parts)
-    t_all = np.asarray(pairs.t, dtype=np.int64)
-    target = np.where(t_all == 1, r * r, beta)
-    ctx = PairBatchContext(kernel=k, target=target, t=t_all, radius=r, beta=float(beta))
-    if loss == "ncs":
-        kn, sn = _ncs_norms(ctx)
-        return float(-np.dot(k, target) / (kn * sn))
-    if loss == "contrastive":
-        return pair_loss_contrastive(ctx)
-    return float(np.mean((k - target) ** 2))
+            values.append(_row_dots(ua, ub))
+    t = np.asarray(pairs.t, dtype=np.int64)
+    return _reduce_pair_values(loss, np.concatenate(values), t, model.radius, beta)[0]

@@ -11,8 +11,9 @@ Four regimes with very different privacy/coverage trade-offs:
   that class pool (M controls the same-class fraction).  Pairs are drawn
   as whole arrays of triangular codes over id ranks, so a seed yields
   different pairs than the earlier one-pair-at-a-time sampler did.
-* online: the full pair expansion of one minibatch, built per step so the
-  quadratic pair set never has to be materialized.
+* online: the full pair expansion of one minibatch, built per step inside
+  the online trainer so the quadratic pair set never has to be
+  materialized; no constructor here builds it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ __all__ = [
     "pair_exhaustive",
     "pair_disjoint",
     "pair_sampled",
-    "online_epoch_pairs",
+    "build_pairs",
     "coverage_fraction",
     "max_disjoint_pairs",
 ]
 
 BATCH_GRANULARITY = 1024
 SMALL_POOL = 1 << 16   # pools up to this many pairs are enumerated
+STALL_LIMIT = 50       # fruitless class batches before pooling every record
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,13 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     uniformly and keep the first quota untaken keys in draw order.  The
     stream differs from the earlier per-pair sampler's: a seed now yields
     different (equally distributed) pairs than it did before.
+
+    After 50 batches in a row add no pair (the chosen classes have no
+    untaken pair left), every later batch pools the whole dataset, so
+    requests beyond the within-class pairs of M classes finish without a
+    stall per batch.  A seed whose request reaches that pool draws
+    different pairs than when the pool reverted to class batches after
+    each success; requests that never stall draw the same pairs.
     """
     n = len(ds)
     cap = n * (n - 1) // 2
@@ -191,11 +200,10 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     count = 0
     stalled = 0
     while count < cfg.n_pairs:
-        chosen = rng.choice(present, size=m, replace=False)
-        pool = np.flatnonzero(np.isin(ds.y, chosen))
-        # after many fruitless batches widen to the full dataset so the
-        # end-game (nearly every pair requested) still terminates
-        if stalled >= 50:
+        if stalled < STALL_LIMIT:
+            chosen = rng.choice(present, size=m, replace=False)
+            pool = np.flatnonzero(np.isin(ds.y, chosen))
+        else:
             pool = np.arange(n)
         p = len(pool)
         pool_cap = p * (p - 1) // 2
@@ -224,7 +232,8 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
             fresh = np.sort(keys)
             taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
             count += len(keys)
-        stalled = 0 if len(keys) else stalled + 1
+        if stalled < STALL_LIMIT:
+            stalled = 0 if len(keys) else stalled + 1
 
     lo, hi = _tri_pairs(np.concatenate(batches))
     lo, hi = order[lo], order[hi]
@@ -232,16 +241,19 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     return PairDataset(a_ids=ds.ids[lo], b_ids=ds.ids[hi], t=t, source=ds)
 
 
-def online_epoch_pairs(batch: FullyLabeledDataset) -> PairDataset:
-    """Full pair expansion of one minibatch (B(B-1)/2 records).
+def build_pairs(
+    ds: FullyLabeledDataset, cfg: PairingConfig
+) -> tuple[PairDataset, FullyLabeledDataset]:
+    """The pair set ``cfg`` describes, and the records left to label.
 
-    A batch with fewer than 2 examples expands to an empty pair set.
+    Disjoint pairing leaves its untouched remainder as the label pool; the
+    other modes leave the whole dataset.  The online mode has no
+    materialized pair set and is rejected.
     """
-    n = len(batch)
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return PairDataset(a_ids=empty, b_ids=empty,
-                           t=np.empty(0, dtype=np.uint8), source=batch)
-    ii, jj = np.triu_indices(n, k=1)
-    t = (batch.y[ii] == batch.y[jj]).astype(np.uint8)
-    return PairDataset.build(batch.ids[ii], batch.ids[jj], t, source=batch)
+    if cfg.mode == "exhaustive":
+        return pair_exhaustive(ds), ds
+    if cfg.mode == "disjoint":
+        return pair_disjoint(ds, cfg.n_pairs, seed=cfg.seed)
+    if cfg.mode == "sampled":
+        return pair_sampled(ds, cfg), ds
+    raise ValueError("online pairing has no materialized pair set")

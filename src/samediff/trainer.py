@@ -4,16 +4,26 @@ Stage 1 fits the hidden network on same/different pair labels only; the
 head never moves.  Stage 2 freezes the hidden network bit-for-bit and fits
 the head on a (typically tiny) fully-labeled set against frozen features.
 A fully-supervised joint baseline and an online variant, which expands each
-shuffled minibatch into its B(B-1)/2 pairs on the fly, share the same
-machinery.
+shuffled minibatch into its B(B-1)/2 pairs on the fly, complete the four
+trainers.
+
+All four run one epoch driver, ``_run_epochs``: it owns the epoch plan, the
+per-epoch shuffle, the validation call, the best snapshot and the trace; a
+regime supplies only an epoch body and a validation score.  Arrays that die
+together on a return can let glibc hand the heap top back to the system, to
+be page-faulted in again by the next call.  So each epoch body holds its
+regime's whole batch loop rather than returning once per batch, and the
+online body keeps its last pair gradients alive past its return (without
+that, online training took about six times the page faults).
 
 Every pair-stage step is a few whole-batch numpy calls, because at these
 tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
 resolves pair ids to feature rows once per run and pushes each batch's
 a-sides and b-sides through one forward and one backward pass.  The online
-step and its validation risk share one expansion (``_BatchPairs``): cached
-upper-triangle indices per batch size, ``take`` for the pair sides, and one
-``np.bincount`` per feature column to sum pair gradients back onto rows.
+step and its validation share one expansion (``_online_batches`` and
+``_BatchPairs``): cached upper-triangle indices per batch size, ``take``
+for the pair sides, and one ``np.bincount`` per feature column to sum pair
+gradients back onto rows.
 
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,
 0.001 x 5 epochs) is a tenth of the long recipe (200/100/50) for quick
@@ -39,7 +49,7 @@ from .losses import (
     head_loss_batch,
     pair_risk_batch,
 )
-from .model import TwoPartClassifier, project_head
+from .model import TwoPartClassifier
 from .rng import substream
 
 __all__ = [
@@ -156,13 +166,8 @@ class TrainRun:
 
 
 def _epoch_plan(schedule) -> list[tuple[int, float]]:
-    plan = []
-    e = 0
-    for lr, epochs in schedule:
-        for _ in range(epochs):
-            plan.append((e, float(lr)))
-            e += 1
-    return plan
+    """(epoch, learning rate) for every epoch of a ((lr, epochs), ...) schedule."""
+    return list(enumerate(float(lr) for lr, epochs in schedule for _ in range(epochs)))
 
 
 def _split_pairs(pairs: PairDataset, cfg: TrainConfig) -> tuple[PairDataset, PairDataset | None]:
@@ -185,14 +190,39 @@ def _split_examples(
     return ds.subset(perm[n_val:]), ds.subset(perm[:n_val])
 
 
-def _projected_accuracy(model: TwoPartClassifier, u: np.ndarray, y: np.ndarray) -> float:
-    head = project_head(model.head, model.radius)
-    s = head.scores(u)
-    if head.binary:
-        pred = (s[:, 0] > 0.0).astype(np.int64)
-    else:
-        pred = np.argmax(s, axis=1)
-    return float(np.mean(pred == y))
+def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
+                plan: list[tuple[int, float]], tag: str, n: int,
+                epoch_body: Callable[[int, float, np.ndarray], float],
+                val_score: Callable[[], float | None], maximize: bool = False) -> None:
+    """The one epoch loop every trainer runs.
+
+    Each epoch permutes the n training items with the ("shuffle", tag,
+    epoch) substream and hands the permutation to ``epoch_body(epoch, lr,
+    perm)``, which runs the regime's whole batch loop and returns the mean
+    train loss.  ``val_score()`` returns the validation metric, or None
+    without a validation set.  The model is cloned at the best metric
+    (lowest, or highest with ``maximize``) and restored after the last
+    epoch; parts the regime never moves come back bit-identical.
+    """
+    sign = -1.0 if maximize else 1.0
+    best, snapshot = np.inf, None
+    for epoch, lr in plan:
+        perm = substream(cfg.seed, "shuffle", tag, epoch).permutation(n)
+        train_loss = epoch_body(epoch, lr, perm)
+        val_metric = val_score()
+        if val_metric is not None and sign * val_metric < best:
+            best, snapshot = sign * val_metric, model.clone()
+            run.best_epoch = epoch
+        run.trace.append(EpochRecord(epoch, lr, train_loss, val_metric))
+    if snapshot is not None:
+        model.hidden, model.head = snapshot.hidden, snapshot.head
+
+
+def _accuracy_score(model: TwoPartClassifier, val_ds: FullyLabeledDataset | None):
+    """Validation accuracy of the model with its head projected, or None."""
+    if val_ds is None:
+        return lambda: None
+    return lambda: float(np.mean(model.projected().predict(val_ds.x) == val_ds.y))
 
 
 def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) -> TrainRun:
@@ -205,13 +235,8 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     t0 = time.perf_counter()
     loss_name = cfg.resolved_pair_loss(model)
     train_pairs, val_pairs = _split_pairs(pairs, cfg)
-    if (
-        val_pairs is not None
-        and loss_name == "contrastive"
-        and not np.any(val_pairs.t == 1)
-    ):
+    if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None   # positive-free split cannot score this loss
-    n_train = len(train_pairs)
     run = TrainRun(stage="step1", config=cfg.echo())
     # Ids resolve to feature rows once; each epoch permutes the row
     # positions and each batch slices them.
@@ -219,13 +244,10 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     x = train_pairs.source.x
     t_all = np.asarray(train_pairs.t, dtype=np.int64)
 
-    best_risk = np.inf
-    best_hidden = None
-    for epoch, lr in _epoch_plan(cfg.schedule):
-        perm = substream(cfg.seed, "shuffle", "step1", epoch).permutation(n_train)
+    def epoch_body(epoch, lr, perm):
         ep_a, ep_b, ep_t = pos_a[perm], pos_b[perm], t_all[perm]
         total, seen = 0.0, 0
-        for lo in range(0, n_train, cfg.batch_size):
+        for lo in range(0, len(perm), cfg.batch_size):
             sl = slice(lo, lo + cfg.batch_size)
             t = ep_t[sl]
             xa = x.take(ep_a[sl], axis=0)
@@ -247,17 +269,14 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
             model.hidden.sgd_step(grads, lr)
             total += risk * m
             seen += m
-        train_loss = total / max(seen, 1)
-        val_metric = None
-        if val_pairs is not None:
-            val_metric = empirical_risk_pairs(model, val_pairs, loss_name, beta=cfg.beta)
-            if val_metric < best_risk:
-                best_risk = val_metric
-                best_hidden = model.hidden.clone()
-                run.best_epoch = epoch
-        run.trace.append(EpochRecord(epoch, lr, train_loss, val_metric))
-    if best_hidden is not None:
-        model.hidden = best_hidden
+        return total / max(seen, 1)
+
+    def val_score():
+        return None if val_pairs is None else empirical_risk_pairs(
+            model, val_pairs, loss_name, beta=cfg.beta)
+
+    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "step1", len(train_pairs),
+                epoch_body, val_score)
     run.wall_seconds = time.perf_counter() - t0
     return run
 
@@ -265,9 +284,9 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
 def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig) -> TrainRun:
     """Stage 2: fit the head on frozen features from a fully-labeled set.
 
-    The hidden network is not touched (features are computed once up
-    front), so its parameters are bit-identical before and after.  The head
-    trains unconstrained and is projected into its norm ball for every
+    The hidden network is not touched (training features are computed once
+    up front), so its parameters are bit-identical before and after.  The
+    head trains unconstrained and is projected into its norm ball for every
     validation measurement and once more at the end.
     """
     if len(ds) == 0:
@@ -275,36 +294,24 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
     t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     u_train = model.features(train_ds.x)
-    u_val = model.features(val_ds.x) if val_ds is not None else None
-    n = len(train_ds)
     run = TrainRun(stage="step2", config=cfg.echo())
 
-    best_acc = -np.inf
-    best_head = None
-    for epoch in range(cfg.head_epochs):
-        perm = substream(cfg.seed, "shuffle", "step2", epoch).permutation(n)
+    def epoch_body(epoch, lr, perm):
         total = 0.0
-        for lo in range(0, n, cfg.batch_size):
+        for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             u = u_train[idx]
             loss, dscores = head_loss_batch(
                 cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
             )
-            model.head.weights -= cfg.head_rate * (dscores.T @ u)
+            model.head.weights -= lr * (dscores.T @ u)
             if model.head.biases is not None:
-                model.head.biases -= cfg.head_rate * dscores.sum(axis=0)
+                model.head.biases -= lr * dscores.sum(axis=0)
             total += loss * len(idx)
-        train_loss = total / n
-        val_metric = None
-        if val_ds is not None:
-            val_metric = _projected_accuracy(model, u_val, val_ds.y)
-            if val_metric > best_acc:
-                best_acc = val_metric
-                best_head = model.head.clone()
-                run.best_epoch = epoch
-        run.trace.append(EpochRecord(epoch, cfg.head_rate, train_loss, val_metric))
-    if best_head is not None:
-        model.head = best_head
+        return total / len(perm)
+
+    _run_epochs(run, model, cfg, _epoch_plan(((cfg.head_rate, cfg.head_epochs),)), "step2",
+                len(train_ds), epoch_body, _accuracy_score(model, val_ds), maximize=True)
     model.project_head()
     run.wall_seconds = time.perf_counter() - t0
     return run
@@ -317,9 +324,7 @@ def train_two_stage(
     cfg: TrainConfig,
 ) -> tuple[TrainRun, TrainRun]:
     """Stage 1 on pairs, then stage 2 on the small labeled set."""
-    run1 = train_step1(model, pairs, cfg)
-    run2 = train_step2(model, labeled, cfg)
-    return run1, run2
+    return train_step1(model, pairs, cfg), train_step2(model, labeled, cfg)
 
 
 def train_baseline_full(
@@ -330,15 +335,11 @@ def train_baseline_full(
         raise ValueError("empty dataset")
     t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    n = len(train_ds)
     run = TrainRun(stage="baseline", config=cfg.echo())
 
-    best_acc = -np.inf
-    best = None
-    for epoch, lr in _epoch_plan(cfg.schedule):
-        perm = substream(cfg.seed, "shuffle", "baseline", epoch).permutation(n)
+    def epoch_body(epoch, lr, perm):
         total = 0.0
-        for lo in range(0, n, cfg.batch_size):
+        for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             x = train_ds.x[idx]
             if cfg.augment is not None:
@@ -347,20 +348,12 @@ def train_baseline_full(
             loss, dscores = head_loss_batch(
                 cfg.head_loss, scores, train_ds.y[idx], model.class_count
             )
-            grads = model.backward(cache, dscores)
-            model.apply_grads(grads, lr)
+            model.apply_grads(model.backward(cache, dscores), lr)
             total += loss * len(idx)
-        train_loss = total / n
-        val_metric = None
-        if val_ds is not None:
-            val_metric = _projected_accuracy(model, model.features(val_ds.x), val_ds.y)
-            if val_metric > best_acc:
-                best_acc = val_metric
-                best = (model.hidden.clone(), model.head.clone())
-                run.best_epoch = epoch
-        run.trace.append(EpochRecord(epoch, lr, train_loss, val_metric))
-    if best is not None:
-        model.hidden, model.head = best
+        return total / len(perm)
+
+    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "baseline", len(train_ds),
+                epoch_body, _accuracy_score(model, val_ds), maximize=True)
     model.project_head()
     run.wall_seconds = time.perf_counter() - t0
     return run
@@ -380,10 +373,7 @@ def _triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _BatchPairs:
-    """A minibatch expanded into its B(B-1)/2 pairs at the feature level.
-
-    Shared by the online training step and its validation risk.
-    """
+    """A minibatch expanded into its B(B-1)/2 pairs at the feature level."""
 
     def __init__(self, y: np.ndarray):
         self.size = len(y)
@@ -412,21 +402,20 @@ class _BatchPairs:
         return du
 
 
-def _online_epoch_risk(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig, loss_name: str) -> float:
-    """Pair risk over fixed-order minibatch expansions (no shuffling)."""
-    total, seen = 0.0, 0
-    for lo in range(0, len(ds), cfg.batch_size):
-        sl = slice(lo, min(lo + cfg.batch_size, len(ds)))
-        if sl.stop - sl.start < 2:
+def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig, loss_name: str):
+    """(lo, rows, pairs) for each batch of ``order`` that can take a pair step.
+
+    Batches of fewer than 2 examples have no pair, and under contrastive a
+    batch without a same-class pair has no risk; both are skipped.
+    """
+    for lo in range(0, len(order), cfg.batch_size):
+        idx = order[lo:lo + cfg.batch_size]
+        if len(idx) < 2:
             continue
-        pairs = _BatchPairs(ds.y[sl])
+        pairs = _BatchPairs(ds.y.take(idx))
         if loss_name == "contrastive" and not np.any(pairs.t == 1):
             continue
-        u = model.features(ds.x[sl])
-        risk, _, _ = pairs.risk(loss_name, u, model.radius, cfg.beta)
-        total += risk * len(pairs.t)
-        seen += len(pairs.t)
-    return total / max(seen, 1)
+        yield lo, idx, pairs
 
 
 def train_online(
@@ -438,38 +427,30 @@ def train_online(
     """Online two-stage training: pairs exist only inside the current batch.
 
     Each epoch reshuffles the examples; every minibatch of B examples is
-    expanded to its B(B-1)/2 pairs at the feature level (the position-level
-    image of ``online_epoch_pairs``), so the peak pair buffer is bounded by
-    the batch size and never by the quadratic global pair count.  The batch
-    takes one forward pass; the pair-side gradients are summed back onto
-    its rows with a per-column ``np.bincount`` in the order ``np.add.at``
-    would use, then one backward pass follows.  Validation expands its
-    fixed-order batches the same way.
+    expanded to its B(B-1)/2 pairs at the feature level, so the peak pair
+    buffer is bounded by the batch size and never by the quadratic global
+    pair count.  The batch takes one forward pass; the pair-side gradients
+    are summed back onto its rows with a per-column ``np.bincount`` in the
+    order ``np.add.at`` would use, then one backward pass follows.
+    Validation expands fixed-order batches of the held-out examples the
+    same way and averages their pair risk.
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
     t0 = time.perf_counter()
     loss_name = cfg.resolved_pair_loss(model)
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    n = len(train_ds)
     run = TrainRun(stage="step1-online", config=cfg.echo())
+    dua = dub = None   # the last batch's pair gradients outlive each epoch body
 
-    best_risk = np.inf
-    best_hidden = None
-    for epoch, lr in _epoch_plan(cfg.schedule):
-        perm = substream(cfg.seed, "shuffle", "online", epoch).permutation(n)
+    def epoch_body(epoch, lr, perm):
+        nonlocal dua, dub
         total, seen = 0.0, 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            if len(idx) < 2:
-                continue
+        for lo, idx, pairs in _online_batches(train_ds, perm, cfg, loss_name):
             x = train_ds.x.take(idx, axis=0)
             if cfg.augment is not None:
                 x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            pairs = _BatchPairs(train_ds.y.take(idx))
             n_pairs = len(pairs.t)
-            if loss_name == "contrastive" and not np.any(pairs.t == 1):
-                continue
             run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
             u, cache = model.features_cached(x)
             risk, dua, dub = pairs.risk(loss_name, u, model.radius, cfg.beta)
@@ -477,17 +458,20 @@ def train_online(
             model.hidden.sgd_step(grads, lr)
             total += risk * n_pairs
             seen += n_pairs
-        train_loss = total / max(seen, 1)
-        val_metric = None
-        if val_ds is not None:
-            val_metric = _online_epoch_risk(model, val_ds, cfg, loss_name)
-            if val_metric < best_risk:
-                best_risk = val_metric
-                best_hidden = model.hidden.clone()
-                run.best_epoch = epoch
-        run.trace.append(EpochRecord(epoch, lr, train_loss, val_metric))
-    if best_hidden is not None:
-        model.hidden = best_hidden
+        return total / max(seen, 1)
+
+    def val_score():
+        if val_ds is None:
+            return None
+        total, seen = 0.0, 0
+        for _, idx, pairs in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name):
+            u = model.features(val_ds.x.take(idx, axis=0))
+            total += pairs.risk(loss_name, u, model.radius, cfg.beta)[0] * len(pairs.t)
+            seen += len(pairs.t)
+        return total / max(seen, 1)
+
+    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),
+                epoch_body, val_score)
     run.wall_seconds = time.perf_counter() - t0
     run2 = train_step2(model, labeled, cfg)
     return run, run2

@@ -8,6 +8,7 @@ import json
 import os
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ class TestAcceptance:
 
         path = str(tmp_path / "release.sdpf")
         save_pairs(released, path, inline=True)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         version, flags, dim, n = struct.unpack("<HHIQ", blob[4:20])
         stride = 16 * dim + 1
         size_exact = len(blob) == 20 + n * stride + 4

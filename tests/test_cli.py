@@ -3,6 +3,7 @@
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestExitCodes:
         assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
         assert "--regime online" in capsys.readouterr().err
 
+    def test_degenerate_ncs_batch_is_data_error(self, tmp_path, capsys):
+        """One-pair batches under ncs with beta 0: the first different-class
+        pair has a zero target vector."""
+        train = dict(base_config()["train"], pair_loss="ncs", beta=0, batch_size=1)
+        cfg = write_config(tmp_path, train=train)
+        out = str(tmp_path / "out")
+        assert cli_main(["train", "--config", cfg, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "degenerate kernel batch" in err
+        assert "Traceback" not in err
+
     def test_verification_failure_is_exit_three(self, capsys, monkeypatch):
         import samediff.cli as cli_mod
         broken = SuiteResult(
@@ -217,7 +229,7 @@ class TestDataCommands:
             "--holdout-out", holdout, "--report-out", report,
         ]) == 0
         capsys.readouterr()
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_bytes())
         assert doc["pair_count"] == 12
         assert doc["max_component_size"] <= 2
         assert doc["holdout_count"] == len(load_csv(holdout, class_count=2))
@@ -292,6 +304,12 @@ class TestTrainEvalCommands:
             model, seed = load_model(str(out / "model.ckpt"))
             assert seed == 0
         capsys.readouterr()
+
+    def test_two_stage_runs_every_materialised_pairing_mode(self, tmp_path, capsys):
+        for mode in ("exhaustive", "disjoint"):
+            cfg = write_config(tmp_path, f"{mode}.json", pairing={"mode": mode, "n_pairs": 30})
+            assert cli_main(["train", "--config", cfg, "--out-dir", str(tmp_path / mode)]) == 0
+            assert "test accuracy" in capsys.readouterr().out
 
 
 class TestSweepCompareCommands:

@@ -1,5 +1,7 @@
 """Eval harness: subsets, sweeps, and the three-regime comparison."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,8 @@ class TestRunSweep:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         result.to_csv(p1)
         result.to_csv(p2)
-        blob = open(p1, "rb").read()
-        assert blob == open(p2, "rb").read()
+        blob = Path(p1).read_bytes()
+        assert blob == Path(p2).read_bytes()
         lines = blob.decode().splitlines()
         assert lines[0] == "n1,n2,rep,seed,accuracy"
         assert len(lines) == 4

@@ -2,6 +2,7 @@
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         save_csv(ds, p1)
         save_csv(ds, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_header_must_end_with_label(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -151,7 +152,7 @@ class TestPairFiles:
         np.testing.assert_array_equal(back.b_ids, pairs.b_ids)
         np.testing.assert_array_equal(back.t, pairs.t)
         save_pairs(back, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_inline_round_trip(self, tmp_path, rng42):
         ds = roundtrip_ds(rng42, n=10)
@@ -166,7 +167,7 @@ class TestPairFiles:
         np.testing.assert_array_equal(t0, t1)
         np.testing.assert_array_equal(back.a_ids, np.arange(0, 30, 2))
         save_pairs(back, p2, inline=True)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_unresolved_without_source(self, tmp_path, rng42):
         ds = roundtrip_ds(rng42, n=6)
@@ -289,7 +290,7 @@ class TestCheckpoints:
         save_model(model, p1, seed=5)
         back, seed = load_model(p1)
         save_model(back, p2, seed=seed)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_corruption_and_version(self, tmp_path, rng42):
         model = tiny_model(rng42)

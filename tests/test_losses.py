@@ -8,20 +8,57 @@ from scipy.spatial.distance import cosine as scipy_cosine
 from samediff import (
     FullyLabeledDataset,
     PairBatchContext,
-    cross_entropy,
     empirical_risk_full,
     empirical_risk_pairs,
     head_loss_batch,
-    hinge_unbounded,
     pair_exhaustive,
     pair_loss_contrastive,
-    pair_loss_mse,
-    pair_loss_ncs,
-    pair_loss_sqdist,
     pair_risk_batch,
 )
 
 from conftest import numeric_grad, rel_err, tiny_model
+
+
+# -- scalar and per-pair surfaces, kept here as oracles for the batched code
+
+
+def hinge_unbounded(y_hat, y):
+    """Unbounded hinge -y * yhat for y in {-1, +1}."""
+    if y not in (-1, 1):
+        raise ValueError(f"hinge target must be -1 or +1, got {y}")
+    return -float(y) * float(y_hat)
+
+
+def cross_entropy(scores, y):
+    """Softmax cross-entropy of one score vector, max-subtracted for stability."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError("cross_entropy expects a single score vector")
+    if not 0 <= y < len(s):
+        raise ValueError(f"label {y} outside score vector of length {len(s)}")
+    shifted = s - s.max()
+    return float(np.log(np.sum(np.exp(shifted))) - shifted[y])
+
+
+def pair_loss_sqdist(u, u_prime, t):
+    """Signed squared distance: positive sign for same-class pairs."""
+    d = np.asarray(u, dtype=np.float64) - np.asarray(u_prime, dtype=np.float64)
+    sign = 1.0 if t == 1 else -1.0
+    return float(sign * np.dot(d, d))
+
+
+def pair_loss_ncs(ctx, i):
+    """Per-pair share -n * k_i * k*_i / (||K|| ||K*||) of the negated cosine
+    similarity, so the batch mean equals -cos(K, K*)."""
+    kn = float(np.linalg.norm(ctx.kernel))
+    sn = float(np.linalg.norm(ctx.target))
+    return float(-len(ctx) * ctx.kernel[i] * ctx.target[i] / (kn * sn))
+
+
+def pair_loss_mse(ctx, i):
+    """Squared kernel residual for one pair."""
+    d = ctx.kernel[i] - ctx.target[i]
+    return float(d * d)
 
 
 def mp_cross_entropy(scores, y):
@@ -51,6 +88,8 @@ class TestScalarSurfaces:
         assert hinge_unbounded(0.7, 1) == pytest.approx(-0.7)
         assert hinge_unbounded(0.7, -1) == pytest.approx(0.7)
         assert hinge_unbounded(-2.0, 1) == pytest.approx(2.0)
+        loss, _ = head_loss_batch("hinge", np.array([[0.7], [0.7], [-2.0]]), np.array([1, 0, 1]), 2)
+        assert loss == pytest.approx(np.mean([-0.7, 0.7, 2.0]))
 
     def test_hinge_rejects_bad_target(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
@@ -81,6 +120,8 @@ class TestSqdist:
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert pair_loss_sqdist(u, v, 1) == pytest.approx(2.0)
         assert pair_loss_sqdist(u, v, 0) == pytest.approx(-2.0)
+        risk, _, _ = pair_risk_batch("sqdist", np.array([u, u]), np.array([v, v]), np.array([1, 0]))
+        assert risk == 0.0
 
     def test_same_point_is_zero(self):
         u = np.array([0.6, 0.8])
@@ -113,6 +154,7 @@ class TestNcs:
             shares = [pair_loss_ncs(ctx, i) for i in range(n)]
             expected = scipy_cosine(ctx.kernel, ctx.target) - 1.0
             assert np.mean(shares) == pytest.approx(expected, rel=1e-10)
+            assert pair_risk_batch("ncs", ua, ub, t)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_default_beta_is_kernel_minimum(self):
         ctx = PairBatchContext.from_features(
@@ -124,9 +166,8 @@ class TestNcs:
     def test_degenerate_kernel_batch_raises(self):
         ua = np.array([[1.0, 0.0]])
         ub = np.array([[0.0, 1.0]])  # orthogonal: kernel vector is all zeros
-        ctx = PairBatchContext.from_features(ua, ub, np.array([1]))
         with pytest.raises(ValueError, match="degenerate kernel batch"):
-            pair_loss_ncs(ctx, 0)
+            pair_risk_batch("ncs", ua, ub, np.array([1]))
 
 
 class TestContrastive:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import samediff.pairing as pairing
 from samediff import (
     FullyLabeledDataset,
+    PairDataset,
     PairingConfig,
+    build_pairs,
     coverage_fraction,
     max_disjoint_pairs,
-    online_epoch_pairs,
     pair_disjoint,
     pair_exhaustive,
     pair_sampled,
@@ -176,6 +178,26 @@ class TestSampledContract:
             cfg = PairingConfig(n_pairs=count, class_batch_size=m, seed=int(rng.integers(99)))
             self.check_valid(ds, pair_sampled(ds, cfg), count)
 
+    def test_fallback_pool_stays_whole_dataset(self, monkeypatch):
+        """Cross-class pairs under M=1 come only from the whole-dataset pool.
+        Once it is reached it stays, so the run spends one stall of
+        STALL_LIMIT fruitless class batches, not one per fallback batch."""
+        picked = []
+        real_pick = pairing._pick
+
+        def counting_pick(rng, keys, quota):
+            out = real_pick(rng, keys, quota)
+            picked.append(len(out))
+            return out
+
+        monkeypatch.setattr(pairing, "_pick", counting_pick)
+        ds = balanced_dataset(2, 60, seed=8)
+        cap = len(ds) * (len(ds) - 1) // 2
+        pairs = pair_sampled(ds, PairingConfig(n_pairs=cap, class_batch_size=1, seed=3))
+        self.check_valid(ds, pairs, cap)
+        assert np.sum(pairs.t == 0) > 2 * pairing.BATCH_GRANULARITY   # three fallback batches
+        assert picked.count(0) < 2 * pairing.STALL_LIMIT
+
     def test_seed_determines_output(self):
         ds = balanced_dataset(4, 200, seed=3)
         runs = [pair_sampled(ds, PairingConfig(n_pairs=3000, seed=s)) for s in (5, 5, 6)]
@@ -240,6 +262,22 @@ class TestSampledContract:
         assert s == e
 
 
+def online_epoch_pairs(batch):
+    """Full pair expansion of one minibatch (B(B-1)/2 records), the id-level
+    image of the online trainer's per-batch expansion.
+
+    A batch with fewer than 2 examples expands to an empty pair set.
+    """
+    n = len(batch)
+    if n < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return PairDataset(a_ids=empty, b_ids=empty,
+                           t=np.empty(0, dtype=np.uint8), source=batch)
+    ii, jj = np.triu_indices(n, k=1)
+    t = (batch.y[ii] == batch.y[jj]).astype(np.uint8)
+    return PairDataset.build(batch.ids[ii], batch.ids[jj], t, source=batch)
+
+
 class TestOnline:
     def test_expansion_counts(self):
         for b in (2, 5, 17):
@@ -257,6 +295,35 @@ class TestOnline:
         b = pair_exhaustive(batch)
         np.testing.assert_array_equal(a.a_ids, b.a_ids)
         np.testing.assert_array_equal(a.t, b.t)
+
+
+class TestBuildPairs:
+    @staticmethod
+    def same_pairs(a, b):
+        for field in ("a_ids", "b_ids", "t"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_dispatch_matches_constructors(self):
+        ds = balanced_dataset(3, 12, seed=4)
+        pairs, pool = build_pairs(ds, PairingConfig(mode="exhaustive", n_pairs=5))
+        self.same_pairs(pairs, pair_exhaustive(ds))
+        assert pool is ds
+        cfg = PairingConfig(mode="sampled", n_pairs=40, class_batch_size=2, seed=3)
+        pairs, pool = build_pairs(ds, cfg)
+        self.same_pairs(pairs, pair_sampled(ds, cfg))
+        assert pool is ds
+
+    def test_disjoint_label_pool_is_remainder(self):
+        ds = balanced_dataset(3, 12, seed=4)
+        pairs, pool = build_pairs(ds, PairingConfig(mode="disjoint", n_pairs=10, seed=6))
+        want, rest = pair_disjoint(ds, 10, seed=6)
+        self.same_pairs(pairs, want)
+        np.testing.assert_array_equal(pool.ids, rest.ids)
+        assert not np.isin(pool.ids, np.concatenate([pairs.a_ids, pairs.b_ids])).any()
+
+    def test_online_mode_has_no_pair_set(self):
+        with pytest.raises(ValueError, match="no materialized pair set"):
+            build_pairs(balanced_dataset(2, 4), PairingConfig(mode="online"))
 
 
 class TestConfigAndCoverage:

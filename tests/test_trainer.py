@@ -144,6 +144,15 @@ class TestStep1Geometry:
         after = model.hidden.param_arrays()
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    def test_ncs_with_zero_beta_rejects_all_negative_batch(self):
+        """beta = 0 makes the target vector of a different-class-only batch
+        zero, so its cosine is undefined and training stops with an error."""
+        ds = generate_synthetic("blobs", n_per_class=20, noise=0.3, seed=7)
+        pairs = pair_exhaustive(ds)
+        neg = pairs.take(np.flatnonzero(pairs.t == 0))
+        with pytest.raises(ValueError, match="degenerate kernel batch"):
+            train_step1(fresh_model(7), neg, TrainConfig(seed=7, pair_loss="ncs", beta=0.0))
+
 
 class TestStep2:
     def test_one_label_per_class_reaches_99_percent(self):

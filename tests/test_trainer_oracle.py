@@ -1,4 +1,4 @@
-"""Frozen reference pair-stage trainers, and the shipped ones checked against them.
+"""Frozen reference trainers and pair risk, and the shipped ones checked against them.
 
 ``reference_step1`` and ``reference_online`` keep the original loops: stage 1
 gathers each batch by id and runs one forward and one backward pass per pair
@@ -8,31 +8,88 @@ shipped trainers batch both sides into one pass and scatter with
 ``np.bincount``, which can change floating-point summation order, so the two
 must agree to 1e-12: hidden parameters relative in norm, and per-epoch
 ``train_loss`` and ``val_metric``.
+
+``reference_baseline``, ``reference_step2`` and
+``reference_empirical_risk_pairs`` are copies of the per-regime loops and
+the two-branch pair risk that stood before every trainer shared one epoch
+driver and every pair loss one reduction.  Their arithmetic is unchanged, so
+the shipped code must match them bitwise: parameters, ``best_epoch`` and the
+repr of every trace field; the pair risk exactly up to one 8,192-pair chunk
+and to 1e-12 relative beyond, where it sums chunk totals.
 """
 
 import numpy as np
 import pytest
 
 from samediff import (
+    EpochRecord,
     PairingConfig,
     TrainConfig,
+    TrainRun,
     TwoPartClassifier,
     empirical_risk_pairs,
     generate_synthetic,
+    head_loss_batch,
+    pair_exhaustive,
     pair_sampled,
     pair_risk_batch,
     stratified_subset,
     substream,
+    train_baseline_full,
     train_online,
     train_step1,
+    train_step2,
 )
 from samediff.data import FullyLabeledDataset
-from samediff.model import NORM_EPSILON
+from samediff.model import NORM_EPSILON, project_head
 from samediff.trainer import _epoch_plan, _split_examples, _split_pairs
 
 TOL = 1e-12
 LOSSES = ("sqdist", "ncs", "contrastive", "mse")
 SCHEDULE = ((0.1, 3), (0.01, 2))
+RISK_CHUNK = 8192
+
+
+def _row_dots(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def reference_empirical_risk_pairs(model, pairs, loss="sqdist", beta=None):
+    """The whole-set pair risk as it stood with one branch for sqdist and one
+    for the kernel losses: sqdist sums signed distances chunk by chunk, the
+    others collect kernel values and reduce them once."""
+    n = len(pairs)
+    r = model.radius
+    if beta is None:
+        beta = -r * r
+    sq_total = 0.0
+    kernel_parts = []
+    for lo in range(0, n, RISK_CHUNK):
+        part = pairs.take(np.arange(lo, min(lo + RISK_CHUNK, n)))
+        xa, xb, t = part.gather()
+        ua = model.features(xa)
+        ub = model.features(xb)
+        if loss == "sqdist":
+            diff = ua - ub
+            sign = np.where(t == 1, 1.0, -1.0)
+            sq_total += float(np.sum(sign * _row_dots(diff, diff)))
+        else:
+            kernel_parts.append(_row_dots(ua, ub))
+    if loss == "sqdist":
+        return sq_total / n
+    k = np.concatenate(kernel_parts)
+    t_all = np.asarray(pairs.t, dtype=np.int64)
+    target = np.where(t_all == 1, r * r, beta)
+    if loss == "ncs":
+        kn = float(np.linalg.norm(k))
+        sn = float(np.linalg.norm(target))
+        return float(-np.dot(k, target) / (kn * sn))
+    if loss == "contrastive":
+        m = float(k.max())
+        log_all = m + np.log(np.sum(np.exp(k - m)))
+        log_pos = m + np.log(np.sum(np.exp(k[t_all == 1] - m)))
+        return float(log_all - log_pos)
+    return float(np.mean((k - target) ** 2))
 
 
 def reference_step1(model, pairs, cfg):
@@ -69,7 +126,7 @@ def reference_step1(model, pairs, cfg):
             seen += len(batch)
         val_metric = None
         if val_pairs is not None:
-            val_metric = empirical_risk_pairs(model, val_pairs, loss_name, beta=cfg.beta)
+            val_metric = reference_empirical_risk_pairs(model, val_pairs, loss_name, beta=cfg.beta)
             if val_metric < best_risk:
                 best_risk, best_hidden = val_metric, model.hidden.clone()
         trace.append((total / max(seen, 1), val_metric))
@@ -137,6 +194,81 @@ def reference_online(model, ds, cfg):
     if best_hidden is not None:
         model.hidden = best_hidden
     return trace
+
+
+def _reference_projected_accuracy(model, u, y):
+    head = project_head(model.head, model.radius)
+    s = head.scores(u)
+    if head.binary:
+        pred = (s[:, 0] > 0.0).astype(np.int64)
+    else:
+        pred = np.argmax(s, axis=1)
+    return float(np.mean(pred == y))
+
+
+def reference_baseline(model, ds, cfg):
+    """The joint fully-supervised loop as it stood on its own; returns a TrainRun."""
+    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    n = len(train_ds)
+    run = TrainRun(stage="baseline", config=cfg.echo())
+    best_acc, best = -np.inf, None
+    for epoch, lr in _epoch_plan(cfg.schedule):
+        perm = substream(cfg.seed, "shuffle", "baseline", epoch).permutation(n)
+        total = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo:lo + cfg.batch_size]
+            x = train_ds.x[idx]
+            if cfg.augment is not None:
+                x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
+            scores, cache = model.forward_cached(x)
+            loss, dscores = head_loss_batch(cfg.head_loss, scores, train_ds.y[idx], model.class_count)
+            model.apply_grads(model.backward(cache, dscores), lr)
+            total += loss * len(idx)
+        val_metric = None
+        if val_ds is not None:
+            val_metric = _reference_projected_accuracy(model, model.features(val_ds.x), val_ds.y)
+            if val_metric > best_acc:
+                best_acc, best = val_metric, (model.hidden.clone(), model.head.clone())
+                run.best_epoch = epoch
+        run.trace.append(EpochRecord(epoch, lr, total / n, val_metric))
+    if best is not None:
+        model.hidden, model.head = best
+    model.project_head()
+    return run
+
+
+def reference_step2(model, ds, cfg):
+    """The head-stage loop as it stood on its own; returns a TrainRun."""
+    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    u_train = model.features(train_ds.x)
+    u_val = model.features(val_ds.x) if val_ds is not None else None
+    n = len(train_ds)
+    run = TrainRun(stage="step2", config=cfg.echo())
+    best_acc, best_head = -np.inf, None
+    for epoch in range(cfg.head_epochs):
+        perm = substream(cfg.seed, "shuffle", "step2", epoch).permutation(n)
+        total = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo:lo + cfg.batch_size]
+            u = u_train[idx]
+            loss, dscores = head_loss_batch(
+                cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
+            )
+            model.head.weights -= cfg.head_rate * (dscores.T @ u)
+            if model.head.biases is not None:
+                model.head.biases -= cfg.head_rate * dscores.sum(axis=0)
+            total += loss * len(idx)
+        val_metric = None
+        if val_ds is not None:
+            val_metric = _reference_projected_accuracy(model, u_val, val_ds.y)
+            if val_metric > best_acc:
+                best_acc, best_head = val_metric, model.head.clone()
+                run.best_epoch = epoch
+        run.trace.append(EpochRecord(epoch, cfg.head_rate, total / n, val_metric))
+    if best_head is not None:
+        model.head = best_head
+    model.project_head()
+    return run
 
 
 def _jitter(x, rng):
@@ -216,3 +348,64 @@ def test_norm_floor_batch_matches_reference(loss):
     model, ref = _model(), _model()
     run = train_step1(model, pairs, cfg)
     assert_matches(model, ref, run, reference_step1(ref, pairs, cfg))
+
+
+def _class_model(classes, head_loss, seed=3):
+    binary = classes == 2 and head_loss == "hinge"
+    return TwoPartClassifier.build(2, [16], 2, classes, binary_head=binary,
+                                   rng=substream(seed, "init"))
+
+
+def assert_bitwise(model, ref_model, run, ref_run):
+    assert model.params_equal(ref_model)
+    assert run.best_epoch == ref_run.best_epoch
+    assert [repr(r.to_dict()) for r in run.trace] == [repr(r.to_dict()) for r in ref_run.trace]
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("head_loss", ["hinge", "xent"])
+@pytest.mark.parametrize("augment", [None, _jitter], ids=["plain", "augment"])
+def test_baseline_matches_reference_bitwise(augment, head_loss, classes):
+    ds = generate_synthetic("blobs", n_per_class=40, noise=1.5, seed=5, class_count=classes)
+    cfg = TrainConfig(batch_size=16, schedule=SCHEDULE, seed=7, head_loss=head_loss,
+                      augment=augment)
+    model, ref = _class_model(classes, head_loss), _class_model(classes, head_loss)
+    run = train_baseline_full(model, ds, cfg)
+    ref_run = reference_baseline(ref, ds, cfg)
+    assert ref_run.best_epoch is not None
+    assert_bitwise(model, ref, run, ref_run)
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("head_loss", ["hinge", "xent"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_step2_matches_reference_bitwise(loss, head_loss, classes):
+    ds = generate_synthetic("blobs", n_per_class=40, noise=1.5, seed=5, class_count=classes)
+    pairs = pair_sampled(ds, PairingConfig(mode="sampled", n_pairs=300, seed=5))
+    labeled = stratified_subset(ds, 24, seed=7)
+    cfg = TrainConfig(batch_size=8, schedule=SCHEDULE, seed=7, pair_loss=loss,
+                      head_loss=head_loss, head_epochs=6)
+    model = _class_model(classes, head_loss)
+    train_step1(model, pairs, cfg)
+    ref = model.clone()
+    run = train_step2(model, labeled, cfg)
+    ref_run = reference_step2(ref, labeled, cfg)
+    assert ref_run.best_epoch is not None
+    assert_bitwise(model, ref, run, ref_run)
+
+
+@pytest.mark.parametrize("beta", [None, -0.3])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_empirical_risk_pairs_matches_reference(loss, beta):
+    """Exact within one chunk; chunk totals may round apart beyond it."""
+    ds = generate_synthetic("blobs", n_per_class=70, noise=1.5, seed=5)
+    pairs = pair_exhaustive(ds)
+    assert len(pairs) > RISK_CHUNK
+    model = _model()
+    for n in (37, RISK_CHUNK):
+        part = pairs.take(np.arange(n))
+        got = empirical_risk_pairs(model, part, loss, beta=beta)
+        assert got == reference_empirical_risk_pairs(model, part, loss, beta=beta)
+    got = empirical_risk_pairs(model, pairs, loss, beta=beta)
+    want = reference_empirical_risk_pairs(model, pairs, loss, beta=beta)
+    assert abs(got - want) <= TOL * abs(want)
