@@ -88,6 +88,16 @@ def _load_eval_data(args) -> "FullyLabeledDataset":
     raise DataFormatError("no evaluation data given: use --data or --images/--labels")
 
 
+def _pairing_config(doc: dict) -> PairingConfig:
+    """The config's pairing section, which must name a materialised pair set."""
+    pairing = build_pairing_config(doc)
+    if pairing.mode == "online":
+        raise ConfigError(
+            'pairing.mode "online" has no materialised pair set: use train --regime online'
+        )
+    return pairing
+
+
 # -- subcommand implementations -------------------------------------------
 
 
@@ -160,12 +170,7 @@ def _cmd_train(args) -> int:
         )
         runs = list(train_online(model, train_ds, labeled, cfg))
     else:  # two-stage
-        pairing = build_pairing_config(doc)
-        if pairing.mode == "online":
-            raise ConfigError(
-                'pairing.mode "online" has no materialised pair set: use --regime online'
-            )
-        pairs, label_pool = build_pairs(train_ds, pairing)
+        pairs, label_pool = build_pairs(train_ds, _pairing_config(doc))
         labeled = stratified_subset(
             label_pool, per_class * label_pool.class_count, cfg.seed
         )
@@ -219,7 +224,7 @@ def _cmd_sweep(args) -> int:
         train_ds, test_ds, spec,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        pairing=build_pairing_config(doc),
+        pairing=_pairing_config(doc),
     )
     csv_path = os.path.join(out_dir, "results.csv")
     result.to_csv(csv_path)
@@ -252,7 +257,7 @@ def _cmd_compare(args) -> int:
         n_pairs=int(sec.get("n_pairs", max(2 * len(train_ds), 1000))),
         labels_per_class=int(sec.get("labels_per_class", 1)),
         trials=int(sec.get("trials", 5)),
-        pairing=build_pairing_config(doc),
+        pairing=_pairing_config(doc),
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -375,13 +380,8 @@ def cli_main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
+        # ConfigError and DataFormatError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

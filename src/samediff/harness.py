@@ -7,8 +7,9 @@ any summary can be recomputed from the rows.
 
 The comparison protocol pits three regimes against each other under a
 paired design (same per-trial seed, same test set): the fully-supervised
-baseline on all labels, two-stage training on a sampled pair budget plus a
-few labels per class, and online two-stage training on the same few labels.
+baseline on all labels, two-stage training on a pair budget built in the
+configured pairing mode plus a few labels per class, and online two-stage
+training on the same few labels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import FullyLabeledDataset
 from .model import TwoPartClassifier
-from .pairing import PairingConfig, pair_sampled
+from .pairing import PairingConfig, build_pairs
 from .rng import substream
 from .trainer import TrainConfig, train_baseline_full, train_online, train_two_stage
 
@@ -132,8 +133,9 @@ def run_sweep(
     """Two-stage training over the (n1, n2) grid.
 
     Every (n1, n2, rep) cell derives one seed from the spec seed and uses
-    it for pair sampling, label subsetting, model init and training, so a
-    rerun reproduces every row exactly.
+    it for pair construction (``pairing.mode`` with budget n1), label
+    subsetting from the pair construction's label pool, model init and
+    training, so a rerun reproduces every row exactly.
     """
     if pairing is None:
         pairing = PairingConfig(mode="sampled")
@@ -143,10 +145,10 @@ def run_sweep(
             for rep in range(spec.reps):
                 cell_seed = int(substream(spec.seed, "sweep", n1, n2, rep).integers(2**62))
                 t0 = time.perf_counter()
-                pairs = pair_sampled(
-                    train_ds, replace(pairing, mode="sampled", n_pairs=n1, seed=cell_seed)
+                pairs, label_pool = build_pairs(
+                    train_ds, replace(pairing, n_pairs=n1, seed=cell_seed)
                 )
-                labeled = stratified_subset(train_ds, n2, cell_seed)
+                labeled = stratified_subset(label_pool, n2, cell_seed)
                 model = model_factory(cell_seed)
                 cfg = replace(train_cfg, seed=cell_seed)
                 train_two_stage(model, pairs, labeled, cfg)
@@ -200,9 +202,10 @@ def comparison_protocol(
     """Compare supervision regimes with shared per-trial seeds.
 
     * full:    joint training on every label in the training set.
-    * sampled: two-stage training on n_pairs sampled pairs plus
-               labels_per_class labeled examples per class.
-    * online:  online two-stage training on the same labeled budget.
+    * sampled: two-stage training on n_pairs pairs built per
+               ``pairing.mode`` plus labels_per_class labeled examples per
+               class, drawn from that construction's label pool.
+    * online:  online two-stage training on the same labeled examples.
     """
     if pairing is None:
         pairing = PairingConfig(mode="sampled")
@@ -211,15 +214,15 @@ def comparison_protocol(
     for trial in range(trials):
         seed = int(substream(train_cfg.seed, "compare", trial).integers(2**62))
         cfg = replace(train_cfg, seed=seed)
-        labeled = stratified_subset(train_ds, n_labels, seed)
+        pairs, label_pool = None, train_ds
+        if "sampled" in regimes:
+            pairs, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n_pairs, seed=seed))
+        labeled = stratified_subset(label_pool, n_labels, seed)
         for name in regimes:
             model = model_factory(seed)
             if name == "full":
                 train_baseline_full(model, train_ds, cfg)
             elif name == "sampled":
-                pairs = pair_sampled(
-                    train_ds, replace(pairing, mode="sampled", n_pairs=n_pairs, seed=seed)
-                )
                 train_two_stage(model, pairs, labeled, cfg)
             elif name == "online":
                 train_online(model, train_ds, labeled, cfg)

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddedFeatures, FullyLabeledDataset, PairDataset, validate_dataset
-from .model import (
-    HiddenNetwork,
-    Layer,
-    LinearHead,
-    NormalizedFeatureMap,
-    TwoPartClassifier,
-)
+from .model import HiddenNetwork, Layer, LinearHead, TwoPartClassifier
 from .rng import substream
 
 __all__ = [
@@ -413,7 +407,7 @@ def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
         raise DataFormatError(f"{path}: truncated or oversized parameter block")
     model = TwoPartClassifier(
         hidden=HiddenNetwork(layers),
-        phi=NormalizedFeatureMap(radius),
+        radius=radius,
         head=LinearHead(weights=hw, biases=hb),
         class_count=class_count,
     )

@@ -1,4 +1,4 @@
-"""Losses for both training stages and the empirical-risk reducers.
+"""Losses for both training stages and the whole-set pair risk.
 
 Stage 1 consumes pairs of normalized features (u, u') with the agreement
 bit t and never sees class labels:
@@ -23,19 +23,14 @@ cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset
+from .data import PairDataset
 from .model import TwoPartClassifier
 
 __all__ = [
-    "PairBatchContext",
-    "pair_loss_contrastive",
     "pair_risk_batch",
     "head_loss_batch",
-    "empirical_risk_full",
     "empirical_risk_pairs",
 ]
 
@@ -49,42 +44,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner products <a_i, b_i>; cheaper than np.sum(a * b, axis=1)
     for the narrow feature widths used here."""
     return np.einsum("ij,ij->i", a, b)
-
-
-@dataclass(frozen=True)
-class PairBatchContext:
-    """Kernel values and targets for one batch of pairs.
-
-    ``kernel[i]`` is <u_i, u'_i>; ``target[i]`` is r^2 for agreeing pairs
-    and beta (default -r^2, the kernel minimum) otherwise.
-    """
-
-    kernel: np.ndarray
-    target: np.ndarray
-    t: np.ndarray
-    radius: float
-    beta: float
-
-    @classmethod
-    def from_features(
-        cls,
-        ua: np.ndarray,
-        ub: np.ndarray,
-        t: np.ndarray,
-        radius: float = 1.0,
-        beta: float | None = None,
-    ) -> "PairBatchContext":
-        ua = np.asarray(ua, dtype=np.float64)
-        ub = np.asarray(ub, dtype=np.float64)
-        t = np.asarray(t)
-        if beta is None:
-            beta = -radius * radius
-        k = _row_dots(ua, ub)
-        target = np.where(t == 1, radius * radius, beta)
-        return cls(kernel=k, target=target, t=t, radius=radius, beta=float(beta))
-
-    def __len__(self) -> int:
-        return len(self.kernel)
 
 
 def _reduce_pair_values(
@@ -123,11 +82,6 @@ def _reduce_pair_values(
         return float(log_all - log_pos), e / e.sum() - e_pos / e_pos.sum()
     resid = values - target   # mse
     return float(np.mean(resid * resid)), (2.0 / n) * resid
-
-
-def pair_loss_contrastive(ctx: PairBatchContext) -> float:
-    """Batch-level contrastive objective over the kernel values."""
-    return _reduce_pair_values("contrastive", ctx.kernel, ctx.t, ctx.radius, ctx.beta)[0]
 
 
 # -- batched training surfaces -------------------------------------------
@@ -201,23 +155,7 @@ def head_loss_batch(
     return loss, soft / n
 
 
-# -- empirical risks ------------------------------------------------------
-
-
-def empirical_risk_full(
-    model: TwoPartClassifier, ds: FullyLabeledDataset, loss: str = "hinge"
-) -> float:
-    """Mean head loss of the model over a fully-labeled dataset."""
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
-    total = 0.0
-    for lo in range(0, len(ds), _RISK_CHUNK):
-        sl = slice(lo, min(lo + _RISK_CHUNK, len(ds)))
-        u = model.features(ds.x[sl])
-        s = model.head.scores(u)
-        chunk_loss, _ = head_loss_batch(loss, s, ds.y[sl], model.class_count)
-        total += chunk_loss * (sl.stop - sl.start)
-    return total / len(ds)
+# -- whole-set risk -------------------------------------------------------
 
 
 def empirical_risk_pairs(

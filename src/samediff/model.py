@@ -3,7 +3,15 @@
 The full model is f2(phi(F1(x))).  F1 is a plain fully-connected network,
 phi rescales its output onto the sphere of radius r, and the head is linear
 with per-class weight norm capped at 1/r.  Together the cap and the sphere
-keep every binary score inside [-1, 1].
+keep every binary score inside [-1, 1].  The model stores r, which must be
+finite and positive, and applies phi through ``phi_normalize`` and
+``phi_backward``.
+
+Every trainer uses one training surface: ``features_cached`` (forward
+through F1 and phi), ``LinearHead.backward`` (the only head gradient; it
+also returns the adjoint at the features), ``backward_features`` (back
+through phi and F1) and ``apply_grads`` (the only SGD update, for the
+hidden layers, the head or both).
 
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
@@ -13,7 +21,7 @@ tight tolerances and repeated runs are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,17 +29,15 @@ import numpy as np
 __all__ = [
     "Layer",
     "HiddenNetwork",
-    "NormalizedFeatureMap",
     "LinearHead",
     "TwoPartClassifier",
-    "ModelGrads",
     "phi_normalize",
     "phi_backward",
     "project_head",
 ]
 
 NORM_EPSILON = 1e-12   # below this the activation counts as degenerate
-NORM_FLOOR = 1e-8      # added to degenerate norms in training mode
+NORM_FLOOR = 1e-8      # added to degenerate norms
 
 _ACTIVATIONS = ("identity", "relu")
 
@@ -163,24 +169,19 @@ class HiddenNetwork:
         )
 
 
-def _phi_denominators(v: np.ndarray, strict: bool) -> np.ndarray:
+def _phi_denominators(v: np.ndarray) -> np.ndarray:
+    """Row norms, with NORM_FLOOR added to the degenerate ones."""
     norms = np.linalg.norm(v, axis=1)
     degenerate = norms < NORM_EPSILON
     if np.any(degenerate):
-        if strict:
-            rows = np.flatnonzero(degenerate)
-            raise ValueError(
-                f"degenerate activation: zero-norm representation in rows {rows[:8].tolist()}"
-            )
         norms = np.where(degenerate, norms + NORM_FLOOR, norms)
     return norms
 
 
-def phi_normalize(v: np.ndarray, radius: float = 1.0, strict: bool = False) -> np.ndarray:
+def phi_normalize(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Rescale each row of v onto the sphere of the given radius."""
     v, single = _as_batch(v)
-    denom = _phi_denominators(v, strict)
-    u = v * (radius / denom)[:, None]
+    u = v * (radius / _phi_denominators(v))[:, None]
     return u[0] if single else u
 
 
@@ -192,27 +193,10 @@ def phi_backward(v: np.ndarray, grad_u: np.ndarray, radius: float = 1.0) -> np.n
     """
     v, single = _as_batch(v)
     g, _ = _as_batch(grad_u)
-    denom = _phi_denominators(v, strict=False)
+    denom = _phi_denominators(v)
     vg = np.sum(v * g, axis=1) / (denom * denom)
     out = (radius / denom)[:, None] * (g - v * vg[:, None])
     return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class NormalizedFeatureMap:
-    """The sphere projection phi with a fixed radius."""
-
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def forward(self, v: np.ndarray, strict: bool = False) -> np.ndarray:
-        return phi_normalize(v, self.radius, strict=strict)
-
-    def backward(self, v: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
-        return phi_backward(v, grad_u, self.radius)
 
 
 @dataclass
@@ -255,6 +239,14 @@ class LinearHead:
             s = s + self.biases
         return s
 
+    def backward(
+        self, u: np.ndarray, dscores: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """(dW, db, du) given the adjoint at the scores of features u; db is
+        None for a bias-free head."""
+        db = None if self.biases is None else dscores.sum(axis=0)
+        return dscores.T @ u, db, dscores @ self.weights
+
     def clone(self) -> "LinearHead":
         return LinearHead(
             weights=self.weights.copy(),
@@ -277,39 +269,24 @@ def project_head(head: LinearHead, radius: float) -> LinearHead:
     )
 
 
-@dataclass
-class ModelGrads:
-    """Gradient bundle returned by the backward pass."""
-
-    layer_grads: list[tuple[np.ndarray, np.ndarray]]
-    head_w: np.ndarray | None = None
-    head_b: np.ndarray | None = None
-
-
-@dataclass
-class _FeatureCache:
-    x: np.ndarray
-    hidden_cache: list
-    v: np.ndarray   # raw F1 output
-    u: np.ndarray   # normalized features
-
-
-@dataclass
-class _FullCache:
-    feature_cache: _FeatureCache
-    scores: np.ndarray
-
-
 class TwoPartClassifier:
-    """f = head(phi(F1(x))) with explicit forward caches for training."""
+    """f = head(phi_r(F1(x))).
+
+    Training goes through one surface: ``features_cached`` for the forward
+    pass, ``LinearHead.backward`` for the head, ``backward_features`` for
+    the hidden layers and ``apply_grads`` for the SGD update.
+    """
 
     def __init__(
         self,
         hidden: HiddenNetwork,
-        phi: NormalizedFeatureMap,
+        radius: float,
         head: LinearHead,
         class_count: int,
     ):
+        radius = float(radius)
+        if not 0.0 < radius < np.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius!r}")
         if head.rep_dim != hidden.out_dim:
             raise ValueError("head width does not match representation width")
         if class_count < 2:
@@ -319,7 +296,7 @@ class TwoPartClassifier:
         if not head.binary and head.weights.shape[0] != class_count:
             raise ValueError("head must have one row per class")
         self.hidden = hidden
-        self.phi = phi
+        self.radius = radius
         self.head = head
         self.class_count = class_count
 
@@ -346,32 +323,12 @@ class TwoPartClassifier:
         dims = [in_dim, *hidden_dims, rep_dim]
         hidden = HiddenNetwork.init(dims, rng)
         head = LinearHead.init(rep_dim, class_count, binary_head, rng)
-        return cls(hidden, NormalizedFeatureMap(radius), head, class_count)
+        return cls(hidden, radius, head, class_count)
 
-    @property
-    def radius(self) -> float:
-        return self.phi.radius
-
-    # forward surfaces ----------------------------------------------------
-
-    def forward_hidden(self, x: np.ndarray) -> np.ndarray:
+    def features(self, x: np.ndarray) -> np.ndarray:
         x, single = _as_batch(x)
-        v = self.hidden.forward(x)
-        return v[0] if single else v
-
-    def features(self, x: np.ndarray, strict: bool = False) -> np.ndarray:
-        x, single = _as_batch(x)
-        u = self.phi.forward(self.hidden.forward(x), strict=strict)
+        u = phi_normalize(self.hidden.forward(x), self.radius)
         return u[0] if single else u
-
-    def forward_full(self, x: np.ndarray):
-        """Scores: scalar per example in binary mode, a length-c vector otherwise."""
-        x, single = _as_batch(x)
-        s = self.head.scores(self.features(x))
-        if self.head.binary:
-            s = s[:, 0]
-            return float(s[0]) if single else s
-        return s[0] if single else s
 
     def predict(self, x: np.ndarray):
         """Predicted class indices; ties resolve to the lowest index."""
@@ -383,47 +340,30 @@ class TwoPartClassifier:
             labels = np.argmax(s, axis=1).astype(np.int64)
         return int(labels[0]) if single else labels
 
-    # training surfaces ---------------------------------------------------
+    # training surface ----------------------------------------------------
 
-    def features_cached(self, x: np.ndarray, strict: bool = False) -> tuple[np.ndarray, _FeatureCache]:
-        x = np.asarray(x, dtype=np.float64)
+    def features_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Normalized features and the forward state ``backward_features`` needs."""
         v, hidden_cache = self.hidden.forward_cached(x)
-        u = self.phi.forward(v, strict=strict)
-        return u, _FeatureCache(x=x, hidden_cache=hidden_cache, v=v, u=u)
+        return phi_normalize(v, self.radius), (hidden_cache, v)
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, _FullCache]:
-        u, fc = self.features_cached(x)
-        scores = self.head.scores(u)
-        return scores, _FullCache(feature_cache=fc, scores=scores)
-
-    def backward_features(self, cache: _FeatureCache, grad_u: np.ndarray) -> list:
+    def backward_features(self, cache: tuple, grad_u: np.ndarray) -> list:
         """Gradients of the hidden layers given an adjoint at the normalized
         features; the head is not involved."""
-        if cache is None:
-            raise ValueError("no recorded forward state to backpropagate through")
-        grad_v = self.phi.backward(cache.v, grad_u)
-        layer_grads, _ = self.hidden.backward(cache.hidden_cache, grad_v)
+        hidden_cache, v = cache
+        layer_grads, _ = self.hidden.backward(hidden_cache, phi_backward(v, grad_u, self.radius))
         return layer_grads
 
-    def backward(self, cache: _FullCache, score_adjoint: np.ndarray) -> ModelGrads:
-        """Gradients of every parameter given an adjoint at the scores."""
-        if cache is None:
-            raise ValueError("no recorded forward state to backpropagate through")
-        g = np.asarray(score_adjoint, dtype=np.float64)
-        fc = cache.feature_cache
-        head_w = g.T @ fc.u
-        head_b = None if self.head.biases is None else g.sum(axis=0)
-        grad_u = g @ self.head.weights
-        layer_grads = self.backward_features(fc, grad_u)
-        return ModelGrads(layer_grads=layer_grads, head_w=head_w, head_b=head_b)
-
-    def apply_grads(self, grads: ModelGrads, lr: float, head_only: bool = False) -> None:
-        if not head_only:
-            self.hidden.sgd_step(grads.layer_grads, lr)
-        if grads.head_w is not None:
-            self.head.weights -= lr * grads.head_w
-        if grads.head_b is not None and self.head.biases is not None:
-            self.head.biases -= lr * grads.head_b
+    def apply_grads(self, lr: float, hidden: list | None = None, head: tuple | None = None) -> None:
+        """One SGD step: ``hidden`` holds per-layer (dW, db), ``head`` is the
+        (dW, db) of ``LinearHead.backward``; a part left None stays put."""
+        if hidden is not None:
+            self.hidden.sgd_step(hidden, lr)
+        if head is not None:
+            dw, db = head
+            self.head.weights -= lr * dw
+            if db is not None:
+                self.head.biases -= lr * db
 
     # bookkeeping ---------------------------------------------------------
 
@@ -437,12 +377,8 @@ class TwoPartClassifier:
         return out
 
     def clone(self) -> "TwoPartClassifier":
-        return TwoPartClassifier(
-            hidden=self.hidden.clone(),
-            phi=self.phi,
-            head=self.head.clone(),
-            class_count=self.class_count,
-        )
+        return TwoPartClassifier(self.hidden.clone(), self.radius, self.head.clone(),
+                                 self.class_count)
 
     def param_arrays(self) -> list[np.ndarray]:
         arrays = self.hidden.param_arrays() + [self.head.weights]

@@ -24,6 +24,7 @@ head norm), so no claim rests on a single derivation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -149,19 +150,27 @@ def min_head_risk(h: np.ndarray, prob: FiniteProblem) -> float:
     return -float(np.linalg.norm(signed_mean(h, prob))) / prob.radius
 
 
-def _directions(p: int, n: int, seed: int = 0) -> np.ndarray:
-    """Near-uniform unit directions: exact fan in 2-d, spiral in 3-d."""
+@functools.lru_cache(maxsize=8)
+def _directions(p: int, n: int) -> np.ndarray:
+    """Near-uniform unit directions: exact fan in 2-d, spiral in 3-d, seeded
+    Gaussian draws otherwise.
+
+    Cached per (p, n) and read-only, since every hypothesis shares them.
+    """
     if p == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if p == 3:
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    elif p == 3:
         i = np.arange(n, dtype=np.float64)
         z = 1.0 - 2.0 * (i + 0.5) / n
         theta = np.pi * (3.0 - np.sqrt(5.0)) * i
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
-    g = substream(seed, "theory", "directions", p, n).normal(size=(n, p))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+        dirs = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+    else:
+        g = substream(0, "theory", "directions", p, n).normal(size=(n, p))
+        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:

@@ -16,6 +16,13 @@ regime's whole batch loop rather than returning once per batch, and the
 online body keeps its last pair gradients alive past its return (without
 that, online training took about six times the page faults).
 
+Every regime trains through the model's one surface and steps with its
+one update, ``apply_grads``.  The pair stages push their feature adjoint
+through ``backward_features``; the head stage takes only the head gradient
+of ``LinearHead.backward`` on frozen features; the baseline takes both,
+feeding the feature adjoint that ``LinearHead.backward`` returns into
+``backward_features``.
+
 Every pair-stage step is a few whole-batch numpy calls, because at these
 tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
 resolves pair ids to feature rows once per run and pushes each batch's
@@ -265,8 +272,8 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
             risk, dua, dub = pair_risk_batch(
                 loss_name, u[:m], u[m:], t, radius=model.radius, beta=cfg.beta
             )
-            grads = model.backward_features(cache, np.concatenate([dua, dub]))
-            model.hidden.sgd_step(grads, lr)
+            du = np.concatenate([dua, dub])
+            model.apply_grads(lr, hidden=model.backward_features(cache, du))
             total += risk * m
             seen += m
         return total / max(seen, 1)
@@ -304,9 +311,8 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
             loss, dscores = head_loss_batch(
                 cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
             )
-            model.head.weights -= lr * (dscores.T @ u)
-            if model.head.biases is not None:
-                model.head.biases -= lr * dscores.sum(axis=0)
+            dw, db, _ = model.head.backward(u, dscores)
+            model.apply_grads(lr, head=(dw, db))
             total += loss * len(idx)
         return total / len(perm)
 
@@ -344,11 +350,12 @@ def train_baseline_full(
             x = train_ds.x[idx]
             if cfg.augment is not None:
                 x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            scores, cache = model.forward_cached(x)
+            u, cache = model.features_cached(x)
             loss, dscores = head_loss_batch(
-                cfg.head_loss, scores, train_ds.y[idx], model.class_count
+                cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
             )
-            model.apply_grads(model.backward(cache, dscores), lr)
+            dw, db, du = model.head.backward(u, dscores)
+            model.apply_grads(lr, hidden=model.backward_features(cache, du), head=(dw, db))
             total += loss * len(idx)
         return total / len(perm)
 
@@ -454,8 +461,7 @@ def train_online(
             run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
             u, cache = model.features_cached(x)
             risk, dua, dub = pairs.risk(loss_name, u, model.radius, cfg.beta)
-            grads = model.backward_features(cache, pairs.scatter(dua, dub))
-            model.hidden.sgd_step(grads, lr)
+            model.apply_grads(lr, hidden=model.backward_features(cache, pairs.scatter(dua, dub)))
             total += risk * n_pairs
             seen += n_pairs
         return total / max(seen, 1)

@@ -157,11 +157,13 @@ class TestAcceptance:
                 if not far_from_kinks(model, x):
                     continue
                 y = rng.integers(0, class_count, size=n)
-                scores, cache = model.forward_cached(x)
+                u, cache = model.features_cached(x)
+                scores = model.head.scores(u)
                 if name == "hinge" and np.min(np.abs(hinge_margins(scores, y))) < 1e-3:
                     continue  # a finite-difference step must not cross the hinge
                 _, dscores = head_loss_batch(name, scores, y, class_count)
-                grads = model.backward(cache, dscores)
+                head_w, head_b, du = model.head.backward(u, dscores)
+                layer_grads = model.backward_features(cache, du)
 
                 def objective():
                     return head_loss_batch(
@@ -169,14 +171,14 @@ class TestAcceptance:
                     )[0]
 
                 arrays = [
-                    (model.hidden.layers[0].w, grads.layer_grads[0][0]),
-                    (model.hidden.layers[0].b, grads.layer_grads[0][1]),
-                    (model.hidden.layers[1].w, grads.layer_grads[1][0]),
-                    (model.hidden.layers[1].b, grads.layer_grads[1][1]),
-                    (model.head.weights, grads.head_w),
+                    (model.hidden.layers[0].w, layer_grads[0][0]),
+                    (model.hidden.layers[0].b, layer_grads[0][1]),
+                    (model.hidden.layers[1].w, layer_grads[1][0]),
+                    (model.hidden.layers[1].b, layer_grads[1][1]),
+                    (model.head.weights, head_w),
                 ]
                 if model.head.biases is not None:
-                    arrays.append((model.head.biases, grads.head_b))
+                    arrays.append((model.head.biases, head_b))
                 for arr, analytic in arrays:
                     worst = max(worst, fd_err(analytic, numeric_grad(objective, arr)))
                 checked += 1

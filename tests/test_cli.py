@@ -152,6 +152,24 @@ class TestExitCodes:
         assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
         assert "--regime online" in capsys.readouterr().err
 
+    def test_non_finite_radius_is_data_error(self, tmp_path, capsys):
+        """A NaN radius (Python's json reads the NaN token) stops the model
+        constructor, and a CRC-valid checkpoint holding one stops load_model."""
+        cfg = write_config(tmp_path, model={"hidden": [8], "rep_dim": 2, "radius": float("nan")})
+        assert "NaN" in Path(cfg).read_text()
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "radius must be finite and positive, got nan" in capsys.readouterr().err
+        doc = base_config()
+        path = tmp_path / "r.ckpt"
+        save_model(build_model(doc, build_datasets(doc)[0], 0), str(path), seed=0)
+        blob = bytearray(path.read_bytes())
+        for radius in (float("nan"), float("inf"), -float("inf")):
+            blob[8:16] = struct.pack("<d", radius)
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            path.write_bytes(bytes(blob))
+            assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
+            assert "radius must be finite and positive" in capsys.readouterr().err
+
     def test_degenerate_ncs_batch_is_data_error(self, tmp_path, capsys):
         """One-pair batches under ncs with beta 0: the first different-class
         pair has a zero target vector."""
@@ -324,6 +342,24 @@ class TestSweepCompareCommands:
         rows = (d1 / "results.csv").read_text().splitlines()
         assert rows[0] == "n1,n2,rep,seed,accuracy"
         assert len(rows) == 1 + 4
+
+    def test_sweep_and_compare_honour_pairing_mode(self, tmp_path, capsys):
+        """Disjoint pairing changes the sweep's rows; the online mode, which
+        has no materialised pair set, exits 2 from sweep and compare."""
+        sweep = {"n1": [20], "n2": [2], "reps": 2}
+        for mode in ("sampled", "disjoint"):
+            cfg = write_config(tmp_path, f"{mode}.json", sweep=sweep,
+                               pairing={"mode": mode, "n_pairs": 20})
+            assert cli_main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / mode)]) == 0
+        assert ((tmp_path / "sampled" / "results.csv").read_bytes()
+                != (tmp_path / "disjoint" / "results.csv").read_bytes())
+        capsys.readouterr()
+        cfg = write_config(tmp_path, "online.json", sweep=sweep, compare={"trials": 1},
+                           pairing={"mode": "online"})
+        for command in (["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                        ["compare", "--config", cfg]):
+            assert cli_main(command) == 2
+            assert "--regime online" in capsys.readouterr().err
 
     def test_sweep_requires_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

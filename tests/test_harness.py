@@ -118,6 +118,29 @@ class TestRunSweep:
         train_two_stage(model, pairs, labeled, quick_cfg(seed=cell_seed))
         assert accuracy(model, test) == row.accuracy
 
+    def test_pairing_mode_and_label_pool_are_honoured(self, monkeypatch):
+        """Under disjoint pairing, sweep cells and comparison trials train on
+        disjoint pairs and draw their labels from the remainder, so no
+        labeled record appears in a pair."""
+        import samediff.harness as harness
+
+        seen = []
+        monkeypatch.setattr(harness, "train_two_stage",
+                            lambda model, pairs, labeled, cfg: seen.append((pairs, labeled)))
+        train, test = blob_pair()
+        disjoint = PairingConfig(mode="disjoint")
+        spec = SweepSpec(n1_values=(20, 50), n2_values=(4,), reps=1, seed=2)
+        run_sweep(train, test, spec, factory, quick_cfg(), pairing=disjoint)
+        comparison_protocol(train, test, factory, quick_cfg(), n_pairs=30, trials=2,
+                            pairing=disjoint, regimes=("sampled",))
+        assert [len(pairs) for pairs, _ in seen] == [20, 50, 30, 30]
+        for pairs, labeled in seen:
+            paired = np.concatenate([pairs.a_ids, pairs.b_ids])
+            assert len(np.unique(paired)) == 2 * len(pairs)
+            assert not np.isin(labeled.ids, paired).any()
+        with pytest.raises(ValueError, match="online pairing"):
+            run_sweep(train, test, spec, factory, quick_cfg(), pairing=PairingConfig(mode="online"))
+
     def test_cell_stats_and_csv(self, tmp_path):
         train, test = blob_pair()
         spec = SweepSpec(n1_values=(60,), n2_values=(2,), reps=3, seed=0)

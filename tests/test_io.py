@@ -354,6 +354,17 @@ class TestCheckpoints:
             load_model(str(path))
 
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_crc_valid_bad_radius(self, tmp_path, rng42, radius):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(rng42), str(path), seed=0)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = struct.pack("<d", radius)
+        path.write_bytes(patch_crc(bytes(blob)))
+        with pytest.raises(DataFormatError, match="radius must be finite and positive"):
+            load_model(str(path))
+
+
 class TestSynthetic:
     def test_deterministic(self):
         a = generate_synthetic("moons", n_per_class=30, noise=0.2, seed=7)

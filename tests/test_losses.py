@@ -7,12 +7,9 @@ from scipy.spatial.distance import cosine as scipy_cosine
 
 from samediff import (
     FullyLabeledDataset,
-    PairBatchContext,
-    empirical_risk_full,
     empirical_risk_pairs,
     head_loss_batch,
     pair_exhaustive,
-    pair_loss_contrastive,
     pair_risk_batch,
 )
 
@@ -47,18 +44,33 @@ def pair_loss_sqdist(u, u_prime, t):
     return float(sign * np.dot(d, d))
 
 
-def pair_loss_ncs(ctx, i):
+def kernel_and_target(ua, ub, t, radius=1.0, beta=None):
+    """Kernel values <u_i, u'_i> and targets: r^2 for t=1, beta (default
+    -r^2, the kernel minimum) otherwise."""
+    if beta is None:
+        beta = -radius * radius
+    return np.sum(ua * ub, axis=1), np.where(np.asarray(t) == 1, radius * radius, beta)
+
+
+def pair_loss_ncs(kernel, target, i):
     """Per-pair share -n * k_i * k*_i / (||K|| ||K*||) of the negated cosine
     similarity, so the batch mean equals -cos(K, K*)."""
-    kn = float(np.linalg.norm(ctx.kernel))
-    sn = float(np.linalg.norm(ctx.target))
-    return float(-len(ctx) * ctx.kernel[i] * ctx.target[i] / (kn * sn))
+    kn = float(np.linalg.norm(kernel))
+    sn = float(np.linalg.norm(target))
+    return float(-len(kernel) * kernel[i] * target[i] / (kn * sn))
 
 
-def pair_loss_mse(ctx, i):
+def pair_loss_mse(kernel, target, i):
     """Squared kernel residual for one pair."""
-    d = ctx.kernel[i] - ctx.target[i]
+    d = kernel[i] - target[i]
     return float(d * d)
+
+
+def contrastive_risk(kernel, t):
+    """``pair_risk_batch``'s contrastive risk on given kernel values: the
+    one-wide features k_i and 1 have exactly the kernel k_i."""
+    k = np.asarray(kernel, dtype=np.float64)[:, None]
+    return pair_risk_batch("contrastive", k, np.ones_like(k), np.asarray(t))[0]
 
 
 def mp_cross_entropy(scores, y):
@@ -150,18 +162,18 @@ class TestNcs:
             ua = random_features(rng, n, 3)
             ub = random_features(rng, n, 3)
             t = rng.integers(0, 2, size=n)
-            ctx = PairBatchContext.from_features(ua, ub, t, radius=1.0)
-            shares = [pair_loss_ncs(ctx, i) for i in range(n)]
-            expected = scipy_cosine(ctx.kernel, ctx.target) - 1.0
+            k, target = kernel_and_target(ua, ub, t, radius=1.0)
+            shares = [pair_loss_ncs(k, target, i) for i in range(n)]
+            expected = scipy_cosine(k, target) - 1.0
             assert np.mean(shares) == pytest.approx(expected, rel=1e-10)
             assert pair_risk_batch("ncs", ua, ub, t)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_default_beta_is_kernel_minimum(self):
-        ctx = PairBatchContext.from_features(
-            np.eye(2), np.eye(2), np.array([1, 0]), radius=2.0
-        )
-        assert ctx.beta == -4.0
-        np.testing.assert_allclose(ctx.target, [4.0, -4.0])
+        """Kernels (1, 1) against targets (r^2, -r^2) = (4, -4) at r = 2."""
+        args = (np.eye(2), np.eye(2), np.array([1, 0]))
+        risk = pair_risk_batch("mse", *args, radius=2.0)[0]
+        assert risk == pair_risk_batch("mse", *args, radius=2.0, beta=-4.0)[0]
+        assert risk == pytest.approx(((1.0 - 4.0) ** 2 + (1.0 + 4.0) ** 2) / 2)
 
     def test_degenerate_kernel_batch_raises(self):
         ua = np.array([[1.0, 0.0]])
@@ -178,37 +190,33 @@ class TestContrastive:
             k = rng.normal(size=n) * rng.uniform(0.5, 30)
             t = rng.integers(0, 2, size=n)
             t[rng.integers(n)] = 1  # guarantee a positive
-            ctx = PairBatchContext(kernel=k, target=np.where(t == 1, 1.0, -1.0),
-                                   t=t, radius=1.0, beta=-1.0)
-            assert pair_loss_contrastive(ctx) == pytest.approx(mp_contrastive(k, t), rel=1e-12)
+            assert contrastive_risk(k, t) == pytest.approx(mp_contrastive(k, t), rel=1e-12)
 
     def test_needs_a_positive_pair(self):
-        ctx = PairBatchContext(kernel=np.zeros(3), target=-np.ones(3),
-                               t=np.zeros(3, dtype=int), radius=1.0, beta=-1.0)
         with pytest.raises(ValueError, match="at least one same-class pair"):
-            pair_loss_contrastive(ctx)
+            contrastive_risk(np.zeros(3), np.zeros(3, dtype=int))
 
     def test_all_positive_batch_is_zero(self):
-        ctx = PairBatchContext(kernel=np.array([3.0, -1.0]), target=np.ones(2),
-                               t=np.ones(2, dtype=int), radius=1.0, beta=-1.0)
-        assert pair_loss_contrastive(ctx) == pytest.approx(0.0, abs=1e-15)
+        assert contrastive_risk([3.0, -1.0], np.ones(2, dtype=int)) == pytest.approx(
+            0.0, abs=1e-15)
 
 
 class TestMse:
     def test_per_pair_residual(self):
-        ctx = PairBatchContext(kernel=np.array([0.5, -0.5]), target=np.array([1.0, -1.0]),
-                               t=np.array([1, 0]), radius=1.0, beta=-1.0)
-        assert pair_loss_mse(ctx, 0) == pytest.approx(0.25)
-        assert pair_loss_mse(ctx, 1) == pytest.approx(0.25)
+        k, target = np.array([0.5, -0.5]), np.array([1.0, -1.0])
+        assert pair_loss_mse(k, target, 0) == pytest.approx(0.25)
+        assert pair_loss_mse(k, target, 1) == pytest.approx(0.25)
+        risk, _, _ = pair_risk_batch("mse", k[:, None], np.ones((2, 1)), np.array([1, 0]))
+        assert risk == pytest.approx(0.25)
 
     def test_batch_risk_is_mean(self):
         rng = np.random.default_rng(42)
         ua = random_features(rng, 8, 3)
         ub = random_features(rng, 8, 3)
         t = rng.integers(0, 2, size=8)
-        ctx = PairBatchContext.from_features(ua, ub, t)
+        k, target = kernel_and_target(ua, ub, t)
         risk, _, _ = pair_risk_batch("mse", ua, ub, t)
-        assert risk == pytest.approx(np.mean([pair_loss_mse(ctx, i) for i in range(8)]))
+        assert risk == pytest.approx(np.mean([pair_loss_mse(k, target, i) for i in range(8)]))
 
 
 class TestPairRiskGradients:
@@ -315,13 +323,6 @@ class TestEmpiricalRisks:
         y = rng.integers(0, 2, size=n)
         return FullyLabeledDataset.from_arrays(x, y, 2)
 
-    def test_full_risk_matches_manual_mean(self):
-        rng = np.random.default_rng(42)
-        model = tiny_model(rng)
-        ds = self._dataset()
-        want = head_loss_batch("hinge", model.head.scores(model.features(ds.x)), ds.y, 2)[0]
-        assert empirical_risk_full(model, ds, "hinge") == pytest.approx(want, rel=1e-12)
-
     @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
     def test_pair_risk_chunking_matches_single_batch(self, name):
         """The reducer accumulates kernels chunk by chunk but must agree with
@@ -342,8 +343,7 @@ class TestEmpiricalRisks:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_inputs_rejected(self):
-        rng = np.random.default_rng(0)
-        model = tiny_model(rng)
-        empty = FullyLabeledDataset.from_arrays(np.zeros((0, 3)), [], 2)
-        with pytest.raises(ValueError, match="empty dataset"):
-            empirical_risk_full(model, empty)
+        model = tiny_model(np.random.default_rng(0))
+        empty = pair_exhaustive(self._dataset(n=4)).take(np.arange(0))
+        with pytest.raises(ValueError, match="empty pair set"):
+            empirical_risk_pairs(model, empty)

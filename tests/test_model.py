@@ -110,14 +110,8 @@ class TestNormalization:
         g = phi_backward(v, np.broadcast_to(v, v.shape).copy())
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
-    def test_strict_mode_raises_on_zero_rows(self):
-        v = np.zeros((2, 3))
-        v[0] = [1.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match="degenerate activation.*rows \\[1\\]"):
-            phi_normalize(v, strict=True)
-
     def test_training_mode_floors_zero_rows(self):
-        u = phi_normalize(np.zeros((1, 3)), strict=False)
+        u = phi_normalize(np.zeros((1, 3)))
         assert np.all(np.isfinite(u))
 
 
@@ -164,14 +158,14 @@ class TestTwoPartClassifier:
             model.head.weights *= 10
             model.project_head()
             x = rng.normal(size=(40, 3)) * rng.uniform(0.1, 10)
-            s = model.forward_full(x)
+            s = model.head.scores(model.features(x))
             assert np.all(np.abs(s) <= 1.0 + 1e-9)
 
     def test_binary_prediction_thresholds_at_zero(self):
         rng = np.random.default_rng(42)
         model = tiny_model(rng)
         x = rng.normal(size=(30, 3))
-        s = model.forward_full(x)
+        s = model.head.scores(model.features(x))[:, 0]
         np.testing.assert_array_equal(model.predict(x), (s > 0).astype(np.int64))
 
     def test_multiclass_argmax_with_low_index_ties(self):
@@ -186,9 +180,13 @@ class TestTwoPartClassifier:
         rng = substream(0, "init")
         hidden = HiddenNetwork.init([3, 4], rng)
         head = LinearHead(weights=np.zeros((1, 7)))
-        from samediff import NormalizedFeatureMap
         with pytest.raises(ValueError, match="head width"):
-            TwoPartClassifier(hidden, NormalizedFeatureMap(1.0), head, 2)
+            TwoPartClassifier(hidden, 1.0, head, 2)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            tiny_model(np.random.default_rng(0), radius=radius)
 
     def test_binary_head_needs_two_classes(self):
         with pytest.raises(ValueError, match="binary head requires exactly 2"):
@@ -209,15 +207,16 @@ class TestTwoPartClassifier:
             def objective():
                 return float(np.sum(adj * model.head.scores(model.features(x))))
 
-            scores, cache = model.forward_cached(x)
-            grads = model.backward(cache, adj)
+            u, cache = model.features_cached(x)
+            head_w, head_b, du = model.head.backward(u, adj)
+            layer_grads = model.backward_features(cache, du)
             for arr, analytic in [
-                (model.hidden.layers[0].w, grads.layer_grads[0][0]),
-                (model.hidden.layers[0].b, grads.layer_grads[0][1]),
-                (model.hidden.layers[1].w, grads.layer_grads[1][0]),
-                (model.hidden.layers[1].b, grads.layer_grads[1][1]),
-                (model.head.weights, grads.head_w),
-                (model.head.biases, grads.head_b),
+                (model.hidden.layers[0].w, layer_grads[0][0]),
+                (model.hidden.layers[0].b, layer_grads[0][1]),
+                (model.hidden.layers[1].w, layer_grads[1][0]),
+                (model.hidden.layers[1].b, layer_grads[1][1]),
+                (model.head.weights, head_w),
+                (model.head.biases, head_b),
             ]:
                 assert rel_err(analytic, numeric_grad(objective, arr)) < 1e-6
             checked += 1
@@ -233,17 +232,19 @@ class TestTwoPartClassifier:
         rng = np.random.default_rng(4)
         model = tiny_model(rng)
         before = [a.copy() for a in model.hidden.param_arrays()]
-        _, cache = model.forward_cached(rng.normal(size=(4, 3)))
-        grads = model.backward(cache, rng.normal(size=(4, 1)))
-        model.apply_grads(grads, lr=0.1, head_only=True)
+        head_before = model.head.weights.copy()
+        u, _ = model.features_cached(rng.normal(size=(4, 3)))
+        dw, db, _ = model.head.backward(u, rng.normal(size=(4, 1)))
+        model.apply_grads(0.1, head=(dw, db))
         for a, b in zip(before, model.hidden.param_arrays()):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.head.weights, head_before - 0.1 * dw)
 
     def test_features_lie_on_sphere(self):
         rng = np.random.default_rng(5)
         model = tiny_model(rng, radius=2.0)
         x = rng.normal(size=(20, 3))
-        v = model.forward_hidden(x)
+        v = model.hidden.forward(x)
         live = np.linalg.norm(v, axis=1) > 1e-6  # dead-relu rows stay at zero
         assert np.sum(live) >= 10
         u = model.features(x)

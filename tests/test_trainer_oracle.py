@@ -220,9 +220,15 @@ def reference_baseline(model, ds, cfg):
             x = train_ds.x[idx]
             if cfg.augment is not None:
                 x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            scores, cache = model.forward_cached(x)
-            loss, dscores = head_loss_batch(cfg.head_loss, scores, train_ds.y[idx], model.class_count)
-            model.apply_grads(model.backward(cache, dscores), lr)
+            u, cache = model.features_cached(x)
+            loss, dscores = head_loss_batch(
+                cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count)
+            head_w = dscores.T @ u
+            head_b = None if model.head.biases is None else dscores.sum(axis=0)
+            model.hidden.sgd_step(model.backward_features(cache, dscores @ model.head.weights), lr)
+            model.head.weights -= lr * head_w
+            if head_b is not None:
+                model.head.biases -= lr * head_b
             total += loss * len(idx)
         val_metric = None
         if val_ds is not None:
@@ -333,7 +339,7 @@ def _with_zero_rows(ds, k=4):
 def test_norm_floor_batch_matches_reference(loss):
     """One whole-set batch holding rows that take the NORM_FLOOR branch."""
     ds = _with_zero_rows(_blobs(n_per_class=20))
-    assert np.linalg.norm(_model().forward_hidden(np.zeros(2))) < NORM_EPSILON
+    assert np.linalg.norm(_model().hidden.forward(np.zeros((1, 2)))) < NORM_EPSILON
     cfg = TrainConfig(batch_size=len(ds), schedule=((0.01, 1),), seed=7, pair_loss=loss,
                       val_fraction=0.0, head_epochs=1)
     model, ref = _model(), _model()
