@@ -250,14 +250,19 @@ def _cmd_compare(args) -> int:
     sec = doc.get("compare", {})
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
+    pairing = _pairing_config(doc)
+    if pairing.mode == "disjoint":   # pair half the records, label from the rest
+        default_pairs = max(len(train_ds) // 4, 1)
+    else:
+        default_pairs = max(2 * len(train_ds), 1000)
     result = comparison_protocol(
         train_ds, test_ds,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        n_pairs=int(sec.get("n_pairs", max(2 * len(train_ds), 1000))),
+        n_pairs=int(sec.get("n_pairs", default_pairs)),
         labels_per_class=int(sec.get("labels_per_class", 1)),
         trials=int(sec.get("trials", 5)),
-        pairing=_pairing_config(doc),
+        pairing=pairing,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -20,7 +20,9 @@ what makes bit-level reproducibility checks possible downstream.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -60,6 +62,13 @@ class DataFormatError(ValueError):
 
 # -- CSV ------------------------------------------------------------------
 
+# np.loadtxt reads fields made of these bytes (tab, line breaks, printable
+# ASCII) exactly as float() and int() do.  Outside them it can disagree:
+# it strips "\x1f" as padding, and numpy 2.4 misreads some non-ASCII label
+# characters and segfaults on others.
+_CSV_FAST_BYTES = bytes([9, 10, 13, *range(32, 127)])
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 def save_csv(ds: FullyLabeledDataset, path: str) -> None:
     """Write features and labels; float text is repr-exact for round-trips."""
@@ -74,17 +83,59 @@ def save_csv(ds: FullyLabeledDataset, path: str) -> None:
 def load_csv(path: str, class_count: int | None = None) -> FullyLabeledDataset:
     """Parse a feature/label CSV; the last column must be named 'label'.
 
-    Errors carry 1-based line numbers.  The parsed dataset is validated and
-    any violation aborts the load.
+    The body is parsed by one ``np.loadtxt`` call.  Where that call cannot
+    be trusted to agree with Python's ``float``/``int`` (a byte outside
+    printable ASCII, tab and line breaks), or where it fails, warns or finds
+    a label outside ``[0, class_count)``, the per-line parser reads the file
+    instead: it accepts what ``float``/``int`` accept and writes every row
+    error, with its 1-based line number.  The parsed dataset is validated
+    and any violation aborts the load.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
     if len(header) < 2 or header[-1].strip() != "label":
         raise DataFormatError(f"{path}: line 1: header must end with a 'label' column")
     d = len(header) - 1
+    xy = None
+    if not raw.translate(None, _CSV_FAST_BYTES):
+        xy = _parse_rows_numpy([ln for ln in lines[1:] if ln.strip()], d, class_count)
+    if xy is None:
+        xy = _parse_rows(path, lines, d, class_count)
+    ds = FullyLabeledDataset.from_arrays(*xy, class_count)
+    problems = validate_dataset(ds)
+    if problems:
+        raise DataFormatError(f"{path}: invalid dataset: " + "; ".join(problems))
+    return ds
+
+
+
+def _parse_rows_numpy(rows: list[str], d: int, class_count: int | None):
+    """Features and labels of the non-blank body rows from one ``np.loadtxt``
+    call, or None where the per-line parser must decide."""
+    if not rows:
+        return None
+    fields = np.dtype([("x", "<f8", (d,)), ("y", "<i8")])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a warning is a failure, whatever numpy's version
+            rec = np.loadtxt(rows, delimiter=",", comments=None, dtype=fields, ndmin=1)
+    except (ValueError, OverflowError, Warning):   # the per-line parser names the fault
+        return None
+    y = np.ascontiguousarray(rec["y"])
+    if class_count is not None and np.any((y < 0) | (y >= class_count)):
+        return None
+    return np.ascontiguousarray(rec["x"]), y
+
+
+def _parse_rows(path: str, lines: list[str], d: int, class_count: int | None):
+    """Features and labels parsed line by line, or the first line's fault."""
     xs, ys = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -106,15 +157,12 @@ def load_csv(path: str, class_count: int | None = None) -> FullyLabeledDataset:
             raise DataFormatError(
                 f"{path}: line {lineno}: label {ys[-1]} outside [0, {class_count})"
             )
+        if not _INT64_MIN <= ys[-1] <= _INT64_MAX:
+            raise DataFormatError(f"{path}: line {lineno}: label outside the int64 range")
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
-    ds = FullyLabeledDataset.from_arrays(
-        np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64), class_count
-    )
-    problems = validate_dataset(ds)
-    if problems:
-        raise DataFormatError(f"{path}: invalid dataset: " + "; ".join(problems))
-    return ds
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
+
 
 
 # -- IDX ------------------------------------------------------------------
@@ -127,14 +175,27 @@ def _read_exact(f, n: int, path: str) -> bytes:
     return buf
 
 
+def _read_payload(f, path: str, *counts: int) -> bytes:
+    """The prod(counts) bytes a header announces, checked against the bytes
+    left before any is read (Python ints: no count can overflow this)."""
+    if min(counts) < 0:
+        raise DataFormatError(f"{path}: negative count in header: {list(counts)}")
+    want = math.prod(counts)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if want > left:
+        raise DataFormatError(f"{path}: truncated: wanted {want} bytes, got {left}")
+    return _read_exact(f, want, path)
+
+
 def load_idx(
     images_path: str, labels_path: str, class_count: int | None = None
 ) -> FullyLabeledDataset:
     """Read an IDX image/label file pair into a flat float dataset.
 
     Pixels are scaled to [0, 1] as float64 and flattened row-major.
-    Distinct errors for magic mismatch, image/label count mismatch, and
-    truncated payloads.
+    Distinct errors for magic mismatch, negative counts, image/label count
+    mismatch, payloads shorter than their header's counts, and labels the
+    dataset validation rejects.
     """
     with open(images_path, "rb") as f:
         magic, n_images, rows, cols = struct.unpack(">llll", _read_exact(f, 16, images_path))
@@ -142,14 +203,14 @@ def load_idx(
             raise DataFormatError(
                 f"{images_path}: magic mismatch: expected {IDX_IMAGE_MAGIC}, got {magic}"
             )
-        raw = _read_exact(f, n_images * rows * cols, images_path)
+        raw = _read_payload(f, images_path, n_images, rows, cols)
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ll", _read_exact(f, 8, labels_path))
         if magic != IDX_LABEL_MAGIC:
             raise DataFormatError(
                 f"{labels_path}: magic mismatch: expected {IDX_LABEL_MAGIC}, got {magic}"
             )
-        raw_labels = _read_exact(f, n_labels, labels_path)
+        raw_labels = _read_payload(f, labels_path, n_labels)
     if n_images != n_labels:
         raise DataFormatError(
             f"count mismatch: {n_images} images vs {n_labels} labels"
@@ -157,7 +218,11 @@ def load_idx(
     x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(n_images, rows * cols)
     x /= 255.0
     y = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return FullyLabeledDataset.from_arrays(x, y, class_count)
+    ds = FullyLabeledDataset.from_arrays(x, y, class_count)
+    problems = validate_dataset(ds)
+    if problems:
+        raise DataFormatError(f"{labels_path}: invalid dataset: " + "; ".join(problems))
+    return ds
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

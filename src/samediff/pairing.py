@@ -137,6 +137,43 @@ def _untaken(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
     return taken[k] != keys
 
 
+class _TakenKeys:
+    """The distinct keys drawn so far, as sorted runs of roughly doubling size.
+
+    A new batch merges into the runs no longer than it, like a binary
+    counter, so each key is merged O(log n) times and a membership test
+    searches O(log n) runs: adding n keys costs about n log n, not the
+    n^2 / batch of merging every batch into one sorted array.
+    """
+
+    def __init__(self):
+        self.runs: list[np.ndarray] = []   # sorted, longest first
+        self.count = 0
+
+    def add(self, keys: np.ndarray) -> None:
+        self.runs.append(np.sort(keys))
+        self.count += len(keys)
+        while len(self.runs) > 1 and len(self.runs[-2]) <= len(self.runs[-1]):
+            self._merge_last()
+
+    def untaken(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the keys not drawn yet."""
+        mask = np.ones(len(keys), dtype=bool)
+        for run in self.runs:
+            mask &= _untaken(keys, run)
+        return mask
+
+    def sorted(self) -> np.ndarray:
+        """Every key drawn so far, as one sorted array."""
+        while len(self.runs) > 1:
+            self._merge_last()
+        return self.runs[0] if self.runs else np.empty(0, dtype=np.int64)
+
+    def _merge_last(self) -> None:
+        run, last = self.runs.pop(), self.runs.pop()
+        self.runs.append(np.insert(last, np.searchsorted(last, run), run))
+
+
 def _complement(taken: np.ndarray, cap: int) -> np.ndarray:
     """The codes in [0, cap) absent from the sorted array ``taken``."""
     edges = np.concatenate(([-1], taken, [cap]))
@@ -161,10 +198,10 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
 
     Pairs are handled in rank space: a pair's key is the triangular code
     ``hi * (hi - 1) / 2 + lo`` of the id ranks ``lo < hi``, and the taken
-    keys are one sorted array.  Pools of at most 2^16 pairs are enumerated
-    and the batch's quota is picked from their untaken keys; so are the
-    untaken keys of the whole dataset once at most 2^16 of them remain and
-    the batch pools every record.  Larger pools draw triangular codes
+    keys are a few sorted runs (``_TakenKeys``).  Pools of at most 2^16
+    pairs are enumerated and the batch's quota is picked from their untaken
+    keys; so are the untaken keys of the whole dataset once at most 2^16 of
+    them remain and the batch pools every record.  Larger pools draw triangular codes
     uniformly and keep the first quota untaken keys in draw order.  The
     stream differs from the earlier per-pair sampler's: a seed now yields
     different (equally distributed) pairs than it did before.
@@ -195,11 +232,10 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     order = np.argsort(ds.ids, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    taken = np.empty(0, dtype=np.int64)   # sorted keys
+    taken = _TakenKeys()
     batches = []
-    count = 0
     stalled = 0
-    while count < cfg.n_pairs:
+    while taken.count < cfg.n_pairs:
         if stalled < STALL_LIMIT:
             chosen = rng.choice(present, size=m, replace=False)
             pool = np.flatnonzero(np.isin(ds.y, chosen))
@@ -210,28 +246,25 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
         if pool_cap == 0:
             stalled += 1
             continue
-        quota = min(BATCH_GRANULARITY, cfg.n_pairs - count)
+        quota = min(BATCH_GRANULARITY, cfg.n_pairs - taken.count)
         r = rank[pool]
-        if p == n and cap - len(taken) <= SMALL_POOL:
-            keys = _pick(rng, _complement(taken, cap), quota)
+        if p == n and cap - taken.count <= SMALL_POOL:
+            keys = _pick(rng, _complement(taken.sorted(), cap), quota)
         elif pool_cap <= SMALL_POOL:
             ii, jj = np.triu_indices(p, k=1)
             keys = _tri_codes(r[ii], r[jj])
-            keys = _pick(rng, keys[_untaken(keys, taken)], quota)
+            keys = _pick(rng, keys[taken.untaken(keys)], quota)
         else:
             # at least (pool_cap - |taken|) / pool_cap of the codes are untaken
-            free = max(pool_cap - len(taken), 1)
-            draws = min(20 * quota, 2 * quota + quota * len(taken) // free)
+            free = max(pool_cap - taken.count, 1)
+            draws = min(20 * quota, 2 * quota + quota * taken.count // free)
             ii, jj = _tri_pairs(rng.integers(pool_cap, size=draws))
             keys = _tri_codes(r[ii], r[jj])
-            _, first = np.unique(keys, return_index=True)
-            keys = keys[np.sort(first)]
-            keys = keys[_untaken(keys, taken)][:quota]
+            distinct, first = np.unique(keys, return_index=True)
+            keys = keys[np.sort(first[taken.untaken(distinct)])][:quota]
         if len(keys):
             batches.append(keys)
-            fresh = np.sort(keys)
-            taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
-            count += len(keys)
+            taken.add(keys)
         if stalled < STALL_LIMIT:
             stalled = 0 if len(keys) else stalled + 1
 

@@ -1,9 +1,24 @@
-"""Shared helpers: finite-difference gradients and tiny dataset builders."""
+"""Shared helpers: finite-difference gradients and tiny dataset builders.
+
+Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
+means hypothesis's own default; ``ci`` draws ten times the examples, in
+a fixed order (``derandomize``), so a CI failure reproduces.
+"""
+
+import os
 
 import numpy as np
 import pytest
 
 from samediff import FullyLabeledDataset, TwoPartClassifier, substream
+
+try:
+    from hypothesis import settings
+except ImportError:   # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("ci", max_examples=1000, derandomize=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rel_err(a, b):

@@ -170,6 +170,31 @@ class TestExitCodes:
             assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
             assert "radius must be finite and positive" in capsys.readouterr().err
 
+    def test_csv_label_beyond_int64_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,99999999999999999999\n")
+        code = cli_main(["convert", "--data", str(data), "--mode", "exhaustive",
+                         "--out", str(tmp_path / "p.sdpf")])
+        assert code == 2
+        assert "line 3: label outside the int64 range" in capsys.readouterr().err
+
+    def test_hostile_or_invalid_idx_is_data_error(self, tmp_path, capsys):
+        """eval on an IDX header claiming 2^30 images of 2^15 x 2^15 over a
+        16-byte body, and on labels {0, 1, 7, 9} under --class-count 2."""
+        doc = base_config()
+        ckpt = tmp_path / "m.ckpt"
+        save_model(build_model(doc, build_datasets(doc)[0], 0), str(ckpt), seed=0)
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(struct.pack(">llll", 2051, 2**30, 2**15, 2**15) + bytes(16))
+        lp.write_bytes(struct.pack(">ll", 2049, 4) + bytes([0, 1, 7, 9]))
+        command = ["eval", "--checkpoint", str(ckpt), "--images", str(ip), "--labels", str(lp),
+                   "--class-count", "2"]
+        assert cli_main(command) == 2
+        assert f"truncated: wanted {2**60} bytes, got 16" in capsys.readouterr().err
+        ip.write_bytes(struct.pack(">llll", 2051, 4, 1, 2) + bytes(8))
+        assert cli_main(command) == 2
+        assert "labels outside [0, 2) in rows [2, 3]" in capsys.readouterr().err
+
     def test_degenerate_ncs_batch_is_data_error(self, tmp_path, capsys):
         """One-pair batches under ncs with beta 0: the first different-class
         pair has a zero target vector."""
@@ -360,6 +385,17 @@ class TestSweepCompareCommands:
                         ["compare", "--config", cfg]):
             assert cli_main(command) == 2
             assert "--regime online" in capsys.readouterr().err
+
+    def test_compare_default_budget_follows_pairing_mode(self, tmp_path, capsys):
+        """Without compare.n_pairs, disjoint pairing pairs a quarter as many
+        pairs as training records (80 here) instead of the sampled default
+        of 1000, which exceeds the disjoint cap of 39."""
+        cfg = write_config(tmp_path, compare={"trials": 1},
+                           pairing={"mode": "disjoint"})
+        out = tmp_path / "cmp.json"
+        assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert "sampled: accuracy" in capsys.readouterr().out
+        assert json.loads(out.read_text())["trials"] == 1
 
     def test_sweep_requires_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

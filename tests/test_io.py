@@ -100,6 +100,61 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="no data rows"):
             load_csv(str(hdr))
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809"])
+    def test_label_beyond_int64_names_line(self, tmp_path, label):
+        path = tmp_path / "big.csv"
+        path.write_text(f"f0,label\n0.5,0\n0.6,{label}\n0.7,1\n")
+        with pytest.raises(DataFormatError, match="line 3: label outside the int64 range"):
+            load_csv(str(path))
+
+    def test_int64_extremes_parse(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("f0,label\n0.5,0\n0.6,9223372036854775807\n")
+        np.testing.assert_array_equal(load_csv(str(path)).y, [0, 2**63 - 1])
+        path.write_text("f0,label\n0.5,0\n0.6,-9223372036854775808\n")
+        with pytest.raises(DataFormatError, match=r"labels outside \[0, 1\) in rows \[1\]"):
+            load_csv(str(path))
+
+    def test_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"f0,label\n0.5,0\n\xe9,1\n")
+        with pytest.raises(DataFormatError, match="not UTF-8 text"):
+            load_csv(str(path))
+
+    def test_python_number_syntax_is_accepted(self, tmp_path):
+        """Padded fields, digit separators, full-width and Arabic-Indic
+        digits, blank and whitespace-only lines, CRLF endings: whatever
+        float() and int() take."""
+        path = tmp_path / "py.csv"
+        path.write_bytes(" f0 ,f1, label \r\n 1_0 ,\t-2.5e-1,0\r\n\r\n   \r\n"
+                         "\uff13,\u0663.5, 1_0 \r\n".encode("utf-8"))
+        ds = load_csv(str(path))
+        np.testing.assert_array_equal(ds.x, [[10.0, -0.25], [3.0, 3.5]])
+        np.testing.assert_array_equal(ds.y, [0, 10])
+        assert ds.x.flags.c_contiguous and ds.y.flags.c_contiguous
+        assert ds.class_count == 11
+
+    @pytest.mark.parametrize("field,message", [
+        ("3\x1f", "non-integer label"),         # numpy would pad-strip \x1f
+        ("\U0009c6ca", "non-integer label"),    # numpy 2.4 would read 640666
+        ("3.0", "non-integer label"),
+        ("1e3", "non-integer label"),
+    ])
+    def test_labels_int_rejects_stay_rejected(self, tmp_path, field, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n0.5,0\n0.6,{field}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line 3: {message}"):
+            load_csv(str(path))
+
+    def test_out_of_range_label_reports_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n0.5,0\n0.6,1\nx,1\n0.7,-1\n")
+        with pytest.raises(DataFormatError, match="line 4: non-numeric feature"):
+            load_csv(str(path), class_count=2)
+        path.write_text("f0,label\n0.5,0\n0.6,2\n0.7,-1\n")
+        with pytest.raises(DataFormatError, match=r"line 3: label 2 outside \[0, 2\)"):
+            load_csv(str(path), class_count=2)
+
 
 class TestIdx:
     def test_round_trip(self, tmp_path, rng42):
@@ -139,6 +194,49 @@ class TestIdx:
         lp.write_bytes(struct.pack(">ll", 2049, 4) + bytes(4))
         with pytest.raises(DataFormatError, match="truncated: wanted 36 bytes, got 10"):
             load_idx(str(ip), str(lp))
+
+    def test_hostile_image_count_is_checked_before_reading(self, tmp_path):
+        """2^30 images of 2^15 x 2^15 over a 16-byte body: refused from the
+        header, without trying to allocate the claimed 2^60 bytes."""
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(struct.pack(">llll", 2051, 2**30, 2**15, 2**15) + bytes(16))
+        lp.write_bytes(struct.pack(">ll", 2049, 1) + bytes(1))
+        with pytest.raises(DataFormatError, match=f"truncated: wanted {2**60} bytes, got 16"):
+            load_idx(str(ip), str(lp))
+
+    def test_hostile_label_count_is_checked_before_reading(self, tmp_path):
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(struct.pack(">llll", 2051, 1, 1, 1) + bytes(1))
+        lp.write_bytes(struct.pack(">ll", 2049, 2**31 - 1) + bytes(3))
+        with pytest.raises(DataFormatError, match=f"truncated: wanted {2**31 - 1} bytes, got 3"):
+            load_idx(str(ip), str(lp))
+
+    @pytest.mark.parametrize("counts", [(-1, 2, 2), (1, -2, -2), (2, 2, -1)])
+    def test_negative_image_counts_are_refused(self, tmp_path, counts):
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(struct.pack(">llll", 2051, *counts) + bytes(16))
+        lp.write_bytes(struct.pack(">ll", 2049, 1) + bytes(1))
+        with pytest.raises(DataFormatError, match="negative count in header"):
+            load_idx(str(ip), str(lp))
+
+    def test_negative_label_count_is_refused(self, tmp_path):
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(struct.pack(">llll", 2051, 1, 1, 1) + bytes(1))
+        lp.write_bytes(struct.pack(">ll", 2049, -1) + bytes(1))
+        with pytest.raises(DataFormatError, match=r"lb.idx: negative count in header: \[-1\]"):
+            load_idx(str(ip), str(lp))
+
+    def test_labels_are_validated(self, tmp_path):
+        images = np.zeros((4, 2, 2), dtype=np.uint8)
+        ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        write_idx(images, np.array([0, 1, 7, 9]), ip, lp)
+        message = r"lb.idx: invalid dataset: labels outside \[0, 2\) in rows \[2, 3\]"
+        with pytest.raises(DataFormatError, match=message):
+            load_idx(ip, lp, class_count=2)
+        assert load_idx(ip, lp).class_count == 10
+        write_idx(images, np.zeros(4), ip, lp)
+        with pytest.raises(DataFormatError, match="class_count must be at least 2"):
+            load_idx(ip, lp)
 
 
 class TestPairFiles:

@@ -2,6 +2,8 @@
 
 The references keep the original per-pair code: ``reference_pair_disjoint``
 walks an alive mask and takes ``np.flatnonzero`` of it for every pair;
+``reference_pair_sampled`` merges every batch into one sorted array of
+taken keys with ``np.insert``;
 ``reference_save_pairs``/``reference_load_pairs`` pack and unpack one
 ``struct`` record at a time; ``reference_recover_clusters`` runs a dict
 union-find; ``reference_pairwise_agreement`` counts contingencies in dicts.
@@ -58,6 +60,91 @@ def reference_pair_disjoint(ds, n_pairs, seed=0):
     survivors = order[np.flatnonzero(alive)]
     remainder = ds.subset(np.sort(survivors))
     return PairDataset(a_ids=a_out, b_ids=b_out, t=t_out, source=ds), remainder
+
+
+def reference_tri_pairs(codes):
+    j = np.floor((1.0 + np.sqrt(8.0 * codes + 1.0)) / 2.0).astype(np.int64)
+    j -= j * (j - 1) // 2 > codes
+    j += (j + 1) * j // 2 <= codes
+    return codes - j * (j - 1) // 2, j
+
+
+def reference_tri_codes(i, j):
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return hi * (hi - 1) // 2 + lo
+
+
+def reference_untaken(keys, taken):
+    if not len(taken):
+        return np.ones(len(keys), dtype=bool)
+    k = np.minimum(np.searchsorted(taken, keys), len(taken) - 1)
+    return taken[k] != keys
+
+
+def reference_complement(taken, cap):
+    edges = np.concatenate(([-1], taken, [cap]))
+    gaps = np.diff(edges) - 1
+    ends = np.cumsum(gaps)
+    k = np.arange(ends[-1])
+    return k + np.repeat(edges[:-1] + 1 - (ends - gaps), gaps)
+
+
+def reference_pick(rng, keys, quota):
+    return keys[rng.choice(len(keys), size=min(quota, len(keys)), replace=False)]
+
+
+def reference_pair_sampled(ds, cfg):
+    n = len(ds)
+    cap = n * (n - 1) // 2
+    rng = substream(cfg.seed, "pairing", "sampled")
+    present = np.unique(ds.y)
+    m = cfg.class_batch_size if cfg.class_batch_size is not None else min(10, ds.class_count)
+    m = min(m, len(present))
+    order = np.argsort(ds.ids, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    taken = np.empty(0, dtype=np.int64)
+    batches = []
+    count = 0
+    stalled = 0
+    while count < cfg.n_pairs:
+        if stalled < 50:
+            chosen = rng.choice(present, size=m, replace=False)
+            pool = np.flatnonzero(np.isin(ds.y, chosen))
+        else:
+            pool = np.arange(n)
+        p = len(pool)
+        pool_cap = p * (p - 1) // 2
+        if pool_cap == 0:
+            stalled += 1
+            continue
+        quota = min(1024, cfg.n_pairs - count)
+        r = rank[pool]
+        if p == n and cap - len(taken) <= 1 << 16:
+            keys = reference_pick(rng, reference_complement(taken, cap), quota)
+        elif pool_cap <= 1 << 16:
+            ii, jj = np.triu_indices(p, k=1)
+            keys = reference_tri_codes(r[ii], r[jj])
+            keys = reference_pick(rng, keys[reference_untaken(keys, taken)], quota)
+        else:
+            free = max(pool_cap - len(taken), 1)
+            draws = min(20 * quota, 2 * quota + quota * len(taken) // free)
+            ii, jj = reference_tri_pairs(rng.integers(pool_cap, size=draws))
+            keys = reference_tri_codes(r[ii], r[jj])
+            _, first = np.unique(keys, return_index=True)
+            keys = keys[np.sort(first)]
+            keys = keys[reference_untaken(keys, taken)][:quota]
+        if len(keys):
+            batches.append(keys)
+            fresh = np.sort(keys)
+            taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
+            count += len(keys)
+        if stalled < 50:
+            stalled = 0 if len(keys) else stalled + 1
+    lo, hi = reference_tri_pairs(np.concatenate(batches))
+    lo, hi = order[lo], order[hi]
+    t = (ds.y[lo] == ds.y[hi]).astype(np.uint8)
+    return PairDataset(a_ids=ds.ids[lo], b_ids=ds.ids[hi], t=t, source=ds)
 
 
 def reference_save_pairs(pairs, path, inline=False):
@@ -214,6 +301,35 @@ class TestDisjointOracle:
             for name in ("ids", "x", "y"):
                 np.testing.assert_array_equal(getattr(got_rest, name), getattr(want_rest, name))
             assert got_rest.class_count == want_rest.class_count
+
+
+class TestSampledOracle:
+    """The same seed gives the same pairs, in the same order, as the sampler
+    that merged every batch into one sorted array."""
+
+    def test_random_requests(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(2, 400))
+            classes = int(rng.integers(1, 7))
+            ds = random_dataset(rng, n, classes, odd_ids=trial % 2 == 1)
+            cap = n * (n - 1) // 2
+            n_pairs = int(rng.integers(1, min(cap, 6000) + 1))
+            m = None if trial % 3 == 0 else int(rng.integers(1, classes + 1))
+            cfg = PairingConfig(n_pairs=n_pairs, class_batch_size=m, seed=int(rng.integers(2**31)))
+            assert_pairs_equal(pair_sampled(ds, cfg), reference_pair_sampled(ds, cfg))
+
+    @pytest.mark.parametrize("n,classes,m,fraction", [
+        (150, 2, 1, 1.0),     # stall, whole-dataset pool, complement tail
+        (200, 4, 2, 0.9),     # small enumerated class pools
+        (600, 2, 2, 0.8),     # drawn codes against about ten taken runs, then the tail
+        (1000, 4, 2, 0.05),   # drawn codes from two-class pools, few batches
+    ])
+    def test_large_requests(self, n, classes, m, fraction):
+        rng = np.random.default_rng(n)
+        ds = random_dataset(rng, n, classes, odd_ids=True)
+        cfg = PairingConfig(n_pairs=int(fraction * (n * (n - 1) // 2)), class_batch_size=m, seed=n)
+        assert_pairs_equal(pair_sampled(ds, cfg), reference_pair_sampled(ds, cfg))
 
 
 class TestSdpfOracle:
