@@ -5,210 +5,26 @@ sphere, plus a norm-capped linear head) from pairwise same-class /
 different-class annotations, releases record-disjoint label-free pair
 files with an attack simulator to measure what they leak, and verifies
 the underlying finite-problem optimality claims by brute force.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
-from .cli import cli_main
-from .config import (
-    ConfigError,
-    build_datasets,
-    build_model,
-    build_pairing_config,
-    build_train_config,
-    load_config,
-    validate_config,
-)
-from .data import (
-    EmbeddedFeatures,
-    FullyLabeledDataset,
-    FullyLabeledExample,
-    PairDataset,
-    SufficientPair,
-    class_histogram,
-    sufficient_label,
-    validate_dataset,
-)
-from .harness import (
-    CompareResult,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    accuracy,
-    comparison_protocol,
-    run_sweep,
-    stratified_subset,
-)
-from .io import (
-    DataFormatError,
-    generate_synthetic,
-    load_csv,
-    load_idx,
-    load_model,
-    load_pairs,
-    save_csv,
-    save_model,
-    save_pairs,
-    write_idx,
-)
-from .losses import (
-    HEAD_LOSSES,
-    PAIR_LOSSES,
-    empirical_risk_pairs,
-    head_loss_batch,
-    pair_risk_batch,
-)
-from .model import (
-    HiddenNetwork,
-    Layer,
-    LinearHead,
-    TwoPartClassifier,
-    phi_backward,
-    phi_normalize,
-    project_head,
-)
-from .pairing import (
-    PairingConfig,
-    build_pairs,
-    coverage_fraction,
-    max_disjoint_pairs,
-    pair_disjoint,
-    pair_exhaustive,
-    pair_sampled,
-)
-from .privacy import (
-    EncryptionReport,
-    StrengthReport,
-    encrypt_disjoint,
-    pairwise_agreement,
-    recover_clusters,
-    strength_report,
-)
-from .rng import substream
-from .theory import (
-    FiniteProblem,
-    HeadNormReport,
-    OptimalityReport,
-    SuiteResult,
-    collapsing_maps,
-    generalization_bound,
-    generate_problem,
-    half_best_gamma,
-    is_collapsing,
-    min_head_risk,
-    min_head_risk_grid,
-    min_risk_maps,
-    pair_objective_value,
-    required_head_norm,
-    required_head_norm_bisect,
-    run_verification_suite,
-    separation_optima,
-    signed_mean,
-    verify_collapse_optimality,
-    verify_head_norm_argmin,
-)
-from .trainer import (
-    SHORT_SCHEDULE,
-    LONG_SCHEDULE,
-    EpochRecord,
-    TrainConfig,
-    TrainRun,
-    train_baseline_full,
-    train_online,
-    train_step1,
-    train_step2,
-    train_two_stage,
-)
+from . import cli, config, data, harness, io, losses, model, pairing, privacy, rng, theory, trainer
+from .cli import *
+from .config import *
+from .data import *
+from .harness import *
+from .io import *
+from .losses import *
+from .model import *
+from .pairing import *
+from .privacy import *
+from .rng import *
+from .theory import *
+from .trainer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompareResult",
-    "ConfigError",
-    "SHORT_SCHEDULE",
-    "DataFormatError",
-    "EmbeddedFeatures",
-    "EncryptionReport",
-    "EpochRecord",
-    "FiniteProblem",
-    "FullyLabeledDataset",
-    "FullyLabeledExample",
-    "HEAD_LOSSES",
-    "HeadNormReport",
-    "HiddenNetwork",
-    "Layer",
-    "LinearHead",
-    "OptimalityReport",
-    "PAIR_LOSSES",
-    "LONG_SCHEDULE",
-    "PairDataset",
-    "PairingConfig",
-    "StrengthReport",
-    "SufficientPair",
-    "SuiteResult",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "TrainConfig",
-    "TrainRun",
-    "TwoPartClassifier",
-    "accuracy",
-    "build_datasets",
-    "build_model",
-    "build_pairing_config",
-    "build_pairs",
-    "build_train_config",
-    "class_histogram",
-    "cli_main",
-    "collapsing_maps",
-    "comparison_protocol",
-    "coverage_fraction",
-    "empirical_risk_pairs",
-    "encrypt_disjoint",
-    "generalization_bound",
-    "generate_problem",
-    "generate_synthetic",
-    "half_best_gamma",
-    "head_loss_batch",
-    "is_collapsing",
-    "load_config",
-    "load_csv",
-    "load_idx",
-    "load_model",
-    "load_pairs",
-    "max_disjoint_pairs",
-    "min_head_risk",
-    "min_head_risk_grid",
-    "min_risk_maps",
-    "pair_disjoint",
-    "pair_exhaustive",
-    "pair_objective_value",
-    "pair_risk_batch",
-    "pair_sampled",
-    "pairwise_agreement",
-    "phi_backward",
-    "phi_normalize",
-    "project_head",
-    "recover_clusters",
-    "required_head_norm",
-    "required_head_norm_bisect",
-    "run_sweep",
-    "run_verification_suite",
-    "save_csv",
-    "save_model",
-    "save_pairs",
-    "separation_optima",
-    "signed_mean",
-    "strength_report",
-    "stratified_subset",
-    "sufficient_label",
-    "substream",
-    "train_baseline_full",
-    "train_online",
-    "train_step1",
-    "train_step2",
-    "train_two_stage",
-    "validate_config",
-    "validate_dataset",
-    "verify_collapse_optimality",
-    "verify_head_norm_argmin",
-    "write_idx",
-]
+_MODULES = (cli, config, data, harness, io, losses, model, pairing, privacy, rng, theory, trainer)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -50,7 +50,7 @@ from .privacy import encrypt_disjoint
 from .theory import generalization_bound, run_verification_suite
 from .trainer import train_baseline_full, train_online, train_two_stage
 
-__all__ = ["cli_main", "main"]
+__all__ = ["cli_main"]
 
 
 def _sha256(path: str) -> str:

@@ -2,25 +2,24 @@
 
 A fully-labeled example carries a class index.  A pair label only records
 whether two examples share a class (t = 1) or not (t = 0); that single bit is
-the supervision consumed by the representation stage.
+the supervision consumed by the representation stage.  ``sufficient_label``
+is the one definition of that pair statistic: every pair constructor and the
+online trainer compute t through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "FullyLabeledExample",
     "FullyLabeledDataset",
     "EmbeddedFeatures",
-    "SufficientPair",
     "PairDataset",
     "sufficient_label",
-    "class_histogram",
     "validate_dataset",
 ]
 
@@ -56,23 +55,13 @@ class _IdLookup:
             raise KeyError(f"unknown example id {q[np.argmin(hit)]}")
         return order[k]
 
-    def features_for(self, ids: np.ndarray) -> np.ndarray:
-        """Feature rows for the given ids, in the given order."""
-        return self.x[self.positions_of(ids)]
 
+def sufficient_label(y_a, y_b) -> np.ndarray:
+    """The pair statistic t = 1[y = y']: uint8, 1 where the class labels agree.
 
-def sufficient_label(y: int, y_prime: int) -> int:
-    """Binary pair label: 1 when the two class labels agree, else 0."""
-    return int(y == y_prime)
-
-
-@dataclass(frozen=True)
-class FullyLabeledExample:
-    """One record: integer id, feature vector, class index."""
-
-    id: int
-    x: np.ndarray
-    y: int
+    Elementwise over arrays of labels; scalars give a 0-d array.
+    """
+    return np.equal(y_a, y_b).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -114,17 +103,6 @@ class FullyLabeledDataset(_IdLookup):
     def index_of(self, example_id: int) -> int:
         return int(self.positions_of([example_id])[0])
 
-    def example(self, example_id: int) -> FullyLabeledExample:
-        k = self.index_of(example_id)
-        return FullyLabeledExample(id=int(self.ids[k]), x=self.x[k], y=int(self.y[k]))
-
-    def __iter__(self) -> Iterator[FullyLabeledExample]:
-        for k in range(len(self)):
-            yield FullyLabeledExample(id=int(self.ids[k]), x=self.x[k], y=int(self.y[k]))
-
-    def labels_for(self, ids: np.ndarray) -> np.ndarray:
-        return self.y[self.positions_of(ids)]
-
     def subset(self, positions: np.ndarray) -> "FullyLabeledDataset":
         """New dataset from row positions (ids preserved)."""
         positions = np.asarray(positions, dtype=np.int64)
@@ -132,9 +110,6 @@ class FullyLabeledDataset(_IdLookup):
             ids=self.ids[positions], x=self.x[positions], y=self.y[positions],
             class_count=self.class_count,
         )
-
-    def subset_by_ids(self, ids) -> "FullyLabeledDataset":
-        return self.subset(self.positions_of(ids))
 
 
 @dataclass(frozen=True)
@@ -158,21 +133,6 @@ class EmbeddedFeatures(_IdLookup):
 
 
 FeatureSource = Union[FullyLabeledDataset, EmbeddedFeatures]
-
-
-@dataclass(frozen=True)
-class SufficientPair:
-    """Canonical pair record: a_id < b_id plus the agreement bit t."""
-
-    a_id: int
-    b_id: int
-    t: int
-
-    def __post_init__(self):
-        if self.a_id >= self.b_id:
-            raise ValueError(f"pair ids must satisfy a_id < b_id, got ({self.a_id}, {self.b_id})")
-        if self.t not in (0, 1):
-            raise ValueError(f"pair label must be 0 or 1, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -217,10 +177,6 @@ class PairDataset:
     def __len__(self) -> int:
         return len(self.a_ids)
 
-    def __iter__(self) -> Iterator[SufficientPair]:
-        for k in range(len(self)):
-            yield SufficientPair(int(self.a_ids[k]), int(self.b_ids[k]), int(self.t[k]))
-
     def participant_ids(self) -> np.ndarray:
         """Sorted unique ids appearing on either side of any pair."""
         return np.unique(np.concatenate([self.a_ids, self.b_ids]))
@@ -237,21 +193,12 @@ class PairDataset:
         x = self.source.x
         return x[pa], x[pb], np.asarray(self.t, dtype=np.int64)
 
-    def attach_source(self, source: FeatureSource) -> "PairDataset":
-        return PairDataset(a_ids=self.a_ids, b_ids=self.b_ids, t=self.t, source=source)
-
     def take(self, positions: np.ndarray) -> "PairDataset":
         positions = np.asarray(positions, dtype=np.int64)
         return PairDataset(
             a_ids=self.a_ids[positions], b_ids=self.b_ids[positions],
             t=self.t[positions], source=self.source,
         )
-
-
-def class_histogram(ds: FullyLabeledDataset) -> dict[int, int]:
-    """Per-class example counts, including zero-count classes."""
-    counts = np.bincount(ds.y, minlength=ds.class_count) if len(ds) else np.zeros(ds.class_count, dtype=np.int64)
-    return {c: int(counts[c]) for c in range(ds.class_count)}
 
 
 def validate_dataset(ds: FullyLabeledDataset) -> list[str]:

@@ -37,7 +37,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "load_idx",
-    "write_idx",
     "generate_synthetic",
     "save_pairs",
     "load_pairs",
@@ -223,19 +222,6 @@ def load_idx(
     if problems:
         raise DataFormatError(f"{labels_path}: invalid dataset: " + "; ".join(problems))
     return ds
-
-
-def write_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:
-    """Write (n, rows, cols) uint8 images and uint8 labels as IDX files."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">llll", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ll", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
 
 
 # -- synthetic datasets ---------------------------------------------------

@@ -29,6 +29,8 @@ from .data import PairDataset
 from .model import TwoPartClassifier
 
 __all__ = [
+    "PAIR_LOSSES",
+    "HEAD_LOSSES",
     "pair_risk_batch",
     "head_loss_batch",
     "empirical_risk_pairs",

@@ -385,12 +385,3 @@ class TwoPartClassifier:
         if self.head.biases is not None:
             arrays.append(self.head.biases)
         return arrays
-
-    def params_equal(self, other: "TwoPartClassifier") -> bool:
-        """Bitwise parameter equality."""
-        mine, theirs = self.param_arrays(), other.param_arrays()
-        if len(mine) != len(theirs):
-            return False
-        return all(
-            a.shape == b.shape and np.array_equal(a, b) for a, b in zip(mine, theirs)
-        )

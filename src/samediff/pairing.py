@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset
+from .data import FullyLabeledDataset, PairDataset, sufficient_label
 from .rng import substream
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "pair_disjoint",
     "pair_sampled",
     "build_pairs",
-    "coverage_fraction",
     "max_disjoint_pairs",
 ]
 
@@ -59,14 +58,6 @@ class PairingConfig:
             raise ValueError(f"unknown pairing mode {self.mode!r}")
 
 
-def coverage_fraction(n_pairs: int, n_examples: int) -> float:
-    """Fraction of all distinct pairs covered by n_pairs draws."""
-    cap = n_examples * (n_examples - 1) // 2
-    if cap == 0:
-        raise ValueError("coverage undefined for fewer than 2 examples")
-    return n_pairs / cap
-
-
 def max_disjoint_pairs(n_examples: int) -> int:
     """Largest n accepted by the disjoint constructor (strict N > 2n)."""
     return (n_examples - 1) // 2
@@ -78,7 +69,7 @@ def pair_exhaustive(ds: FullyLabeledDataset) -> PairDataset:
     if n < 2:
         raise ValueError("insufficient examples: exhaustive pairing needs at least 2")
     ii, jj = np.triu_indices(n, k=1)
-    t = (ds.y[ii] == ds.y[jj]).astype(np.uint8)
+    t = sufficient_label(ds.y[ii], ds.y[jj])
     return PairDataset.build(ds.ids[ii], ds.ids[jj], t, source=ds)
 
 
@@ -110,7 +101,7 @@ def pair_disjoint(
         partners.append(rest.pop(k + 1 + int(rng.integers(len(rest) - k - 1))))
     pa = order[rest[:n_pairs]]
     pb = order[partners]
-    t = (ds.y[pa] == ds.y[pb]).astype(np.uint8)
+    t = sufficient_label(ds.y[pa], ds.y[pb])
     remainder = ds.subset(np.sort(order[rest[n_pairs:]]))
     return PairDataset(a_ids=ds.ids[pa], b_ids=ds.ids[pb], t=t, source=ds), remainder
 
@@ -233,6 +224,7 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     taken = _TakenKeys()
+    tail = None   # untaken keys of the whole dataset, once at most 2^16 remain
     batches = []
     stalled = 0
     while taken.count < cfg.n_pairs:
@@ -249,7 +241,8 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
         quota = min(BATCH_GRANULARITY, cfg.n_pairs - taken.count)
         r = rank[pool]
         if p == n and cap - taken.count <= SMALL_POOL:
-            keys = _pick(rng, _complement(taken.sorted(), cap), quota)
+            tail = _complement(taken.sorted(), cap) if tail is None else tail[taken.untaken(tail)]
+            keys = _pick(rng, tail, quota)
         elif pool_cap <= SMALL_POOL:
             ii, jj = np.triu_indices(p, k=1)
             keys = _tri_codes(r[ii], r[jj])
@@ -270,7 +263,7 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
 
     lo, hi = _tri_pairs(np.concatenate(batches))
     lo, hi = order[lo], order[hi]
-    t = (ds.y[lo] == ds.y[hi]).astype(np.uint8)
+    t = sufficient_label(ds.y[lo], ds.y[hi])
     return PairDataset(a_ids=ds.ids[lo], b_ids=ds.ids[hi], t=t, source=ds)
 
 

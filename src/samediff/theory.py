@@ -42,6 +42,8 @@ __all__ = [
     "min_head_risk",
     "min_head_risk_grid",
     "separation_optima",
+    "pair_objective_value",
+    "is_collapsing",
     "collapsing_maps",
     "min_risk_maps",
     "image_support_size",
@@ -49,7 +51,6 @@ __all__ = [
     "required_head_norm",
     "required_head_norm_bisect",
     "verify_head_norm_argmin",
-    "half_best_gamma",
     "generalization_bound",
     "generate_problem",
     "run_verification_suite",
@@ -112,24 +113,6 @@ class FiniteProblem:
     @property
     def alpha(self) -> float:
         return float(self.pmf[:, 0].sum())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pmf": self.pmf.tolist(),
-                "hypotheses": [h.tolist() for h in self.hypotheses],
-                "radius": self.radius,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteProblem":
-        d = json.loads(text)
-        return cls(
-            pmf=np.array(d["pmf"], dtype=np.float64),
-            hypotheses=tuple(np.array(h, dtype=np.float64) for h in d["hypotheses"]),
-            radius=float(d["radius"]),
-        )
 
 
 # -- best-head risk -------------------------------------------------------
@@ -365,14 +348,6 @@ def required_head_norm_bisect(
         else:
             lo = mid
     return hi
-
-
-def half_best_gamma(prob: FiniteProblem) -> float:
-    """Half the best achievable true risk: a canonically attainable target."""
-    best = min(min_head_risk(h, prob) for h in prob.hypotheses)
-    if best >= 0:
-        raise ValueError("no hypothesis achieves negative risk on this problem")
-    return 0.5 * best
 
 
 @dataclass(frozen=True)

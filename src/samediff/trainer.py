@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset
+from .data import FullyLabeledDataset, PairDataset, sufficient_label
 from .losses import (
     HEAD_LOSSES,
     PAIR_LOSSES,
@@ -60,6 +60,8 @@ from .model import TwoPartClassifier
 from .rng import substream
 
 __all__ = [
+    "SHORT_SCHEDULE",
+    "LONG_SCHEDULE",
     "TrainConfig",
     "TrainRun",
     "EpochRecord",
@@ -156,10 +158,6 @@ class TrainRun:
     best_epoch: int | None = None
     wall_seconds: float = 0.0
     max_pair_buffer: int = 0
-
-    @property
-    def final_train_loss(self) -> float:
-        return self.trace[-1].train_loss if self.trace else float("nan")
 
     def to_dict(self) -> dict:
         return {
@@ -385,7 +383,7 @@ class _BatchPairs:
     def __init__(self, y: np.ndarray):
         self.size = len(y)
         self.ii, self.jj, self._both = _triu_pairs(self.size)
-        self.t = (y.take(self.ii) == y.take(self.jj)).astype(np.int64)
+        self.t = sufficient_label(y.take(self.ii), y.take(self.jj))
 
     def risk(self, loss_name: str, u: np.ndarray, radius: float, beta: float | None):
         """``pair_risk_batch`` over the expanded pairs of features u."""

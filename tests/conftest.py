@@ -1,4 +1,5 @@
-"""Shared helpers: finite-difference gradients and tiny dataset builders.
+"""Shared helpers: finite-difference gradients, tiny dataset builders,
+bitwise model equality and the theory tests' risk target.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -10,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from samediff import FullyLabeledDataset, TwoPartClassifier, substream
+from samediff import FullyLabeledDataset, TwoPartClassifier, min_head_risk, substream
 
 try:
     from hypothesis import settings
@@ -56,6 +57,20 @@ def far_from_kinks(model, x, margin=1e-3, min_raw_norm=1e-2):
         if layer.activation == "relu" and np.any(np.abs(z) < margin):
             return False
     return True
+
+
+def params_equal(a, b):
+    """Bitwise parameter equality of two classifiers."""
+    mine, theirs = a.param_arrays(), b.param_arrays()
+    return len(mine) == len(theirs) and all(np.array_equal(p, q) for p, q in zip(mine, theirs))
+
+
+def half_best_gamma(prob):
+    """Half the best achievable true risk: a canonically attainable target."""
+    best = min(min_head_risk(h, prob) for h in prob.hypotheses)
+    if best >= 0:
+        raise ValueError("no hypothesis achieves negative risk on this problem")
+    return 0.5 * best
 
 
 def tiny_model(rng, in_dim=3, hidden=(4,), rep_dim=2, class_count=2, radius=1.0,

@@ -24,7 +24,6 @@ from samediff import (
     generalization_bound,
     generate_problem,
     generate_synthetic,
-    half_best_gamma,
     head_loss_batch,
     load_idx,
     max_disjoint_pairs,
@@ -44,7 +43,7 @@ from samediff import (
     verify_head_norm_argmin,
 )
 from samediff.data import FullyLabeledDataset
-from conftest import far_from_kinks, numeric_grad, tiny_model
+from conftest import far_from_kinks, half_best_gamma, numeric_grad, tiny_model
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -7,8 +7,6 @@ from samediff import (
     EmbeddedFeatures,
     FullyLabeledDataset,
     PairDataset,
-    SufficientPair,
-    class_histogram,
     sufficient_label,
     validate_dataset,
 )
@@ -28,6 +26,25 @@ class TestSufficientLabel:
         for _ in range(100):
             a, b = rng.integers(0, 5, size=2)
             assert sufficient_label(int(a), int(b)) == sufficient_label(int(b), int(a))
+
+    def test_scalar_result_is_uint8(self):
+        assert sufficient_label(3, 3).dtype == np.uint8
+        assert sufficient_label(np.int8(2), np.uint64(2)) == 1
+
+    @pytest.mark.parametrize("dtype_a, dtype_b", [
+        (np.int64, np.int64), (np.int8, np.int64), (np.uint8, np.int32),
+        (np.int16, np.uint16), (np.uint32, np.int64), (np.uint64, np.uint8),
+    ])
+    def test_arrays_of_mixed_integer_dtypes(self, dtype_a, dtype_b):
+        rng = np.random.default_rng(7)
+        ya = rng.integers(0, 4, size=200).astype(dtype_a)
+        yb = rng.integers(0, 4, size=200).astype(dtype_b)
+        t = sufficient_label(ya, yb)
+        assert t.dtype == np.uint8 and t.shape == (200,)
+        want = [int(a == b) for a, b in zip(ya.tolist(), yb.tolist())]
+        np.testing.assert_array_equal(t, want)
+        np.testing.assert_array_equal(sufficient_label(yb, ya), t)
+        assert 0 < t.sum() < len(t)
 
 
 class TestFullyLabeledDataset:
@@ -52,9 +69,9 @@ class TestFullyLabeledDataset:
     def test_index_of_and_example(self):
         ds = self._ds()
         assert ds.index_of(30) == 2
-        ex = ds.example(40)
-        assert ex.id == 40 and ex.y == 2
-        np.testing.assert_array_equal(ex.x, [6.0, 7.0])
+        k = ds.index_of(40)
+        assert ds.ids[k] == 40 and ds.y[k] == 2
+        np.testing.assert_array_equal(ds.x[k], [6.0, 7.0])
 
     def test_index_of_unknown_id(self):
         with pytest.raises(KeyError, match="unknown example id"):
@@ -62,12 +79,12 @@ class TestFullyLabeledDataset:
 
     def test_features_for_preserves_order(self):
         ds = self._ds()
-        got = ds.features_for(np.array([50, 10]))
+        got = ds.x[ds.positions_of(np.array([50, 10]))]
         np.testing.assert_array_equal(got, ds.x[[4, 0]])
 
     def test_labels_for(self):
         ds = self._ds()
-        np.testing.assert_array_equal(ds.labels_for(np.array([60, 20])), [2, 1])
+        np.testing.assert_array_equal(ds.y[ds.positions_of(np.array([60, 20]))], [2, 1])
 
     def test_subset_keeps_ids(self):
         ds = self._ds()
@@ -76,29 +93,15 @@ class TestFullyLabeledDataset:
         assert sub.class_count == 3
 
     def test_subset_by_ids(self):
-        sub = self._ds().subset_by_ids([40, 10])
+        ds = self._ds()
+        sub = ds.subset(ds.positions_of([40, 10]))
         np.testing.assert_array_equal(sub.ids, [40, 10])
         np.testing.assert_array_equal(sub.y, [2, 0])
-
-    def test_iteration_matches_rows(self):
-        ds = self._ds()
-        seen = [(ex.id, ex.y) for ex in ds]
-        assert seen == [(10, 0), (20, 1), (30, 0), (40, 2), (50, 1), (60, 2)]
 
     def test_default_ids_and_class_count(self):
         ds = FullyLabeledDataset.from_arrays(np.zeros((3, 1)), [0, 1, 1])
         np.testing.assert_array_equal(ds.ids, [0, 1, 2])
         assert ds.class_count == 2
-
-
-class TestClassHistogram:
-    def test_counts_include_empty_classes(self):
-        ds = FullyLabeledDataset.from_arrays(np.zeros((4, 1)), [0, 0, 2, 2], class_count=4)
-        assert class_histogram(ds) == {0: 2, 1: 0, 2: 2, 3: 0}
-
-    def test_empty_dataset(self):
-        ds = FullyLabeledDataset.from_arrays(np.zeros((0, 1)), [], class_count=2)
-        assert class_histogram(ds) == {0: 0, 1: 0}
 
 
 class TestValidateDataset:
@@ -128,19 +131,6 @@ class TestValidateDataset:
         assert any("labels outside" in m for m in validate_dataset(ds))
 
 
-class TestSufficientPair:
-    def test_orders_enforced(self):
-        SufficientPair(1, 2, 1)
-        with pytest.raises(ValueError, match="a_id < b_id"):
-            SufficientPair(2, 1, 0)
-        with pytest.raises(ValueError, match="a_id < b_id"):
-            SufficientPair(3, 3, 1)
-
-    def test_label_domain(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            SufficientPair(1, 2, 2)
-
-
 class TestPairDataset:
     def _ds(self):
         x = np.arange(8, dtype=np.float64).reshape(4, 2)
@@ -168,14 +158,9 @@ class TestPairDataset:
         ds = self._ds()
         pairs = PairDataset.build([3, 1], [2, 4], [0, 0], source=ds)
         xa, xb, t = pairs.gather()
-        np.testing.assert_array_equal(xa, ds.features_for(pairs.a_ids))
-        np.testing.assert_array_equal(xb, ds.features_for(pairs.b_ids))
+        np.testing.assert_array_equal(xa, ds.x[ds.positions_of(pairs.a_ids)])
+        np.testing.assert_array_equal(xb, ds.x[ds.positions_of(pairs.b_ids)])
         assert t.dtype == np.int64
-
-    def test_attach_source(self):
-        pairs = PairDataset.build([1], [2], [1]).attach_source(self._ds())
-        xa, _, _ = pairs.gather()
-        assert xa.shape == (1, 2)
 
     def test_take(self):
         pairs = PairDataset.build([1, 1, 2], [2, 3, 4], [1, 0, 0], source=self._ds())
@@ -188,16 +173,11 @@ class TestPairDataset:
         pairs = PairDataset.build([1, 2], [4, 4], [0, 1])
         np.testing.assert_array_equal(pairs.participant_ids(), [1, 2, 4])
 
-    def test_iteration_yields_records(self):
-        pairs = PairDataset.build([1], [9], [0])
-        rec = next(iter(pairs))
-        assert (rec.a_id, rec.b_id, rec.t) == (1, 9, 0)
-
 
 class TestEmbeddedFeatures:
     def test_label_free_lookup(self):
         feats = EmbeddedFeatures(ids=np.array([0, 1, 2]), x=np.eye(3))
-        np.testing.assert_array_equal(feats.features_for(np.array([2, 0])), np.eye(3)[[2, 0]])
+        np.testing.assert_array_equal(feats.x[feats.positions_of([2, 0])], np.eye(3)[[2, 0]])
         assert not hasattr(feats, "y")
 
 
@@ -221,28 +201,28 @@ class TestIdLookup:
 
     def test_duplicate_id_resolves_to_last_row(self, make):
         src = make(np.array([7, 3, 7, 5, 3]), np.arange(10.0).reshape(5, 2))
-        np.testing.assert_array_equal(src.features_for(np.array([7, 3, 5])), src.x[[2, 4, 3]])
+        np.testing.assert_array_equal(src.positions_of(np.array([7, 3, 5])), [2, 4, 3])
 
     def test_unknown_id_raises_key_error(self, make):
         src = make(np.array([4, 8]), np.zeros((2, 2)))
         for query, bad in (([4, 9, 8], 9), ([1], 1), ([99, 2], 99)):
             with pytest.raises(KeyError, match=rf"unknown example id {bad}\b"):
-                src.features_for(np.array(query))
+                src.positions_of(np.array(query))
 
     def test_empty_query_and_empty_source(self, make):
         src = make(np.array([4, 8]), np.ones((2, 3)))
-        assert src.features_for(np.array([], dtype=np.int64)).shape == (0, 3)
+        assert src.x[src.positions_of(np.array([], dtype=np.int64))].shape == (0, 3)
         empty = make(np.array([], dtype=np.int64), np.zeros((0, 3)))
-        assert empty.features_for(np.array([], dtype=np.int64)).shape == (0, 3)
+        assert empty.x[empty.positions_of(np.array([], dtype=np.int64))].shape == (0, 3)
         with pytest.raises(KeyError, match="unknown example id 4"):
-            empty.features_for(np.array([4]))
+            empty.positions_of(np.array([4]))
 
     def test_matches_dict_lookup_on_seeded_ids(self, make):
         rng = np.random.default_rng(11)
         ids = rng.choice(10_000, size=300, replace=False)
         src = make(ids, rng.normal(size=(300, 2)))
         query = rng.choice(ids, size=1000)
-        np.testing.assert_array_equal(src.features_for(query), src.x[_dict_rows(ids, query)])
+        np.testing.assert_array_equal(src.positions_of(query), _dict_rows(ids, query))
 
 
 def test_labels_and_subset_by_ids_match_dict_lookup():
@@ -251,8 +231,8 @@ def test_labels_and_subset_by_ids_match_dict_lookup():
     ds = FullyLabeledDataset.from_arrays(rng.normal(size=(200, 3)), rng.integers(0, 4, 200), 4, ids=ids)
     query = rng.choice(ids, size=50, replace=False)
     rows = _dict_rows(ids, query)
-    np.testing.assert_array_equal(ds.labels_for(query), ds.y[rows])
-    sub = ds.subset_by_ids(query.tolist())
+    np.testing.assert_array_equal(ds.positions_of(query), rows)
+    sub = ds.subset(ds.positions_of(query.tolist()))
     np.testing.assert_array_equal(sub.ids, query)
     np.testing.assert_array_equal(sub.x, ds.x[rows])
     np.testing.assert_array_equal(sub.y, ds.y[rows])

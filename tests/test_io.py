@@ -21,9 +21,8 @@ from samediff import (
     save_csv,
     save_model,
     save_pairs,
-    write_idx,
 )
-from conftest import tiny_model
+from conftest import params_equal, tiny_model
 
 
 def roundtrip_ds(rng, n=17, dim=3):
@@ -154,6 +153,14 @@ class TestCsv:
         path.write_text("f0,label\n0.5,0\n0.6,2\n0.7,-1\n")
         with pytest.raises(DataFormatError, match=r"line 3: label 2 outside \[0, 2\)"):
             load_csv(str(path), class_count=2)
+
+
+def write_idx(images, labels, images_path, labels_path):
+    """Write (n, rows, cols) uint8 images and uint8 labels as IDX files."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    Path(images_path).write_bytes(struct.pack(">llll", 2051, *images.shape) + images.tobytes())
+    Path(labels_path).write_bytes(struct.pack(">ll", 2049, len(labels)) + labels.tobytes())
 
 
 class TestIdx:
@@ -366,7 +373,7 @@ class TestCheckpoints:
         save_model(model, path, seed=77)
         back, seed = load_model(path)
         assert seed == 77
-        assert model.params_equal(back)
+        assert params_equal(model, back)
         assert back.head.biases is None
         assert back.radius == model.radius
         assert back.class_count == model.class_count
@@ -377,7 +384,7 @@ class TestCheckpoints:
         save_model(model, path, seed=-3)
         back, seed = load_model(path)
         assert seed == -3
-        assert model.params_equal(back)
+        assert params_equal(model, back)
         assert back.head.biases is not None
         x = rng42.normal(size=(6, 3))
         np.testing.assert_array_equal(model.predict(x), back.predict(x))

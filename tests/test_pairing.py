@@ -9,7 +9,6 @@ from samediff import (
     PairDataset,
     PairingConfig,
     build_pairs,
-    coverage_fraction,
     max_disjoint_pairs,
     pair_disjoint,
     pair_exhaustive,
@@ -40,8 +39,8 @@ class TestExhaustive:
     def test_labels_match_class_agreement(self):
         ds = balanced_dataset(2, 3, seed=1)
         pairs = pair_exhaustive(ds)
-        ya = ds.labels_for(pairs.a_ids)
-        yb = ds.labels_for(pairs.b_ids)
+        ya = ds.y[ds.positions_of(pairs.a_ids)]
+        yb = ds.y[ds.positions_of(pairs.b_ids)]
         np.testing.assert_array_equal(pairs.t, (ya == yb).astype(np.uint8))
 
     def test_too_few_examples(self):
@@ -84,8 +83,8 @@ class TestDisjoint:
     def test_labels_match_classes(self):
         ds = balanced_dataset(3, 10, seed=5)
         pairs, _ = pair_disjoint(ds, 12, seed=5)
-        ya = ds.labels_for(pairs.a_ids)
-        yb = ds.labels_for(pairs.b_ids)
+        ya = ds.y[ds.positions_of(pairs.a_ids)]
+        yb = ds.y[ds.positions_of(pairs.b_ids)]
         np.testing.assert_array_equal(pairs.t, (ya == yb).astype(np.uint8))
 
     def test_deterministic_in_seed(self):
@@ -161,7 +160,7 @@ class TestSampledContract:
         assert len(pairs) == count
         assert np.all(pairs.a_ids < pairs.b_ids)
         assert len(set(zip(pairs.a_ids.tolist(), pairs.b_ids.tolist()))) == count
-        same = ds.labels_for(pairs.a_ids) == ds.labels_for(pairs.b_ids)
+        same = ds.y[ds.positions_of(pairs.a_ids)] == ds.y[ds.positions_of(pairs.b_ids)]
         np.testing.assert_array_equal(pairs.t, same.astype(np.uint8))
 
     def test_valid_over_sizes_and_budgets(self):
@@ -213,7 +212,7 @@ class TestSampledContract:
         ds = balanced_dataset(10, 200, seed=8)
         for m in (1, 2, 3):
             pairs = pair_sampled(ds, PairingConfig(n_pairs=5000, class_batch_size=m, seed=2))
-            ya, yb = ds.labels_for(pairs.a_ids), ds.labels_for(pairs.b_ids)
+            ya, yb = ds.y[ds.positions_of(pairs.a_ids)], ds.y[ds.positions_of(pairs.b_ids)]
             for lo in range(0, len(pairs), 1024):
                 classes = set(ya[lo:lo + 1024].tolist()) | set(yb[lo:lo + 1024].tolist())
                 assert len(classes) <= m
@@ -330,9 +329,3 @@ class TestConfigAndCoverage:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown pairing mode"):
             PairingConfig(mode="surprise")
-
-    def test_coverage_fraction(self):
-        assert coverage_fraction(10, 5) == 1.0
-        assert coverage_fraction(5, 5) == 0.5
-        with pytest.raises(ValueError):
-            coverage_fraction(1, 1)

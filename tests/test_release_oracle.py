@@ -31,7 +31,6 @@ from samediff import (
     recover_clusters,
     save_pairs,
     substream,
-    sufficient_label,
 )
 
 
@@ -56,7 +55,7 @@ def reference_pair_disjoint(ds, n_pairs, seed=0):
         ya, yb = int(ds.y[pa]), int(ds.y[pb])
         ida, idb = int(ds.ids[pa]), int(ds.ids[pb])
         a_out[k], b_out[k] = min(ida, idb), max(ida, idb)
-        t_out[k] = sufficient_label(ya, yb)
+        t_out[k] = int(ya == yb)
     survivors = order[np.flatnonzero(alive)]
     remainder = ds.subset(np.sort(survivors))
     return PairDataset(a_ids=a_out, b_ids=b_out, t=t_out, source=ds), remainder

@@ -11,7 +11,7 @@ from samediff import (
     collapsing_maps,
     generalization_bound,
     generate_problem,
-    half_best_gamma,
+    image_support_size,
     is_collapsing,
     min_head_risk,
     min_head_risk_grid,
@@ -25,7 +25,7 @@ from samediff import (
     verify_collapse_optimality,
     verify_head_norm_argmin,
 )
-from samediff.theory import image_support_size
+from conftest import half_best_gamma
 
 
 def antipodal_problem(alpha=0.5, radius=1.0, extra=()):
@@ -55,15 +55,6 @@ class TestFiniteProblem:
         h = np.array([[1.0, 0.0], [-0.5, 0.0]])
         with pytest.raises(ValueError, match="off the radius"):
             FiniteProblem(pmf=np.eye(2) * 0.5, hypotheses=(h,))
-
-    def test_json_round_trip(self):
-        prob = generate_problem(3)
-        back = FiniteProblem.from_json(prob.to_json())
-        np.testing.assert_array_equal(prob.pmf, back.pmf)
-        assert len(prob.hypotheses) == len(back.hypotheses)
-        for a, b in zip(prob.hypotheses, back.hypotheses):
-            np.testing.assert_array_equal(a, b)
-        assert prob.radius == back.radius
 
     def test_alpha_property(self):
         assert antipodal_problem(alpha=0.3).alpha == pytest.approx(0.3)

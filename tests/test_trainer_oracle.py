@@ -43,6 +43,7 @@ from samediff import (
 from samediff.data import FullyLabeledDataset
 from samediff.model import NORM_EPSILON, project_head
 from samediff.trainer import _epoch_plan, _split_examples, _split_pairs
+from conftest import params_equal
 
 TOL = 1e-12
 LOSSES = ("sqdist", "ncs", "contrastive", "mse")
@@ -363,7 +364,7 @@ def _class_model(classes, head_loss, seed=3):
 
 
 def assert_bitwise(model, ref_model, run, ref_run):
-    assert model.params_equal(ref_model)
+    assert params_equal(model, ref_model)
     assert run.best_epoch == ref_run.best_epoch
     assert [repr(r.to_dict()) for r in run.trace] == [repr(r.to_dict()) for r in ref_run.trace]
 
