@@ -16,12 +16,24 @@ The ncs and contrastive objectives are batch-level: gradients flow through
 the norm and partition-sum terms, so the batch is the unit of optimization,
 not the single pair.
 
+``pair_risk_batch`` takes a batch in one of two forms.  Aligned sides
+(ua, ub) are materialised pairs, one row each.  ``ub=None`` is the online
+form: every pair i < j of the B rows of ``u``.  That form never expands
+the pairs.  It reads the kernel values off the Gram matrix K = U U^T,
+writes the value gradient into a B x B matrix D and returns
+dU = D U + D^T U; ncs on it is negated kernel-target alignment.  Both
+forms reduce per-pair values through ``_reduce_pair_values``, the only
+place the loss formulas are written, and build per-pair side gradients
+with ``_pair_terms``.
+
 Stage 2 (and the fully-supervised baseline) trains the head with either the
 unbounded hinge -y*yhat (one-vs-rest sum in multi-class mode) or softmax
 cross-entropy.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -86,36 +98,111 @@ def _reduce_pair_values(
     return float(np.mean(resid * resid)), (2.0 / n) * resid
 
 
+def _pair_terms(
+    name: str, ua: np.ndarray, ub: np.ndarray, dv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair gradients at both sides, given the gradient dv at the values."""
+    if name == "sqdist":
+        dua = (2.0 * dv)[:, None] * (ua - ub)
+        return dua, -dua
+    return dv[:, None] * ub, dv[:, None] * ua
+
+
+@functools.lru_cache(maxsize=8)
+def _triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ii, jj, ii*b + jj) for the b(b-1)/2 pairs i < j of b rows, in
+    ``np.triu_indices`` order; cached per batch size and read-only."""
+    ii, jj = np.triu_indices(b, k=1)
+    flat = ii * b + jj
+    for a in (ii, jj, flat):
+        a.flags.writeable = False
+    return ii, jj, flat
+
+
+@functools.lru_cache(maxsize=8)
+def _gram_buffers(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The b x b kernel and gradient matrices, reused across calls.
+
+    A 128 x 128 float64 matrix is 128 KiB, glibc's mmap threshold, so fresh
+    ones per batch cost a page fault per page.  D starts at zero and only
+    its upper triangle is ever written.
+    """
+    return np.empty((b, b)), np.zeros((b, b))
+
+
+def _within_batch(
+    name: str, u: np.ndarray, t: np.ndarray, radius: float, beta: float | None
+) -> tuple[float, np.ndarray]:
+    """Risk over every pair i < j of u's rows and its gradient at u."""
+    b = len(u)
+    ii, jj, flat = _triu_pairs(b)
+    if len(t) != len(flat):
+        raise ValueError(f"{b} rows have {len(flat)} pairs, got {len(t)} agreement bits")
+    gram, dmat = _gram_buffers(b)
+    np.matmul(u, u.T, out=gram)
+    values = gram.ravel().take(flat)
+    diag = gram.diagonal()
+    if name == "sqdist":
+        values = diag.take(ii) + diag.take(jj) - 2.0 * values
+    risk, dv = _reduce_pair_values(name, values, t, radius, beta)
+    dmat.ravel()[flat] = dv
+    du = dmat @ u + dmat.T @ u
+    if name == "sqdist":
+        du = 2.0 * ((dmat.sum(axis=1) + dmat.sum(axis=0))[:, None] * u - du)
+    # phi's backward multiplies the adjoint of a floored row by r/NORM_FLOOR,
+    # which magnifies any change in its summation order.  Every unfloored
+    # row lies on the radius sphere and every floored one within 1e-4 r of
+    # the origin, so rows off the sphere take their gradient from the
+    # aligned per-pair terms, summed in np.add.at's order (ii, then jj).
+    off = diag < 0.25 * radius * radius
+    if off.any():
+        sel = np.flatnonzero(off.take(ii) | off.take(jj))
+        si, sj = ii.take(sel), jj.take(sel)
+        dua, dub = _pair_terms(name, u.take(si, axis=0), u.take(sj, axis=0), dv.take(sel))
+        both, terms = np.concatenate([si, sj]), np.concatenate([dua, dub])
+        for c in range(u.shape[1]):
+            du[off, c] = np.bincount(both, weights=terms[:, c], minlength=b)[off]
+    return risk, du
+
+
 # -- batched training surfaces -------------------------------------------
 
 
 def pair_risk_batch(
     name: str,
     ua: np.ndarray,
-    ub: np.ndarray,
+    ub: np.ndarray | None,
     t: np.ndarray,
     radius: float = 1.0,
     beta: float | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Batch risk and its gradients with respect to both feature sides.
 
     Pairs carry uniform weight 1/n; for the batch-level losses the returned
     gradients include the flow through the shared normalizers.
+
+    With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, in
+    ``np.triu_indices`` order, and ``t`` holds their B(B-1)/2 bits; the
+    result is (risk, gradient at ua, None).  That form reuses two cached
+    B x B buffers, so it is not reentrant: do not call it from two threads
+    at once.
     """
     if name not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {name!r}")
     ua = np.asarray(ua, dtype=np.float64)
-    ub = np.asarray(ub, dtype=np.float64)
     t = np.asarray(t)
     if len(t) == 0:
         raise ValueError("empty pair batch")
+    if ub is None:
+        return (*_within_batch(name, ua, t, radius, beta), None)
+    ub = np.asarray(ub, dtype=np.float64)
     if name == "sqdist":
         diff = ua - ub
-        risk, dv = _reduce_pair_values(name, _row_dots(diff, diff), t, radius, beta)
-        dua = (2.0 * dv)[:, None] * diff
-        return risk, dua, -dua
-    risk, dk = _reduce_pair_values(name, _row_dots(ua, ub), t, radius, beta)
-    return risk, dk[:, None] * ub, dk[:, None] * ua
+        values = _row_dots(diff, diff)
+    else:
+        values = _row_dots(ua, ub)
+    risk, dv = _reduce_pair_values(name, values, t, radius, beta)
+    return (risk, *_pair_terms(name, ua, ub, dv))
 
 
 def head_loss_batch(

@@ -178,22 +178,34 @@ def _phi_denominators(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def phi_normalize(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Rescale each row of v onto the sphere of the given radius."""
+def phi_normalize(
+    v: np.ndarray, radius: float = 1.0, denom: np.ndarray | None = None
+) -> np.ndarray:
+    """Rescale each row of v onto the sphere of the given radius.
+
+    ``denom`` takes the row denominators ``_phi_denominators(v)`` when the
+    caller already holds them.
+    """
     v, single = _as_batch(v)
-    u = v * (radius / _phi_denominators(v))[:, None]
+    if denom is None:
+        denom = _phi_denominators(v)
+    u = v * (radius / denom)[:, None]
     return u[0] if single else u
 
 
-def phi_backward(v: np.ndarray, grad_u: np.ndarray, radius: float = 1.0) -> np.ndarray:
+def phi_backward(
+    v: np.ndarray, grad_u: np.ndarray, radius: float = 1.0, denom: np.ndarray | None = None
+) -> np.ndarray:
     """Jacobian-transpose product of the normalization at v.
 
     For nondegenerate rows this is exactly
-    (r/||v||) (g - v <v, g> / ||v||^2).
+    (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` is as for
+    ``phi_normalize``.
     """
     v, single = _as_batch(v)
     g, _ = _as_batch(grad_u)
-    denom = _phi_denominators(v)
+    if denom is None:
+        denom = _phi_denominators(v)
     vg = np.sum(v * g, axis=1) / (denom * denom)
     out = (radius / denom)[:, None] * (g - v * vg[:, None])
     return out[0] if single else out
@@ -343,15 +355,19 @@ class TwoPartClassifier:
     # training surface ----------------------------------------------------
 
     def features_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Normalized features and the forward state ``backward_features`` needs."""
+        """Normalized features and the forward state ``backward_features``
+        needs: the hidden cache, the raw representation and phi's row
+        denominators."""
         v, hidden_cache = self.hidden.forward_cached(x)
-        return phi_normalize(v, self.radius), (hidden_cache, v)
+        denom = _phi_denominators(v)
+        return phi_normalize(v, self.radius, denom), (hidden_cache, v, denom)
 
     def backward_features(self, cache: tuple, grad_u: np.ndarray) -> list:
         """Gradients of the hidden layers given an adjoint at the normalized
         features; the head is not involved."""
-        hidden_cache, v = cache
-        layer_grads, _ = self.hidden.backward(hidden_cache, phi_backward(v, grad_u, self.radius))
+        hidden_cache, v, denom = cache
+        grad_v = phi_backward(v, grad_u, self.radius, denom)
+        layer_grads, _ = self.hidden.backward(hidden_cache, grad_v)
         return layer_grads
 
     def apply_grads(self, lr: float, hidden: list | None = None, head: tuple | None = None) -> None:
@@ -379,9 +395,3 @@ class TwoPartClassifier:
     def clone(self) -> "TwoPartClassifier":
         return TwoPartClassifier(self.hidden.clone(), self.radius, self.head.clone(),
                                  self.class_count)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        arrays = self.hidden.param_arrays() + [self.head.weights]
-        if self.head.biases is not None:
-            arrays.append(self.head.biases)
-        return arrays

@@ -9,12 +9,8 @@ trainers.
 
 All four run one epoch driver, ``_run_epochs``: it owns the epoch plan, the
 per-epoch shuffle, the validation call, the best snapshot and the trace; a
-regime supplies only an epoch body and a validation score.  Arrays that die
-together on a return can let glibc hand the heap top back to the system, to
-be page-faulted in again by the next call.  So each epoch body holds its
-regime's whole batch loop rather than returning once per batch, and the
-online body keeps its last pair gradients alive past its return (without
-that, online training took about six times the page faults).
+regime supplies only an epoch body, which holds its whole batch loop, and
+a validation score.
 
 Every regime trains through the model's one surface and steps with its
 one update, ``apply_grads``.  The pair stages push their feature adjoint
@@ -27,10 +23,11 @@ Every pair-stage step is a few whole-batch numpy calls, because at these
 tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
 resolves pair ids to feature rows once per run and pushes each batch's
 a-sides and b-sides through one forward and one backward pass.  The online
-step and its validation share one expansion (``_online_batches`` and
-``_BatchPairs``): cached upper-triangle indices per batch size, ``take``
-for the pair sides, and one ``np.bincount`` per feature column to sum pair
-gradients back onto rows.
+step and its validation share one batch walk, ``_online_batches``: it
+yields each batch's rows with the agreement bits of its upper-triangle
+pairs, and ``pair_risk_batch`` takes the batch's features whole
+(``ub=None``), scoring every pair on one B x B Gram matrix and returning
+the gradient at the B rows.  The pairs are never gathered or scattered.
 
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,
 0.001 x 5 epochs) is a tenth of the long recipe (200/100/50) for quick
@@ -41,7 +38,6 @@ identical parameters.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -52,6 +48,7 @@ from .data import FullyLabeledDataset, PairDataset, sufficient_label
 from .losses import (
     HEAD_LOSSES,
     PAIR_LOSSES,
+    _triu_pairs,
     empirical_risk_pairs,
     head_loss_batch,
     pair_risk_batch,
@@ -364,63 +361,24 @@ def train_baseline_full(
     return run
 
 
-@functools.lru_cache(maxsize=8)
-def _triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ii, jj, [ii; jj]) for the B(B-1)/2 pairs i < j of a batch of b rows.
-
-    Cached per batch size and read-only, since every caller shares them.
-    """
-    ii, jj = np.triu_indices(b, k=1)
-    both = np.concatenate([ii, jj])
-    for a in (ii, jj, both):
-        a.flags.writeable = False
-    return ii, jj, both
-
-
-class _BatchPairs:
-    """A minibatch expanded into its B(B-1)/2 pairs at the feature level."""
-
-    def __init__(self, y: np.ndarray):
-        self.size = len(y)
-        self.ii, self.jj, self._both = _triu_pairs(self.size)
-        self.t = sufficient_label(y.take(self.ii), y.take(self.jj))
-
-    def risk(self, loss_name: str, u: np.ndarray, radius: float, beta: float | None):
-        """``pair_risk_batch`` over the expanded pairs of features u."""
-        return pair_risk_batch(
-            loss_name, u.take(self.ii, axis=0), u.take(self.jj, axis=0), self.t,
-            radius=radius, beta=beta,
-        )
-
-    def scatter(self, dua: np.ndarray, dub: np.ndarray) -> np.ndarray:
-        """Sum the pair-side gradients back onto the batch rows.
-
-        One bincount per feature column over [ii; jj] adds, for every row,
-        its a-side terms and then its b-side terms in pair order: the same
-        order, and so the same result, as np.add.at on ii then jj.
-        """
-        du = np.empty((self.size, dua.shape[1]))
-        for c in range(dua.shape[1]):
-            du[:, c] = np.bincount(
-                self._both, weights=np.concatenate([dua[:, c], dub[:, c]]), minlength=self.size
-            )
-        return du
-
-
 def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig, loss_name: str):
-    """(lo, rows, pairs) for each batch of ``order`` that can take a pair step.
+    """(lo, rows, t) for each batch of ``order`` that can take a pair step.
 
-    Batches of fewer than 2 examples have no pair, and under contrastive a
-    batch without a same-class pair has no risk; both are skipped.
+    ``t`` holds the agreement bits of the batch's pairs i < j in
+    ``np.triu_indices`` order.  Batches of fewer than 2 examples have no
+    pair, and under contrastive a batch without a same-class pair has no
+    risk; both are skipped.
     """
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         if len(idx) < 2:
             continue
-        pairs = _BatchPairs(ds.y.take(idx))
-        if loss_name == "contrastive" and not np.any(pairs.t == 1):
+        ii, jj, _ = _triu_pairs(len(idx))
+        y = ds.y.take(idx)
+        t = sufficient_label(y.take(ii), y.take(jj))
+        if loss_name == "contrastive" and not np.any(t == 1):
             continue
-        yield lo, idx, pairs
+        yield lo, idx, t
 
 
 def train_online(
@@ -431,14 +389,13 @@ def train_online(
 ) -> tuple[TrainRun, TrainRun]:
     """Online two-stage training: pairs exist only inside the current batch.
 
-    Each epoch reshuffles the examples; every minibatch of B examples is
-    expanded to its B(B-1)/2 pairs at the feature level, so the peak pair
-    buffer is bounded by the batch size and never by the quadratic global
-    pair count.  The batch takes one forward pass; the pair-side gradients
-    are summed back onto its rows with a per-column ``np.bincount`` in the
-    order ``np.add.at`` would use, then one backward pass follows.
-    Validation expands fixed-order batches of the held-out examples the
-    same way and averages their pair risk.
+    Each epoch reshuffles the examples; every minibatch of B examples
+    stands for its B(B-1)/2 pairs, so the peak pair buffer is bounded by
+    the batch size and never by the quadratic global pair count.  The
+    batch takes one forward pass, one ``pair_risk_batch`` call on its
+    features whole, which returns the gradient at its rows, and one
+    backward pass.  Validation walks fixed-order batches of the held-out
+    examples the same way and averages their pair risk.
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
@@ -446,32 +403,31 @@ def train_online(
     loss_name = cfg.resolved_pair_loss(model)
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     run = TrainRun(stage="step1-online", config=cfg.echo())
-    dua = dub = None   # the last batch's pair gradients outlive each epoch body
 
     def epoch_body(epoch, lr, perm):
-        nonlocal dua, dub
         total, seen = 0.0, 0
-        for lo, idx, pairs in _online_batches(train_ds, perm, cfg, loss_name):
+        for lo, idx, t in _online_batches(train_ds, perm, cfg, loss_name):
             x = train_ds.x.take(idx, axis=0)
             if cfg.augment is not None:
                 x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            n_pairs = len(pairs.t)
-            run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
+            run.max_pair_buffer = max(run.max_pair_buffer, len(t))
             u, cache = model.features_cached(x)
-            risk, dua, dub = pairs.risk(loss_name, u, model.radius, cfg.beta)
-            model.apply_grads(lr, hidden=model.backward_features(cache, pairs.scatter(dua, dub)))
-            total += risk * n_pairs
-            seen += n_pairs
+            risk, du, _ = pair_risk_batch(loss_name, u, None, t, radius=model.radius,
+                                          beta=cfg.beta)
+            model.apply_grads(lr, hidden=model.backward_features(cache, du))
+            total += risk * len(t)
+            seen += len(t)
         return total / max(seen, 1)
 
     def val_score():
         if val_ds is None:
             return None
         total, seen = 0.0, 0
-        for _, idx, pairs in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name):
+        for _, idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name):
             u = model.features(val_ds.x.take(idx, axis=0))
-            total += pairs.risk(loss_name, u, model.radius, cfg.beta)[0] * len(pairs.t)
-            seen += len(pairs.t)
+            total += pair_risk_batch(loss_name, u, None, t, radius=model.radius,
+                                     beta=cfg.beta)[0] * len(t)
+            seen += len(t)
         return total / max(seen, 1)
 
     _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),

@@ -59,9 +59,16 @@ def far_from_kinks(model, x, margin=1e-3, min_raw_norm=1e-2):
     return True
 
 
+def param_arrays(model):
+    """Every parameter array of a classifier: hidden layers, then the head."""
+    head = model.head
+    return model.hidden.param_arrays() + [head.weights] + (
+        [] if head.biases is None else [head.biases])
+
+
 def params_equal(a, b):
     """Bitwise parameter equality of two classifiers."""
-    mine, theirs = a.param_arrays(), b.param_arrays()
+    mine, theirs = param_arrays(a), param_arrays(b)
     return len(mine) == len(theirs) and all(np.array_equal(p, q) for p, q in zip(mine, theirs))
 
 

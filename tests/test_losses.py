@@ -11,7 +11,9 @@ from samediff import (
     head_loss_batch,
     pair_exhaustive,
     pair_risk_batch,
+    sufficient_label,
 )
+from samediff import losses
 
 from conftest import numeric_grad, rel_err, tiny_model
 
@@ -266,6 +268,103 @@ class TestPairRiskGradients:
             lr = 1e-3
             risk1, _, _ = pair_risk_batch(name, ua - lr * dua, ub - lr * dub, t)
             assert risk1 < risk0
+
+
+def aligned_scatter(name, u, t, radius, beta=None):
+    """The within-batch risk the long way: both sides of every pair i < j
+    gathered, the aligned form, then np.add.at over ii and then jj."""
+    ii, jj = np.triu_indices(len(u), k=1)
+    risk, dua, dub = pair_risk_batch(name, u[ii], u[jj], t, radius=radius, beta=beta)
+    du = np.zeros_like(u)
+    np.add.at(du, ii, dua)
+    np.add.at(du, jj, dub)
+    return risk, du
+
+
+def batch_bits(rng, b):
+    """Agreement bits of b rows from three classes, with rows 0 and 1 in
+    one class so every batch has a same-class pair."""
+    y = rng.integers(0, 3, size=b)
+    y[1] = y[0]
+    ii, jj = np.triu_indices(b, k=1)
+    return sufficient_label(y[ii], y[jj])
+
+
+def integer_rows(rng, b, p):
+    """Rows of integers on the radius-5 sphere (squared norms sum to 25).
+    Every kernel value is an exact small integer, so the Gram and aligned
+    forms see bitwise equal values."""
+    patterns = [[5], [3, 4], [4, 2, 2, 1], [3, 2, 2, 2, 2], [2, 2, 2, 2, 2, 2, 1]]
+    patterns = [q for q in patterns if len(q) <= p]
+    u = np.zeros((b, p))
+    for row in u:
+        q = patterns[rng.integers(len(patterns))]
+        row[rng.choice(p, size=len(q), replace=False)] = np.array(q) * rng.choice([-1, 1], len(q))
+    return u
+
+
+class TestWithinBatch:
+    """``pair_risk_batch(name, u, None, t)``: every pair i < j of u's rows,
+    scored on one Gram matrix, against the aligned form plus np.add.at."""
+
+    @pytest.mark.parametrize("p", [2, 8, 32])
+    @pytest.mark.parametrize("b", [2, 3, 17, 128])
+    @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
+    def test_matches_aligned_scatter(self, name, b, p):
+        rng = np.random.default_rng([b, p])
+        radius = 1.5
+        u = random_features(rng, b, p)
+        u *= radius / np.linalg.norm(u, axis=1, keepdims=True)
+        t = batch_bits(rng, b)
+        risk, du, none = pair_risk_batch(name, u, None, t, radius=radius)
+        want_risk, want_du = aligned_scatter(name, u, t, radius)
+        assert none is None
+        assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
+        if name == "ncs" and b == 2:
+            # One pair: the cosine is +-1 whatever u, so the exact gradient
+            # is 0 and both forms may return only rounding noise.
+            assert max(np.linalg.norm(du), np.linalg.norm(want_du)) <= 1e-12
+        else:
+            assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+
+    @pytest.mark.parametrize("p", [2, 8, 32])
+    @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
+    def test_off_sphere_rows_match_bitwise(self, name, p):
+        """Rows off the sphere (zero rows and unit rows at radius 5) take the
+        aligned terms in np.add.at's order: bitwise equal, not just close."""
+        rng = np.random.default_rng([7, p])
+        b = 40
+        u = integer_rows(rng, b, p)
+        off = rng.choice(b, size=6, replace=False)
+        u[off[:3]] = 0.0
+        u[off[3:]] = np.eye(p)[rng.integers(p, size=3)]
+        t = batch_bits(rng, b)
+        risk, du, _ = pair_risk_batch(name, u, None, t, radius=5.0)
+        want_risk, want_du = aligned_scatter(name, u, t, 5.0)
+        assert risk == want_risk
+        assert np.array_equal(du[off], want_du[off])
+        assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+
+    @pytest.mark.parametrize("name", ["sqdist", "ncs"])
+    def test_reused_buffers_match_fresh_ones(self, name):
+        """Alternating batch sizes reuse the cached buffers without leaking
+        one call's values into the next."""
+        rng = np.random.default_rng(3)
+        batches = [(u, batch_bits(rng, len(u)))
+                   for u in (random_features(rng, b, 8) for b in (128, 35, 128))]
+        fresh = []
+        for u, t in batches:
+            losses._gram_buffers.cache_clear()
+            fresh.append(pair_risk_batch(name, u, None, t))
+        for _ in range(2):
+            for (u, t), (want_risk, want_du, _) in zip(batches, fresh):
+                risk, du, _ = pair_risk_batch(name, u, None, t)
+                assert risk == want_risk
+                assert np.array_equal(du, want_du)
+
+    def test_bit_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="4 rows have 6 pairs, got 5"):
+            pair_risk_batch("sqdist", np.ones((4, 2)), None, np.ones(5))
 
 
 class TestHeadLossBatch:

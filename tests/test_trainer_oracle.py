@@ -357,6 +357,25 @@ def test_norm_floor_batch_matches_reference(loss):
     assert_matches(model, ref, run, reference_step1(ref, pairs, cfg))
 
 
+@pytest.mark.parametrize("floor", [False, True], ids=["plain", "norm_floor"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_online_rep_dim_8_matches_reference(loss, floor):
+    """The online step at representation width 8, on shuffled batches and on
+    one whole-set batch holding NORM_FLOOR rows."""
+    ds = _blobs(n_per_class=20) if floor else _blobs()
+    if floor:
+        ds = _with_zero_rows(ds)
+        cfg = TrainConfig(batch_size=len(ds), schedule=((0.01, 1),), seed=7, pair_loss=loss,
+                          val_fraction=0.0, head_epochs=1)
+    else:
+        cfg = TrainConfig(batch_size=16, schedule=SCHEDULE, seed=7, pair_loss=loss,
+                          head_epochs=1)
+    model, ref = (TwoPartClassifier.build(2, [16], 8, 2, rng=substream(3, "init"))
+                  for _ in range(2))
+    run, _ = train_online(model, ds, stratified_subset(ds, 2, seed=7), cfg)
+    assert_matches(model, ref, run, reference_online(ref, ds, cfg))
+
+
 def _class_model(classes, head_loss, seed=3):
     binary = classes == 2 and head_loss == "hinge"
     return TwoPartClassifier.build(2, [16], 2, classes, binary_head=binary,
