@@ -137,15 +137,18 @@ def build_model(doc: dict, ds: FullyLabeledDataset, seed: int) -> TwoPartClassif
     binary = sec.get("binary_head")
     if binary is None:
         binary = ds.class_count == 2 and head_loss == "hinge"
-    return TwoPartClassifier.build(
-        in_dim=ds.dim,
-        hidden_dims=[int(h) for h in sec.get("hidden", [32])],
-        rep_dim=int(sec.get("rep_dim", 2)),
-        class_count=ds.class_count,
-        radius=float(sec.get("radius", 1.0)),
-        binary_head=bool(binary),
-        rng=substream(seed, "init"),
-    )
+    try:
+        return TwoPartClassifier.build(
+            in_dim=ds.dim,
+            hidden_dims=[int(h) for h in sec.get("hidden", [32])],
+            rep_dim=int(sec.get("rep_dim", 2)),
+            class_count=ds.class_count,
+            radius=float(sec.get("radius", 1.0)),
+            binary_head=bool(binary),
+            rng=substream(seed, "init"),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def build_train_config(doc: dict) -> TrainConfig:

@@ -34,6 +34,7 @@ cross-entropy.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -78,8 +79,8 @@ def _reduce_pair_values(
         beta = -radius * radius
     target = np.where(t == 1, radius * radius, beta)
     if name == "ncs":
-        kn = float(np.linalg.norm(values))
-        sn = float(np.linalg.norm(target))
+        kn = math.sqrt(values @ values)
+        sn = math.sqrt(target @ target)
         if kn < 1e-300 or sn < 1e-300:
             raise ValueError("degenerate kernel batch: zero-norm kernel or target vector")
         dot = float(np.dot(values, target))

@@ -13,6 +13,13 @@ also returns the adjoint at the features), ``backward_features`` (back
 through phi and F1) and ``apply_grads`` (the only SGD update, for the
 hidden layers, the head or both).
 
+Each hidden layer keeps its weights and bias in one (fan_in + 1, fan_out)
+matrix ``wb``, bias last, and each layer input carries a trailing ones
+column: the forward pass is one matmul per layer, and so is each layer's
+(dW, db) in the backward pass.  ``Layer.w`` and ``Layer.b`` are views of
+``wb``.  Every call builds fresh arrays, so caches from several forward
+passes can be backpropagated in any order.
+
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
 (r/||v||) (I - v v^T / ||v||^2), so finite-difference checks can hold to
@@ -51,19 +58,43 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-@dataclass
 class Layer:
-    """One affine layer with an elementwise activation."""
+    """One affine layer with an elementwise activation.
 
-    w: np.ndarray          # (fan_in, fan_out)
-    b: np.ndarray          # (fan_out,)
-    activation: str = "relu"
+    The weights and the bias live in one (fan_in + 1, fan_out) matrix
+    ``wb`` whose last row is the bias, so an input with a ones column
+    appended meets both in a single matmul.  ``w`` and ``b`` are views of
+    ``wb``; assigning to either writes into it.
+    """
 
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "relu"):
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ValueError(f"layer shapes do not match: w {w.shape}, b {b.shape}")
+        self.wb = np.concatenate([w, b[None, :]])
+        self._w, self._b = self.wb[:-1], self.wb[-1]
+        self.activation = activation
+
+    @property
+    def w(self) -> np.ndarray:
+        """(fan_in, fan_out) weights, a view of ``wb``."""
+        return self._w
+
+    @w.setter
+    def w(self, value) -> None:
+        self._w[...] = value
+
+    @property
+    def b(self) -> np.ndarray:
+        """(fan_out,) bias, a view of ``wb``."""
+        return self._b
+
+    @b.setter
+    def b(self, value) -> None:
+        self._b[...] = value
 
     @classmethod
     def init(cls, fan_in: int, fan_out: int, activation: str, rng: np.random.Generator) -> "Layer":
@@ -96,6 +127,8 @@ class HiddenNetwork:
         """
         if len(dims) < 2:
             raise ValueError("dims must list at least input and output width")
+        if min(dims) < 1:
+            raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
         n_layers = len(dims) - 1
         if activations is None:
             activations = ["relu"] * (n_layers - 1) + ["identity"]
@@ -109,36 +142,45 @@ class HiddenNetwork:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].w.shape[0]
+        return self.layers[0].wb.shape[0] - 1
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
+        return self.layers[-1].wb.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
         return out
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Forward pass keeping (input, preactivation) per layer for backward."""
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("forward expects a (n, d) batch")
-        if a.shape[1] != self.in_dim:
-            raise ValueError(
-                f"feature dimension mismatch: model expects {self.in_dim}, got {a.shape[1]}"
-            )
-        cache = []
-        for layer in self.layers:
-            z = a @ layer.w + layer.b
-            cache.append((a, z))
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        return a, cache
+        """Forward pass keeping (input, preactivation) per layer for backward.
 
-    def backward(
-        self, cache: list, grad_out: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Reverse pass; returns per-layer (dW, db) and the input gradient."""
+        Each cached input carries a trailing ones column, so ``a @ wb`` adds
+        the bias inside the matmul; an inner layer's activation writes
+        straight into the next layer's input.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError("forward expects a (n, d) batch")
+        if x.shape[1] != self.in_dim:
+            raise ValueError(
+                f"feature dimension mismatch: model expects {self.in_dim}, got {x.shape[1]}"
+            )
+        a = _with_ones_column(x)
+        cache = []
+        for i, layer in enumerate(self.layers):
+            z = a @ layer.wb
+            cache.append((a, z))
+            if i + 1 < len(self.layers):
+                a = _with_ones_column(z, relu=layer.activation == "relu")
+        last = self.layers[-1]
+        return (np.maximum(z, 0.0) if last.activation == "relu" else z), cache
+
+    def backward(self, cache: list, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Reverse pass; returns per-layer (dW, db), views of one matmul each.
+
+        The gradient at the network's input is never formed.
+        """
         if cache is None:
             raise ValueError("no recorded forward state to backpropagate through")
         g = np.asarray(grad_out, dtype=np.float64)
@@ -148,33 +190,40 @@ class HiddenNetwork:
             a_in, z = cache[i]
             if layer.activation == "relu":
                 g = g * (z > 0.0)
-            grads[i] = (a_in.T @ g, g.sum(axis=0))
-            g = g @ layer.w.T
-        return grads, g
+            dwb = a_in.T @ g
+            grads[i] = (dwb[:-1], dwb[-1])
+            if i:
+                g = g @ layer.w.T
+        return grads
 
     def sgd_step(self, grads: list[tuple[np.ndarray, np.ndarray]], lr: float) -> None:
         for layer, (dw, db) in zip(self.layers, grads):
-            layer.w -= lr * dw
-            layer.b -= lr * db
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend([layer.w, layer.b])
-        return out
+            w, b = layer._w, layer._b   # views of layer.wb, updated in place
+            w -= lr * dw
+            b -= lr * db
 
     def clone(self) -> "HiddenNetwork":
         return HiddenNetwork(
-            [Layer(w=l.w.copy(), b=l.b.copy(), activation=l.activation) for l in self.layers]
+            [Layer(w=l.w, b=l.b, activation=l.activation) for l in self.layers]
         )
+
+
+def _with_ones_column(v: np.ndarray, relu: bool = False) -> np.ndarray:
+    """[v, 1], or [relu(v), 1], as a fresh array."""
+    a = np.empty((len(v), v.shape[1] + 1))
+    a[:, -1] = 1.0
+    if relu:
+        np.maximum(v, 0.0, out=a[:, :-1])
+    else:
+        a[:, :-1] = v
+    return a
 
 
 def _phi_denominators(v: np.ndarray) -> np.ndarray:
     """Row norms, with NORM_FLOOR added to the degenerate ones."""
-    norms = np.linalg.norm(v, axis=1)
-    degenerate = norms < NORM_EPSILON
-    if np.any(degenerate):
-        norms = np.where(degenerate, norms + NORM_FLOOR, norms)
+    norms = np.sqrt(np.add.reduce(v * v, axis=1))   # what np.linalg.norm computes
+    if norms.min(initial=NORM_EPSILON) < NORM_EPSILON:
+        norms = np.where(norms < NORM_EPSILON, norms + NORM_FLOOR, norms)
     return norms
 
 
@@ -367,8 +416,7 @@ class TwoPartClassifier:
         features; the head is not involved."""
         hidden_cache, v, denom = cache
         grad_v = phi_backward(v, grad_u, self.radius, denom)
-        layer_grads, _ = self.hidden.backward(hidden_cache, grad_v)
-        return layer_grads
+        return self.hidden.backward(hidden_cache, grad_v)
 
     def apply_grads(self, lr: float, hidden: list | None = None, head: tuple | None = None) -> None:
         """One SGD step: ``hidden`` holds per-layer (dW, db), ``head`` is the

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12     # argmin membership tolerance
+ROUNDING_TOL = 1e-12   # rounding allowance of the dense-search cross-checks
 PMF_TOL = 1e-12
 ROW_NORM_TOL = 1e-9
 MIN_SUPPORT = 4     # non-collapsing hypotheses must map onto more points
@@ -134,26 +135,96 @@ def min_head_risk(h: np.ndarray, prob: FiniteProblem) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _directions(p: int, n: int) -> np.ndarray:
-    """Near-uniform unit directions: exact fan in 2-d, spiral in 3-d, seeded
-    Gaussian draws otherwise.
+def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
+    """Near-uniform unit directions and their covering angle: exact fan in
+    2-d, spiral in 3-d, seeded Gaussian draws otherwise.
 
-    Cached per (p, n) and read-only, since every hypothesis shares them.
+    The covering angle is the largest angle from any unit vector to its
+    nearest direction: half the spacing for the fan, measured by
+    ``_spiral_covering_angle`` for the spiral, unknown (NaN) for the draws.
+    Cached per (p, n), the directions read-only, since every hypothesis
+    shares them.
     """
     if p == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        theta = math.pi / n
     elif p == 3:
         i = np.arange(n, dtype=np.float64)
         z = 1.0 - 2.0 * (i + 0.5) / n
-        theta = np.pi * (3.0 - np.sqrt(5.0)) * i
+        lon = np.pi * (3.0 - np.sqrt(5.0)) * i
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        dirs = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+        dirs = np.stack([rho * np.cos(lon), rho * np.sin(lon), z], axis=1)
+        theta = _spiral_covering_angle(dirs)
     else:
         g = substream(0, "theory", "directions", p, n).normal(size=(n, p))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        theta = math.nan
     dirs.flags.writeable = False
-    return dirs
+    return dirs, theta
+
+
+def _nearest_neighbours(dirs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(indices, angle of the k-th) of each spiral direction's k nearest
+    others, and the reach within which they are exact.
+
+    The spiral's z falls by 2/n per index and |dz| never exceeds the angle,
+    so every direction within ``reach`` of direction i lies within
+    reach * n / 2 indices of i: one matmul per block of rows scores them.
+    """
+    n = len(dirs)
+    reach = min(2.0, 4.0 * math.sqrt(k / n))
+    w = min(n, math.ceil(reach * n / 2.0))
+    nbr = np.empty((n, k), dtype=np.intp)
+    cos_k = np.empty(n)
+    for lo in range(0, n, 256):
+        hi = min(lo + 256, n)
+        first = max(lo - w, 0)
+        cos = dirs[lo:hi] @ dirs[first:hi + w].T
+        cos[np.arange(hi - lo), np.arange(lo - first, hi - first)] = -2.0   # not itself
+        part = np.argpartition(cos, -k, axis=1)[:, -k:]
+        nbr[lo:hi] = part + first
+        cos_k[lo:hi] = np.take_along_axis(cos, part, axis=1).min(axis=1)
+    return nbr, np.arccos(np.clip(cos_k, -1.0, 1.0)), reach
+
+
+def _spiral_covering_angle(dirs: np.ndarray, k: int = 8) -> float:
+    """Covering angle of the 3-d spiral.
+
+    The points of the sphere farthest from the directions are circumcentres
+    of their spherical Delaunay triangles: triangles whose circumcircle
+    holds no direction.  Candidates are direction i with two of its k
+    nearest neighbours.  A circumcircle of angular radius rho around i lies
+    within 2 rho of i, so while 2 rho stays below the k-th neighbour's
+    angle, testing i's neighbours decides emptiness exactly.  The largest
+    circumradius is trusted once the empty triangles number Euler's 2n - 4;
+    otherwise k doubles, up to every direction.
+    """
+    n = len(dirs)
+    if n < 4:
+        return math.pi   # no triangulation: claim no coverage
+    while True:
+        k = min(k, n - 1)
+        whole = k == n - 1
+        nbr, angle_k, reach = _nearest_neighbours(dirs, k)
+        if whole or angle_k.max() < reach:
+            jj, ll = np.triu_indices(k, 1)
+            c = np.cross(dirs[nbr[:, jj]] - dirs[:, None], dirs[nbr[:, ll]] - dirs[:, None])
+            c *= np.sign(np.einsum("ncx,nx->nc", c, dirs))[:, :, None]   # i's side
+            norm = np.sqrt(np.einsum("ncx,ncx->nc", c, c))
+            c /= np.where(norm > 0.0, norm, 1.0)[:, :, None]
+            cos_rho = np.einsum("ncx,nx->nc", c, dirs)
+            rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
+            nearest = np.einsum("ncx,njx->ncj", c, dirs[nbr]).max(axis=2)
+            empty = ((norm > 0.0) & (nearest <= cos_rho + 1e-12)
+                     & (whole | (2.0 * rho < angle_k[:, None])))
+            i = np.broadcast_to(np.arange(n)[:, None], empty.shape)
+            tri = np.sort(np.stack([i[empty], nbr[:, jj][empty], nbr[:, ll][empty]]), axis=0)
+            if len(np.unique(tri, axis=1).T) >= 2 * n - 4:
+                return float(rho[empty].max())
+        if whole:
+            raise ArithmeticError(f"no Delaunay triangulation found for {n} spiral directions")
+        k *= 2
 
 
 def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:
@@ -163,7 +234,7 @@ def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000)
     directions (plus the zero head) and returns the best risk found.
     """
     e = signed_mean(h, prob)
-    dirs = _directions(prob.rep_dim, n_dirs)
+    dirs, _ = _directions(prob.rep_dim, n_dirs)
     best_dot = float(np.max(dirs @ e))
     return min(-best_dot / prob.radius, 0.0)
 
@@ -331,7 +402,7 @@ def required_head_norm_bisect(
     if gamma >= 0:
         raise ValueError("trivial risk: target must be negative")
     e = signed_mean(h, prob)
-    dirs = _directions(prob.rep_dim, n_dirs)
+    dirs, _ = _directions(prob.rep_dim, n_dirs)
     best_dot = max(float(np.max(dirs @ e)), 0.0)
     cap = 1.0 / prob.radius
 
@@ -532,10 +603,28 @@ class SuiteResult:
         return self.n_passed == self.n_problems and not self.failures
 
 
+def _cross_check_slack(p: int, n_dirs: int) -> tuple[float, float]:
+    """How far the dense searches may miss on ``n_dirs`` directions in p-d.
+
+    With covering angle theta, some direction lies within theta of
+    E[Y rep(X)], so the risk scan finds at least cos(theta) of the best
+    dot product: it can fall short of the closed-form risk by
+    (1 - cos theta) times its size, and the bisection can overshoot the
+    closed-form norm by (1 / cos theta - 1) times its size.  Returns those
+    two factors; a direction set that does not cover the sphere to within
+    90 degrees is rejected.
+    """
+    theta = _directions(p, n_dirs)[1]
+    if not theta < math.pi / 2:
+        raise ValueError(f"{n_dirs} directions do not cover the {p}-d sphere to within "
+                         f"90 degrees (covering angle {theta!r}); use more")
+    risk = 2.0 * math.sin(theta / 2.0) ** 2   # 1 - cos(theta), without cancellation
+    return risk, risk / math.cos(theta)        # 1 / cos(theta) - 1
+
+
 def run_verification_suite(
     n_seeds: int,
     grid_dirs: int = 10_000,
-    cross_check_tol: float = 1e-3,
     gamma_fraction: float = 0.5,
     cross_checks: bool = True,
 ) -> SuiteResult:
@@ -544,8 +633,9 @@ def run_verification_suite(
     Per problem: the collapse-optimality equality must hold with both
     assumptions satisfied; the head-norm argmin equality must hold at
     gamma = gamma_fraction * (best achievable risk); and, when enabled, the
-    closed forms must agree with the dense-search routes within
-    ``cross_check_tol`` for every hypothesis.
+    closed forms must agree with the dense-search routes on ``grid_dirs``
+    directions for every hypothesis, within what ``_cross_check_slack``
+    allows for the grid plus ``ROUNDING_TOL``.
     """
     result = SuiteResult(n_problems=n_seeds, n_passed=0)
     for seed in range(n_seeds):
@@ -563,17 +653,18 @@ def run_verification_suite(
         if norm_rep.equality is not True:
             issues.append(f"head-norm argmin equality failed: {norm_rep.to_json()}")
         if cross_checks:
+            risk_slack, norm_slack = _cross_check_slack(prob.rep_dim, grid_dirs)
             for k, h in enumerate(prob.hypotheses):
                 closed = min_head_risk(h, prob)
                 grid = min_head_risk_grid(h, prob, n_dirs=grid_dirs)
-                if abs(closed - grid) > cross_check_tol:
+                if abs(closed - grid) > -closed * risk_slack + ROUNDING_TOL:
                     issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
             for k in norm_rep.norms:
                 closed = norm_rep.norms[k]
                 bisected = required_head_norm_bisect(
                     prob.hypotheses[k], prob, gamma, n_dirs=grid_dirs
                 )
-                if abs(closed - bisected) > cross_check_tol:
+                if abs(closed - bisected) > closed * norm_slack + ROUNDING_TOL:
                     issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs {bisected}")
         if issues:
             result.failures.append({"seed": seed, "issues": issues})

@@ -38,6 +38,7 @@ identical parameters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -103,6 +104,13 @@ class TrainConfig:
             raise ValueError(f"unknown head loss {self.head_loss!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
+        for lr, epochs in (*self.schedule, (self.head_rate, self.head_epochs)):
+            if not 0.0 < lr < math.inf:
+                raise ValueError(f"learning rates must be finite and positive, got {lr!r}")
+            if epochs < 0:
+                raise ValueError(f"epoch counts must not be negative, got {epochs!r}")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
 
     def resolved_pair_loss(self, model: TwoPartClassifier) -> str:
         if self.pair_loss is not None:
@@ -240,30 +248,36 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None   # positive-free split cannot score this loss
     run = TrainRun(stage="step1", config=cfg.echo())
-    # Ids resolve to feature rows once; each epoch permutes the row
-    # positions and each batch slices them.
+    # Ids resolve to feature rows once.  Each epoch gathers its rows in one
+    # take, batch by batch as [a-sides; b-sides], so every batch is one
+    # contiguous slice that takes one forward and one backward pass.
     pos_a, pos_b = train_pairs.positions()
     x = train_pairs.source.x
     t_all = np.asarray(train_pairs.t, dtype=np.int64)
+    n, bs = len(train_pairs), cfg.batch_size
+    # Epoch position p of the batch [lo, lo + m) sends its a-side to row
+    # lo + p and its b-side to row lo + p + m of the epoch's gather.
+    pos = np.arange(n)
+    start = pos - pos % bs
+    to_a = start + pos
+    to_b = to_a + np.minimum(bs, n - start)
 
     def epoch_body(epoch, lr, perm):
-        ep_a, ep_b, ep_t = pos_a[perm], pos_b[perm], t_all[perm]
+        rows = np.empty(2 * n, dtype=np.intp)
+        rows[to_a] = pos_a.take(perm)
+        rows[to_b] = pos_b.take(perm)
+        x_ep, t_ep = x.take(rows, axis=0), t_all.take(perm)
         total, seen = 0.0, 0
-        for lo in range(0, len(perm), cfg.batch_size):
-            sl = slice(lo, lo + cfg.batch_size)
-            t = ep_t[sl]
-            xa = x.take(ep_a[sl], axis=0)
-            xb = x.take(ep_b[sl], axis=0)
-            if cfg.augment is not None:
-                arng = substream(cfg.seed, "augment", epoch, lo)
-                xa = cfg.augment(xa, arng)
-                xb = cfg.augment(xb, arng)
+        for lo in range(0, n, bs):
+            t = t_ep[lo:lo + bs]
             if loss_name == "contrastive" and not np.any(t == 1):
                 continue
-            # Both sides go through one forward and one backward pass: the
-            # batch's rows are [a-sides; b-sides].
             m = len(t)
-            u, cache = model.features_cached(np.concatenate([xa, xb]))
+            xab = x_ep[2 * lo:2 * (lo + m)]
+            if cfg.augment is not None:
+                arng = substream(cfg.seed, "augment", epoch, lo)
+                xab = np.concatenate([cfg.augment(xab[:m], arng), cfg.augment(xab[m:], arng)])
+            u, cache = model.features_cached(xab)
             risk, dua, dub = pair_risk_batch(
                 loss_name, u[:m], u[m:], t, radius=model.radius, beta=cfg.beta
             )
@@ -277,8 +291,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
         return None if val_pairs is None else empirical_risk_pairs(
             model, val_pairs, loss_name, beta=cfg.beta)
 
-    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "step1", len(train_pairs),
-                epoch_body, val_score)
+    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "step1", n, epoch_body, val_score)
     run.wall_seconds = time.perf_counter() - t0
     return run
 

@@ -59,10 +59,15 @@ def far_from_kinks(model, x, margin=1e-3, min_raw_norm=1e-2):
     return True
 
 
+def hidden_param_arrays(hidden):
+    """Each hidden layer's weights and bias, in layer order."""
+    return [p for layer in hidden.layers for p in (layer.w, layer.b)]
+
+
 def param_arrays(model):
     """Every parameter array of a classifier: hidden layers, then the head."""
     head = model.head
-    return model.hidden.param_arrays() + [head.weights] + (
+    return hidden_param_arrays(model.hidden) + [head.weights] + (
         [] if head.biases is None else [head.biases])
 
 

@@ -170,6 +170,31 @@ class TestExitCodes:
             assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
             assert "radius must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, knobs, message", [
+        ("train", {"schedule": [[float("nan"), 2]]},
+         "learning rates must be finite and positive, got nan"),
+        ("train", {"schedule": [[-0.1, 2]]}, "learning rates must be finite and positive, got -0.1"),
+        ("train", {"head_rate": float("inf")}, "learning rates must be finite and positive, got inf"),
+        ("train", {"schedule": [[0.1, -3]]}, "epoch counts must not be negative, got -3"),
+        ("train", {"head_epochs": -1}, "epoch counts must not be negative, got -1"),
+        ("train", {"pair_loss": "mse", "beta": float("nan")}, "beta must be finite, got nan"),
+        ("model", {"hidden": [0]}, "every layer width must be at least 1, got [2, 0, 2]"),
+        ("model", {"rep_dim": 0}, "every layer width must be at least 1, got [2, 8, 0]"),
+    ], ids=["nan-rate", "negative-rate", "inf-head-rate", "negative-epochs",
+            "negative-head-epochs", "nan-beta", "zero-hidden-width", "zero-rep-dim"])
+    def test_bad_train_or_model_knob_is_data_error(self, tmp_path, capsys, section, knobs,
+                                                   message):
+        """Each of these once trained to exit 0: NaN weights, a skipped stage,
+        gradient ascent or zero-width layers in the checkpoint."""
+        doc = base_config()
+        cfg = write_config(tmp_path, **{section: {**doc[section], **knobs}})
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
     def test_csv_label_beyond_int64_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,99999999999999999999\n")

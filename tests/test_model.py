@@ -14,7 +14,8 @@ from samediff import (
     substream,
 )
 
-from conftest import far_from_kinks, numeric_grad, params_equal, rel_err, tiny_model
+from conftest import (far_from_kinks, hidden_param_arrays, numeric_grad, params_equal, rel_err,
+                      tiny_model)
 
 
 def naive_forward(layers, x):
@@ -231,12 +232,12 @@ class TestTwoPartClassifier:
     def test_apply_grads_head_only_freezes_hidden(self):
         rng = np.random.default_rng(4)
         model = tiny_model(rng)
-        before = [a.copy() for a in model.hidden.param_arrays()]
+        before = [a.copy() for a in hidden_param_arrays(model.hidden)]
         head_before = model.head.weights.copy()
         u, _ = model.features_cached(rng.normal(size=(4, 3)))
         dw, db, _ = model.head.backward(u, rng.normal(size=(4, 1)))
         model.apply_grads(0.1, head=(dw, db))
-        for a, b in zip(before, model.hidden.param_arrays()):
+        for a, b in zip(before, hidden_param_arrays(model.hidden)):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(model.head.weights, head_before - 0.1 * dw)
 

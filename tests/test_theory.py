@@ -25,6 +25,7 @@ from samediff import (
     verify_collapse_optimality,
     verify_head_norm_argmin,
 )
+from samediff.theory import ROUNDING_TOL, _cross_check_slack, _directions
 from conftest import half_best_gamma
 
 
@@ -320,3 +321,53 @@ class TestVerificationSuite:
     def test_skipping_cross_checks_still_passes(self):
         result = run_verification_suite(n_seeds=10, cross_checks=False)
         assert result.all_passed
+
+    def test_coarse_grid_passes_with_derived_tolerance(self):
+        """At 2,000 directions the 3-d spiral leaves seed 23's risk scan
+        1.19e-3 short of the closed form, beyond the old fixed 1e-3 and
+        within ||E[Y rep]|| (1 - cos theta) / r."""
+        result = run_verification_suite(n_seeds=30, grid_dirs=2000)
+        assert result.all_passed, result.failures
+        prob = generate_problem(23)
+        h = prob.hypotheses[3]
+        closed, grid = min_head_risk(h, prob), min_head_risk_grid(h, prob, n_dirs=2000)
+        assert closed - grid < -1e-3
+        assert abs(closed - grid) <= -closed * _cross_check_slack(prob.rep_dim, 2000)[0]
+
+    def test_derived_tolerance_at_default_grid_is_no_looser_than_1e_3(self):
+        """Every generated problem has radius r >= 1 and rows on the radius
+        sphere, so |closed risk| = ||E[Y rep]|| / r <= 1 and the closed norm
+        is at most 1 / r <= 1: the slack factors bound the tolerances."""
+        assert all(generate_problem(seed).radius >= 1.0 for seed in range(100))
+        for p in (2, 3):
+            risk_slack, norm_slack = _cross_check_slack(p, 10_000)
+            assert risk_slack + ROUNDING_TOL <= 1e-3
+            assert norm_slack + ROUNDING_TOL <= 1e-3
+
+    def test_too_coarse_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="do not cover the 3-d sphere"):
+            _cross_check_slack(3, 3)
+        with pytest.raises(ValueError, match="do not cover the 4-d sphere"):
+            _cross_check_slack(4, 10_000)
+
+
+class TestCoveringAngle:
+    def test_fan_is_half_its_spacing(self):
+        dirs, theta = _directions(2, 360)
+        assert theta == np.pi / 360
+        mid = np.pi / 360   # halfway between the first two directions
+        assert np.max(dirs @ [np.cos(mid), np.sin(mid)]) == pytest.approx(np.cos(theta))
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 100, 2000, 10_000])
+    def test_spiral_angle_bounds_every_probe_and_is_attained(self, n):
+        """No random unit vector lies farther than theta from the spiral,
+        and the farthest comes close to it."""
+        dirs, theta = _directions(3, n)
+        x = np.random.default_rng(n).normal(size=(20_000, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        probe = np.arccos(np.clip(np.max(x @ dirs.T, axis=1), -1.0, 1.0))
+        assert probe.max() <= theta + 1e-12
+        assert probe.max() >= 0.8 * theta
+
+    def test_spiral_needs_four_directions(self):
+        assert _directions(3, 3)[1] == np.pi

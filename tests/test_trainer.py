@@ -20,7 +20,7 @@ from samediff import (
     train_step2,
     train_two_stage,
 )
-from conftest import params_equal
+from conftest import hidden_param_arrays, params_equal
 
 
 def fresh_model(seed, hidden=(32,), in_dim=2, class_count=2):
@@ -74,10 +74,10 @@ class TestFreezeContract:
         model = fresh_model(1)
         cfg = TrainConfig(seed=1)
         train_step1(model, pairs, cfg)
-        before = [a.copy() for a in model.hidden.param_arrays()]
+        before = [a.copy() for a in hidden_param_arrays(model.hidden)]
         labeled = stratified_subset(ds, 24, seed=1)
         train_step2(model, labeled, cfg)
-        after = model.hidden.param_arrays()
+        after = hidden_param_arrays(model.hidden)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_step1_never_touches_head(self):
@@ -140,9 +140,9 @@ class TestStep1Geometry:
         pairs = pair_exhaustive(ds)
         neg = pairs.take(np.flatnonzero(pairs.t == 0))
         model = fresh_model(7)
-        before = [a.copy() for a in model.hidden.param_arrays()]
+        before = [a.copy() for a in hidden_param_arrays(model.hidden)]
         train_step1(model, neg, TrainConfig(seed=7, pair_loss="contrastive"))
-        after = model.hidden.param_arrays()
+        after = hidden_param_arrays(model.hidden)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_ncs_with_zero_beta_rejects_all_negative_batch(self):
@@ -240,7 +240,7 @@ class TestOnline:
         run, _ = train_online(m_online, ds, labeled, cfg)
         assert run.max_pair_buffer == 45  # 10 choose 2
         train_step1(m_pairs, pair_exhaustive(ds), cfg)
-        for a, b in zip(m_online.hidden.param_arrays(), m_pairs.hidden.param_arrays()):
+        for a, b in zip(hidden_param_arrays(m_online.hidden), hidden_param_arrays(m_pairs.hidden)):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_pair_buffer_bounded_by_batch_not_dataset(self):

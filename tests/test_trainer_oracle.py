@@ -43,7 +43,7 @@ from samediff import (
 from samediff.data import FullyLabeledDataset
 from samediff.model import NORM_EPSILON, project_head
 from samediff.trainer import _epoch_plan, _split_examples, _split_pairs
-from conftest import params_equal
+from conftest import hidden_param_arrays, params_equal
 
 TOL = 1e-12
 LOSSES = ("sqdist", "ncs", "contrastive", "mse")
@@ -295,7 +295,7 @@ def _close(a, b):
 
 
 def assert_matches(model, ref_model, run, ref_trace):
-    for got, want in zip(model.hidden.param_arrays(), ref_model.hidden.param_arrays()):
+    for got, want in zip(hidden_param_arrays(model.hidden), hidden_param_arrays(ref_model.hidden)):
         assert np.linalg.norm(got - want) <= TOL * np.linalg.norm(want)
     assert len(run.trace) == len(ref_trace)
     for rec, (train_loss, val_metric) in zip(run.trace, ref_trace):
