@@ -145,6 +145,8 @@ def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
     Cached per (p, n), the directions read-only, since every hypothesis
     shares them.
     """
+    if n < 1:
+        raise ValueError(f"need at least one direction, got {n}")
     if p == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -164,67 +166,74 @@ def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
     return dirs, theta
 
 
-def _nearest_neighbours(dirs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(indices, angle of the k-th) of each spiral direction's k nearest
-    others, and the reach within which they are exact.
-
-    The spiral's z falls by 2/n per index and |dz| never exceeds the angle,
-    so every direction within ``reach`` of direction i lies within
-    reach * n / 2 indices of i: one matmul per block of rows scores them.
-    """
-    n = len(dirs)
-    reach = min(2.0, 4.0 * math.sqrt(k / n))
-    w = min(n, math.ceil(reach * n / 2.0))
-    nbr = np.empty((n, k), dtype=np.intp)
-    cos_k = np.empty(n)
-    for lo in range(0, n, 256):
-        hi = min(lo + 256, n)
-        first = max(lo - w, 0)
-        cos = dirs[lo:hi] @ dirs[first:hi + w].T
-        cos[np.arange(hi - lo), np.arange(lo - first, hi - first)] = -2.0   # not itself
-        part = np.argpartition(cos, -k, axis=1)[:, -k:]
-        nbr[lo:hi] = part + first
-        cos_k[lo:hi] = np.take_along_axis(cos, part, axis=1).min(axis=1)
-    return nbr, np.arccos(np.clip(cos_k, -1.0, 1.0)), reach
-
-
-def _spiral_covering_angle(dirs: np.ndarray, k: int = 8) -> float:
+def _spiral_covering_angle(dirs: np.ndarray) -> float:
     """Covering angle of the 3-d spiral.
 
     The points of the sphere farthest from the directions are circumcentres
     of their spherical Delaunay triangles: triangles whose circumcircle
-    holds no direction.  Candidates are direction i with two of its k
-    nearest neighbours.  A circumcircle of angular radius rho around i lies
-    within 2 rho of i, so while 2 rho stays below the k-th neighbour's
-    angle, testing i's neighbours decides emptiness exactly.  The largest
-    circumradius is trusted once the empty triangles number Euler's 2n - 4;
-    otherwise k doubles, up to every direction.
+    holds no direction.  ``_empty_triangles`` finds them among each
+    direction's k nearest neighbours; the largest circumradius is trusted
+    once they number Euler's 2n - 4, and otherwise k doubles, up to every
+    direction.
     """
     n = len(dirs)
     if n < 4:
         return math.pi   # no triangulation: claim no coverage
+    k = 8
     while True:
         k = min(k, n - 1)
-        whole = k == n - 1
-        nbr, angle_k, reach = _nearest_neighbours(dirs, k)
-        if whole or angle_k.max() < reach:
-            jj, ll = np.triu_indices(k, 1)
-            c = np.cross(dirs[nbr[:, jj]] - dirs[:, None], dirs[nbr[:, ll]] - dirs[:, None])
-            c *= np.sign(np.einsum("ncx,nx->nc", c, dirs))[:, :, None]   # i's side
-            norm = np.sqrt(np.einsum("ncx,ncx->nc", c, c))
-            c /= np.where(norm > 0.0, norm, 1.0)[:, :, None]
-            cos_rho = np.einsum("ncx,nx->nc", c, dirs)
-            rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
-            nearest = np.einsum("ncx,njx->ncj", c, dirs[nbr]).max(axis=2)
-            empty = ((norm > 0.0) & (nearest <= cos_rho + 1e-12)
-                     & (whole | (2.0 * rho < angle_k[:, None])))
-            i = np.broadcast_to(np.arange(n)[:, None], empty.shape)
-            tri = np.sort(np.stack([i[empty], nbr[:, jj][empty], nbr[:, ll][empty]]), axis=0)
-            if len(np.unique(tri, axis=1).T) >= 2 * n - 4:
-                return float(rho[empty].max())
-        if whole:
+        found = _empty_triangles(dirs, k)
+        if found is not None and found[1] >= 2 * n - 4:
+            return found[0]
+        if k == n - 1:
             raise ArithmeticError(f"no Delaunay triangulation found for {n} spiral directions")
         k *= 2
+
+
+def _empty_triangles(dirs: np.ndarray, k: int) -> tuple[float, int] | None:
+    """(largest circumradius, count) of the spiral's empty triangles whose
+    lowest-index vertex has the other two among its k nearest neighbours,
+    or None when the neighbour search cannot vouch for its k.  Each such
+    triangle is counted once, from that vertex.
+
+    The spiral's z falls by 2/n per index and |dz| never exceeds the angle,
+    so the directions within ``reach`` of direction i lie within
+    reach * n / 2 indices of i: one matmul per block of 64 rows scores
+    them, which keeps the scratch memory small.  A circumcircle of angular
+    radius rho around i lies within 2 rho of i, so while 2 rho stays below
+    the k-th neighbour's angle, testing i's neighbours decides emptiness
+    exactly.
+    """
+    n = len(dirs)
+    whole = k == n - 1
+    reach = min(2.0, 4.0 * math.sqrt(k / n))
+    w = min(n, math.ceil(reach * n / 2.0))
+    jj, ll = np.triu_indices(k, 1)
+    largest, count = 0.0, 0
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        first = max(lo - w, 0)
+        cos = dirs[lo:hi] @ dirs[first:hi + w].T
+        cos[np.arange(hi - lo), np.arange(lo - first, hi - first)] = -2.0   # not itself
+        nbr = np.argpartition(cos, -k, axis=1)[:, -k:]
+        angle_k = np.arccos(np.clip(np.take_along_axis(cos, nbr, axis=1).min(axis=1), -1.0, 1.0))
+        if not whole and angle_k.max() >= reach:
+            return None
+        nbr += first
+        p = dirs[lo:hi]
+        c = np.cross(dirs[nbr[:, jj]] - p[:, None], dirs[nbr[:, ll]] - p[:, None])
+        c *= np.sign(np.einsum("ncx,nx->nc", c, p))[:, :, None]   # p's side
+        norm = np.sqrt(np.einsum("ncx,ncx->nc", c, c))
+        c /= np.where(norm > 0.0, norm, 1.0)[:, :, None]
+        cos_rho = np.einsum("ncx,nx->nc", c, p)
+        rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
+        nearest = np.einsum("ncx,njx->ncj", c, dirs[nbr]).max(axis=2)
+        empty = ((norm > 0.0) & (nearest <= cos_rho + 1e-12)
+                 & (whole | (2.0 * rho < angle_k[:, None])))
+        largest = max(largest, float(rho[empty].max(initial=0.0)))
+        i = np.arange(lo, hi)[:, None]
+        count += int(np.count_nonzero(empty & (nbr[:, jj] > i) & (nbr[:, ll] > i)))
+    return largest, count
 
 
 def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:

@@ -21,8 +21,9 @@ feeding the feature adjoint that ``LinearHead.backward`` returns into
 
 Every pair-stage step is a few whole-batch numpy calls, because at these
 tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
-resolves pair ids to feature rows once per run and pushes each batch's
-a-sides and b-sides through one forward and one backward pass.  The online
+resolves pair ids to feature rows once per run, gathers each epoch's rows
+in one take, and pushes each batch's a-sides and b-sides, one contiguous
+slice, through one forward and one backward pass.  The online
 step and its validation share one batch walk, ``_online_batches``: it
 yields each batch's rows with the agreement bits of its upper-triangle
 pairs, and ``pair_risk_batch`` takes the batch's features whole

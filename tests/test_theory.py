@@ -345,6 +345,9 @@ class TestVerificationSuite:
             assert norm_slack + ROUNDING_TOL <= 1e-3
 
     def test_too_coarse_grid_is_rejected(self):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="need at least one direction, got 0"):
+                _cross_check_slack(p, 0)
         with pytest.raises(ValueError, match="do not cover the 3-d sphere"):
             _cross_check_slack(3, 3)
         with pytest.raises(ValueError, match="do not cover the 4-d sphere"):
@@ -359,15 +362,15 @@ class TestCoveringAngle:
         assert np.max(dirs @ [np.cos(mid), np.sin(mid)]) == pytest.approx(np.cos(theta))
 
     @pytest.mark.parametrize("n", [4, 5, 12, 100, 2000, 10_000])
-    def test_spiral_angle_bounds_every_probe_and_is_attained(self, n):
+    def test_spiral_angle_bounds_random_probes(self, n):
         """No random unit vector lies farther than theta from the spiral,
-        and the farthest comes close to it."""
+        and the farthest of 20,000 comes within 20% of it."""
         dirs, theta = _directions(3, n)
         x = np.random.default_rng(n).normal(size=(20_000, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        probe = np.arccos(np.clip(np.max(x @ dirs.T, axis=1), -1.0, 1.0))
-        assert probe.max() <= theta + 1e-12
-        assert probe.max() >= 0.8 * theta
+        best_cos = np.concatenate([np.max(part @ dirs.T, axis=1) for part in np.split(x, 100)])
+        farthest = np.arccos(np.clip(best_cos, -1.0, 1.0)).max()
+        assert 0.8 * theta <= farthest <= theta + 1e-12
 
     def test_spiral_needs_four_directions(self):
         assert _directions(3, 3)[1] == np.pi
