@@ -230,9 +230,10 @@ def _empty_triangles(dirs: np.ndarray, k: int) -> tuple[float, int] | None:
         nearest = np.einsum("ncx,njx->ncj", c, dirs[nbr]).max(axis=2)
         empty = ((norm > 0.0) & (nearest <= cos_rho + 1e-12)
                  & (whole | (2.0 * rho < angle_k[:, None])))
-        largest = max(largest, float(rho[empty].max(initial=0.0)))
         i = np.arange(lo, hi)[:, None]
-        count += int(np.count_nonzero(empty & (nbr[:, jj] > i) & (nbr[:, ll] > i)))
+        mine = empty & (nbr[:, jj] > i) & (nbr[:, ll] > i)
+        largest = max(largest, float(rho[mine].max(initial=0.0)))
+        count += int(np.count_nonzero(mine))
     return largest, count
 
 
