@@ -20,6 +20,12 @@ Verified claims, all by exhaustive computation:
 Closed forms are cross-checked against independent dense searches
 (direction grids for the best head, bisection for the smallest adequate
 head norm), so no claim rests on a single derivation.
+
+Each problem's statistics are computed once: ``verify_collapse_optimality``
+evaluates every hypothesis's pair objective, best-head risk and collapse
+test a single time, and ``run_verification_suite`` hands that report's
+risks and collapsing separation optima on to the head-norm check and the
+cross-checks instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -119,6 +125,12 @@ class FiniteProblem:
 # -- best-head risk -------------------------------------------------------
 
 
+def _length(v: np.ndarray) -> float:
+    """Euclidean length of a 1-d vector: what ``np.linalg.norm`` computes
+    for it, without that function's dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def signed_mean(h: np.ndarray, prob: FiniteProblem) -> np.ndarray:
     """E[Y * rep(X)]: class-signed mean of the representation points."""
     w = prob.pmf[:, 0] - prob.pmf[:, 1]
@@ -131,7 +143,7 @@ def min_head_risk(h: np.ndarray, prob: FiniteProblem) -> float:
     Risk of head w is -<w, E[Y rep(X)]>; minimizing over the norm ball
     gives -||E[Y rep(X)]|| / r exactly.
     """
-    return -float(np.linalg.norm(signed_mean(h, prob))) / prob.radius
+    return -_length(signed_mean(h, prob)) / prob.radius
 
 
 @functools.lru_cache(maxsize=8)
@@ -290,7 +302,7 @@ def is_collapsing(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> b
         if np.max(np.linalg.norm(rows - rows[0], axis=1), initial=0.0) > tol:
             return False
         pts.append(rows[0])
-    return bool(np.linalg.norm(pts[0] - pts[1]) > tol)
+    return _length(pts[0] - pts[1]) > tol
 
 
 def collapsing_maps(prob: FiniteProblem, tol: float = TIE_TOL) -> tuple[int, ...]:
@@ -310,10 +322,11 @@ def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL)
     """Number of distinct representation points over positive-probability inputs."""
     h = np.asarray(h, dtype=np.float64)
     rows = h[np.flatnonzero(prob.pmf.sum(axis=1) > 0.0)]
-    reps: list[np.ndarray] = []
-    for row in rows:
-        if not any(np.linalg.norm(row - q) <= tol for q in reps):
-            reps.append(row)
+    near = (np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2) <= tol).tolist()
+    reps: list[int] = []   # greedy: a row is new unless near an earlier representative
+    for i, row_near in enumerate(near):
+        if not any(row_near[j] for j in reps):
+            reps.append(i)
     return len(reps)
 
 
@@ -330,6 +343,11 @@ class OptimalityReport:
     assumption_support: bool          # every non-collapsing hypothesis maps onto > 4 points
     equality: bool | None             # min-risk set == overlap; None when assumptions fail
 
+    @property
+    def overlap(self) -> tuple[int, ...]:
+        """The collapsing separation optima, in index order."""
+        return _overlap(self.separation_set, self.collapsing_set)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -345,17 +363,24 @@ class OptimalityReport:
         )
 
 
+def _overlap(d_set: tuple[int, ...], s_set: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(set(d_set) & set(s_set)))
+
+
 def verify_collapse_optimality(prob: FiniteProblem, tol: float = TIE_TOL) -> OptimalityReport:
     """Check that the best-risk hypotheses are exactly the collapsing
     separation optima, provided the two stated assumptions hold.
 
     When either assumption fails the verdict is withheld (None) rather than
-    evaluated on unsupported ground.
+    evaluated on unsupported ground.  Each hypothesis's pair objective,
+    best-head risk and collapse test are computed once.
     """
-    d_set = separation_optima(prob, tol)
+    objective = tuple(pair_objective_value(h, prob) for h in prob.hypotheses)
+    risks = tuple(min_head_risk(h, prob) for h in prob.hypotheses)
+    d_set = _argmin_set(np.array(objective), tol)
     s_set = collapsing_maps(prob, tol)
-    f_set = min_risk_maps(prob, tol)
-    overlap = tuple(sorted(set(d_set) & set(s_set)))
+    f_set = _argmin_set(np.array(risks), tol)
+    overlap = _overlap(d_set, s_set)
     assumption_overlap = len(overlap) > 0
     assumption_support = all(
         image_support_size(prob.hypotheses[k], prob, tol) > MIN_SUPPORT
@@ -365,8 +390,6 @@ def verify_collapse_optimality(prob: FiniteProblem, tol: float = TIE_TOL) -> Opt
     equality = None
     if assumption_overlap and assumption_support:
         equality = set(f_set) == set(overlap)
-    risks = tuple(float(min_head_risk(h, prob)) for h in prob.hypotheses)
-    objective = tuple(float(pair_objective_value(h, prob)) for h in prob.hypotheses)
     return OptimalityReport(
         separation_set=d_set,
         collapsing_set=s_set,
@@ -391,7 +414,7 @@ def required_head_norm(h: np.ndarray, prob: FiniteProblem, gamma: float) -> floa
     """
     if gamma >= 0:
         raise ValueError("trivial risk: target must be negative")
-    norm_e = float(np.linalg.norm(signed_mean(h, prob)))
+    norm_e = _length(signed_mean(h, prob))
     if norm_e <= 0.0:
         raise ValueError("risk below model capacity: this hypothesis cannot reach it")
     t = -gamma / norm_e
@@ -467,6 +490,15 @@ def verify_head_norm_argmin(
     and reported; the verdict is withheld when no hypothesis is both
     collapsing and separation-optimal.
     """
+    target = _overlap(separation_optima(prob, tol), collapsing_maps(prob, tol))
+    return _head_norm_report(prob, gamma, target, tol)
+
+
+def _head_norm_report(
+    prob: FiniteProblem, gamma: float, target: tuple[int, ...], tol: float = TIE_TOL
+) -> HeadNormReport:
+    """``verify_head_norm_argmin`` given its target set, the collapsing
+    separation optima, already found."""
     norms: dict[int, float] = {}
     excluded: list[int] = []
     for k, h in enumerate(prob.hypotheses):
@@ -474,7 +506,6 @@ def verify_head_norm_argmin(
             norms[k] = required_head_norm(h, prob, gamma)
         except ValueError:
             excluded.append(k)
-    target = tuple(sorted(set(separation_optima(prob, tol)) & set(collapsing_maps(prob, tol))))
     assumption_overlap = len(target) > 0
     equality = None
     if assumption_overlap and norms:
@@ -521,7 +552,7 @@ def generalization_bound(t: float, r: float, n2: int, delta: float) -> float:
 def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
     while True:
         v = rng.normal(size=p)
-        n = np.linalg.norm(v)
+        n = _length(v)
         if n > 1e-6:
             return v / n
 
@@ -530,7 +561,7 @@ def _orthogonal_to(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
     while True:
         v = rng.normal(size=a.shape[0])
         v = v - np.dot(v, a) * a
-        n = np.linalg.norm(v)
+        n = _length(v)
         if n > 1e-6:
             return v / n
 
@@ -581,7 +612,7 @@ def generate_problem(seed: int, include_constant_maps: bool = False) -> FinitePr
         a = _unit(rng, p)
         theta = rng.uniform(np.pi / 6.0, 5.0 * np.pi / 6.0)
         b = np.cos(theta) * a + np.sin(theta) * _orthogonal_to(rng, a)
-        b = b / np.linalg.norm(b)
+        b = b / _length(b)
         hyps.append(_two_point_map(m_plus, m, a * r, b * r))
     for _ in range(int(rng.integers(1, 3))):
         while True:
@@ -646,7 +677,14 @@ def run_verification_suite(
     closed forms must agree with the dense-search routes on ``grid_dirs``
     directions for every hypothesis, within what ``_cross_check_slack``
     allows for the grid plus ``ROUNDING_TOL``.
+
+    Raises ``ValueError`` for fewer than one seed, for a gamma fraction
+    outside (0, 1] and for a grid too coarse to cross-check on.
     """
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
+    if not 0.0 < gamma_fraction <= 1.0:   # also rejects NaN
+        raise ValueError(f"gamma fraction must lie in (0, 1], got {gamma_fraction!r}")
     result = SuiteResult(n_problems=n_seeds, n_passed=0)
     for seed in range(n_seeds):
         prob = generate_problem(seed)
@@ -659,21 +697,27 @@ def run_verification_suite(
         if rep.equality is not True:
             issues.append(f"collapse-optimality equality failed: {rep.to_json()}")
         gamma = gamma_fraction * min(rep.risks)
-        norm_rep = verify_head_norm_argmin(prob, gamma)
+        norm_rep = _head_norm_report(prob, gamma, rep.overlap)
         if norm_rep.equality is not True:
             issues.append(f"head-norm argmin equality failed: {norm_rep.to_json()}")
         if cross_checks:
             risk_slack, norm_slack = _cross_check_slack(prob.rep_dim, grid_dirs)
             for k, h in enumerate(prob.hypotheses):
-                closed = min_head_risk(h, prob)
+                closed = rep.risks[k]
                 grid = min_head_risk_grid(h, prob, n_dirs=grid_dirs)
                 if abs(closed - grid) > -closed * risk_slack + ROUNDING_TOL:
                     issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
-            for k in norm_rep.norms:
-                closed = norm_rep.norms[k]
-                bisected = required_head_norm_bisect(
-                    prob.hypotheses[k], prob, gamma, n_dirs=grid_dirs
-                )
+            for k, closed in norm_rep.norms.items():
+                try:
+                    bisected = required_head_norm_bisect(
+                        prob.hypotheses[k], prob, gamma, n_dirs=grid_dirs
+                    )
+                except ValueError as e:
+                    raise ValueError(
+                        f"{grid_dirs} directions cannot reach risk {gamma!r} within head norm "
+                        f"1/r for hypothesis {k} of seed {seed}, though the closed form reaches "
+                        f"it at {closed!r}; use more directions or a smaller gamma fraction"
+                    ) from e
                 if abs(closed - bisected) > closed * norm_slack + ROUNDING_TOL:
                     issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs {bisected}")
         if issues:

@@ -231,6 +231,33 @@ class TestExitCodes:
         assert "degenerate kernel batch" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seeds", "-1"], "need at least one seed, got -1"),
+        (["--seeds", "0"], "need at least one seed, got 0"),
+        (["--gamma-frac", "0"], "gamma fraction must lie in (0, 1], got 0.0"),
+        (["--gamma-frac", "1.5"], "gamma fraction must lie in (0, 1], got 1.5"),
+        (["--gamma-frac", "-1"], "gamma fraction must lie in (0, 1], got -1.0"),
+        (["--gamma-frac", "nan"], "gamma fraction must lie in (0, 1], got nan"),
+        (["--gamma-frac", "inf"], "gamma fraction must lie in (0, 1], got inf"),
+    ], ids=["negative-seeds", "zero-seeds", "zero-gamma", "gamma-above-one",
+            "negative-gamma", "nan-gamma", "inf-gamma"])
+    def test_bad_verify_theory_argument_is_data_error(self, capsys, argv, message):
+        """Each of these once reported a failed claim (exit 3) or "passed 0/-1"."""
+        assert cli_main(["verify-theory", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_too_coarse_grid_is_data_error(self, capsys):
+        """Three fan directions leave the closed form's norm unreachable
+        within 1/r; the grid is to blame, not the hypothesis."""
+        assert cli_main(["verify-theory", "--seeds", "1", "--grid-dirs", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "3 directions cannot reach risk" in err
+        assert "use more directions" in err
+        assert "Traceback" not in err
+
     def test_verification_failure_is_exit_three(self, capsys, monkeypatch):
         import samediff.cli as cli_mod
         broken = SuiteResult(
