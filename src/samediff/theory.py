@@ -51,7 +51,6 @@ __all__ = [
     "pair_objective_value",
     "is_collapsing",
     "collapsing_maps",
-    "min_risk_maps",
     "image_support_size",
     "verify_collapse_optimality",
     "required_head_norm",
@@ -310,12 +309,6 @@ def collapsing_maps(prob: FiniteProblem, tol: float = TIE_TOL) -> tuple[int, ...
     return tuple(
         k for k, h in enumerate(prob.hypotheses) if is_collapsing(h, prob, tol)
     )
-
-
-def min_risk_maps(prob: FiniteProblem, tol: float = TIE_TOL) -> tuple[int, ...]:
-    """Indices of hypotheses whose best head attains the minimal true risk."""
-    vals = np.array([min_head_risk(h, prob) for h in prob.hypotheses])
-    return _argmin_set(vals, tol)
 
 
 def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> int:

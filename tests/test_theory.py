@@ -15,7 +15,6 @@ from samediff import (
     is_collapsing,
     min_head_risk,
     min_head_risk_grid,
-    min_risk_maps,
     pair_objective_value,
     required_head_norm,
     required_head_norm_bisect,
