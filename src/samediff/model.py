@@ -184,21 +184,16 @@ class HiddenNetwork:
         if cache is None:
             raise ValueError("no recorded forward state to backpropagate through")
         g = np.asarray(grad_out, dtype=np.float64)
-        owned = False   # g is the caller's grad_out until the first matmul
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             a_in, z = cache[i]
             if layer.activation == "relu":
-                if owned:
-                    np.multiply(g, z > 0.0, out=g)
-                else:
-                    g = g * (z > 0.0)
+                g = g * (z > 0.0)
             dwb = a_in.T @ g
             grads[i] = (dwb[:-1], dwb[-1])
             if i:
                 g = g @ layer.w.T
-                owned = True
         return grads
 
     def sgd_step(self, grads: list[tuple[np.ndarray, np.ndarray]], lr: float) -> None:

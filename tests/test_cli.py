@@ -258,6 +258,25 @@ class TestExitCodes:
         assert "use more directions" in err
         assert "Traceback" not in err
 
+    def test_closed_norm_the_grid_cannot_explain_is_exit_three(self, capsys, monkeypatch):
+        """A closed-form norm too small for the grid's slack to explain the
+        bisection's miss is a failed cross-check, not a bad argument."""
+        import samediff.theory as theory_mod
+        true_norm = theory_mod.required_head_norm
+
+        def halved_norm(h, prob, gamma):
+            try:
+                return 0.5 * true_norm(h, prob, gamma)
+            except ValueError:   # seed 1's hypotheses 3 and 4 cannot reach gamma
+                return 0.5 / prob.radius
+
+        monkeypatch.setattr(theory_mod, "required_head_norm", halved_norm)
+        assert cli_main(["verify-theory", "--seeds", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "passed 0/2" in out
+        assert "norm cross-check off for hypothesis 3: 0.5 vs unreachable within 1/r" in out
+        assert "norm cross-check off for hypothesis 4: 0.5 vs unreachable within 1/r" in out
+
     def test_verification_failure_is_exit_three(self, capsys, monkeypatch):
         import samediff.cli as cli_mod
         broken = SuiteResult(
