@@ -132,6 +132,13 @@ def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]
 
 
 def build_model(doc: dict, ds: FullyLabeledDataset, seed: int) -> TwoPartClassifier:
+    """The configured model for training on ``ds``.
+
+    A class count above the row count is refused: the head holds a row
+    per class, and a stray large label would otherwise size it.
+    """
+    if ds.class_count > len(ds):
+        raise ConfigError(f"{ds.class_count} classes exceed the {len(ds)} training rows")
     sec = doc.get("model", {})
     head_loss = doc.get("train", {}).get("head_loss", "hinge")
     binary = sec.get("binary_head")

@@ -61,13 +61,23 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _pair_values(name: str, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Per-pair values of aligned sides: the squared distances ||u - u'||^2
+    for sqdist and the kernel values <u, u'> for every other loss."""
+    if name == "sqdist":
+        diff = ua - ub
+        return _row_dots(diff, diff)
+    return _row_dots(ua, ub)
+
+
 def _reduce_pair_values(
     name: str, values: np.ndarray, t: np.ndarray, radius: float, beta: float | None
 ) -> tuple[float, np.ndarray]:
     """Risk of one batch of pairs and its gradient with respect to the values.
 
     The per-pair values are the squared distances ||u - u'||^2 for sqdist
-    and the kernel values <u, u'> for every other loss.  This is the only
+    and the kernel values <u, u'> for every other loss: ``_pair_values``
+    for aligned sides, the Gram matrix in the online form.  This is the only
     place the loss formulas are written; the training batch and the
     whole-set risk both reduce through it.
     """
@@ -197,12 +207,7 @@ def pair_risk_batch(
     if ub is None:
         return (*_within_batch(name, ua, t, radius, beta), None)
     ub = np.asarray(ub, dtype=np.float64)
-    if name == "sqdist":
-        diff = ua - ub
-        values = _row_dots(diff, diff)
-    else:
-        values = _row_dots(ua, ub)
-    risk, dv = _reduce_pair_values(name, values, t, radius, beta)
+    risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
     return (risk, *_pair_terms(name, ua, ub, dv))
 
 
@@ -268,12 +273,6 @@ def empirical_risk_pairs(
     for lo in range(0, n, _RISK_CHUNK):
         part = pairs.take(np.arange(lo, min(lo + _RISK_CHUNK, n)))
         xa, xb, _ = part.gather()
-        ua = model.features(xa)
-        ub = model.features(xb)
-        if loss == "sqdist":
-            diff = ua - ub
-            values.append(_row_dots(diff, diff))
-        else:
-            values.append(_row_dots(ua, ub))
+        values.append(_pair_values(loss, model.features(xa), model.features(xb)))
     t = np.asarray(pairs.t, dtype=np.int64)
     return _reduce_pair_values(loss, np.concatenate(values), t, model.radius, beta)[0]

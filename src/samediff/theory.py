@@ -17,15 +17,17 @@ Verified claims, all by exhaustive computation:
 * the deviation bound for the head stage decreases in the labeled-sample
   count at the stated rate.
 
-Closed forms are cross-checked against independent dense searches
-(direction grids for the best head, bisection for the smallest adequate
-head norm), so no claim rests on a single derivation.
+Closed forms are cross-checked against a dense search over directions:
+the best grid head gives both the best risk and, scaled, the smallest
+head norm reaching a target risk, so no claim rests on a single
+derivation.
 
 Each problem's statistics are computed once: ``verify_collapse_optimality``
 evaluates every hypothesis's pair objective, best-head risk and collapse
 test a single time, and ``run_verification_suite`` hands that report's
 risks and collapsing separation optima on to the head-norm check and the
-cross-checks instead of deriving them again.
+cross-checks instead of deriving them again; each hypothesis's direction
+scan is done once and serves both cross-checks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "image_support_size",
     "verify_collapse_optimality",
     "required_head_norm",
-    "required_head_norm_bisect",
     "verify_head_norm_argmin",
     "generalization_bound",
     "generate_problem",
@@ -248,16 +249,20 @@ def _empty_triangles(dirs: np.ndarray, k: int) -> tuple[float, int] | None:
     return largest, count
 
 
+def _best_dot(h: np.ndarray, prob: FiniteProblem, n_dirs: int) -> float:
+    """Largest <d, E[Y rep(X)]> over the ``n_dirs`` grid directions d: the
+    grid's best unit head scores risk -best_dot."""
+    dirs, _ = _directions(prob.rep_dim, n_dirs)
+    return float(np.max(dirs @ signed_mean(h, prob)))
+
+
 def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:
     """Dense-search cross-check of ``min_head_risk``.
 
     Scans heads on the boundary of the norm ball along near-uniform
     directions (plus the zero head) and returns the best risk found.
     """
-    e = signed_mean(h, prob)
-    dirs, _ = _directions(prob.rep_dim, n_dirs)
-    best_dot = float(np.max(dirs @ e))
-    return min(-best_dot / prob.radius, 0.0)
+    return min(-_best_dot(h, prob, n_dirs) / prob.radius, 0.0)
 
 
 # -- the optimal sets -----------------------------------------------------
@@ -416,35 +421,14 @@ def required_head_norm(h: np.ndarray, prob: FiniteProblem, gamma: float) -> floa
     return t
 
 
-def required_head_norm_bisect(
-    h: np.ndarray,
-    prob: FiniteProblem,
-    gamma: float,
-    n_dirs: int = 10_000,
-    iters: int = 80,
-) -> float:
-    """Independent route to the same quantity: bisection over the norm budget
-    with a dense direction search for the best head inside each ball."""
-    if gamma >= 0:
-        raise ValueError("trivial risk: target must be negative")
-    e = signed_mean(h, prob)
-    dirs, _ = _directions(prob.rep_dim, n_dirs)
-    best_dot = max(float(np.max(dirs @ e)), 0.0)
-    cap = 1.0 / prob.radius
-
-    def best_risk(budget: float) -> float:
-        return -budget * best_dot
-
-    if best_risk(cap) > gamma:
-        raise ValueError("risk below model capacity: needs head norm beyond 1/r")
-    lo, hi = 0.0, cap
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if best_risk(mid) <= gamma:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _grid_head_norm(best_dot: float, gamma: float, radius: float) -> float | None:
+    """Dense-search cross-check of ``required_head_norm``, given the grid's
+    ``_best_dot``: a head of norm t along the best direction scores
+    -t * best_dot, so the smallest t reaching gamma < 0 is -gamma / best_dot.
+    None when even t = 1/r falls short."""
+    if -(1.0 / radius) * max(best_dot, 0.0) > gamma:
+        return None
+    return -gamma / best_dot
 
 
 @dataclass(frozen=True)
@@ -641,12 +625,12 @@ def _cross_check_slack(p: int, n_dirs: int) -> tuple[float, float]:
     """How far the dense searches may miss on ``n_dirs`` directions in p-d.
 
     With covering angle theta, some direction lies within theta of
-    E[Y rep(X)], so the risk scan finds at least cos(theta) of the best
-    dot product: it can fall short of the closed-form risk by
-    (1 - cos theta) times its size, and the bisection can overshoot the
-    closed-form norm by (1 / cos theta - 1) times its size.  Returns those
-    two factors; a direction set that does not cover the sphere to within
-    90 degrees is rejected.
+    E[Y rep(X)], so the scan finds at least cos(theta) of the best dot
+    product: the grid's best head can fall short of the closed-form risk by
+    (1 - cos theta) times its size, and the norm it needs to reach a target
+    risk can overshoot the closed-form norm by (1 / cos theta - 1) times
+    its size.  Returns those two factors; a direction set that does not
+    cover the sphere to within 90 degrees is rejected.
     """
     theta = _directions(p, n_dirs)[1]
     if not theta < math.pi / 2:
@@ -667,14 +651,15 @@ def run_verification_suite(
     Per problem: the collapse-optimality equality must hold with both
     assumptions satisfied; the head-norm argmin equality must hold at
     gamma = gamma_fraction * (best achievable risk); and, when enabled, the
-    closed forms must agree with the dense-search routes on ``grid_dirs``
+    closed forms must agree with the grid's best head on ``grid_dirs``
     directions for every hypothesis, within what ``_cross_check_slack``
-    allows for the grid plus ``ROUNDING_TOL``.
+    allows for the grid plus ``ROUNDING_TOL``.  One direction scan per
+    hypothesis gives both the grid risk and the grid norm.
 
     Raises ``ValueError`` for fewer than one seed, for a gamma fraction
     outside (0, 1] and for a grid too coarse to cross-check on, including
-    one whose bisection misses a norm the grid's slack can explain; a miss
-    the slack cannot explain is a failed cross-check.
+    one whose best head cannot reach within 1/r a norm the grid's slack
+    can explain; a miss the slack cannot explain is a failed cross-check.
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
@@ -697,28 +682,31 @@ def run_verification_suite(
             issues.append(f"head-norm argmin equality failed: {norm_rep.to_json()}")
         if cross_checks:
             risk_slack, norm_slack = _cross_check_slack(prob.rep_dim, grid_dirs)
+            norm_issues: list[str] = []   # reported after every risk issue
             for k, h in enumerate(prob.hypotheses):
+                best_dot = _best_dot(h, prob, grid_dirs)
                 closed = rep.risks[k]
-                grid = min_head_risk_grid(h, prob, n_dirs=grid_dirs)
+                grid = min(-best_dot / prob.radius, 0.0)
                 if abs(closed - grid) > -closed * risk_slack + ROUNDING_TOL:
                     issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
-            for k, closed in norm_rep.norms.items():
-                try:
-                    bisected = required_head_norm_bisect(
-                        prob.hypotheses[k], prob, gamma, n_dirs=grid_dirs
-                    )
-                except ValueError as e:
+                if k not in norm_rep.norms:
+                    continue
+                closed = norm_rep.norms[k]
+                grid = _grid_head_norm(best_dot, gamma, prob.radius)
+                if grid is None:
                     if closed * (1.0 + norm_slack) + ROUNDING_TOL < 1.0 / prob.radius:
-                        issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs "
-                                      f"unreachable within 1/r on {grid_dirs} directions")
+                        norm_issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs "
+                                           f"unreachable within 1/r on {grid_dirs} directions")
                         continue
                     raise ValueError(
                         f"{grid_dirs} directions cannot reach risk {gamma!r} within head norm "
                         f"1/r for hypothesis {k} of seed {seed}, though the closed form reaches "
                         f"it at {closed!r}; use more directions or a smaller gamma fraction"
-                    ) from e
-                if abs(closed - bisected) > closed * norm_slack + ROUNDING_TOL:
-                    issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs {bisected}")
+                    )
+                if abs(closed - grid) > closed * norm_slack + ROUNDING_TOL:
+                    norm_issues.append(
+                        f"norm cross-check off for hypothesis {k}: {closed} vs {grid}")
+            issues += norm_issues
         if issues:
             result.failures.append({"seed": seed, "issues": issues})
         else:

@@ -1,5 +1,6 @@
 """Shared helpers: finite-difference gradients, tiny dataset builders,
-bitwise model equality and the theory tests' risk target.
+bitwise model equality, the theory tests' risk target and the bisection
+that checks the suite's grid head norm.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from samediff import FullyLabeledDataset, TwoPartClassifier, min_head_risk, substream
+from samediff.theory import FiniteProblem, _directions, signed_mean
 
 try:
     from hypothesis import settings
@@ -83,6 +85,37 @@ def half_best_gamma(prob):
     if best >= 0:
         raise ValueError("no hypothesis achieves negative risk on this problem")
     return 0.5 * best
+
+
+def required_head_norm_bisect(
+    h: np.ndarray,
+    prob: FiniteProblem,
+    gamma: float,
+    n_dirs: int = 10_000,
+    iters: int = 80,
+) -> float:
+    """Independent route to ``required_head_norm``: bisection over the norm
+    budget with a dense direction search for the best head inside each ball."""
+    if gamma >= 0:
+        raise ValueError("trivial risk: target must be negative")
+    e = signed_mean(h, prob)
+    dirs, _ = _directions(prob.rep_dim, n_dirs)
+    best_dot = max(float(np.max(dirs @ e)), 0.0)
+    cap = 1.0 / prob.radius
+
+    def best_risk(budget: float) -> float:
+        return -budget * best_dot
+
+    if best_risk(cap) > gamma:
+        raise ValueError("risk below model capacity: needs head norm beyond 1/r")
+    lo, hi = 0.0, cap
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if best_risk(mid) <= gamma:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def tiny_model(rng, in_dim=3, hidden=(4,), rep_dim=2, class_count=2, radius=1.0,

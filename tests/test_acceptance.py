@@ -33,7 +33,6 @@ from samediff import (
     pairwise_agreement,
     recover_clusters,
     required_head_norm,
-    required_head_norm_bisect,
     run_sweep,
     run_verification_suite,
     save_pairs,
@@ -43,7 +42,8 @@ from samediff import (
     verify_head_norm_argmin,
 )
 from samediff.data import FullyLabeledDataset
-from conftest import far_from_kinks, half_best_gamma, numeric_grad, tiny_model
+from conftest import (far_from_kinks, half_best_gamma, numeric_grad,
+                      required_head_norm_bisect, tiny_model)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

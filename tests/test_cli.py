@@ -203,6 +203,20 @@ class TestExitCodes:
         assert code == 2
         assert "line 3: label outside the int64 range" in capsys.readouterr().err
 
+    def test_class_count_beyond_training_rows_is_data_error(self, tmp_path, capsys):
+        """A label of 1000 on 3 rows would size a 1001-row head; a label of
+        1e9 once asked for 16 GB."""
+        data = tmp_path / "wide.csv"
+        data.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,1\n0.3,0.9,1000\n")
+        config = write_config(tmp_path, dataset={"kind": "csv", "path": str(data),
+                                                 "test_path": str(data)})
+        command = ["train", "--config", config, "--regime", "baseline",
+                   "--out-dir", str(tmp_path / "out")]
+        assert cli_main(command) == 2
+        err = capsys.readouterr().err
+        assert "error: 1001 classes exceed the 3 training rows" in err
+        assert "Traceback" not in err
+
     def test_hostile_or_invalid_idx_is_data_error(self, tmp_path, capsys):
         """eval on an IDX header claiming 2^30 images of 2^15 x 2^15 over a
         16-byte body, and on labels {0, 1, 7, 9} under --class-count 2."""

@@ -17,7 +17,6 @@ from samediff import (
     min_head_risk_grid,
     pair_objective_value,
     required_head_norm,
-    required_head_norm_bisect,
     run_verification_suite,
     separation_optima,
     signed_mean,
@@ -25,7 +24,7 @@ from samediff import (
     verify_head_norm_argmin,
 )
 from samediff.theory import ROUNDING_TOL, _cross_check_slack, _directions
-from conftest import half_best_gamma
+from conftest import half_best_gamma, required_head_norm_bisect
 
 
 def antipodal_problem(alpha=0.5, radius=1.0, extra=()):

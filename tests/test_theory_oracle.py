@@ -8,7 +8,8 @@ and the risk cross-check, 1-d lengths are ``math.sqrt(v.dot(v))`` and
 of that may change a result: the frozen functions below keep the
 verification code as it stood while each statistic was recomputed wherever
 it was needed, and every report, generated problem and suite outcome must
-match them exactly.
+match them exactly.  The suite's grid head norm, read off the same
+direction scan as the grid risk, must match the bisection it replaced.
 """
 
 import functools
@@ -30,14 +31,15 @@ from samediff.theory import (
     generate_problem,
     image_support_size,
     min_head_risk_grid,
+    min_head_risk,
     pair_objective_value,
-    required_head_norm_bisect,
     run_verification_suite,
     signed_mean,
     verify_collapse_optimality,
     verify_head_norm_argmin,
 )
 from samediff.rng import substream
+from conftest import required_head_norm_bisect
 
 SEEDS = range(300)
 SUITE_SEEDS = 200
@@ -329,3 +331,28 @@ def test_suite_outcome(monkeypatch, grid_dirs, constant):
     assert outcome(run_verification_suite(SUITE_SEEDS, grid_dirs=grid_dirs)) == outcome(ref)
     # with constant maps every problem fails, so the failure texts are compared too
     assert ref.n_passed == (0 if constant else SUITE_SEEDS)
+
+
+@pytest.mark.parametrize("grid_dirs", [10_000, 2_000, 4])
+@pytest.mark.parametrize("constant", [False, True], ids=["plain", "constant-maps"])
+def test_grid_norm_matches_bisection(grid_dirs, constant):
+    """The suite's grid norm, -gamma / best_dot off the one direction scan,
+    and the reference bisection agree on reachability for every hypothesis
+    and, where the norm is reachable, within 1e-15 relative."""
+    reachable = 0
+    for prob in problems(constant):
+        best = min(min_head_risk(h, prob) for h in prob.hypotheses)
+        dots = [theory._best_dot(h, prob, grid_dirs) for h in prob.hypotheses]
+        for fraction in (0.1, 0.5, 0.9, 1.0):
+            gamma = fraction * best
+            for h, best_dot in zip(prob.hypotheses, dots):
+                grid = theory._grid_head_norm(best_dot, gamma, prob.radius)
+                try:
+                    bisected = required_head_norm_bisect(h, prob, gamma, n_dirs=grid_dirs)
+                except ValueError:
+                    assert grid is None
+                    continue
+                assert grid is not None
+                assert abs(grid - bisected) <= 1e-15 * bisected
+                reachable += 1
+    assert reachable > 0
