@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .io import (
 from .pairing import PairingConfig, build_pairs
 from .privacy import encrypt_disjoint
 from .theory import generalization_bound, run_verification_suite
-from .trainer import train_baseline_full, train_online, train_two_stage
+from .trainer import EpochRecord, train_baseline_full, train_online, train_two_stage
 
 __all__ = ["cli_main"]
 
@@ -72,12 +73,14 @@ def _write_manifest(out_dir: str, payload: dict, files: list[str]) -> str:
 
 
 def _write_trace_csv(path: str, runs) -> None:
+    """``stage`` and then every ``EpochRecord`` field, one row per epoch;
+    values via ``repr``, None as an empty cell."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("stage,epoch,lr,train_loss,val_metric\n")
+        f.write(",".join(["stage", *(fld.name for fld in fields(EpochRecord))]) + "\n")
         for run in runs:
             for rec in run.trace:
-                val = "" if rec.val_metric is None else repr(rec.val_metric)
-                f.write(f"{run.stage},{rec.epoch},{repr(rec.lr)},{repr(rec.train_loss)},{val}\n")
+                cells = ("" if v is None else repr(v) for v in astuple(rec))
+                f.write(",".join([run.stage, *cells]) + "\n")
 
 
 def _load_eval_data(args) -> "FullyLabeledDataset":

@@ -8,7 +8,7 @@ cannot silently fall back to defaults.  All sections except ``version`` and
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -39,11 +39,8 @@ _ALLOWED: dict[str, set[str] | None] = {
         "limit", "test_limit", "test_n_per_class",
     },
     "model": {"hidden", "rep_dim", "radius", "binary_head"},
-    "train": {
-        "batch_size", "schedule", "head_rate", "head_epochs", "seed",
-        "pair_loss", "head_loss", "beta", "val_fraction",
-    },
-    "pairing": {"mode", "n_pairs", "class_batch_size", "seed"},
+    "train": set(TrainConfig().echo()),
+    "pairing": {f.name for f in fields(PairingConfig)},
     "labels": {"per_class"},
     "sweep": {"n1", "n2", "reps"},
     "compare": {"trials", "n_pairs", "labels_per_class"},

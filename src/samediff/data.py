@@ -127,10 +127,6 @@ class EmbeddedFeatures(_IdLookup):
         object.__setattr__(self, "ids", _freeze(np.asarray(self.ids, dtype=np.int64)))
         object.__setattr__(self, "x", _freeze(np.asarray(self.x, dtype=np.float64)))
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
 
 FeatureSource = Union[FullyLabeledDataset, EmbeddedFeatures]
 

@@ -233,7 +233,6 @@ def generate_synthetic(
     noise: float = 0.0,
     seed: int = 0,
     class_count: int = 2,
-    centers: np.ndarray | None = None,
 ) -> FullyLabeledDataset:
     """Deterministic toy datasets.
 
@@ -248,18 +247,14 @@ def generate_synthetic(
     if n_per_class < 1:
         raise DataFormatError("n_per_class must be at least 1")
     if kind == "blobs":
-        if centers is None:
-            if class_count == 2:
-                centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
-            else:
-                ang = 2.0 * np.pi * np.arange(class_count) / class_count
-                centers = 2.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.shape[0] != class_count:
-            raise DataFormatError("one center per class required")
+        if class_count == 2:
+            centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
+        else:
+            ang = 2.0 * np.pi * np.arange(class_count) / class_count
+            centers = 2.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         xs, ys = [], []
         for c in range(class_count):
-            pts = centers[c] + noise * rng.normal(size=(n_per_class, centers.shape[1]))
+            pts = centers[c] + noise * rng.normal(size=(n_per_class, 2))
             xs.append(pts)
             ys.append(np.full(n_per_class, c, dtype=np.int64))
         return FullyLabeledDataset.from_arrays(np.vstack(xs), np.concatenate(ys), class_count)

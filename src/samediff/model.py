@@ -115,30 +115,18 @@ class HiddenNetwork:
         self.layers = list(layers)
 
     @classmethod
-    def init(
-        cls,
-        dims: Sequence[int],
-        rng: np.random.Generator,
-        activations: Sequence[str] | None = None,
-    ) -> "HiddenNetwork":
-        """Build from a dims chain [in, h1, ..., out].
-
-        Default activations: relu everywhere except an identity output layer.
-        """
+    def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "HiddenNetwork":
+        """Build from a dims chain [in, h1, ..., out]: relu everywhere
+        except an identity output layer."""
         if len(dims) < 2:
             raise ValueError("dims must list at least input and output width")
         if min(dims) < 1:
             raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
         n_layers = len(dims) - 1
-        if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["identity"]
-        if len(activations) != n_layers:
-            raise ValueError("one activation per layer required")
-        layers = [
-            Layer.init(dims[i], dims[i + 1], activations[i], rng)
+        return cls([
+            Layer.init(dims[i], dims[i + 1], "relu" if i < n_layers - 1 else "identity", rng)
             for i in range(n_layers)
-        ]
-        return cls(layers)
+        ])
 
     @property
     def in_dim(self) -> int:

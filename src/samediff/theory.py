@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "SuiteResult",
     "signed_mean",
     "min_head_risk",
-    "min_head_risk_grid",
     "separation_optima",
     "pair_objective_value",
     "is_collapsing",
@@ -62,7 +61,7 @@ __all__ = [
     "run_verification_suite",
 ]
 
-TIE_TOL = 1e-12     # argmin membership tolerance
+TIE_TOL = 1e-12     # argmin membership and point-coincidence tolerance
 ROUNDING_TOL = 1e-12   # rounding allowance of the dense-search cross-checks
 PMF_TOL = 1e-12
 ROW_NORM_TOL = 1e-9
@@ -256,21 +255,12 @@ def _best_dot(h: np.ndarray, prob: FiniteProblem, n_dirs: int) -> float:
     return float(np.max(dirs @ signed_mean(h, prob)))
 
 
-def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:
-    """Dense-search cross-check of ``min_head_risk``.
-
-    Scans heads on the boundary of the norm ball along near-uniform
-    directions (plus the zero head) and returns the best risk found.
-    """
-    return min(-_best_dot(h, prob, n_dirs) / prob.radius, 0.0)
-
-
 # -- the optimal sets -----------------------------------------------------
 
 
-def _argmin_set(values: np.ndarray, tol: float = TIE_TOL) -> tuple[int, ...]:
+def _argmin_set(values: np.ndarray) -> tuple[int, ...]:
     vmin = float(np.min(values))
-    return tuple(int(i) for i in np.flatnonzero(values <= vmin + tol))
+    return tuple(int(i) for i in np.flatnonzero(values <= vmin + TIE_TOL))
 
 
 def pair_objective_value(h: np.ndarray, prob: FiniteProblem) -> float:
@@ -287,33 +277,31 @@ def pair_objective_value(h: np.ndarray, prob: FiniteProblem) -> float:
     return float(np.sum(cross * (-d2)) / (alpha * (1.0 - alpha)))
 
 
-def separation_optima(prob: FiniteProblem, tol: float = TIE_TOL) -> tuple[int, ...]:
+def separation_optima(prob: FiniteProblem) -> tuple[int, ...]:
     """Indices of hypotheses minimizing the true pair objective."""
     vals = np.array([pair_objective_value(h, prob) for h in prob.hypotheses])
-    return _argmin_set(vals, tol)
+    return _argmin_set(vals)
 
 
 def _class_support(prob: FiniteProblem, col: int) -> np.ndarray:
     return np.flatnonzero(prob.pmf[:, col] > 0.0)
 
 
-def is_collapsing(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> bool:
+def is_collapsing(h: np.ndarray, prob: FiniteProblem) -> bool:
     """True when each class maps to a single point and the points differ."""
     h = np.asarray(h, dtype=np.float64)
     pts = []
     for col in (0, 1):
         rows = h[_class_support(prob, col)]
-        if np.max(np.linalg.norm(rows - rows[0], axis=1), initial=0.0) > tol:
+        if np.max(np.linalg.norm(rows - rows[0], axis=1), initial=0.0) > TIE_TOL:
             return False
         pts.append(rows[0])
-    return _length(pts[0] - pts[1]) > tol
+    return _length(pts[0] - pts[1]) > TIE_TOL
 
 
-def collapsing_maps(prob: FiniteProblem, tol: float = TIE_TOL) -> tuple[int, ...]:
+def collapsing_maps(prob: FiniteProblem) -> tuple[int, ...]:
     """Indices of hypotheses collapsing each class to its own point."""
-    return tuple(
-        k for k, h in enumerate(prob.hypotheses) if is_collapsing(h, prob, tol)
-    )
+    return tuple(k for k, h in enumerate(prob.hypotheses) if is_collapsing(h, prob))
 
 
 def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> int:
@@ -347,25 +335,14 @@ class OptimalityReport:
         return _overlap(self.separation_set, self.collapsing_set)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "separation_set": list(self.separation_set),
-                "collapsing_set": list(self.collapsing_set),
-                "min_risk_set": list(self.min_risk_set),
-                "risks": list(self.risks),
-                "pair_objective": list(self.pair_objective),
-                "assumption_overlap": self.assumption_overlap,
-                "assumption_support": self.assumption_support,
-                "equality": self.equality,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _overlap(d_set: tuple[int, ...], s_set: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(d_set) & set(s_set)))
 
 
-def verify_collapse_optimality(prob: FiniteProblem, tol: float = TIE_TOL) -> OptimalityReport:
+def verify_collapse_optimality(prob: FiniteProblem) -> OptimalityReport:
     """Check that the best-risk hypotheses are exactly the collapsing
     separation optima, provided the two stated assumptions hold.
 
@@ -375,13 +352,13 @@ def verify_collapse_optimality(prob: FiniteProblem, tol: float = TIE_TOL) -> Opt
     """
     objective = tuple(pair_objective_value(h, prob) for h in prob.hypotheses)
     risks = tuple(min_head_risk(h, prob) for h in prob.hypotheses)
-    d_set = _argmin_set(np.array(objective), tol)
-    s_set = collapsing_maps(prob, tol)
-    f_set = _argmin_set(np.array(risks), tol)
+    d_set = _argmin_set(np.array(objective))
+    s_set = collapsing_maps(prob)
+    f_set = _argmin_set(np.array(risks))
     overlap = _overlap(d_set, s_set)
     assumption_overlap = len(overlap) > 0
     assumption_support = all(
-        image_support_size(prob.hypotheses[k], prob, tol) > MIN_SUPPORT
+        image_support_size(prob.hypotheses[k], prob) > MIN_SUPPORT
         for k in range(len(prob.hypotheses))
         if k not in s_set
     )
@@ -444,22 +421,10 @@ class HeadNormReport:
     equality: bool | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "norms": {str(k): v for k, v in self.norms.items()},
-                "excluded": list(self.excluded),
-                "argmin_set": list(self.argmin_set),
-                "target_set": list(self.target_set),
-                "assumption_overlap": self.assumption_overlap,
-                "equality": self.equality,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
-def verify_head_norm_argmin(
-    prob: FiniteProblem, gamma: float, tol: float = TIE_TOL
-) -> HeadNormReport:
+def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport:
     """Check that the hypotheses needing the least head norm to reach gamma
     are exactly the collapsing separation optima.
 
@@ -467,13 +432,11 @@ def verify_head_norm_argmin(
     and reported; the verdict is withheld when no hypothesis is both
     collapsing and separation-optimal.
     """
-    target = _overlap(separation_optima(prob, tol), collapsing_maps(prob, tol))
-    return _head_norm_report(prob, gamma, target, tol)
+    target = _overlap(separation_optima(prob), collapsing_maps(prob))
+    return _head_norm_report(prob, gamma, target)
 
 
-def _head_norm_report(
-    prob: FiniteProblem, gamma: float, target: tuple[int, ...], tol: float = TIE_TOL
-) -> HeadNormReport:
+def _head_norm_report(prob: FiniteProblem, gamma: float, target: tuple[int, ...]) -> HeadNormReport:
     """``verify_head_norm_argmin`` given its target set, the collapsing
     separation optima, already found."""
     norms: dict[int, float] = {}
@@ -486,10 +449,8 @@ def _head_norm_report(
     assumption_overlap = len(target) > 0
     equality = None
     if assumption_overlap and norms:
-        vals = np.array([norms[k] for k in sorted(norms)])
         keys = sorted(norms)
-        vmin = float(vals.min())
-        argmin = tuple(keys[i] for i in np.flatnonzero(vals <= vmin + tol))
+        argmin = tuple(keys[i] for i in _argmin_set(np.array([norms[k] for k in keys])))
         equality = set(argmin) == set(target)
     else:
         argmin = ()
@@ -686,7 +647,7 @@ def run_verification_suite(
             for k, h in enumerate(prob.hypotheses):
                 best_dot = _best_dot(h, prob, grid_dirs)
                 closed = rep.risks[k]
-                grid = min(-best_dot / prob.radius, 0.0)
+                grid = min(-best_dot / prob.radius, 0.0)   # best grid head, or the zero head
                 if abs(closed - grid) > -closed * risk_slack + ROUNDING_TOL:
                     issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
                 if k not in norm_rep.norms:

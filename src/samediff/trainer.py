@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -119,33 +119,24 @@ class TrainConfig:
         return "sqdist" if model.head.binary else "ncs"
 
     def echo(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "schedule": [[lr, ep] for lr, ep in self.schedule],
-            "head_rate": self.head_rate,
-            "head_epochs": self.head_epochs,
-            "seed": self.seed,
-            "pair_loss": self.pair_loss,
-            "head_loss": self.head_loss,
-            "beta": self.beta,
-            "val_fraction": self.val_fraction,
-        }
+        """Every knob but the ``augment`` callable, the schedule as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "augment"}
+        doc["schedule"] = [list(step) for step in self.schedule]
+        return doc
 
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch of one stage; its fields, in order, are ``trace.csv``'s
+    columns after ``stage``."""
+
     epoch: int
     lr: float
     train_loss: float
     val_metric: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "train_loss": self.train_loss,
-            "val_metric": self.val_metric,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -166,14 +157,7 @@ class TrainRun:
     max_pair_buffer: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "config": self.config,
-            "trace": [r.to_dict() for r in self.trace],
-            "best_epoch": self.best_epoch,
-            "wall_seconds": self.wall_seconds,
-            "max_pair_buffer": self.max_pair_buffer,
-        }
+        return asdict(self)
 
 
 def _epoch_plan(schedule) -> list[tuple[int, float]]:

@@ -1,6 +1,6 @@
 """Shared helpers: finite-difference gradients, tiny dataset builders,
-bitwise model equality, the theory tests' risk target and the bisection
-that checks the suite's grid head norm.
+bitwise model equality, the theory tests' risk target, and the grid risk
+and bisection that check the suite's dense-search cross-checks.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from samediff import FullyLabeledDataset, TwoPartClassifier, min_head_risk, substream
-from samediff.theory import FiniteProblem, _directions, signed_mean
+from samediff.theory import FiniteProblem, _best_dot, _directions, signed_mean
 
 try:
     from hypothesis import settings
@@ -85,6 +85,15 @@ def half_best_gamma(prob):
     if best >= 0:
         raise ValueError("no hypothesis achieves negative risk on this problem")
     return 0.5 * best
+
+
+def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:
+    """Dense-search cross-check of ``min_head_risk``.
+
+    Scans heads on the boundary of the norm ball along near-uniform
+    directions (plus the zero head) and returns the best risk found.
+    """
+    return min(-_best_dot(h, prob, n_dirs) / prob.radius, 0.0)
 
 
 def required_head_norm_bisect(

@@ -1,6 +1,7 @@
 """Command-line interface and run-config validation."""
 
 import json
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -21,7 +22,13 @@ from samediff import (
     save_model,
     validate_config,
 )
+from samediff.cli import _write_trace_csv
+from samediff.config import _ALLOWED
+from samediff.harness import SweepResult, SweepSpec
 from samediff.theory import SuiteResult
+from samediff.trainer import EpochRecord, TrainRun
+
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
 
 def base_config(**extra):
@@ -77,6 +84,15 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    def test_train_and_pairing_keys(self):
+        """The key sets derived from the config dataclasses: every knob but
+        ``augment``, which no JSON document can hold."""
+        assert _ALLOWED["train"] == {
+            "batch_size", "schedule", "head_rate", "head_epochs", "seed",
+            "pair_loss", "head_loss", "beta", "val_fraction",
+        }
+        assert _ALLOWED["pairing"] == {"mode", "n_pairs", "class_batch_size", "seed"}
 
 
 class TestConfigBuilders:
@@ -408,11 +424,14 @@ class TestTrainEvalCommands:
         evald = float(capsys.readouterr().out.split("accuracy ")[1])
         assert evald == pytest.approx(reported, abs=5e-5)
 
-    def test_train_reruns_are_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("regime", ["two-stage", "baseline", "online"])
+    def test_train_reruns_are_byte_identical(self, tmp_path, capsys, regime):
         cfg = write_config(tmp_path)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):
-            assert cli_main(["train", "--config", cfg, "--out-dir", str(d)]) == 0
+            assert cli_main([
+                "train", "--config", cfg, "--regime", regime, "--out-dir", str(d),
+            ]) == 0
         capsys.readouterr()
         assert (d1 / "model.ckpt").read_bytes() == (d2 / "model.ckpt").read_bytes()
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
@@ -438,6 +457,34 @@ class TestTrainEvalCommands:
             cfg = write_config(tmp_path, f"{mode}.json", pairing={"mode": mode, "n_pairs": 30})
             assert cli_main(["train", "--config", cfg, "--out-dir", str(tmp_path / mode)]) == 0
             assert "test accuracy" in capsys.readouterr().out
+
+
+class TestRunOutputFormats:
+    def test_trace_csv_bytes(self, tmp_path):
+        runs = [
+            TrainRun(stage="step1", config={}, trace=[
+                EpochRecord(0, 0.1, -2.5, 1 / 3),
+                EpochRecord(1, 0.01, 1 / 3, -0.1),
+            ]),
+            TrainRun(stage="step2", config={}, trace=[EpochRecord(0, 0.1, 0.25, None)]),
+        ]
+        path = tmp_path / "trace.csv"
+        _write_trace_csv(str(path), runs)
+        assert path.read_bytes() == (
+            b"stage,epoch,lr,train_loss,val_metric\n"
+            b"step1,0,0.1,-2.5,0.3333333333333333\n"
+            b"step1,1,0.01,0.3333333333333333,-0.1\n"
+            b"step2,0,0.1,0.25,\n"
+        )
+
+    def test_documented_headers_match_the_writers(self, tmp_path):
+        docs = FORMATS.read_text(encoding="utf-8")
+        trace, results = tmp_path / "trace.csv", tmp_path / "results.csv"
+        _write_trace_csv(str(trace), [])
+        SweepResult(spec=SweepSpec(n1_values=(1,), n2_values=(1,))).to_csv(str(results))
+        for path in (trace, results):
+            documented = re.search(rf"`{path.name}`[^`]*header `([^`]*)`", docs).group(1)
+            assert path.read_text(encoding="utf-8") == documented + "\n"
 
 
 class TestSweepCompareCommands:

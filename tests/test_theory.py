@@ -14,7 +14,6 @@ from samediff import (
     image_support_size,
     is_collapsing,
     min_head_risk,
-    min_head_risk_grid,
     pair_objective_value,
     required_head_norm,
     run_verification_suite,
@@ -23,8 +22,14 @@ from samediff import (
     verify_collapse_optimality,
     verify_head_norm_argmin,
 )
-from samediff.theory import ROUNDING_TOL, _cross_check_slack, _directions
-from conftest import half_best_gamma, required_head_norm_bisect
+from samediff.theory import (
+    ROUNDING_TOL,
+    HeadNormReport,
+    OptimalityReport,
+    _cross_check_slack,
+    _directions,
+)
+from conftest import half_best_gamma, min_head_risk_grid, required_head_norm_bisect
 
 
 def antipodal_problem(alpha=0.5, radius=1.0, extra=()):
@@ -246,6 +251,26 @@ class TestHeadNormArgmin:
         rep = verify_head_norm_argmin(prob, half_best_gamma(prob))
         assert set(rep.excluded).isdisjoint(rep.argmin_set)
         assert set(rep.excluded) | set(rep.norms) == set(range(len(prob.hypotheses)))
+
+    def test_report_json_is_its_fields(self):
+        """Both reports print as their fields in declaration order, tuples as
+        lists and hypothesis indices as string keys."""
+        norm_rep = HeadNormReport(gamma=-0.5, norms={0: 0.5, 2: 1 / 3}, excluded=(1,),
+                                  argmin_set=(2,), target_set=(0,), assumption_overlap=True,
+                                  equality=False)
+        assert norm_rep.to_json() == (
+            '{"gamma": -0.5, "norms": {"0": 0.5, "2": 0.3333333333333333}, "excluded": [1], '
+            '"argmin_set": [2], "target_set": [0], "assumption_overlap": true, '
+            '"equality": false}'
+        )
+        rep = OptimalityReport(separation_set=(0, 1), collapsing_set=(0,), min_risk_set=(0,),
+                               risks=(-1.0, -0.25), pair_objective=(-4.0, -2.0),
+                               assumption_overlap=True, assumption_support=False, equality=None)
+        assert rep.to_json() == (
+            '{"separation_set": [0, 1], "collapsing_set": [0], "min_risk_set": [0], '
+            '"risks": [-1.0, -0.25], "pair_objective": [-4.0, -2.0], '
+            '"assumption_overlap": true, "assumption_support": false, "equality": null}'
+        )
 
 
 class TestGeneralizationBound:

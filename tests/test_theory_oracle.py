@@ -30,7 +30,6 @@ from samediff.theory import (
     _cross_check_slack,
     generate_problem,
     image_support_size,
-    min_head_risk_grid,
     min_head_risk,
     pair_objective_value,
     run_verification_suite,
@@ -39,7 +38,7 @@ from samediff.theory import (
     verify_head_norm_argmin,
 )
 from samediff.rng import substream
-from conftest import required_head_norm_bisect
+from conftest import min_head_risk_grid, required_head_norm_bisect
 
 SEEDS = range(300)
 SUITE_SEEDS = 200

@@ -5,8 +5,10 @@ import pytest
 
 from samediff import (
     SHORT_SCHEDULE,
+    EpochRecord,
     PairingConfig,
     TrainConfig,
+    TrainRun,
     TwoPartClassifier,
     accuracy,
     generate_synthetic,
@@ -65,6 +67,19 @@ class TestTrainConfig:
         echo = TrainConfig(seed=7).echo()
         assert echo["seed"] == 7
         assert echo["schedule"] == [[0.1, 20], [0.01, 10], [0.001, 5]]
+
+    def test_echo_is_every_knob_but_augment(self):
+        assert TrainConfig(seed=7).echo() == {
+            "batch_size": 128,
+            "schedule": [[0.1, 20], [0.01, 10], [0.001, 5]],
+            "head_rate": 0.1,
+            "head_epochs": 50,
+            "seed": 7,
+            "pair_loss": None,
+            "head_loss": "hinge",
+            "beta": None,
+            "val_fraction": 1.0 / 12.0,
+        }
 
 
 class TestFreezeContract:
@@ -315,3 +330,19 @@ class TestTrainRunBookkeeping:
         assert len(d["trace"]) == 2
         assert set(d["trace"][0]) == {"epoch", "lr", "train_loss", "val_metric"}
         assert d["config"]["seed"] == 16
+
+    def test_to_dict_literal(self):
+        run = TrainRun(stage="step2", config={"seed": 3},
+                       trace=[EpochRecord(0, 0.1, 0.5, None), EpochRecord(1, 0.1, 0.25, 0.75)],
+                       best_epoch=1, wall_seconds=1.5, max_pair_buffer=4)
+        assert run.to_dict() == {
+            "stage": "step2",
+            "config": {"seed": 3},
+            "trace": [
+                {"epoch": 0, "lr": 0.1, "train_loss": 0.5, "val_metric": None},
+                {"epoch": 1, "lr": 0.1, "train_loss": 0.25, "val_metric": 0.75},
+            ],
+            "best_epoch": 1,
+            "wall_seconds": 1.5,
+            "max_pair_buffer": 4,
+        }
