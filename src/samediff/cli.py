@@ -91,16 +91,6 @@ def _load_eval_data(args) -> "FullyLabeledDataset":
     raise DataFormatError("no evaluation data given: use --data or --images/--labels")
 
 
-def _pairing_config(doc: dict) -> PairingConfig:
-    """The config's pairing section, which must name a materialised pair set."""
-    pairing = build_pairing_config(doc)
-    if pairing.mode == "online":
-        raise ConfigError(
-            'pairing.mode "online" has no materialised pair set: use train --regime online'
-        )
-    return pairing
-
-
 # -- subcommand implementations -------------------------------------------
 
 
@@ -123,7 +113,7 @@ def _cmd_convert(args) -> int:
         mode=args.mode, n_pairs=args.n_pairs,
         class_batch_size=args.class_batch_size, seed=args.seed,
     ))
-    if args.mode == "disjoint" and args.remainder_out:
+    if args.remainder_out:
         save_csv(remainder, args.remainder_out)
     save_pairs(pairs, args.out, inline=args.inline)
     same = int(np.sum(pairs.t == 1))
@@ -173,7 +163,7 @@ def _cmd_train(args) -> int:
         )
         runs = list(train_online(model, train_ds, labeled, cfg))
     else:  # two-stage
-        pairs, label_pool = build_pairs(train_ds, _pairing_config(doc))
+        pairs, label_pool = build_pairs(train_ds, build_pairing_config(doc))
         labeled = stratified_subset(
             label_pool, per_class * label_pool.class_count, cfg.seed
         )
@@ -227,7 +217,7 @@ def _cmd_sweep(args) -> int:
         train_ds, test_ds, spec,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        pairing=_pairing_config(doc),
+        pairing=build_pairing_config(doc),
     )
     csv_path = os.path.join(out_dir, "results.csv")
     result.to_csv(csv_path)
@@ -253,7 +243,7 @@ def _cmd_compare(args) -> int:
     sec = doc.get("compare", {})
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
-    pairing = _pairing_config(doc)
+    pairing = build_pairing_config(doc)
     if pairing.mode == "disjoint":   # pair half the records, label from the rest
         default_pairs = max(len(train_ds) // 4, 1)
     else:

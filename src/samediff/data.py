@@ -116,8 +116,8 @@ class FullyLabeledDataset(_IdLookup):
 class EmbeddedFeatures(_IdLookup):
     """Feature store for pair collections whose records carry no class labels.
 
-    Produced when pairs are serialized inline (features embedded per slot);
-    ids are synthetic slot numbers and no label array exists at all.
+    Built by ``PairDataset.inline`` for pairs held inline (features embedded
+    per slot); ids are synthetic slot numbers and no label array exists.
     """
 
     ids: np.ndarray  # (k,) int64, unique
@@ -158,6 +158,15 @@ class PairDataset:
         object.__setattr__(self, "a_ids", _freeze(a))
         object.__setattr__(self, "b_ids", _freeze(b))
         object.__setattr__(self, "t", _freeze(t))
+
+    @classmethod
+    def inline(cls, xa, xb, t) -> "PairDataset":
+        """The pairs (xa[k], xb[k]) with bits t in the label-free slot form:
+        pair k is slots 2k and 2k + 1 of an :class:`EmbeddedFeatures` store."""
+        slot_x = np.empty((2 * len(xa), np.shape(xa)[1]))
+        slot_x[0::2], slot_x[1::2] = xa, xb
+        slots = np.arange(len(slot_x), dtype=np.int64)
+        return cls(slots[0::2], slots[1::2], t, source=EmbeddedFeatures(ids=slots, x=slot_x))
 
     @classmethod
     def build(cls, a_ids, b_ids, t, source: FeatureSource | None = None) -> "PairDataset":

@@ -71,6 +71,13 @@ def stratified_subset(ds: FullyLabeledDataset, n: int, seed: int) -> FullyLabele
     return ds.subset(np.array(sorted(picked), dtype=np.int64))
 
 
+def _mean_std(accuracies: list[float]) -> tuple[float, float]:
+    """(mean, sample std) of one or more accuracies; the std of one is 0.0."""
+    acc = np.array(accuracies)
+    std = float(np.std(acc, ddof=1)) if len(acc) > 1 else 0.0
+    return float(np.mean(acc)), std
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of pair budgets and label budgets with repetitions."""
@@ -107,11 +114,10 @@ class SweepResult:
 
     def cell_stats(self, n1: int, n2: int) -> tuple[float, float]:
         """(mean, sample std) recomputed from the stored per-run accuracies."""
-        acc = np.array([r.accuracy for r in self.cell(n1, n2)])
-        if len(acc) == 0:
+        acc = [r.accuracy for r in self.cell(n1, n2)]
+        if not acc:
             raise ValueError(f"no rows for cell ({n1}, {n2})")
-        std = float(np.std(acc, ddof=1)) if len(acc) > 1 else 0.0
-        return float(np.mean(acc)), std
+        return _mean_std(acc)
 
     def to_csv(self, path: str) -> None:
         """Result rows; wall times stay out of the file (they go to the run
@@ -170,9 +176,7 @@ class CompareResult:
     regimes: dict[str, list[float]] = field(default_factory=dict)
 
     def stats(self, regime: str) -> tuple[float, float]:
-        acc = np.array(self.regimes[regime])
-        std = float(np.std(acc, ddof=1)) if len(acc) > 1 else 0.0
-        return float(np.mean(acc)), std
+        return _mean_std(self.regimes[regime])
 
     def to_dict(self) -> dict:
         return {
@@ -207,6 +211,8 @@ def comparison_protocol(
                class, drawn from that construction's label pool.
     * online:  online two-stage training on the same labeled examples.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if pairing is None:
         pairing = PairingConfig(mode="sampled")
     result = CompareResult(trials=trials, regimes={name: [] for name in regimes})

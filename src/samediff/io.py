@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddedFeatures, FullyLabeledDataset, PairDataset, validate_dataset
+from .data import FullyLabeledDataset, PairDataset, validate_dataset
 from .model import HiddenNetwork, Layer, LinearHead, TwoPartClassifier
 from .rng import substream
 
@@ -246,6 +246,8 @@ def generate_synthetic(
     rng = substream(seed, "synthetic", kind)
     if n_per_class < 1:
         raise DataFormatError("n_per_class must be at least 1")
+    if class_count < 2:
+        raise DataFormatError(f"class_count must be at least 2, got {class_count}")
     if kind == "blobs":
         if class_count == 2:
             centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
@@ -342,16 +344,10 @@ def load_pairs(path: str, source=None) -> PairDataset:
         rec = np.frombuffer(body, dtype=_pair_records(dim, inline), count=n)
     except ValueError as e:
         raise DataFormatError(f"{path}: unsupported record layout: {e}") from None
-    if inline:
-        slot_x = np.empty((2 * n, dim))
-        slot_x[0::2] = rec["a"]
-        slot_x[1::2] = rec["b"]
-        source = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=slot_x)
-        a, b = np.arange(0, 2 * n, 2, dtype=np.int64), np.arange(1, 2 * n, 2, dtype=np.int64)
-    else:
-        a, b = rec["a"], rec["b"]
     try:
-        return PairDataset(a_ids=a, b_ids=b, t=rec["t"], source=source)
+        if inline:
+            return PairDataset.inline(rec["a"], rec["b"], rec["t"])
+        return PairDataset(a_ids=rec["a"], b_ids=rec["b"], t=rec["t"], source=source)
     except ValueError as e:  # non-canonical ids or an agreement byte above 1
         raise DataFormatError(f"{path}: invalid records: {e}") from None
 

@@ -282,4 +282,4 @@ def build_pairs(
         return pair_disjoint(ds, cfg.n_pairs, seed=cfg.seed)
     if cfg.mode == "sampled":
         return pair_sampled(ds, cfg), ds
-    raise ValueError("online pairing has no materialized pair set")
+    raise ValueError("online pairing has no materialized pair set: use train --regime online")

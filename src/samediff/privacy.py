@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import EmbeddedFeatures, FullyLabeledDataset, PairDataset
+from .data import FullyLabeledDataset, PairDataset
 from .pairing import max_disjoint_pairs, pair_disjoint
 
 __all__ = [
@@ -83,13 +83,14 @@ def _pairs2(counts: np.ndarray) -> np.int64:
 
 
 def pairwise_agreement(
-    components: list[list[int]], true_labels: Mapping[int, int]
+    components: list[list[int]], true_labels: Mapping[int, int] | np.ndarray
 ) -> float:
     """Fraction of participant pairs on which the recovered partition and the
     true class partition agree (same-cluster vs same-class).
 
-    Computed from contingency counts, so it is exact and linear in the
-    participant count.  The components must be disjoint.
+    ``true_labels[pid]`` is participant pid's class: a mapping, or an array
+    indexed by id.  Computed from contingency counts, so it is exact and
+    linear in the participant count.  The components must be disjoint.
     """
     sizes = [len(comp) for comp in components]
     n = sum(sizes)
@@ -118,7 +119,8 @@ class StrengthReport:
     agreement: float
 
 
-def strength_report(pairs: PairDataset, true_labels: Mapping[int, int]) -> StrengthReport:
+def strength_report(pairs: PairDataset,
+                    true_labels: Mapping[int, int] | np.ndarray) -> StrengthReport:
     """Run the attack on a pair release and score it against the truth."""
     components = recover_clusters(pairs)
     sizes = tuple(sorted((len(c) for c in components), reverse=True))
@@ -158,20 +160,12 @@ def encrypt_disjoint(
     and a report whose statistics come from attacking the release itself.
     """
     id_pairs, holdout = pair_disjoint(ds, n_pairs, seed=seed)
-    n = len(id_pairs)
-    rows = np.empty(2 * n, dtype=np.int64)
-    rows[0::2] = ds.positions_of(id_pairs.a_ids)
-    rows[1::2] = ds.positions_of(id_pairs.b_ids)
-    slot_labels = dict(enumerate(ds.y[rows].tolist()))
-    slots = EmbeddedFeatures(ids=np.arange(2 * n, dtype=np.int64), x=ds.x[rows])
-    released = PairDataset(
-        a_ids=np.arange(0, 2 * n, 2, dtype=np.int64),
-        b_ids=np.arange(1, 2 * n, 2, dtype=np.int64),
-        t=id_pairs.t,
-        source=slots,
-    )
+    pa, pb = id_pairs.positions()
+    released = PairDataset.inline(ds.x[pa], ds.x[pb], id_pairs.t)
+    slot_labels = np.empty(2 * len(released), dtype=np.int64)   # indexed by slot id
+    slot_labels[released.a_ids], slot_labels[released.b_ids] = ds.y[pa], ds.y[pb]
     report = EncryptionReport(
-        pair_count=n,
+        pair_count=len(released),
         holdout_count=len(holdout),
         max_pairs_strict=max_disjoint_pairs(len(ds)),
         max_pairs_half=len(ds) // 2,

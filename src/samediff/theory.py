@@ -24,10 +24,11 @@ derivation.
 
 Each problem's statistics are computed once: ``verify_collapse_optimality``
 evaluates every hypothesis's pair objective, best-head risk and collapse
-test a single time, and ``run_verification_suite`` hands that report's
-risks and collapsing separation optima on to the head-norm check and the
-cross-checks instead of deriving them again; each hypothesis's direction
-scan is done once and serves both cross-checks.
+test a single time and keeps the report on the problem, so
+``verify_head_norm_argmin`` reads its target set, the collapsing
+separation optima, from that report, and ``run_verification_suite``'s
+cross-checks read its risks; each hypothesis's direction scan is done once
+and serves both cross-checks.
 """
 
 from __future__ import annotations
@@ -119,6 +120,35 @@ class FiniteProblem:
     @property
     def alpha(self) -> float:
         return float(self.pmf[:, 0].sum())
+
+    @functools.cached_property
+    def _optimality(self) -> "OptimalityReport":
+        """``verify_collapse_optimality``'s report, computed on first use."""
+        objective = tuple(pair_objective_value(h, self) for h in self.hypotheses)
+        risks = tuple(min_head_risk(h, self) for h in self.hypotheses)
+        d_set = _argmin_set(np.array(objective))
+        s_set = collapsing_maps(self)
+        f_set = _argmin_set(np.array(risks))
+        overlap = _overlap(d_set, s_set)
+        assumption_overlap = len(overlap) > 0
+        assumption_support = all(
+            image_support_size(h, self) > MIN_SUPPORT
+            for k, h in enumerate(self.hypotheses)
+            if k not in s_set
+        )
+        equality = None
+        if assumption_overlap and assumption_support:
+            equality = set(f_set) == set(overlap)
+        return OptimalityReport(
+            separation_set=d_set,
+            collapsing_set=s_set,
+            min_risk_set=f_set,
+            risks=risks,
+            pair_objective=objective,
+            assumption_overlap=assumption_overlap,
+            assumption_support=assumption_support,
+            equality=equality,
+        )
 
 
 # -- best-head risk -------------------------------------------------------
@@ -348,33 +378,10 @@ def verify_collapse_optimality(prob: FiniteProblem) -> OptimalityReport:
 
     When either assumption fails the verdict is withheld (None) rather than
     evaluated on unsupported ground.  Each hypothesis's pair objective,
-    best-head risk and collapse test are computed once.
+    best-head risk and collapse test are computed once, and the report is
+    kept on the problem.
     """
-    objective = tuple(pair_objective_value(h, prob) for h in prob.hypotheses)
-    risks = tuple(min_head_risk(h, prob) for h in prob.hypotheses)
-    d_set = _argmin_set(np.array(objective))
-    s_set = collapsing_maps(prob)
-    f_set = _argmin_set(np.array(risks))
-    overlap = _overlap(d_set, s_set)
-    assumption_overlap = len(overlap) > 0
-    assumption_support = all(
-        image_support_size(prob.hypotheses[k], prob) > MIN_SUPPORT
-        for k in range(len(prob.hypotheses))
-        if k not in s_set
-    )
-    equality = None
-    if assumption_overlap and assumption_support:
-        equality = set(f_set) == set(overlap)
-    return OptimalityReport(
-        separation_set=d_set,
-        collapsing_set=s_set,
-        min_risk_set=f_set,
-        risks=risks,
-        pair_objective=objective,
-        assumption_overlap=assumption_overlap,
-        assumption_support=assumption_support,
-        equality=equality,
-    )
+    return prob._optimality
 
 
 # -- smallest adequate head norm ------------------------------------------
@@ -428,17 +435,12 @@ def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport
     """Check that the hypotheses needing the least head norm to reach gamma
     are exactly the collapsing separation optima.
 
-    Hypotheses for which gamma is unattainable are excluded from the argmin
-    and reported; the verdict is withheld when no hypothesis is both
-    collapsing and separation-optimal.
+    The target set is the ``overlap`` of the problem's
+    ``verify_collapse_optimality`` report.  Hypotheses for which gamma is
+    unattainable are excluded from the argmin and reported; the verdict is
+    withheld when no hypothesis is both collapsing and separation-optimal.
     """
-    target = _overlap(separation_optima(prob), collapsing_maps(prob))
-    return _head_norm_report(prob, gamma, target)
-
-
-def _head_norm_report(prob: FiniteProblem, gamma: float, target: tuple[int, ...]) -> HeadNormReport:
-    """``verify_head_norm_argmin`` given its target set, the collapsing
-    separation optima, already found."""
+    target = verify_collapse_optimality(prob).overlap
     norms: dict[int, float] = {}
     excluded: list[int] = []
     for k, h in enumerate(prob.hypotheses):
@@ -638,7 +640,7 @@ def run_verification_suite(
         if rep.equality is not True:
             issues.append(f"collapse-optimality equality failed: {rep.to_json()}")
         gamma = gamma_fraction * min(rep.risks)
-        norm_rep = _head_norm_report(prob, gamma, rep.overlap)
+        norm_rep = verify_head_norm_argmin(prob, gamma)
         if norm_rep.equality is not True:
             issues.append(f"head-norm argmin equality failed: {norm_rep.to_json()}")
         if cross_checks:

@@ -9,8 +9,10 @@ trainers.
 
 All four run one epoch driver, ``_run_epochs``: it owns the epoch plan, the
 per-epoch shuffle, the validation call, the best snapshot and the trace; a
-regime supplies only an epoch body, which holds its whole batch loop, and
-a validation score.
+regime supplies only an epoch body, which holds its whole batch loop and
+yields each batch's (loss, weight), and a validation score.  Every mean
+over batches, train loss and online validation risk alike, is one
+``_weighted_mean``.
 
 Every regime trains through the model's one surface and steps with its
 one update, ``apply_grads``.  The pair stages push their feature adjoint
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -185,17 +187,28 @@ def _split_examples(
     return ds.subset(perm[n_val:]), ds.subset(perm[:n_val])
 
 
+def _weighted_mean(terms: Iterable[tuple[float, int]]) -> float:
+    """Sum of value * weight over sum of weight for the (value, weight)
+    terms, in order; 0.0 when they weigh nothing."""
+    total, seen = 0.0, 0
+    for value, weight in terms:
+        total += value * weight
+        seen += weight
+    return total / max(seen, 1)
+
+
 def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
                 plan: list[tuple[int, float]], tag: str, n: int,
-                epoch_body: Callable[[int, float, np.ndarray], float],
+                epoch_body: Callable[[int, float, np.ndarray], Iterable[tuple[float, int]]],
                 val_score: Callable[[], float | None], maximize: bool = False) -> None:
     """The one epoch loop every trainer runs.
 
     Each epoch permutes the n training items with the ("shuffle", tag,
     epoch) substream and hands the permutation to ``epoch_body(epoch, lr,
-    perm)``, which runs the regime's whole batch loop and returns the mean
-    train loss.  ``val_score()`` returns the validation metric, or None
-    without a validation set.  The model is cloned at the best metric
+    perm)``, which runs the regime's whole batch loop and yields each
+    stepped batch's (loss, weight); the epoch's train loss is their
+    ``_weighted_mean``.  ``val_score()`` returns the validation metric, or
+    None without a validation set.  The model is cloned at the best metric
     (lowest, or highest with ``maximize``) and restored after the last
     epoch; parts the regime never moves come back bit-identical.
     """
@@ -203,7 +216,7 @@ def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
     best, snapshot = np.inf, None
     for epoch, lr in plan:
         perm = substream(cfg.seed, "shuffle", tag, epoch).permutation(n)
-        train_loss = epoch_body(epoch, lr, perm)
+        train_loss = _weighted_mean(epoch_body(epoch, lr, perm))
         val_metric = val_score()
         if val_metric is not None and sign * val_metric < best:
             best, snapshot = sign * val_metric, model.clone()
@@ -252,7 +265,6 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
         rows[to_a] = pos_a.take(perm)
         rows[to_b] = pos_b.take(perm)
         x_ep, t_ep = x.take(rows, axis=0), t_all.take(perm)
-        total, seen = 0.0, 0
         for lo in range(0, n, bs):
             t = t_ep[lo:lo + bs]
             if loss_name == "contrastive" and not np.any(t == 1):
@@ -268,9 +280,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
             )
             du = np.concatenate([dua, dub])
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
-            total += risk * m
-            seen += m
-        return total / max(seen, 1)
+            yield risk, m
 
     def val_score():
         return None if val_pairs is None else empirical_risk_pairs(
@@ -297,7 +307,6 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
     run = TrainRun(stage="step2", config=cfg.echo())
 
     def epoch_body(epoch, lr, perm):
-        total = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             u = u_train[idx]
@@ -306,8 +315,7 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
             )
             dw, db, _ = model.head.backward(u, dscores)
             model.apply_grads(lr, head=(dw, db))
-            total += loss * len(idx)
-        return total / len(perm)
+            yield loss, len(idx)
 
     _run_epochs(run, model, cfg, _epoch_plan(((cfg.head_rate, cfg.head_epochs),)), "step2",
                 len(train_ds), epoch_body, _accuracy_score(model, val_ds), maximize=True)
@@ -337,7 +345,6 @@ def train_baseline_full(
     run = TrainRun(stage="baseline", config=cfg.echo())
 
     def epoch_body(epoch, lr, perm):
-        total = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             x = train_ds.x[idx]
@@ -349,8 +356,7 @@ def train_baseline_full(
             )
             dw, db, du = model.head.backward(u, dscores)
             model.apply_grads(lr, hidden=model.backward_features(cache, du), head=(dw, db))
-            total += loss * len(idx)
-        return total / len(perm)
+            yield loss, len(idx)
 
     _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "baseline", len(train_ds),
                 epoch_body, _accuracy_score(model, val_ds), maximize=True)
@@ -403,7 +409,6 @@ def train_online(
     run = TrainRun(stage="step1-online", config=cfg.echo())
 
     def epoch_body(epoch, lr, perm):
-        total, seen = 0.0, 0
         for lo, idx, t in _online_batches(train_ds, perm, cfg, loss_name):
             x = train_ds.x.take(idx, axis=0)
             if cfg.augment is not None:
@@ -413,20 +418,15 @@ def train_online(
             risk, du, _ = pair_risk_batch(loss_name, u, None, t, radius=model.radius,
                                           beta=cfg.beta)
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
-            total += risk * len(t)
-            seen += len(t)
-        return total / max(seen, 1)
+            yield risk, len(t)
 
     def val_score():
         if val_ds is None:
             return None
-        total, seen = 0.0, 0
-        for _, idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name):
-            u = model.features(val_ds.x.take(idx, axis=0))
-            total += pair_risk_batch(loss_name, u, None, t, radius=model.radius,
-                                     beta=cfg.beta)[0] * len(t)
-            seen += len(t)
-        return total / max(seen, 1)
+        return _weighted_mean(
+            (pair_risk_batch(loss_name, model.features(val_ds.x.take(idx, axis=0)), None, t,
+                             radius=model.radius, beta=cfg.beta)[0], len(t))
+            for _, idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name))
 
     _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),
                 epoch_body, val_score)

@@ -168,6 +168,25 @@ class TestExitCodes:
         assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
         assert "--regime online" in capsys.readouterr().err
 
+    def test_zero_compare_trials_is_data_error(self, tmp_path, capsys):
+        """Zero trials once exited 0 with "accuracy nan +/- 0.0000"."""
+        cfg = write_config(tmp_path, compare={"trials": 0, "n_pairs": 60})
+        assert cli_main(["compare", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1, got 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("classes", [1, 0])
+    def test_generate_fewer_than_two_classes_is_data_error(self, tmp_path, capsys, classes):
+        """One class once wrote a CSV no loader accepts; zero failed inside numpy."""
+        out = tmp_path / "one.csv"
+        assert cli_main(["generate", "--kind", "blobs", "--classes", str(classes),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"class_count must be at least 2, got {classes}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_radius_is_data_error(self, tmp_path, capsys):
         """A NaN radius (Python's json reads the NaN token) stops the model
         constructor, and a CRC-valid checkpoint holding one stops load_model."""
@@ -379,6 +398,35 @@ class TestDataCommands:
         assert doc["holdout_count"] == len(load_csv(holdout, class_count=2))
         released = load_pairs(release)
         assert len(released) == 12
+
+    def test_convert_writes_the_remainder_in_every_mode(self, tmp_path, capsys):
+        """Sampled pairing leaves the whole dataset to label: its remainder
+        file is the generated CSV byte for byte."""
+        data = tmp_path / "d.csv"
+        assert cli_main(["generate", "--kind", "blobs", "--n-per-class", "15", "--seed", "4",
+                         "--out", str(data)]) == 0
+        rest = tmp_path / "rest.csv"
+        assert cli_main(["convert", "--data", str(data), "--mode", "sampled", "--n-pairs", "20",
+                         "--remainder-out", str(rest), "--out", str(tmp_path / "p.sdpf")]) == 0
+        capsys.readouterr()
+        assert rest.read_bytes() == data.read_bytes()
+
+    def test_encrypt_is_disjoint_inline_convert(self, tmp_path, capsys):
+        """``encrypt`` writes what ``convert --mode disjoint --inline
+        --remainder-out`` writes, plus its attack report."""
+        data = str(tmp_path / "d.csv")
+        assert cli_main(["generate", "--kind", "blobs", "--classes", "4", "--n-per-class", "200",
+                         "--out", data]) == 0
+        common = ["--data", data, "--n-pairs", "150", "--seed", "5"]
+        assert cli_main(["encrypt", *common, "--out", str(tmp_path / "enc.sdpf"),
+                         "--holdout-out", str(tmp_path / "enc.csv")]) == 0
+        assert cli_main(["convert", *common, "--mode", "disjoint", "--inline",
+                         "--out", str(tmp_path / "conv.sdpf"),
+                         "--remainder-out", str(tmp_path / "conv.csv")]) == 0
+        capsys.readouterr()
+        for ext in ("sdpf", "csv"):
+            assert ((tmp_path / f"enc.{ext}").read_bytes()
+                    == (tmp_path / f"conv.{ext}").read_bytes())
 
     def test_convert_rejects_overbudget(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")

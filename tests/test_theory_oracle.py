@@ -296,7 +296,6 @@ class TestReports:
             gamma = fraction * min(rep.risks)
             ref = frozen_verify_head_norm_argmin(prob, gamma).to_json()
             assert verify_head_norm_argmin(prob, gamma).to_json() == ref
-            assert theory._head_norm_report(prob, gamma, rep.overlap).to_json() == ref
 
     def test_image_support_size(self, constant):
         for prob in problems(constant):

@@ -16,6 +16,10 @@ driver and every pair loss one reduction.  Their arithmetic is unchanged, so
 the shipped code must match them bitwise: parameters, ``best_epoch`` and the
 repr of every trace field; the pair risk exactly up to one 8,192-pair chunk
 and to 1e-12 relative beyond, where it sums chunk totals.
+
+Every reference plans its epochs and splits off validation with frozen
+copies of the trainer's helpers, so a change to the shipped plan or split
+fails it too.
 """
 
 import numpy as np
@@ -42,13 +46,34 @@ from samediff import (
 )
 from samediff.data import FullyLabeledDataset
 from samediff.model import NORM_EPSILON, project_head
-from samediff.trainer import _epoch_plan, _split_examples, _split_pairs
 from conftest import hidden_param_arrays, params_equal
 
 TOL = 1e-12
 LOSSES = ("sqdist", "ncs", "contrastive", "mse")
 SCHEDULE = ((0.1, 3), (0.01, 2))
 RISK_CHUNK = 8192
+
+
+def frozen_epoch_plan(schedule):
+    return list(enumerate(float(lr) for lr, epochs in schedule for _ in range(epochs)))
+
+
+def frozen_split_pairs(pairs, cfg):
+    n = len(pairs)
+    n_val = int(n * cfg.val_fraction)
+    if n_val < 1 or n - n_val < 1:
+        return pairs, None
+    perm = substream(cfg.seed, "valsplit", "pairs").permutation(n)
+    return pairs.take(perm[n_val:]), pairs.take(perm[:n_val])
+
+
+def frozen_split_examples(ds, cfg, class_count):
+    n = len(ds)
+    n_val = int(n * cfg.val_fraction)
+    if n <= class_count or n_val < 1 or n - n_val < 1:
+        return ds, None
+    perm = substream(cfg.seed, "valsplit", "examples").permutation(n)
+    return ds.subset(perm[n_val:]), ds.subset(perm[:n_val])
 
 
 def _row_dots(a, b):
@@ -96,13 +121,13 @@ def reference_empirical_risk_pairs(model, pairs, loss="sqdist", beta=None):
 def reference_step1(model, pairs, cfg):
     """The stage-1 loop as first written; returns per-epoch (train_loss, val_metric)."""
     loss_name = cfg.resolved_pair_loss(model)
-    train_pairs, val_pairs = _split_pairs(pairs, cfg)
+    train_pairs, val_pairs = frozen_split_pairs(pairs, cfg)
     if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None
     n_train = len(train_pairs)
     trace = []
     best_risk, best_hidden = np.inf, None
-    for epoch, lr in _epoch_plan(cfg.schedule):
+    for epoch, lr in frozen_epoch_plan(cfg.schedule):
         perm = substream(cfg.seed, "shuffle", "step1", epoch).permutation(n_train)
         total, seen = 0.0, 0
         for lo in range(0, n_train, cfg.batch_size):
@@ -157,11 +182,11 @@ def _reference_online_risk(model, ds, cfg, loss_name):
 def reference_online(model, ds, cfg):
     """The online pair stage as first written; returns per-epoch (train_loss, val_metric)."""
     loss_name = cfg.resolved_pair_loss(model)
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    train_ds, val_ds = frozen_split_examples(ds, cfg, model.class_count)
     n = len(train_ds)
     trace = []
     best_risk, best_hidden = np.inf, None
-    for epoch, lr in _epoch_plan(cfg.schedule):
+    for epoch, lr in frozen_epoch_plan(cfg.schedule):
         perm = substream(cfg.seed, "shuffle", "online", epoch).permutation(n)
         total, seen = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
@@ -209,11 +234,11 @@ def _reference_projected_accuracy(model, u, y):
 
 def reference_baseline(model, ds, cfg):
     """The joint fully-supervised loop as it stood on its own; returns a TrainRun."""
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    train_ds, val_ds = frozen_split_examples(ds, cfg, model.class_count)
     n = len(train_ds)
     run = TrainRun(stage="baseline", config=cfg.echo())
     best_acc, best = -np.inf, None
-    for epoch, lr in _epoch_plan(cfg.schedule):
+    for epoch, lr in frozen_epoch_plan(cfg.schedule):
         perm = substream(cfg.seed, "shuffle", "baseline", epoch).permutation(n)
         total = 0.0
         for lo in range(0, n, cfg.batch_size):
@@ -246,7 +271,7 @@ def reference_baseline(model, ds, cfg):
 
 def reference_step2(model, ds, cfg):
     """The head-stage loop as it stood on its own; returns a TrainRun."""
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    train_ds, val_ds = frozen_split_examples(ds, cfg, model.class_count)
     u_train = model.features(train_ds.x)
     u_val = model.features(val_ds.x) if val_ds is not None else None
     n = len(train_ds)
