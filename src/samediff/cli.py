@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _read,
     build_datasets,
     build_model,
     build_pairing_config,
@@ -127,16 +128,9 @@ def _cmd_encrypt(args) -> int:
     save_pairs(released, args.out, inline=True)
     if args.holdout_out:
         save_csv(holdout, args.holdout_out)
-    doc = {
-        "pair_count": report.pair_count,
-        "holdout_count": report.holdout_count,
-        "max_pairs_strict": report.max_pairs_strict,
-        "max_pairs_half": report.max_pairs_half,
-        "participant_count": report.strength.participant_count,
-        "component_count": report.strength.component_count,
-        "max_component_size": report.strength.max_component_size,
-        "agreement": report.strength.agreement,
-    }
+    # every report field but the nested record and its one-size-per-component list
+    doc = {f.name: getattr(part, f.name) for part in (report, report.strength)
+           for f in fields(part) if f.name not in ("strength", "component_sizes")}
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:
             json.dump(doc, f, sort_keys=True, indent=2)
@@ -147,12 +141,12 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_train(args) -> int:
     doc = load_config(args.config)
-    out_dir = args.out_dir or doc.get("output", {}).get("dir") or "."
+    out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
     os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     model = build_model(doc, train_ds, cfg.seed)
-    per_class = int(doc.get("labels", {}).get("per_class", 1))
+    per_class = _read(doc, "labels.per_class", int, 1)
     t0 = time.perf_counter()
 
     if args.regime == "baseline":
@@ -199,17 +193,17 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = load_config(args.config)
-    sec = doc.get("sweep")
-    if not sec or "n1" not in sec or "n2" not in sec:
+    n1_values, n2_values = _read(doc, "sweep.n1", [int]), _read(doc, "sweep.n2", [int])
+    if n1_values is None or n2_values is None:
         raise ConfigError("sweep command needs a sweep section with n1 and n2 lists")
-    out_dir = args.out_dir or doc.get("output", {}).get("dir") or "."
+    out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
     os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     spec = SweepSpec(
-        n1_values=tuple(int(v) for v in sec["n1"]),
-        n2_values=tuple(int(v) for v in sec["n2"]),
-        reps=int(sec.get("reps", 5)),
+        n1_values=tuple(n1_values),
+        n2_values=tuple(n2_values),
+        reps=_read(doc, "sweep.reps", int, 5),
         seed=cfg.seed,
     )
     t0 = time.perf_counter()
@@ -240,7 +234,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     doc = load_config(args.config)
-    sec = doc.get("compare", {})
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     pairing = build_pairing_config(doc)
@@ -252,9 +245,9 @@ def _cmd_compare(args) -> int:
         train_ds, test_ds,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        n_pairs=int(sec.get("n_pairs", default_pairs)),
-        labels_per_class=int(sec.get("labels_per_class", 1)),
-        trials=int(sec.get("trials", 5)),
+        n_pairs=_read(doc, "compare.n_pairs", int, default_pairs),
+        labels_per_class=_read(doc, "compare.labels_per_class", int, 1),
+        trials=_read(doc, "compare.trials", int, 5),
         pairing=pairing,
     )
     if args.out:

@@ -1,8 +1,10 @@
 """Run configuration: one nested JSON document, strictly validated.
 
 Unknown keys abort immediately with the offending dotted path, so typos
-cannot silently fall back to defaults.  All sections except ``version`` and
-``dataset`` are optional; every knob has the trainer's defaults.
+cannot silently fall back to defaults, and every value is read through
+``_read``, which refuses a value of the wrong JSON type the same way.  All
+sections except ``version`` and ``dataset`` are optional; every knob has
+the trainer's defaults.
 """
 
 from __future__ import annotations
@@ -76,6 +78,45 @@ def validate_config(doc: dict) -> dict:
     return doc
 
 
+def _cast(value, kind):
+    """A JSON value as ``kind``: int, float (from any number), str or bool;
+    a tuple of kinds for a fixed-length array, or a one-kind list for an
+    array of any length.  TypeError when the value has another JSON type."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_cast(v, kind[0]) for v in value]
+    if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
+        return tuple(map(_cast, value, kind))
+    if (isinstance(kind, type) and isinstance(value, bool) == (kind is bool)   # true is no 1
+            and isinstance(value, (int, float) if kind is float else kind)):
+        return kind(value)
+    raise TypeError(kind)
+
+
+def _noun(kind) -> str:
+    if isinstance(kind, list):
+        return f"list of {_noun(kind[0])}s"
+    if isinstance(kind, tuple):
+        return f"[{', '.join(map(_noun, kind))}] pair"
+    return {int: "integer", float: "number", str: "string", bool: "boolean"}[kind]
+
+
+def _read(doc: dict, key: str, kind, default=None):
+    """The value at the dotted ``key`` ("section.name") as ``kind`` (see
+    ``_cast``), or ``default`` when it is absent.  Null counts as absent
+    only where the default is None; any other mistyped value is a
+    ``ConfigError`` naming the key."""
+    section, name = key.split(".")
+    sec = doc.get(section, {})
+    if name not in sec or (sec[name] is None and default is None):
+        return default
+    try:
+        return _cast(sec[name], kind)
+    except TypeError:
+        noun = _noun(kind)
+        raise ConfigError(f"{key} must be {'an' if noun[0] in 'aeiou' else 'a'} {noun}, "
+                          f"got {json.dumps(sec[name])}") from None
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -85,43 +126,43 @@ def load_config(path: str) -> dict:
     return validate_config(doc)
 
 
-def _load_one(section: dict, path_key: str, images_key: str, labels_key: str,
+def _load_one(doc: dict, path_key: str, images_key: str, labels_key: str,
               class_count, limit_key: str) -> FullyLabeledDataset | None:
-    if section.get(path_key):
-        ds = load_csv(section[path_key], class_count)
-    elif section.get(images_key) and section.get(labels_key):
-        ds = load_idx(section[images_key], section[labels_key], class_count)
+    path, images, labels = (_read(doc, f"dataset.{key}", str)
+                            for key in (path_key, images_key, labels_key))
+    if path:
+        ds = load_csv(path, class_count)
+    elif images and labels:
+        ds = load_idx(images, labels, class_count)
     else:
         return None
-    limit = section.get(limit_key)
+    limit = _read(doc, f"dataset.{limit_key}", int)
     if limit:
-        ds = ds.subset(np.arange(min(int(limit), len(ds))))
+        ds = ds.subset(np.arange(min(limit, len(ds))))
     return ds
 
 
 def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]:
     """Materialize (train, test) from the dataset section."""
-    sec = doc["dataset"]
-    kind = sec.get("kind")
+    kind = _read(doc, "dataset.kind", str)
     if kind in ("blobs", "moons", "xor"):
         common = dict(
             kind=kind,
-            noise=float(sec.get("noise", 0.5)),
-            class_count=int(sec.get("class_count", 2)),
+            noise=_read(doc, "dataset.noise", float, 0.5),
+            class_count=_read(doc, "dataset.class_count", int, 2),
         )
-        seed = int(sec.get("seed", 0))
-        train = generate_synthetic(
-            n_per_class=int(sec.get("n_per_class", 500)), seed=seed, **common
-        )
+        seed = _read(doc, "dataset.seed", int, 0)
+        n_per_class = _read(doc, "dataset.n_per_class", int, 500)
+        train = generate_synthetic(n_per_class=n_per_class, seed=seed, **common)
         test = generate_synthetic(
-            n_per_class=int(sec.get("test_n_per_class", sec.get("n_per_class", 500))),
+            n_per_class=_read(doc, "dataset.test_n_per_class", int, n_per_class),
             seed=seed + 1, **common
         )
         return train, test
     if kind in ("csv", "idx"):
-        cc = sec.get("class_count")
-        train = _load_one(sec, "path", "images", "labels", cc, "limit")
-        test = _load_one(sec, "test_path", "test_images", "test_labels", cc, "test_limit")
+        cc = _read(doc, "dataset.class_count", int)
+        train = _load_one(doc, "path", "images", "labels", cc, "limit")
+        test = _load_one(doc, "test_path", "test_images", "test_labels", cc, "test_limit")
         if train is None or test is None:
             raise ConfigError("dataset paths missing for train or test split")
         return train, test
@@ -136,41 +177,34 @@ def build_model(doc: dict, ds: FullyLabeledDataset, seed: int) -> TwoPartClassif
     """
     if ds.class_count > len(ds):
         raise ConfigError(f"{ds.class_count} classes exceed the {len(ds)} training rows")
-    sec = doc.get("model", {})
-    head_loss = doc.get("train", {}).get("head_loss", "hinge")
-    binary = sec.get("binary_head")
+    binary = _read(doc, "model.binary_head", bool)
     if binary is None:
-        binary = ds.class_count == 2 and head_loss == "hinge"
+        binary = ds.class_count == 2 and _read(doc, "train.head_loss", str, "hinge") == "hinge"
     try:
         return TwoPartClassifier.build(
             in_dim=ds.dim,
-            hidden_dims=[int(h) for h in sec.get("hidden", [32])],
-            rep_dim=int(sec.get("rep_dim", 2)),
+            hidden_dims=_read(doc, "model.hidden", [int], [32]),
+            rep_dim=_read(doc, "model.rep_dim", int, 2),
             class_count=ds.class_count,
-            radius=float(sec.get("radius", 1.0)),
-            binary_head=bool(binary),
+            radius=_read(doc, "model.radius", float, 1.0),
+            binary_head=binary,
             rng=substream(seed, "init"),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
+_TRAIN_KINDS = {
+    "batch_size": int, "schedule": [(float, int)], "head_rate": float, "head_epochs": int,
+    "seed": int, "pair_loss": str, "head_loss": str, "beta": float, "val_fraction": float,
+}
+
+
 def build_train_config(doc: dict) -> TrainConfig:
-    sec = doc.get("train", {})
-    kwargs = {}
-    if "schedule" in sec:
-        kwargs["schedule"] = tuple((float(lr), int(ep)) for lr, ep in sec["schedule"])
-    for key in ("batch_size", "head_epochs", "seed"):
-        if key in sec:
-            kwargs[key] = int(sec[key])
-    for key in ("head_rate", "val_fraction"):
-        if key in sec:
-            kwargs[key] = float(sec[key])
-    for key in ("pair_loss", "head_loss"):
-        if key in sec and sec[key] is not None:
-            kwargs[key] = str(sec[key])
-    if "beta" in sec and sec["beta"] is not None:
-        kwargs["beta"] = float(sec["beta"])
+    defaults = TrainConfig()
+    kwargs = {key: _read(doc, f"train.{key}", kind, getattr(defaults, key))
+              for key, kind in _TRAIN_KINDS.items()}
+    kwargs["schedule"] = tuple(kwargs["schedule"])
     try:
         return TrainConfig(**kwargs)
     except ValueError as e:
@@ -178,13 +212,12 @@ def build_train_config(doc: dict) -> TrainConfig:
 
 
 def build_pairing_config(doc: dict) -> PairingConfig:
-    sec = doc.get("pairing", {})
     try:
         return PairingConfig(
-            mode=sec.get("mode", "sampled"),
-            n_pairs=int(sec.get("n_pairs", 0)),
-            class_batch_size=sec.get("class_batch_size"),
-            seed=int(sec.get("seed", doc.get("train", {}).get("seed", 0))),
+            mode=_read(doc, "pairing.mode", str, "sampled"),
+            n_pairs=_read(doc, "pairing.n_pairs", int, 0),
+            class_batch_size=_read(doc, "pairing.class_batch_size", int),
+            seed=_read(doc, "pairing.seed", int, _read(doc, "train.seed", int, 0)),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None

@@ -248,6 +248,8 @@ def generate_synthetic(
         raise DataFormatError("n_per_class must be at least 1")
     if class_count < 2:
         raise DataFormatError(f"class_count must be at least 2, got {class_count}")
+    if not math.isfinite(noise):
+        raise DataFormatError(f"noise must be finite, got {noise!r}")
     if kind == "blobs":
         if class_count == 2:
             centers = np.array([[-2.0, 0.0], [2.0, 0.0]])

@@ -22,13 +22,14 @@ the best grid head gives both the best risk and, scaled, the smallest
 head norm reaching a target risk, so no claim rests on a single
 derivation.
 
-Each problem's statistics are computed once: ``verify_collapse_optimality``
-evaluates every hypothesis's pair objective, best-head risk and collapse
-test a single time and keeps the report on the problem, so
+Each problem holds its hypotheses as one read-only (K, m, p) array, and
+its statistics are array expressions over that stack, computed once:
+``verify_collapse_optimality`` reads every pair objective, best-head risk
+and collapse test off the stack and keeps the report on the problem, so
 ``verify_head_norm_argmin`` reads its target set, the collapsing
 separation optima, from that report, and ``run_verification_suite``'s
-cross-checks read its risks; each hypothesis's direction scan is done once
-and serves both cross-checks.
+cross-checks read its risks; one direction scan per problem serves both
+cross-checks.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ __all__ = [
     "HeadNormReport",
     "SuiteResult",
     "signed_mean",
-    "min_head_risk",
-    "separation_optima",
-    "pair_objective_value",
-    "is_collapsing",
-    "collapsing_maps",
     "image_support_size",
     "verify_collapse_optimality",
     "required_head_norm",
@@ -75,11 +71,13 @@ class FiniteProblem:
 
     ``pmf[i, 0]`` is P(X = i, Y = +1) and ``pmf[i, 1]`` is P(X = i, Y = -1).
     Each hypothesis is an (m, p) array of representation points, one row per
-    input, every row on the sphere of the given radius.
+    input, every row on the sphere of the given radius.  The hypotheses are
+    given as any sequence of such arrays and kept as one read-only
+    (K, m, p) stack.
     """
 
     pmf: np.ndarray
-    hypotheses: tuple[np.ndarray, ...]
+    hypotheses: np.ndarray
     radius: float = 1.0
 
     def __post_init__(self):
@@ -95,7 +93,7 @@ class FiniteProblem:
             raise ValueError("both classes need strictly positive probability")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        hyps = tuple(np.asarray(h, dtype=np.float64) for h in self.hypotheses)
+        hyps = [np.asarray(h, dtype=np.float64) for h in self.hypotheses]
         if not hyps:
             raise ValueError("at least one hypothesis required")
         m = pmf.shape[0]
@@ -103,11 +101,15 @@ class FiniteProblem:
         for k, h in enumerate(hyps):
             if h.shape != (m, p):
                 raise ValueError(f"hypothesis {k} must have shape ({m}, {p})")
-            norms = np.linalg.norm(h, axis=1)
-            if np.any(np.abs(norms - self.radius) > ROW_NORM_TOL * max(self.radius, 1.0)):
-                raise ValueError(f"hypothesis {k} has rows off the radius-{self.radius} sphere")
+        stack = np.stack(hyps)
+        gap = np.abs(np.linalg.norm(stack, axis=2) - self.radius)
+        off = ~np.all(gap <= ROW_NORM_TOL * max(self.radius, 1.0), axis=1)   # NaN rows too
+        if off.any():
+            raise ValueError(f"hypothesis {int(np.argmax(off))} has rows off the "
+                             f"radius-{self.radius} sphere")
+        stack.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "hypotheses", hyps)
+        object.__setattr__(self, "hypotheses", stack)
 
     @property
     def m(self) -> int:
@@ -115,7 +117,7 @@ class FiniteProblem:
 
     @property
     def rep_dim(self) -> int:
-        return self.hypotheses[0].shape[1]
+        return self.hypotheses.shape[2]
 
     @property
     def alpha(self) -> float:
@@ -123,19 +125,33 @@ class FiniteProblem:
 
     @functools.cached_property
     def _optimality(self) -> "OptimalityReport":
-        """``verify_collapse_optimality``'s report, computed on first use."""
-        objective = tuple(pair_objective_value(h, self) for h in self.hypotheses)
-        risks = tuple(min_head_risk(h, self) for h in self.hypotheses)
-        d_set = _argmin_set(np.array(objective))
-        s_set = collapsing_maps(self)
-        f_set = _argmin_set(np.array(risks))
+        """``verify_collapse_optimality``'s report, computed on first use
+        over the whole stack: per hypothesis, the best-head risk
+        -||E[Y rep(X)]|| / r, the pair objective (expected negated squared
+        distance of two independent draws with different labels) and the
+        collapse test (each class on one point, the two points distinct)."""
+        hyps = self.hypotheses
+        means = signed_mean(hyps, self)
+        # the stacked (1, p) @ (p, 1) products sum each row as e.dot(e) does
+        risks = -np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0]) / self.radius
+        diff = hyps[:, :, None, :] - hyps[:, None, :, :]
+        cross = np.outer(self.pmf[:, 0], self.pmf[:, 1])
+        objective = (np.sum(cross * -np.sum(diff * diff, axis=3), axis=(1, 2))
+                     / (self.alpha * (1.0 - self.alpha)))
+        collapsing = np.ones(len(hyps), dtype=bool)
+        points = []
+        for col in (0, 1):
+            rows = hyps[:, self.pmf[:, col] > 0.0]
+            collapsing &= np.linalg.norm(rows - rows[:, :1], axis=2).max(axis=1) <= TIE_TOL
+            points.append(rows[:, 0])
+        collapsing &= np.linalg.norm(points[0] - points[1], axis=1) > TIE_TOL
+        d_set = _argmin_set(objective)
+        s_set = tuple(np.flatnonzero(collapsing).tolist())
+        f_set = _argmin_set(risks)
         overlap = _overlap(d_set, s_set)
         assumption_overlap = len(overlap) > 0
         assumption_support = all(
-            image_support_size(h, self) > MIN_SUPPORT
-            for k, h in enumerate(self.hypotheses)
-            if k not in s_set
-        )
+            image_support_size(h, self) > MIN_SUPPORT for h in hyps[~collapsing])
         equality = None
         if assumption_overlap and assumption_support:
             equality = set(f_set) == set(overlap)
@@ -143,8 +159,8 @@ class FiniteProblem:
             separation_set=d_set,
             collapsing_set=s_set,
             min_risk_set=f_set,
-            risks=risks,
-            pair_objective=objective,
+            risks=tuple(risks.tolist()),
+            pair_objective=tuple(objective.tolist()),
             assumption_overlap=assumption_overlap,
             assumption_support=assumption_support,
             equality=equality,
@@ -161,18 +177,10 @@ def _length(v: np.ndarray) -> float:
 
 
 def signed_mean(h: np.ndarray, prob: FiniteProblem) -> np.ndarray:
-    """E[Y * rep(X)]: class-signed mean of the representation points."""
+    """E[Y * rep(X)]: class-signed mean of the representation points, a
+    (p,) vector for one (m, p) hypothesis and (K, p) for a (K, m, p) stack."""
     w = prob.pmf[:, 0] - prob.pmf[:, 1]
     return w @ np.asarray(h, dtype=np.float64)
-
-
-def min_head_risk(h: np.ndarray, prob: FiniteProblem) -> float:
-    """Smallest true hinge risk over heads with norm at most 1/r.
-
-    Risk of head w is -<w, E[Y rep(X)]>; minimizing over the norm ball
-    gives -||E[Y rep(X)]|| / r exactly.
-    """
-    return -_length(signed_mean(h, prob)) / prob.radius
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,11 +286,13 @@ def _empty_triangles(dirs: np.ndarray, k: int) -> tuple[float, int] | None:
     return largest, count
 
 
-def _best_dot(h: np.ndarray, prob: FiniteProblem, n_dirs: int) -> float:
-    """Largest <d, E[Y rep(X)]> over the ``n_dirs`` grid directions d: the
-    grid's best unit head scores risk -best_dot."""
+def _best_dots(prob: FiniteProblem, n_dirs: int) -> list[float]:
+    """Per hypothesis, the largest <d, E[Y rep(X)]> over the ``n_dirs``
+    grid directions d: the grid's best unit head scores risk -best_dot."""
     dirs, _ = _directions(prob.rep_dim, n_dirs)
-    return float(np.max(dirs @ signed_mean(h, prob)))
+    means = signed_mean(prob.hypotheses, prob)
+    # (n, p) @ (K, p, 1) scores each hypothesis as dirs @ e does, to the bit
+    return np.matmul(dirs, means[:, :, None]).max(axis=1)[:, 0].tolist()
 
 
 # -- the optimal sets -----------------------------------------------------
@@ -291,47 +301,6 @@ def _best_dot(h: np.ndarray, prob: FiniteProblem, n_dirs: int) -> float:
 def _argmin_set(values: np.ndarray) -> tuple[int, ...]:
     vmin = float(np.min(values))
     return tuple(int(i) for i in np.flatnonzero(values <= vmin + TIE_TOL))
-
-
-def pair_objective_value(h: np.ndarray, prob: FiniteProblem) -> float:
-    """Expected negated squared representation distance across classes.
-
-    The expectation conditions on the two independent draws carrying
-    different labels.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    alpha = prob.alpha
-    diff = h[:, None, :] - h[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    cross = np.outer(prob.pmf[:, 0], prob.pmf[:, 1])
-    return float(np.sum(cross * (-d2)) / (alpha * (1.0 - alpha)))
-
-
-def separation_optima(prob: FiniteProblem) -> tuple[int, ...]:
-    """Indices of hypotheses minimizing the true pair objective."""
-    vals = np.array([pair_objective_value(h, prob) for h in prob.hypotheses])
-    return _argmin_set(vals)
-
-
-def _class_support(prob: FiniteProblem, col: int) -> np.ndarray:
-    return np.flatnonzero(prob.pmf[:, col] > 0.0)
-
-
-def is_collapsing(h: np.ndarray, prob: FiniteProblem) -> bool:
-    """True when each class maps to a single point and the points differ."""
-    h = np.asarray(h, dtype=np.float64)
-    pts = []
-    for col in (0, 1):
-        rows = h[_class_support(prob, col)]
-        if np.max(np.linalg.norm(rows - rows[0], axis=1), initial=0.0) > TIE_TOL:
-            return False
-        pts.append(rows[0])
-    return _length(pts[0] - pts[1]) > TIE_TOL
-
-
-def collapsing_maps(prob: FiniteProblem) -> tuple[int, ...]:
-    """Indices of hypotheses collapsing each class to its own point."""
-    return tuple(k for k, h in enumerate(prob.hypotheses) if is_collapsing(h, prob))
 
 
 def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> int:
@@ -407,7 +376,7 @@ def required_head_norm(h: np.ndarray, prob: FiniteProblem, gamma: float) -> floa
 
 def _grid_head_norm(best_dot: float, gamma: float, radius: float) -> float | None:
     """Dense-search cross-check of ``required_head_norm``, given the grid's
-    ``_best_dot``: a head of norm t along the best direction scores
+    ``_best_dots``: a head of norm t along the best direction scores
     -t * best_dot, so the smallest t reaching gamma < 0 is -gamma / best_dot.
     None when even t = 1/r falls short."""
     if -(1.0 / radius) * max(best_dot, 0.0) > gamma:
@@ -480,8 +449,9 @@ def generalization_bound(t: float, r: float, n2: int, delta: float) -> float:
         raise ValueError("n2 must be a positive integer")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if t < 0 or r <= 0:
-        raise ValueError("t must be nonnegative and r positive")
+    if not (0.0 <= t < math.inf and 0.0 < r < math.inf):   # also rejects NaN
+        raise ValueError(f"t must be finite and nonnegative and r finite and positive, "
+                         f"got t={t!r}, r={r!r}")
     root_n = math.sqrt(n2)
     return 2.0 * t * r / root_n + 5.0 * t * r * math.sqrt(2.0 * math.log(8.0 / delta) / n2)
 
@@ -617,7 +587,7 @@ def run_verification_suite(
     closed forms must agree with the grid's best head on ``grid_dirs``
     directions for every hypothesis, within what ``_cross_check_slack``
     allows for the grid plus ``ROUNDING_TOL``.  One direction scan per
-    hypothesis gives both the grid risk and the grid norm.
+    problem gives every hypothesis's grid risk and grid norm.
 
     Raises ``ValueError`` for fewer than one seed, for a gamma fraction
     outside (0, 1] and for a grid too coarse to cross-check on, including
@@ -645,21 +615,17 @@ def run_verification_suite(
             issues.append(f"head-norm argmin equality failed: {norm_rep.to_json()}")
         if cross_checks:
             risk_slack, norm_slack = _cross_check_slack(prob.rep_dim, grid_dirs)
-            norm_issues: list[str] = []   # reported after every risk issue
-            for k, h in enumerate(prob.hypotheses):
-                best_dot = _best_dot(h, prob, grid_dirs)
-                closed = rep.risks[k]
+            best_dots = _best_dots(prob, grid_dirs)
+            for k, (closed, best_dot) in enumerate(zip(rep.risks, best_dots)):
                 grid = min(-best_dot / prob.radius, 0.0)   # best grid head, or the zero head
                 if abs(closed - grid) > -closed * risk_slack + ROUNDING_TOL:
                     issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
-                if k not in norm_rep.norms:
-                    continue
-                closed = norm_rep.norms[k]
-                grid = _grid_head_norm(best_dot, gamma, prob.radius)
+            for k, closed in norm_rep.norms.items():
+                grid = _grid_head_norm(best_dots[k], gamma, prob.radius)
                 if grid is None:
                     if closed * (1.0 + norm_slack) + ROUNDING_TOL < 1.0 / prob.radius:
-                        norm_issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs "
-                                           f"unreachable within 1/r on {grid_dirs} directions")
+                        issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs "
+                                      f"unreachable within 1/r on {grid_dirs} directions")
                         continue
                     raise ValueError(
                         f"{grid_dirs} directions cannot reach risk {gamma!r} within head norm "
@@ -667,9 +633,7 @@ def run_verification_suite(
                         f"it at {closed!r}; use more directions or a smaller gamma fraction"
                     )
                 if abs(closed - grid) > closed * norm_slack + ROUNDING_TOL:
-                    norm_issues.append(
-                        f"norm cross-check off for hypothesis {k}: {closed} vs {grid}")
-            issues += norm_issues
+                    issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs {grid}")
         if issues:
             result.failures.append({"seed": seed, "issues": issues})
         else:

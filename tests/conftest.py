@@ -1,6 +1,7 @@
 """Shared helpers: finite-difference gradients, tiny dataset builders,
-bitwise model equality, the theory tests' risk target, and the grid risk
-and bisection that check the suite's dense-search cross-checks.
+bitwise model equality, the theory tests' per-hypothesis references and
+risk target, and the grid risk and bisection that check the suite's
+dense-search cross-checks.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -12,8 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from samediff import FullyLabeledDataset, TwoPartClassifier, min_head_risk, substream
-from samediff.theory import FiniteProblem, _best_dot, _directions, signed_mean
+from samediff import FullyLabeledDataset, TwoPartClassifier, substream
+from samediff.theory import FiniteProblem, _directions, signed_mean
 
 try:
     from hypothesis import settings
@@ -79,21 +80,40 @@ def params_equal(a, b):
     return len(mine) == len(theirs) and all(np.array_equal(p, q) for p, q in zip(mine, theirs))
 
 
+def frozen_min_head_risk(h, prob):
+    """Smallest true hinge risk over heads with norm at most 1/r, one
+    hypothesis at a time: -||E[Y rep(X)]|| / r."""
+    return -float(np.linalg.norm(signed_mean(h, prob))) / prob.radius
+
+
+def frozen_pair_objective_value(h, prob):
+    """Expected negated squared representation distance across classes,
+    one hypothesis at a time, conditioned on the two independent draws
+    carrying different labels."""
+    h = np.asarray(h, dtype=np.float64)
+    alpha = prob.alpha
+    diff = h[:, None, :] - h[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    cross = np.outer(prob.pmf[:, 0], prob.pmf[:, 1])
+    return float(np.sum(cross * (-d2)) / (alpha * (1.0 - alpha)))
+
+
 def half_best_gamma(prob):
     """Half the best achievable true risk: a canonically attainable target."""
-    best = min(min_head_risk(h, prob) for h in prob.hypotheses)
+    best = min(frozen_min_head_risk(h, prob) for h in prob.hypotheses)
     if best >= 0:
         raise ValueError("no hypothesis achieves negative risk on this problem")
     return 0.5 * best
 
 
 def min_head_risk_grid(h: np.ndarray, prob: FiniteProblem, n_dirs: int = 10_000) -> float:
-    """Dense-search cross-check of ``min_head_risk``.
+    """Dense-search cross-check of the best-head risk.
 
     Scans heads on the boundary of the norm ball along near-uniform
     directions (plus the zero head) and returns the best risk found.
     """
-    return min(-_best_dot(h, prob, n_dirs) / prob.radius, 0.0)
+    dirs, _ = _directions(prob.rep_dim, n_dirs)
+    return min(-float(np.max(dirs @ signed_mean(h, prob))) / prob.radius, 0.0)
 
 
 def required_head_norm_bisect(

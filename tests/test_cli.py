@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from samediff import (
 from samediff.cli import _write_trace_csv
 from samediff.config import _ALLOWED
 from samediff.harness import SweepResult, SweepSpec
+from samediff.privacy import EncryptionReport, StrengthReport
 from samediff.theory import SuiteResult
 from samediff.trainer import EpochRecord, TrainRun
 
@@ -230,6 +232,38 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command, section, knobs, message", [
+        ("train", "model", {"hidden": 32}, "model.hidden must be a list of integers, got 32"),
+        ("train", "model", {"hidden": "32"}, 'model.hidden must be a list of integers, got "32"'),
+        ("train", "model", {"binary_head": "no"}, 'model.binary_head must be a boolean, got "no"'),
+        ("train", "train", {"batch_size": None}, "train.batch_size must be an integer, got null"),
+        ("train", "train", {"schedule": 5},
+         "train.schedule must be a list of [number, integer] pairs, got 5"),
+        ("train", "labels", {"per_class": None}, "labels.per_class must be an integer, got null"),
+        ("train", "pairing", {"class_batch_size": "3"},
+         'pairing.class_batch_size must be an integer, got "3"'),
+        ("train", "output", {"dir": 5}, "output.dir must be a string, got 5"),
+        ("sweep", "sweep", {"n1": 5}, "sweep.n1 must be a list of integers, got 5"),
+        ("compare", "compare", {"trials": None}, "compare.trials must be an integer, got null"),
+    ], ids=["int-hidden", "string-hidden", "string-binary-head", "null-batch-size",
+            "int-schedule", "null-per-class", "string-class-batch-size", "int-output-dir",
+            "int-sweep-n1", "null-compare-trials"])
+    def test_mistyped_config_value_is_data_error(self, tmp_path, capsys, command, section,
+                                                 knobs, message):
+        """Each of these once ended in a TypeError traceback (exit 1), or, for
+        a string hidden width or binary_head, trained on a misread value."""
+        cfg = write_config(tmp_path, **{section: {**base_config().get(section, {}), **knobs}})
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg]
+        if command != "compare" and section != "output":
+            argv += ["--out-dir", str(out)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
     def test_csv_label_beyond_int64_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,99999999999999999999\n")
@@ -348,6 +382,15 @@ class TestBoundCommand:
         assert cli_main(["bound", "--t", "1", "--r", "1", "--n2", "100", "--delta", "2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("t, r", [("nan", "1"), ("inf", "1"), ("1", "inf"), ("1", "nan")])
+    def test_rejects_non_finite_t_or_r(self, capsys, t, r):
+        """Each of these once printed nan or inf and exited 0."""
+        assert cli_main(["bound", "--t", t, "--r", r, "--n2", "100", "--delta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert f"t must be finite and nonnegative and r finite and positive, got t={float(t)!r}, " \
+               f"r={float(r)!r}" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyTheoryCommand:
     def test_small_suite_passes(self, capsys):
@@ -398,6 +441,37 @@ class TestDataCommands:
         assert doc["holdout_count"] == len(load_csv(holdout, class_count=2))
         released = load_pairs(release)
         assert len(released) == 12
+
+    def test_encrypt_report_is_the_report_fields(self, tmp_path, capsys):
+        """The report prints every field of the encryption and strength
+        records but the nested record and the component size list, the same
+        document on stdout and in --report-out."""
+        data = str(tmp_path / "d.csv")
+        assert cli_main(["generate", "--kind", "blobs", "--n-per-class", "20", "--out", data]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert cli_main(["encrypt", "--data", data, "--n-pairs", "8", "--out",
+                         str(tmp_path / "r.sdpf"), "--report-out", str(report)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = {f.name for record in (EncryptionReport, StrengthReport) for f in fields(record)}
+        assert set(doc) == names - {"strength", "component_sizes"}
+        assert set(doc) == {"pair_count", "holdout_count", "max_pairs_strict", "max_pairs_half",
+                            "participant_count", "component_count", "max_component_size",
+                            "agreement"}
+        assert json.loads(report.read_text()) == doc
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_is_data_error(self, tmp_path, capsys, noise):
+        """generate once wrote a CSV that every loader refuses; the config's
+        dataset.noise goes through the same generator."""
+        out = tmp_path / "d.csv"
+        assert cli_main(["generate", "--kind", "blobs", f"--noise={noise}", "--out", str(out)]) == 2
+        assert f"noise must be finite, got {float(noise)!r}" in capsys.readouterr().err
+        assert not out.exists()
+        dataset = {**base_config()["dataset"], "noise": float(noise)}
+        cfg = write_config(tmp_path, dataset=dataset)
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"noise must be finite, got {float(noise)!r}" in capsys.readouterr().err
 
     def test_convert_writes_the_remainder_in_every_mode(self, tmp_path, capsys):
         """Sampled pairing leaves the whole dataset to label: its remainder

@@ -8,16 +8,11 @@ from mpmath import sqrt as mpsqrt
 
 from samediff import (
     FiniteProblem,
-    collapsing_maps,
     generalization_bound,
     generate_problem,
     image_support_size,
-    is_collapsing,
-    min_head_risk,
-    pair_objective_value,
     required_head_norm,
     run_verification_suite,
-    separation_optima,
     signed_mean,
     verify_collapse_optimality,
     verify_head_norm_argmin,
@@ -60,6 +55,24 @@ class TestFiniteProblem:
         with pytest.raises(ValueError, match="off the radius"):
             FiniteProblem(pmf=np.eye(2) * 0.5, hypotheses=(h,))
 
+    @pytest.mark.parametrize("row", [[-0.5, 0.0], [np.nan, 0.0]], ids=["short", "nan"])
+    def test_first_hypothesis_off_the_sphere_is_named(self, row):
+        good = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        bad = np.array([[0.0, 1.0], row])
+        with pytest.raises(ValueError, match="^hypothesis 1 has rows off the radius-1.0 sphere$"):
+            FiniteProblem(pmf=np.eye(2) * 0.5, hypotheses=(good, bad, bad))
+
+    def test_hypotheses_are_one_read_only_stack(self):
+        h = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        prob = antipodal_problem(extra=(h,))
+        assert prob.hypotheses.shape == (2, 2, 2)
+        assert len(prob.hypotheses) == 2
+        assert [row.tolist() for row in prob.hypotheses[1]] == h.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            prob.hypotheses[1, 0, 0] = 0.0
+        h[0, 0] = 0.0   # the stack is a copy of its inputs
+        assert prob.hypotheses[1, 0, 0] == 1.0
+
     def test_alpha_property(self):
         assert antipodal_problem(alpha=0.3).alpha == pytest.approx(0.3)
 
@@ -73,18 +86,20 @@ class TestBestHeadRisk:
             alpha = float(rng.uniform(0.05, 0.95))
             r = float(rng.choice([0.5, 1.0, 2.0]))
             prob = antipodal_problem(alpha=alpha, radius=r)
-            assert min_head_risk(prob.hypotheses[0], prob) == pytest.approx(-1.0, abs=1e-12)
+            assert verify_collapse_optimality(prob).risks[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_signed_mean_antipodal(self):
-        prob = antipodal_problem(alpha=0.5, radius=2.0)
+        """One hypothesis gives its mean, the stack one mean per hypothesis."""
+        pt = np.array([[0.0, 2.0], [0.0, 2.0]])
+        prob = antipodal_problem(alpha=0.5, radius=2.0, extra=(pt,))
         np.testing.assert_allclose(signed_mean(prob.hypotheses[0], prob), [2.0, 0.0])
+        np.testing.assert_allclose(signed_mean(prob.hypotheses, prob), [[2.0, 0.0], [0.0, 0.0]])
 
     def test_grid_cross_check_two_dim(self):
-        rng = np.random.default_rng(42)
         for seed in range(10):
             prob = generate_problem(seed)
-            for h in prob.hypotheses:
-                closed = min_head_risk(h, prob)
+            risks = verify_collapse_optimality(prob).risks
+            for closed, h in zip(risks, prob.hypotheses):
                 grid = min_head_risk_grid(h, prob, n_dirs=10_000)
                 assert abs(closed - grid) < 1e-3
                 assert grid >= closed - 1e-12  # the grid can never beat the optimum
@@ -93,7 +108,8 @@ class TestBestHeadRisk:
         """A constant map carries |2 alpha - 1| r of signed mean."""
         pt = np.array([[0.0, 1.0], [0.0, 1.0]])
         prob = antipodal_problem(alpha=0.7, extra=(pt,))
-        assert min_head_risk(pt, prob) == pytest.approx(-abs(2 * 0.7 - 1.0), abs=1e-12)
+        risk = verify_collapse_optimality(prob).risks[1]
+        assert risk == pytest.approx(-abs(2 * 0.7 - 1.0), abs=1e-12)
 
 
 class TestPairObjective:
@@ -101,18 +117,19 @@ class TestPairObjective:
         """Every cross-class pair sits at distance 2r: objective -4 r^2."""
         for r in (1.0, 2.0):
             prob = antipodal_problem(alpha=0.4, radius=r)
-            assert pair_objective_value(prob.hypotheses[0], prob) == pytest.approx(-4.0 * r * r)
+            objective = verify_collapse_optimality(prob).pair_objective[0]
+            assert objective == pytest.approx(-4.0 * r * r)
 
     def test_constant_map_value_is_zero(self):
         pt = np.array([[1.0, 0.0], [1.0, 0.0]])
         prob = antipodal_problem(extra=(pt,))
-        assert pair_objective_value(pt, prob) == pytest.approx(0.0, abs=1e-15)
+        assert verify_collapse_optimality(prob).pair_objective[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_separation_optima_prefer_antipodal(self):
         pt = np.array([[1.0, 0.0], [1.0, 0.0]])
         ninety = np.array([[1.0, 0.0], [0.0, 1.0]])
         prob = antipodal_problem(extra=(pt, ninety))
-        assert separation_optima(prob) == (0,)
+        assert verify_collapse_optimality(prob).separation_set == (0,)
 
     def test_rotation_invariance(self):
         """Rotating every hypothesis by one common rotation leaves the
@@ -128,30 +145,32 @@ class TestPairObjective:
                 hypotheses=tuple(h @ rot.T for h in prob.hypotheses),
                 radius=prob.radius,
             )
-            assert separation_optima(prob) == separation_optima(rotated)
+            assert (verify_collapse_optimality(prob).separation_set
+                    == verify_collapse_optimality(rotated).separation_set)
 
 
 class TestCollapsingMaps:
     def test_two_point_map_collapses(self):
         prob = antipodal_problem()
-        assert is_collapsing(prob.hypotheses[0], prob)
+        assert verify_collapse_optimality(prob).collapsing_set == (0,)
 
     def test_constant_map_does_not_collapse(self):
         """Both classes on one point fails the distinct-points requirement."""
         pt = np.array([[1.0, 0.0], [1.0, 0.0]])
         prob = antipodal_problem(extra=(pt,))
-        assert not is_collapsing(pt, prob)
-        assert collapsing_maps(prob) == (0,)
+        assert verify_collapse_optimality(prob).collapsing_set == (0,)
 
     def test_splitter_does_not_collapse(self):
         ninety = np.array([[1.0, 0.0], [0.0, 1.0]])
         prob = antipodal_problem(extra=(ninety,))
-        assert is_collapsing(ninety, prob)  # one input per class: still two points
+        # one input per class: still two points
+        assert verify_collapse_optimality(prob).collapsing_set == (0, 1)
         # with two inputs in one class spread apart it stops collapsing
         pmf = np.array([[0.3, 0.0], [0.2, 0.0], [0.0, 0.5]])
         spread = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        prob3 = FiniteProblem(pmf=pmf, hypotheses=(spread,))
-        assert not is_collapsing(spread, prob3)
+        two_point = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        prob3 = FiniteProblem(pmf=pmf, hypotheses=(spread, two_point))
+        assert verify_collapse_optimality(prob3).collapsing_set == (1,)
 
     def test_image_support_size(self):
         pmf = np.full((6, 2), 1.0 / 12.0)
@@ -302,6 +321,9 @@ class TestGeneralizationBound:
             generalization_bound(1, 1, 10, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             generalization_bound(-1, 1, 10, 0.1)
+        for t, r in ((np.nan, 1), (np.inf, 1), (1, np.inf), (1, np.nan), (1, 0)):
+            with pytest.raises(ValueError, match="finite and nonnegative and r finite and positive"):
+                generalization_bound(t, r, 10, 0.1)
 
 
 class TestGenerator:
@@ -322,12 +344,13 @@ class TestGenerator:
             # class supports are disjoint: no input carries both labels
             assert not np.any((prob.pmf[:, 0] > 0) & (prob.pmf[:, 1] > 0))
             # always at least one collapsing separation optimum
-            assert set(separation_optima(prob)) & set(collapsing_maps(prob))
+            rep = verify_collapse_optimality(prob)
+            assert set(rep.separation_set) & set(rep.collapsing_set)
 
     def test_non_collapsing_maps_have_wide_support(self):
         for seed in range(25):
             prob = generate_problem(seed)
-            collapsing = set(collapsing_maps(prob))
+            collapsing = set(verify_collapse_optimality(prob).collapsing_set)
             for k, h in enumerate(prob.hypotheses):
                 if k not in collapsing:
                     assert image_support_size(h, prob) > 4
@@ -352,8 +375,8 @@ class TestVerificationSuite:
         result = run_verification_suite(n_seeds=30, grid_dirs=2000)
         assert result.all_passed, result.failures
         prob = generate_problem(23)
-        h = prob.hypotheses[3]
-        closed, grid = min_head_risk(h, prob), min_head_risk_grid(h, prob, n_dirs=2000)
+        closed = verify_collapse_optimality(prob).risks[3]
+        grid = min_head_risk_grid(prob.hypotheses[3], prob, n_dirs=2000)
         assert closed - grid < -1e-3
         assert abs(closed - grid) <= -closed * _cross_check_slack(prob.rep_dim, 2000)[0]
 

@@ -1,9 +1,10 @@
 """The shipped verification reports checked against a frozen copy of the old ones.
 
-``verify_collapse_optimality`` now evaluates each hypothesis's pair
-objective, best-head risk and collapse test once, the suite hands that
-report's risks and collapsing separation optima on to the head-norm check
-and the risk cross-check, 1-d lengths are ``math.sqrt(v.dot(v))`` and
+``verify_collapse_optimality`` now reads every pair objective, best-head
+risk and collapse test off the problem's (K, m, p) hypothesis stack once,
+the suite hands that report's risks and collapsing separation optima on to
+the head-norm check and the risk cross-check and scans the direction grid
+once per problem, 1-d lengths are ``math.sqrt(v.dot(v))`` and
 ``image_support_size`` takes every row-pair distance in one array.  None
 of that may change a result: the frozen functions below keep the
 verification code as it stood while each statistic was recomputed wherever
@@ -30,15 +31,18 @@ from samediff.theory import (
     _cross_check_slack,
     generate_problem,
     image_support_size,
-    min_head_risk,
-    pair_objective_value,
     run_verification_suite,
     signed_mean,
     verify_collapse_optimality,
     verify_head_norm_argmin,
 )
 from samediff.rng import substream
-from conftest import min_head_risk_grid, required_head_norm_bisect
+from conftest import (
+    frozen_min_head_risk,
+    frozen_pair_objective_value,
+    min_head_risk_grid,
+    required_head_norm_bisect,
+)
 
 SEEDS = range(300)
 SUITE_SEEDS = 200
@@ -47,17 +51,13 @@ SUITE_SEEDS = 200
 # -- the frozen verification code -------------------------------------------
 
 
-def frozen_min_head_risk(h, prob):
-    return -float(np.linalg.norm(signed_mean(h, prob))) / prob.radius
-
-
 def frozen_argmin_set(values, tol=TIE_TOL):
     vmin = float(np.min(values))
     return tuple(int(i) for i in np.flatnonzero(values <= vmin + tol))
 
 
 def frozen_separation_optima(prob, tol=TIE_TOL):
-    vals = np.array([pair_objective_value(h, prob) for h in prob.hypotheses])
+    vals = np.array([frozen_pair_objective_value(h, prob) for h in prob.hypotheses])
     return frozen_argmin_set(vals, tol)
 
 
@@ -106,7 +106,7 @@ def frozen_verify_collapse_optimality(prob, tol=TIE_TOL):
     if assumption_overlap and assumption_support:
         equality = set(f_set) == set(overlap)
     risks = tuple(float(frozen_min_head_risk(h, prob)) for h in prob.hypotheses)
-    objective = tuple(float(pair_objective_value(h, prob)) for h in prob.hypotheses)
+    objective = tuple(float(frozen_pair_objective_value(h, prob)) for h in prob.hypotheses)
     return OptimalityReport(
         separation_set=d_set,
         collapsing_set=s_set,
@@ -339,8 +339,8 @@ def test_grid_norm_matches_bisection(grid_dirs, constant):
     and, where the norm is reachable, within 1e-15 relative."""
     reachable = 0
     for prob in problems(constant):
-        best = min(min_head_risk(h, prob) for h in prob.hypotheses)
-        dots = [theory._best_dot(h, prob, grid_dirs) for h in prob.hypotheses]
+        best = min(frozen_min_head_risk(h, prob) for h in prob.hypotheses)
+        dots = theory._best_dots(prob, grid_dirs)
         for fraction in (0.1, 0.5, 0.9, 1.0):
             gamma = fraction * best
             for h, best_dot in zip(prob.hypotheses, dots):
