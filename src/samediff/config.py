@@ -130,14 +130,16 @@ def _load_one(doc: dict, path_key: str, images_key: str, labels_key: str,
               class_count, limit_key: str) -> FullyLabeledDataset | None:
     path, images, labels = (_read(doc, f"dataset.{key}", str)
                             for key in (path_key, images_key, labels_key))
+    limit = _read(doc, f"dataset.{limit_key}", int)
+    if limit is not None and limit < 1:
+        raise ConfigError(f"dataset.{limit_key} must be at least 1, got {limit}")
     if path:
         ds = load_csv(path, class_count)
     elif images and labels:
         ds = load_idx(images, labels, class_count)
     else:
         return None
-    limit = _read(doc, f"dataset.{limit_key}", int)
-    if limit:
+    if limit is not None:
         ds = ds.subset(np.arange(min(limit, len(ds))))
     return ds
 

@@ -17,8 +17,16 @@ Each hidden layer keeps its weights and bias in one (fan_in + 1, fan_out)
 matrix ``wb``, bias last, and each layer input carries a trailing ones
 column: the forward pass is one matmul per layer, and so is each layer's
 (dW, db) in the backward pass.  ``Layer.w`` and ``Layer.b`` are views of
-``wb``.  Every call builds fresh arrays, so caches from several forward
-passes can be backpropagated in any order.
+``wb``.
+
+A training step writes into one workspace: every array one forward and
+backward pass over n rows writes, built once per row count.  The cache
+``features_cached`` returns is that workspace, and its features ``u`` live
+in it.  Live caches are independent, so they backpropagate in any order;
+``backward_features`` spends a cache and its ``u``, handing the workspace
+back to the network as its one spare for the next call of that row count.
+Returned gradients are always fresh arrays.  Like ``pair_risk_batch``, the
+surface is not reentrant across threads.
 
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
@@ -56,6 +64,11 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     if x.ndim != 2:
         raise ValueError(f"inputs must be 1-d or 2-d, got {x.ndim}-d")
     return x, False
+
+
+def _batch_out(out: np.ndarray | None, single: bool) -> np.ndarray | None:
+    """An ``out`` buffer shaped like the input ``_as_batch`` reshaped."""
+    return out[None, :] if single and out is not None else out
 
 
 class Layer:
@@ -103,8 +116,38 @@ class Layer:
         return cls(w=w, b=np.zeros(fan_out), activation=activation)
 
 
+class _Workspace:
+    """Every array one forward and backward pass over n rows writes.
+
+    Per layer: its input with a trailing ones column (written once, here)
+    and its preactivation ``z``; ``v`` is the network output.  Iterating
+    yields (input, preactivation) per layer.  The backward buffers (a float
+    ReLU mask per relu layer and the adjoint at each layer output) and
+    phi's (squared entries ``sq``, row denominators ``denom``, features
+    ``u`` and phi's backward output ``grad_v``) are built on first use, so
+    a forward-only pass never allocates them.
+    """
+
+    def __init__(self, layers: Sequence[Layer], n: int):
+        self.n = n
+        self.inputs = [np.empty((n, layer.wb.shape[0])) for layer in layers]
+        for a in self.inputs:
+            a[:, -1] = 1.0
+        self.z = [np.empty((n, layer.wb.shape[1])) for layer in layers]
+        self.v = np.empty_like(self.z[-1]) if layers[-1].activation == "relu" else self.z[-1]
+        self.masks = self.adjoints = None
+        self.sq = self.denom = self.u = self.grad_v = None
+
+    def __iter__(self):
+        return zip(self.inputs, self.z)
+
+
 class HiddenNetwork:
-    """The representation network F1: a stack of affine+activation layers."""
+    """The representation network F1: a stack of affine+activation layers.
+
+    It keeps one spare workspace, the last one a classifier spent, for the
+    next training step of the same row count; ``clone`` copies none.
+    """
 
     def __init__(self, layers: Sequence[Layer]):
         if not layers:
@@ -113,6 +156,7 @@ class HiddenNetwork:
             if prev.w.shape[1] != nxt.w.shape[0]:
                 raise ValueError("adjacent layer dimensions do not chain")
         self.layers = list(layers)
+        self._spare: _Workspace | None = None
 
     @classmethod
     def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "HiddenNetwork":
@@ -140,12 +184,15 @@ class HiddenNetwork:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Forward pass keeping (input, preactivation) per layer for backward.
+    def forward_cached(
+        self, x: np.ndarray, ws: _Workspace | None = None
+    ) -> tuple[np.ndarray, _Workspace]:
+        """Forward pass into the workspace ``ws``, which is also the cache.
 
-        Each cached input carries a trailing ones column, so ``a @ wb`` adds
-        the bias inside the matmul; an inner layer's activation writes
-        straight into the next layer's input.
+        A fresh workspace is built when ``ws`` is None or holds another row
+        count.  Each layer input carries a trailing ones column, so
+        ``a @ wb`` adds the bias inside the matmul; an inner layer's
+        activation writes straight into the next layer's input.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -154,34 +201,44 @@ class HiddenNetwork:
             raise ValueError(
                 f"feature dimension mismatch: model expects {self.in_dim}, got {x.shape[1]}"
             )
-        a = _with_ones_column(x)
-        cache = []
+        if ws is None or ws.n != len(x):
+            ws = _Workspace(self.layers, len(x))
+        ws.inputs[0][:, :-1] = x
         for i, layer in enumerate(self.layers):
-            z = a @ layer.wb
-            cache.append((a, z))
-            if i + 1 < len(self.layers):
-                a = _with_ones_column(z, relu=layer.activation == "relu")
-        last = self.layers[-1]
-        return (np.maximum(z, 0.0) if last.activation == "relu" else z), cache
+            z = np.matmul(ws.inputs[i], layer.wb, out=ws.z[i])
+            nxt = ws.inputs[i + 1][:, :-1] if i + 1 < len(self.layers) else ws.v
+            if layer.activation == "relu":
+                np.maximum(z, 0.0, out=nxt)
+            elif nxt is not z:
+                nxt[...] = z
+        return ws.v, ws
 
-    def backward(self, cache: list, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Reverse pass; returns per-layer (dW, db), views of one matmul each.
+    def backward(
+        self, cache: _Workspace, grad_out: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Reverse pass; returns per-layer (dW, db), views of one fresh
+        matmul each.
 
+        ``grad_out`` is only read; the adjoints are written into the cache.
         The gradient at the network's input is never formed.
         """
         if cache is None:
             raise ValueError("no recorded forward state to backpropagate through")
+        if cache.adjoints is None:
+            cache.masks = [np.empty_like(z) if layer.activation == "relu" else None
+                           for layer, z in zip(self.layers, cache.z)]
+            cache.adjoints = [np.empty_like(z) for z in cache.z]
         g = np.asarray(grad_out, dtype=np.float64)
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            a_in, z = cache[i]
             if layer.activation == "relu":
-                g = g * (z > 0.0)
-            dwb = a_in.T @ g
+                mask = np.greater(cache.z[i], 0.0, out=cache.masks[i])
+                g = np.multiply(g, mask, out=cache.adjoints[i])
+            dwb = cache.inputs[i].T @ g
             grads[i] = (dwb[:-1], dwb[-1])
             if i:
-                g = g @ layer.w.T
+                g = np.matmul(g, layer.w.T, out=cache.adjoints[i - 1])
         return grads
 
     def sgd_step(self, grads: list[tuple[np.ndarray, np.ndarray]], lr: float) -> None:
@@ -196,56 +253,78 @@ class HiddenNetwork:
         )
 
 
-def _with_ones_column(v: np.ndarray, relu: bool = False) -> np.ndarray:
-    """[v, 1], or [relu(v), 1], as a fresh array."""
-    a = np.empty((len(v), v.shape[1] + 1))
-    a[:, -1] = 1.0
-    if relu:
-        np.maximum(v, 0.0, out=a[:, :-1])
-    else:
-        a[:, :-1] = v
-    return a
+def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.add.reduce(a, axis=1)``, bit for bit.
+
+    Below 8 columns numpy sums each row in column order starting from +0.0
+    (its pairwise summation starts at 8), so one add per column gives the
+    same bits without numpy's per-row reduction loop, which costs several
+    times more on rows this narrow.
+    """
+    if not 0 < a.shape[1] < 8:
+        return np.add.reduce(a, axis=1, out=out)
+    out = np.add(a[:, 0], 0.0, out=out)
+    for j in range(1, a.shape[1]):
+        np.add(out, a[:, j], out=out)
+    return out
 
 
-def _phi_denominators(v: np.ndarray) -> np.ndarray:
-    """Row norms, with NORM_FLOOR added to the degenerate ones."""
-    norms = np.sqrt(np.add.reduce(v * v, axis=1))   # what np.linalg.norm computes
+def _phi_denominators(
+    v: np.ndarray, sq: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row norms, with NORM_FLOOR added to the degenerate ones.
+
+    ``sq`` takes the squared entries and ``out`` the norms when given.
+    """
+    norms = _row_sums(np.multiply(v, v, out=sq), out=out)
+    np.sqrt(norms, out=norms)   # what np.linalg.norm computes
     if norms.min(initial=NORM_EPSILON) < NORM_EPSILON:
-        norms = np.where(norms < NORM_EPSILON, norms + NORM_FLOOR, norms)
+        np.add(norms, NORM_FLOOR, out=norms, where=norms < NORM_EPSILON)
     return norms
 
 
 def phi_normalize(
-    v: np.ndarray, radius: float = 1.0, denom: np.ndarray | None = None
+    v: np.ndarray,
+    radius: float = 1.0,
+    denom: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescale each row of v onto the sphere of the given radius.
 
     ``denom`` takes the row denominators ``_phi_denominators(v)`` when the
-    caller already holds them.
+    caller already holds them; ``out``, shaped like v, takes the result.
     """
     v, single = _as_batch(v)
     if denom is None:
         denom = _phi_denominators(v)
-    u = v * (radius / denom)[:, None]
+    u = np.multiply(v, (radius / denom)[:, None], out=_batch_out(out, single))
     return u[0] if single else u
 
 
 def phi_backward(
-    v: np.ndarray, grad_u: np.ndarray, radius: float = 1.0, denom: np.ndarray | None = None
+    v: np.ndarray,
+    grad_u: np.ndarray,
+    radius: float = 1.0,
+    denom: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian-transpose product of the normalization at v.
 
     For nondegenerate rows this is exactly
-    (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` is as for
-    ``phi_normalize``.
+    (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` and ``out`` are as for
+    ``phi_normalize``; ``out`` must not overlap v or grad_u.
     """
     v, single = _as_batch(v)
     g, _ = _as_batch(grad_u)
     if denom is None:
         denom = _phi_denominators(v)
-    vg = np.sum(v * g, axis=1) / (denom * denom)
-    out = (radius / denom)[:, None] * (g - v * vg[:, None])
-    return out[0] if single else out
+    res = np.multiply(v, g, out=_batch_out(out, single))
+    vg = _row_sums(res)
+    vg /= denom * denom
+    np.multiply(v, vg[:, None], out=res)
+    np.subtract(g, res, out=res)
+    np.multiply((radius / denom)[:, None], res, out=res)
+    return res[0] if single else res
 
 
 @dataclass
@@ -323,7 +402,11 @@ class TwoPartClassifier:
 
     Training goes through one surface: ``features_cached`` for the forward
     pass, ``LinearHead.backward`` for the head, ``backward_features`` for
-    the hidden layers and ``apply_grads`` for the SGD update.
+    the hidden layers and ``apply_grads`` for the SGD update.  Each step
+    writes into one reused workspace per row count.  Live caches
+    backpropagate in any order; ``backward_features`` spends a cache and
+    its features ``u``; returned gradients are always fresh.  Like
+    ``pair_risk_batch``, the surface is not reentrant across threads.
     """
 
     def __init__(
@@ -391,20 +474,32 @@ class TwoPartClassifier:
 
     # training surface ----------------------------------------------------
 
-    def features_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def features_cached(self, x: np.ndarray) -> tuple[np.ndarray, _Workspace]:
         """Normalized features and the forward state ``backward_features``
-        needs: the hidden cache, the raw representation and phi's row
-        denominators."""
-        v, hidden_cache = self.hidden.forward_cached(x)
-        denom = _phi_denominators(v)
-        return phi_normalize(v, self.radius, denom), (hidden_cache, v, denom)
+        needs, one workspace that also holds the features.
 
-    def backward_features(self, cache: tuple, grad_u: np.ndarray) -> list:
+        The network's spare workspace is taken when it holds x's row count.
+        """
+        hidden = self.hidden
+        ws, hidden._spare = hidden._spare, None
+        v, ws = hidden.forward_cached(x, ws)
+        if ws.u is None:
+            ws.sq, ws.u, ws.grad_v = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+            ws.denom = np.empty(len(v))
+        denom = _phi_denominators(v, ws.sq, ws.denom)
+        return phi_normalize(v, self.radius, denom, out=ws.u), ws
+
+    def backward_features(self, cache: _Workspace, grad_u: np.ndarray) -> list:
         """Gradients of the hidden layers given an adjoint at the normalized
-        features; the head is not involved."""
-        hidden_cache, v, denom = cache
-        grad_v = phi_backward(v, grad_u, self.radius, denom)
-        return self.hidden.backward(hidden_cache, grad_v)
+        features; the head is not involved.
+
+        This spends the cache and its features: its workspace becomes the
+        network's spare.  The gradients are fresh arrays.
+        """
+        grad_v = phi_backward(cache.v, grad_u, self.radius, cache.denom, out=cache.grad_v)
+        grads = self.hidden.backward(cache, grad_v)
+        self.hidden._spare = cache
+        return grads
 
     def apply_grads(self, lr: float, hidden: list | None = None, head: tuple | None = None) -> None:
         """One SGD step: ``hidden`` holds per-layer (dW, db), ``head`` is the

@@ -286,6 +286,24 @@ class TestExitCodes:
         assert "error: 1001 classes exceed the 3 training rows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["limit", "test_limit"])
+    @pytest.mark.parametrize("limit", [-5, 0])
+    def test_limit_below_one_is_data_error(self, tmp_path, capsys, key, limit):
+        """A negative limit once took an empty subset (a misleading class
+        count error for ``limit``, an empty-dataset accuracy for
+        ``test_limit``), and 0 silently kept every row."""
+        data = tmp_path / "blobs.csv"
+        data.write_text("f0,f1,label\n" + "".join(
+            f"{i % 7 * 0.1},{i % 3 * 0.2},{i % 2}\n" for i in range(60)))
+        config = write_config(tmp_path, dataset={"kind": "csv", "path": str(data),
+                                                 "test_path": str(data), key: limit})
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: dataset.{key} must be at least 1, got {limit}" in err
+        assert "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
     def test_hostile_or_invalid_idx_is_data_error(self, tmp_path, capsys):
         """eval on an IDX header claiming 2^30 images of 2^15 x 2^15 over a
         16-byte body, and on labels {0, 1, 7, 9} under --class-count 2."""

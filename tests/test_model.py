@@ -14,6 +14,7 @@ from samediff import (
     substream,
 )
 
+from samediff.model import _row_sums
 from conftest import (far_from_kinks, hidden_param_arrays, numeric_grad, params_equal, rel_err,
                       tiny_model)
 
@@ -114,6 +115,42 @@ class TestNormalization:
     def test_training_mode_floors_zero_rows(self):
         u = phi_normalize(np.zeros((1, 3)))
         assert np.all(np.isfinite(u))
+
+    @pytest.mark.parametrize("cols", range(11))
+    def test_row_sums_match_numpy_reduction(self, cols):
+        """``_row_sums`` is ``np.add.reduce(axis=1)`` bit for bit, signed
+        zeros, infinities and NaN included."""
+        rng = np.random.default_rng(cols)
+        a = rng.normal(size=(400, cols)) * np.exp(8.0 * rng.normal(size=(400, cols)))
+        pick = rng.random(size=a.shape)
+        a[pick < 0.15] = 0.0
+        a[(pick >= 0.15) & (pick < 0.3)] = -0.0
+        a[pick > 0.995] = np.inf
+        a[(pick > 0.99) & (pick <= 0.995)] = -np.inf
+        a[(pick > 0.985) & (pick <= 0.99)] = np.nan
+        a[:100] = a[:100, :1] * np.where(np.arange(cols) % 2, -1.0, 1.0)  # exact cancellation
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduce(a, axis=1)
+            assert _row_sums(a).tobytes() == want.tobytes()
+            out = np.empty(len(a))
+            assert _row_sums(a, out=out) is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("single", [False, True], ids=["floored-batch", "1-d"])
+    def test_out_matches_fresh_result(self, single):
+        """Writing into ``out`` gives the fresh result bit for bit, on a batch
+        with a NORM_FLOOR row and on a single vector."""
+        rng = np.random.default_rng(11)
+        v, g = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        v[2] = 0.0
+        if single:
+            v, g = v[0], g[0]
+        for fn, args in ((phi_normalize, (v, 1.5)), (phi_backward, (v, g, 1.5))):
+            out = np.full(v.shape, np.nan)
+            got = fn(*args, out=out)
+            want = fn(*args)
+            assert np.shares_memory(got, out)
+            assert out.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLinearHead:
@@ -250,3 +287,84 @@ class TestTwoPartClassifier:
         assert np.sum(live) >= 10
         u = model.features(x)
         np.testing.assert_allclose(np.linalg.norm(u[live], axis=1), 2.0, rtol=1e-12)
+
+
+def _bits(arrays):
+    """The bytes of every array, so signed zeros count."""
+    return [a.tobytes() for a in arrays]
+
+
+def _grad_bits(grads):
+    return _bits([p for dw_db in grads for p in dw_db])
+
+
+class TestWorkspace:
+    """A training step writes into one reused workspace per row count."""
+
+    def test_live_caches_backpropagate_in_any_order(self):
+        rng = np.random.default_rng(21)
+        model = tiny_model(rng, hidden=(5, 4), rep_dim=3)
+        x1, x2 = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        d1, d2 = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+
+        def fresh_grads(x, d):
+            m = model.clone()
+            return m.backward_features(m.features_cached(x)[1], d)
+
+        fresh = [fresh_grads(x1, d1), fresh_grads(x2, d2)]
+        for order in ((0, 1), (1, 0)):
+            twin = model.clone()
+            # a spent step leaves a spare workspace of this row count behind
+            twin.backward_features(twin.features_cached(x2)[1], d2)
+            (u1, c1), (_, c2) = twin.features_cached(x1), twin.features_cached(x2)
+            assert _bits([u1]) == _bits([model.features(x1)])
+            caches, adjoints = (c1, c2), (d1, d2)
+            grads = [None, None]
+            for k in order:
+                grads[k] = twin.backward_features(caches[k], adjoints[k])
+            for got, want in zip(grads, fresh):
+                assert _grad_bits(got) == _grad_bits(want)
+
+    def test_spent_workspace_is_reused_and_clone_shares_none(self):
+        rng = np.random.default_rng(22)
+        model = tiny_model(rng)
+        x, d = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        u, cache = model.features_cached(x)
+        grads = model.backward_features(cache, d)
+        kept = _grad_bits(grads)
+        u_next, cache_next = model.features_cached(x + 1.0)
+        assert cache_next is cache
+        assert np.shares_memory(u_next, u)
+        model.backward_features(cache_next, -d)
+        assert _grad_bits(grads) == kept  # returned gradients are fresh
+        u_twin, _ = model.clone().features_cached(x)
+        assert not np.shares_memory(u_twin, u)
+        u_other, _ = model.features_cached(x[:5])
+        assert not np.shares_memory(u_other, u)
+
+    def test_float_mask_keeps_signed_zeros(self):
+        """The masked adjoint equals ``g * (z > 0.0)`` bit for bit."""
+        net = HiddenNetwork([Layer(np.ones((1, 6)), np.zeros(6), "relu")])
+        _, cache = net.forward_cached(np.ones((2, 1)))
+        z = np.array([[0.0, -0.0, 1.0, -1.0, 0.0, 2.0],
+                      [-0.0, 0.0, -3.0, 4.0, 1.0, -0.0]])
+        g = np.array([[-0.0, -0.0, -0.0, -0.0, -2.0, -0.0],
+                      [-1.0, 3.0, -0.0, -5.0, -0.0, -7.0]])
+        cache.z[0][...] = z
+        net.backward(cache, g)
+        assert cache.adjoints[0].tobytes() == (g * (z > 0.0)).tobytes()
+
+    def test_backward_leaves_grad_out_unchanged(self):
+        rng = np.random.default_rng(23)
+        net = HiddenNetwork([Layer.init(3, 4, "relu", rng), Layer.init(4, 2, "relu", rng)])
+        _, cache = net.forward_cached(rng.normal(size=(5, 3)))
+        g = rng.normal(size=(5, 2))
+        before = g.tobytes()
+        net.backward(cache, g)
+        assert g.tobytes() == before
+        model = tiny_model(rng)
+        _, cache = model.features_cached(rng.normal(size=(5, 3)))
+        du = rng.normal(size=(5, 2))
+        before = du.tobytes()
+        model.backward_features(cache, du)
+        assert du.tobytes() == before
