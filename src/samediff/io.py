@@ -375,10 +375,9 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
         ),
     ]
     for layer in model.hidden.layers:
-        fan_in, fan_out = layer.w.shape
+        fan_in, fan_out = layer.wb.shape[0] - 1, layer.wb.shape[1]
         parts.append(struct.pack("<IIB", fan_in, fan_out, _ACT_CODES[layer.activation]))
-        parts.append(layer.w.astype("<f8").tobytes())
-        parts.append(layer.b.astype("<f8").tobytes())
+        parts.append(layer.wb.astype("<f8").tobytes())
     rows, rep_dim = model.head.weights.shape
     parts.append(struct.pack("<II", rows, rep_dim))
     parts.append(model.head.weights.astype("<f8").tobytes())
@@ -438,11 +437,10 @@ def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
     for _ in range(n_layers):
         fan_in, fan_out, act = struct.unpack_from("<IIB", blob, off)
         off += 9
-        w = floats(fan_in, fan_out)
-        b = floats(fan_out)
+        wb = floats(fan_in + 1, fan_out)
         if act not in _ACT_NAMES:
             raise DataFormatError(f"{path}: unknown activation code {act}")
-        layers.append(Layer(w=w, b=b, activation=_ACT_NAMES[act]))
+        layers.append(Layer(wb, _ACT_NAMES[act]))
     rows, rep_dim = struct.unpack_from("<II", blob, off)
     off += 8
     hw = floats(rows, rep_dim)

@@ -13,11 +13,11 @@ also returns the adjoint at the features), ``backward_features`` (back
 through phi and F1) and ``apply_grads`` (the only SGD update, for the
 hidden layers, the head or both).
 
-Each hidden layer keeps its weights and bias in one (fan_in + 1, fan_out)
-matrix ``wb``, bias last, and each layer input carries a trailing ones
+A hidden layer is one (fan_in + 1, fan_out) matrix ``wb``, its weights
+with the bias as the last row, and each layer input carries a trailing ones
 column: the forward pass is one matmul per layer, and so is each layer's
-(dW, db) in the backward pass.  ``Layer.w`` and ``Layer.b`` are views of
-``wb``.
+gradient ``dwb``, a matrix shaped like ``wb``.  An SGD step is one subtract
+per layer.  The model takes (n, d) batches only.
 
 A training step writes into one workspace: every array one forward and
 backward pass over n rows writes, built once per row count.  The cache
@@ -57,75 +57,45 @@ NORM_FLOOR = 1e-8      # added to degenerate norms
 _ACTIVATIONS = ("identity", "relu")
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim != 2:
-        raise ValueError(f"inputs must be 1-d or 2-d, got {x.ndim}-d")
-    return x, False
-
-
-def _batch_out(out: np.ndarray | None, single: bool) -> np.ndarray | None:
-    """An ``out`` buffer shaped like the input ``_as_batch`` reshaped."""
-    return out[None, :] if single and out is not None else out
-
-
 class Layer:
     """One affine layer with an elementwise activation.
 
-    The weights and the bias live in one (fan_in + 1, fan_out) matrix
-    ``wb`` whose last row is the bias, so an input with a ones column
-    appended meets both in a single matmul.  ``w`` and ``b`` are views of
-    ``wb``; assigning to either writes into it.
+    Its parameters are one (fan_in + 1, fan_out) matrix ``wb``, the weights
+    with the bias as the last row, so an input with a ones column appended
+    meets both in a single matmul.  Its gradient ``dwb`` has the same shape,
+    and an SGD step is ``wb -= lr * dwb``.  The layer keeps its own copy of
+    the matrix it is given.
     """
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "relu"):
+    def __init__(self, wb: np.ndarray, activation: str = "relu"):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if w.ndim != 2 or b.shape != (w.shape[1],):
-            raise ValueError(f"layer shapes do not match: w {w.shape}, b {b.shape}")
-        self.wb = np.concatenate([w, b[None, :]])
-        self._w, self._b = self.wb[:-1], self.wb[-1]
+        wb = np.array(wb, dtype=np.float64)
+        if wb.ndim != 2 or wb.shape[0] < 2 or wb.shape[1] < 1:
+            raise ValueError(
+                f"layer parameters must be (fan_in + 1, fan_out) with both widths"
+                f" at least 1, got shape {wb.shape}"
+            )
+        self.wb = wb
         self.activation = activation
-
-    @property
-    def w(self) -> np.ndarray:
-        """(fan_in, fan_out) weights, a view of ``wb``."""
-        return self._w
-
-    @w.setter
-    def w(self, value) -> None:
-        self._w[...] = value
-
-    @property
-    def b(self) -> np.ndarray:
-        """(fan_out,) bias, a view of ``wb``."""
-        return self._b
-
-    @b.setter
-    def b(self, value) -> None:
-        self._b[...] = value
 
     @classmethod
     def init(cls, fan_in: int, fan_out: int, activation: str, rng: np.random.Generator) -> "Layer":
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return cls(w=w, b=np.zeros(fan_out), activation=activation)
+        wb = np.zeros((fan_in + 1, fan_out))
+        wb[:-1] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return cls(wb, activation)
 
 
 class _Workspace:
     """Every array one forward and backward pass over n rows writes.
 
     Per layer: its input with a trailing ones column (written once, here)
-    and its preactivation ``z``; ``v`` is the network output.  Iterating
-    yields (input, preactivation) per layer.  The backward buffers (a float
-    ReLU mask per relu layer and the adjoint at each layer output) and
-    phi's (squared entries ``sq``, row denominators ``denom``, features
-    ``u`` and phi's backward output ``grad_v``) are built on first use, so
-    a forward-only pass never allocates them.
+    and its preactivation ``z``; ``v`` is the network output.  The backward
+    buffers (a float ReLU mask per relu layer and the adjoint at each layer
+    output) and phi's (squared entries ``sq``, row denominators ``denom``,
+    features ``u`` and phi's backward output ``grad_v``) are built on first
+    use, so a forward-only pass never allocates them.
     """
 
     def __init__(self, layers: Sequence[Layer], n: int):
@@ -137,9 +107,6 @@ class _Workspace:
         self.v = np.empty_like(self.z[-1]) if layers[-1].activation == "relu" else self.z[-1]
         self.masks = self.adjoints = None
         self.sq = self.denom = self.u = self.grad_v = None
-
-    def __iter__(self):
-        return zip(self.inputs, self.z)
 
 
 class HiddenNetwork:
@@ -153,7 +120,7 @@ class HiddenNetwork:
         if not layers:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
-            if prev.w.shape[1] != nxt.w.shape[0]:
+            if prev.wb.shape[1] != nxt.wb.shape[0] - 1:
                 raise ValueError("adjacent layer dimensions do not chain")
         self.layers = list(layers)
         self._spare: _Workspace | None = None
@@ -213,11 +180,8 @@ class HiddenNetwork:
                 nxt[...] = z
         return ws.v, ws
 
-    def backward(
-        self, cache: _Workspace, grad_out: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Reverse pass; returns per-layer (dW, db), views of one fresh
-        matmul each.
+    def backward(self, cache: _Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
+        """Reverse pass; returns each layer's ``dwb``, one fresh matmul each.
 
         ``grad_out`` is only read; the adjoints are written into the cache.
         The gradient at the network's input is never formed.
@@ -229,28 +193,23 @@ class HiddenNetwork:
                            for layer, z in zip(self.layers, cache.z)]
             cache.adjoints = [np.empty_like(z) for z in cache.z]
         g = np.asarray(grad_out, dtype=np.float64)
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+        grads: list[np.ndarray] = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == "relu":
                 mask = np.greater(cache.z[i], 0.0, out=cache.masks[i])
                 g = np.multiply(g, mask, out=cache.adjoints[i])
-            dwb = cache.inputs[i].T @ g
-            grads[i] = (dwb[:-1], dwb[-1])
+            grads[i] = cache.inputs[i].T @ g
             if i:
-                g = np.matmul(g, layer.w.T, out=cache.adjoints[i - 1])
+                g = np.matmul(g, layer.wb[:-1].T, out=cache.adjoints[i - 1])
         return grads
 
-    def sgd_step(self, grads: list[tuple[np.ndarray, np.ndarray]], lr: float) -> None:
-        for layer, (dw, db) in zip(self.layers, grads):
-            w, b = layer._w, layer._b   # views of layer.wb, updated in place
-            w -= lr * dw
-            b -= lr * db
+    def sgd_step(self, grads: list[np.ndarray], lr: float) -> None:
+        for layer, dwb in zip(self.layers, grads):
+            layer.wb -= lr * dwb
 
     def clone(self) -> "HiddenNetwork":
-        return HiddenNetwork(
-            [Layer(w=l.w, b=l.b, activation=l.activation) for l in self.layers]
-        )
+        return HiddenNetwork([Layer(l.wb, l.activation) for l in self.layers])
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -289,16 +248,14 @@ def phi_normalize(
     denom: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rescale each row of v onto the sphere of the given radius.
+    """Rescale each row of the (n, d) batch v onto the sphere of the given radius.
 
     ``denom`` takes the row denominators ``_phi_denominators(v)`` when the
     caller already holds them; ``out``, shaped like v, takes the result.
     """
-    v, single = _as_batch(v)
     if denom is None:
         denom = _phi_denominators(v)
-    u = np.multiply(v, (radius / denom)[:, None], out=_batch_out(out, single))
-    return u[0] if single else u
+    return np.multiply(v, (radius / denom)[:, None], out=out)
 
 
 def phi_backward(
@@ -314,17 +271,15 @@ def phi_backward(
     (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` and ``out`` are as for
     ``phi_normalize``; ``out`` must not overlap v or grad_u.
     """
-    v, single = _as_batch(v)
-    g, _ = _as_batch(grad_u)
     if denom is None:
         denom = _phi_denominators(v)
-    res = np.multiply(v, g, out=_batch_out(out, single))
+    res = np.multiply(v, grad_u, out=out)
     vg = _row_sums(res)
     vg /= denom * denom
     np.multiply(v, vg[:, None], out=res)
-    np.subtract(g, res, out=res)
+    np.subtract(grad_u, res, out=res)
     np.multiply((radius / denom)[:, None], res, out=res)
-    return res[0] if single else res
+    return res
 
 
 @dataclass
@@ -370,8 +325,9 @@ class LinearHead:
     def backward(
         self, u: np.ndarray, dscores: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """(dW, db, du) given the adjoint at the scores of features u; db is
-        None for a bias-free head."""
+        """Weight gradient, bias gradient and the adjoint at the features u,
+        given the adjoint at their scores; the bias gradient is None for a
+        bias-free head."""
         db = None if self.biases is None else dscores.sum(axis=0)
         return dscores.T @ u, db, dscores @ self.weights
 
@@ -458,19 +414,16 @@ class TwoPartClassifier:
         return cls(hidden, radius, head, class_count)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        x, single = _as_batch(x)
-        u = phi_normalize(self.hidden.forward(x), self.radius)
-        return u[0] if single else u
+        """Normalized features of a (n, d) batch."""
+        return phi_normalize(self.hidden.forward(x), self.radius)
 
-    def predict(self, x: np.ndarray):
-        """Predicted class indices; ties resolve to the lowest index."""
-        x, single = _as_batch(x)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predicted class indices of a (n, d) batch; ties resolve to the
+        lowest index."""
         s = self.head.scores(self.features(x))
         if self.head.binary:
-            labels = (s[:, 0] > 0.0).astype(np.int64)
-        else:
-            labels = np.argmax(s, axis=1).astype(np.int64)
-        return int(labels[0]) if single else labels
+            return (s[:, 0] > 0.0).astype(np.int64)
+        return np.argmax(s, axis=1).astype(np.int64)
 
     # training surface ----------------------------------------------------
 
@@ -502,8 +455,9 @@ class TwoPartClassifier:
         return grads
 
     def apply_grads(self, lr: float, hidden: list | None = None, head: tuple | None = None) -> None:
-        """One SGD step: ``hidden`` holds per-layer (dW, db), ``head`` is the
-        (dW, db) of ``LinearHead.backward``; a part left None stays put."""
+        """One SGD step: ``hidden`` holds each layer's ``dwb``, updating each
+        ``wb`` with one subtract; ``head`` holds the weight and bias
+        gradients of ``LinearHead.backward``.  A part left None stays put."""
         if hidden is not None:
             self.hidden.sgd_step(hidden, lr)
         if head is not None:

@@ -62,7 +62,6 @@ from .rng import substream
 
 __all__ = [
     "SHORT_SCHEDULE",
-    "LONG_SCHEDULE",
     "TrainConfig",
     "TrainRun",
     "EpochRecord",
@@ -74,7 +73,6 @@ __all__ = [
 ]
 
 SHORT_SCHEDULE = ((0.1, 20), (0.01, 10), (0.001, 5))
-LONG_SCHEDULE = ((0.1, 200), (0.01, 100), (0.001, 50))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ a fixed order (``derandomize``), so a CI failure reproduces.
 """
 
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -56,15 +58,16 @@ def far_from_kinks(model, x, margin=1e-3, min_raw_norm=1e-2):
     v, cache = model.hidden.forward_cached(np.asarray(x, dtype=np.float64))
     if np.any(np.linalg.norm(v, axis=1) < min_raw_norm):
         return False
-    for layer, (_, z) in zip(model.hidden.layers, cache):
+    for layer, z in zip(model.hidden.layers, cache.z):
         if layer.activation == "relu" and np.any(np.abs(z) < margin):
             return False
     return True
 
 
 def hidden_param_arrays(hidden):
-    """Each hidden layer's weights and bias, in layer order."""
-    return [p for layer in hidden.layers for p in (layer.w, layer.b)]
+    """Each hidden layer's weight rows and bias row, views of its ``wb``,
+    in layer order."""
+    return [p for layer in hidden.layers for p in (layer.wb[:-1], layer.wb[-1])]
 
 
 def param_arrays(model):
@@ -169,3 +172,25 @@ def labeled_grid(n_classes=3, per_class=4, dim=3, seed=0):
 @pytest.fixture
 def rng42():
     return np.random.default_rng(42)
+
+
+def checkpoint_bytes(layers, head_weights, head_biases=None, radius=1.0, seed=0, class_count=2):
+    """A checkpoint built field by field from docs/formats.md.
+
+    ``layers`` lists each hidden layer as (weights, biases, activation
+    code), the weights shaped (fan_in, fan_out).
+    """
+    def f64(values):
+        values = np.ravel(values)   # row-major
+        return struct.pack(f"<{len(values)}d", *values)
+
+    parts = [b"SDCK", struct.pack("<HHdqII", 1, 0 if head_biases is None else 1,
+                                  radius, seed, class_count, len(layers))]
+    for weights, biases, act in layers:
+        fan_in, fan_out = np.shape(weights)
+        parts += [struct.pack("<IIB", fan_in, fan_out, act), f64(weights), f64(biases)]
+    parts += [struct.pack("<II", *np.shape(head_weights)), f64(head_weights)]
+    if head_biases is not None:
+        parts.append(f64(head_biases))
+    payload = b"".join(parts)
+    return payload + struct.pack("<I", zlib.crc32(payload))

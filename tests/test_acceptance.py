@@ -126,14 +126,10 @@ class TestAcceptance:
                         radius=model.radius,
                     )[0]
 
-                for layer_idx in range(len(model.hidden.layers)):
-                    for arr, aw, bw in [
-                        (model.hidden.layers[layer_idx].w,
-                         ga[layer_idx][0], gb[layer_idx][0]),
-                        (model.hidden.layers[layer_idx].b,
-                         ga[layer_idx][1], gb[layer_idx][1]),
-                    ]:
-                        worst = max(worst, fd_err(aw + bw, numeric_grad(objective, arr)))
+                for layer, dwb_a, dwb_b in zip(model.hidden.layers, ga, gb):
+                    dwb = dwb_a + dwb_b
+                    for arr, analytic in [(layer.wb[:-1], dwb[:-1]), (layer.wb[-1], dwb[-1])]:
+                        worst = max(worst, fd_err(analytic, numeric_grad(objective, arr)))
                 checked += 1
 
         def hinge_margins(scores, y):
@@ -170,10 +166,10 @@ class TestAcceptance:
                     )[0]
 
                 arrays = [
-                    (model.hidden.layers[0].w, layer_grads[0][0]),
-                    (model.hidden.layers[0].b, layer_grads[0][1]),
-                    (model.hidden.layers[1].w, layer_grads[1][0]),
-                    (model.hidden.layers[1].b, layer_grads[1][1]),
+                    (model.hidden.layers[0].wb[:-1], layer_grads[0][:-1]),
+                    (model.hidden.layers[0].wb[-1], layer_grads[0][-1]),
+                    (model.hidden.layers[1].wb[:-1], layer_grads[1][:-1]),
+                    (model.hidden.layers[1].wb[-1], layer_grads[1][-1]),
                     (model.head.weights, head_w),
                 ]
                 if model.head.biases is not None:

@@ -16,10 +16,12 @@ from samediff import (
     build_model,
     build_train_config,
     cli_main,
+    generate_synthetic,
     load_config,
     load_csv,
     load_model,
     load_pairs,
+    save_csv,
     save_model,
     validate_config,
 )
@@ -29,6 +31,7 @@ from samediff.harness import SweepResult, SweepSpec
 from samediff.privacy import EncryptionReport, StrengthReport
 from samediff.theory import SuiteResult
 from samediff.trainer import EpochRecord, TrainRun
+from conftest import checkpoint_bytes
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
@@ -163,6 +166,18 @@ class TestExitCodes:
         path.write_bytes(bytes(blob))
         assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
         assert "overruns the file" in capsys.readouterr().err
+
+    def test_zero_width_checkpoint_is_data_error(self, tmp_path, capsys):
+        """A CRC-valid checkpoint whose one layer has fan_out 0 and whose head
+        has rep_dim 0 once printed "accuracy 0.500000" and exited 0."""
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(checkpoint_bytes([(np.zeros((2, 0)), np.zeros(0), 0)], np.zeros((1, 0))))
+        data = str(tmp_path / "blobs.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=5, seed=0), data)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", data]) == 2
+        captured = capsys.readouterr()
+        assert "both widths at least 1" in captured.err
+        assert captured.out == ""
 
     def test_online_pairing_mode_needs_online_regime(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pairing={"mode": "online", "n_pairs": 100})

@@ -10,6 +10,10 @@ import pytest
 from samediff import (
     DataFormatError,
     FullyLabeledDataset,
+    HiddenNetwork,
+    Layer,
+    LinearHead,
+    TwoPartClassifier,
     generate_synthetic,
     load_csv,
     load_idx,
@@ -22,7 +26,7 @@ from samediff import (
     save_model,
     save_pairs,
 )
-from conftest import params_equal, tiny_model
+from conftest import checkpoint_bytes, params_equal, tiny_model
 
 
 def roundtrip_ds(rng, n=17, dim=3):
@@ -458,6 +462,38 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError):
             load_model(str(path))
 
+
+    @pytest.mark.parametrize("fan_in, fan_out", [(2, 0), (0, 3)], ids=["fan_out-0", "fan_in-0"])
+    def test_crc_valid_zero_width_layer(self, tmp_path, fan_in, fan_out):
+        """A layer of width 0 whose counts match its bytes: a fan_out of 0
+        with a rep_dim-0 head once loaded and evaluated as a constant model."""
+        path = tmp_path / "m.ckpt"
+        layer = (np.zeros((fan_in, fan_out)), np.zeros(fan_out), 0)
+        path.write_bytes(checkpoint_bytes([layer], np.zeros((1, fan_out))))
+        with pytest.raises(DataFormatError, match="both widths at least 1"):
+            load_model(str(path))
+
+    def test_byte_map(self, tmp_path):
+        """save_model writes every field where docs/formats.md puts it: each
+        layer's weights row-major, then its biases, then the head."""
+        w1, b1 = np.arange(6.0).reshape(2, 3) / 8, np.array([0.5, -0.25, 2.0])
+        w2, b2 = -np.arange(12.0).reshape(3, 4) / 16, np.array([1.0, -1.0, 0.125, 3.0])
+        hidden = [(w1, b1, 1), (w2, b2, 0)]   # activation codes: relu, identity
+        head_w, head_b = np.arange(12.0).reshape(3, 4) / 32 - 0.1, np.array([0.3, -0.2, 0.1])
+        cases = [
+            (np.arange(4.0).reshape(1, 4) / 10, None, 2, 1.5, 11),
+            (head_w, head_b, 3, 0.75, -4),
+        ]
+        for weights, biases, class_count, radius, seed in cases:
+            model = TwoPartClassifier(
+                HiddenNetwork([Layer(np.vstack([w1, b1]), "relu"),
+                               Layer(np.vstack([w2, b2]), "identity")]),
+                radius, LinearHead(weights, biases), class_count,
+            )
+            path = tmp_path / "m.ckpt"
+            save_model(model, str(path), seed=seed)
+            assert path.read_bytes() == checkpoint_bytes(
+                hidden, weights, biases, radius=radius, seed=seed, class_count=class_count)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_crc_valid_bad_radius(self, tmp_path, rng42, radius):

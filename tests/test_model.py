@@ -23,12 +23,13 @@ def naive_forward(layers, x):
     """Reference forward pass written as explicit loops."""
     a = np.array(x, dtype=np.float64)
     for layer in layers:
-        out = np.empty((a.shape[0], layer.w.shape[1]))
+        w, b = layer.wb[:-1], layer.wb[-1]
+        out = np.empty((a.shape[0], w.shape[1]))
         for i in range(a.shape[0]):
-            for j in range(layer.w.shape[1]):
-                s = layer.b[j]
+            for j in range(w.shape[1]):
+                s = b[j]
                 for k in range(a.shape[1]):
-                    s += a[i, k] * layer.w[k, j]
+                    s += a[i, k] * w[k, j]
                 out[i, j] = max(s, 0.0) if layer.activation == "relu" else s
         a = out
     return a
@@ -53,8 +54,8 @@ class TestHiddenNetwork:
             net.forward(np.zeros((2, 5)))
 
     def test_mismatched_chain_rejected(self):
-        l1 = Layer(w=np.zeros((3, 4)), b=np.zeros(4))
-        l2 = Layer(w=np.zeros((5, 2)), b=np.zeros(2))
+        l1 = Layer(np.zeros((4, 4)))
+        l2 = Layer(np.zeros((6, 2)))
         with pytest.raises(ValueError, match="do not chain"):
             HiddenNetwork([l1, l2])
 
@@ -66,14 +67,14 @@ class TestHiddenNetwork:
     def test_glorot_init_range(self):
         layer = Layer.init(10, 6, "relu", np.random.default_rng(42))
         limit = np.sqrt(6.0 / 16.0)
-        assert np.all(np.abs(layer.w) <= limit)
-        np.testing.assert_array_equal(layer.b, np.zeros(6))
+        assert np.all(np.abs(layer.wb[:-1]) <= limit)
+        np.testing.assert_array_equal(layer.wb[-1], np.zeros(6))
 
     def test_clone_is_independent(self):
         net = HiddenNetwork.init([2, 3], np.random.default_rng(1))
         copy = net.clone()
-        copy.layers[0].w += 1.0
-        assert not np.array_equal(net.layers[0].w, copy.layers[0].w)
+        copy.layers[0].wb += 1.0
+        assert not np.array_equal(net.layers[0].wb, copy.layers[0].wb)
 
 
 class TestNormalization:
@@ -84,15 +85,11 @@ class TestNormalization:
             u = phi_normalize(v, radius=r)
             np.testing.assert_allclose(np.linalg.norm(u, axis=1), r, rtol=1e-12)
 
-    def test_single_vector_shape(self):
-        u = phi_normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(u, [0.6, 0.8])
-
     def test_backward_frozen_value(self):
         """At v = (3, 4) with unit radius the adjoint e1 maps to exactly
         (16/125, -12/125)."""
-        g = phi_backward(np.array([3.0, 4.0]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(g, [0.128, -0.096], rtol=0, atol=1e-15)
+        g = phi_backward(np.array([[3.0, 4.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(g, [[0.128, -0.096]], rtol=0, atol=1e-15)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -135,15 +132,14 @@ class TestNormalization:
             out = np.empty(len(a))
             assert _row_sums(a, out=out) is out and out.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("single", [False, True], ids=["floored-batch", "1-d"])
-    def test_out_matches_fresh_result(self, single):
+    @pytest.mark.parametrize("floored", [True, False], ids=["floored-batch", "plain-batch"])
+    def test_out_matches_fresh_result(self, floored):
         """Writing into ``out`` gives the fresh result bit for bit, on a batch
-        with a NORM_FLOOR row and on a single vector."""
+        with a NORM_FLOOR row and on one without."""
         rng = np.random.default_rng(11)
         v, g = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        v[2] = 0.0
-        if single:
-            v, g = v[0], g[0]
+        if floored:
+            v[2] = 0.0
         for fn, args in ((phi_normalize, (v, 1.5)), (phi_backward, (v, g, 1.5))):
             out = np.full(v.shape, np.nan)
             got = fn(*args, out=out)
@@ -249,10 +245,10 @@ class TestTwoPartClassifier:
             head_w, head_b, du = model.head.backward(u, adj)
             layer_grads = model.backward_features(cache, du)
             for arr, analytic in [
-                (model.hidden.layers[0].w, layer_grads[0][0]),
-                (model.hidden.layers[0].b, layer_grads[0][1]),
-                (model.hidden.layers[1].w, layer_grads[1][0]),
-                (model.hidden.layers[1].b, layer_grads[1][1]),
+                (model.hidden.layers[0].wb[:-1], layer_grads[0][:-1]),
+                (model.hidden.layers[0].wb[-1], layer_grads[0][-1]),
+                (model.hidden.layers[1].wb[:-1], layer_grads[1][:-1]),
+                (model.hidden.layers[1].wb[-1], layer_grads[1][-1]),
                 (model.head.weights, head_w),
                 (model.head.biases, head_b),
             ]:
@@ -278,6 +274,13 @@ class TestTwoPartClassifier:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(model.head.weights, head_before - 0.1 * dw)
 
+    def test_single_vector_is_refused(self):
+        """The model takes (n, d) batches only."""
+        model = tiny_model(np.random.default_rng(6))
+        for call in (model.features, model.predict):
+            with pytest.raises(ValueError, match=r"\(n, d\) batch"):
+                call(np.zeros(3))
+
     def test_features_lie_on_sphere(self):
         rng = np.random.default_rng(5)
         model = tiny_model(rng, radius=2.0)
@@ -292,10 +295,6 @@ class TestTwoPartClassifier:
 def _bits(arrays):
     """The bytes of every array, so signed zeros count."""
     return [a.tobytes() for a in arrays]
-
-
-def _grad_bits(grads):
-    return _bits([p for dw_db in grads for p in dw_db])
 
 
 class TestWorkspace:
@@ -323,7 +322,7 @@ class TestWorkspace:
             for k in order:
                 grads[k] = twin.backward_features(caches[k], adjoints[k])
             for got, want in zip(grads, fresh):
-                assert _grad_bits(got) == _grad_bits(want)
+                assert _bits(got) == _bits(want)
 
     def test_spent_workspace_is_reused_and_clone_shares_none(self):
         rng = np.random.default_rng(22)
@@ -331,12 +330,12 @@ class TestWorkspace:
         x, d = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
         u, cache = model.features_cached(x)
         grads = model.backward_features(cache, d)
-        kept = _grad_bits(grads)
+        kept = _bits(grads)
         u_next, cache_next = model.features_cached(x + 1.0)
         assert cache_next is cache
         assert np.shares_memory(u_next, u)
         model.backward_features(cache_next, -d)
-        assert _grad_bits(grads) == kept  # returned gradients are fresh
+        assert _bits(grads) == kept  # returned gradients are fresh
         u_twin, _ = model.clone().features_cached(x)
         assert not np.shares_memory(u_twin, u)
         u_other, _ = model.features_cached(x[:5])
@@ -344,7 +343,7 @@ class TestWorkspace:
 
     def test_float_mask_keeps_signed_zeros(self):
         """The masked adjoint equals ``g * (z > 0.0)`` bit for bit."""
-        net = HiddenNetwork([Layer(np.ones((1, 6)), np.zeros(6), "relu")])
+        net = HiddenNetwork([Layer(np.array([[1.0] * 6, [0.0] * 6]), "relu")])
         _, cache = net.forward_cached(np.ones((2, 1)))
         z = np.array([[0.0, -0.0, 1.0, -1.0, 0.0, 2.0],
                       [-0.0, 0.0, -3.0, 4.0, 1.0, -0.0]])

@@ -63,7 +63,7 @@ class FrozenHidden(HiddenNetwork):
         a = np.asarray(x, dtype=np.float64)
         cache = []
         for layer in self.layers:
-            z = a @ layer.w + layer.b
+            z = a @ layer.wb[:-1] + layer.wb[-1]
             cache.append((a, z))
             a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         return a, cache
@@ -77,13 +77,13 @@ class FrozenHidden(HiddenNetwork):
             if layer.activation == "relu":
                 g = g * (z > 0.0)
             grads[i] = (a_in.T @ g, g.sum(axis=0))
-            g = g @ layer.w.T
+            g = g @ layer.wb[:-1].T
         return grads, g
 
     def sgd_step(self, grads, lr):
         for layer, (dw, db) in zip(self.layers, grads):
-            layer.w -= lr * dw
-            layer.b -= lr * db
+            layer.wb[:-1] -= lr * dw
+            layer.wb[-1] -= lr * db
 
     def clone(self):
         return FrozenHidden(HiddenNetwork.clone(self).layers)
@@ -113,7 +113,7 @@ class FrozenClassifier(TwoPartClassifier):
 
 
 def frozen(model):
-    hidden = FrozenHidden([Layer(l.w, l.b, l.activation) for l in model.hidden.layers])
+    hidden = FrozenHidden([Layer(l.wb, l.activation) for l in model.hidden.layers])
     return FrozenClassifier(hidden, model.radius, model.head.clone(), model.class_count)
 
 
@@ -161,7 +161,7 @@ def test_frozen_copy_is_not_the_shipped_arithmetic():
     model = _model()
     rng = np.random.default_rng(0)
     for layer in model.hidden.layers:
-        layer.b = rng.normal(size=layer.b.shape)
+        layer.wb[-1] = rng.normal(size=layer.wb[-1].shape)
     x = rng.normal(size=(256, 2))
     got, want = model.hidden.forward(x), frozen(model).hidden.forward(x)
     assert not np.array_equal(got, want)

@@ -146,7 +146,7 @@ def reference_step1(model, pairs, cfg):
             )
             ga = model.backward_features(ca, dua)
             gb = model.backward_features(cb, dub)
-            summed = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(ga, gb)]
+            summed = [dwb_a + dwb_b for dwb_a, dwb_b in zip(ga, gb)]
             model.hidden.sgd_step(summed, lr)
             total += risk * len(batch)
             seen += len(batch)
