@@ -41,7 +41,7 @@ _ALLOWED: dict[str, set[str] | None] = {
         "limit", "test_limit", "test_n_per_class",
     },
     "model": {"hidden", "rep_dim", "radius", "binary_head"},
-    "train": set(TrainConfig().echo()),
+    "train": {f.name for f in fields(TrainConfig)},
     "pairing": {f.name for f in fields(PairingConfig)},
     "labels": {"per_class"},
     "sweep": {"n1", "n2", "reps"},

@@ -100,9 +100,6 @@ class FullyLabeledDataset(_IdLookup):
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def index_of(self, example_id: int) -> int:
-        return int(self.positions_of([example_id])[0])
-
     def subset(self, positions: np.ndarray) -> "FullyLabeledDataset":
         """New dataset from row positions (ids preserved)."""
         positions = np.asarray(positions, dtype=np.int64)

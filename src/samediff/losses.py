@@ -211,9 +211,7 @@ def pair_risk_batch(
     return (risk, *_pair_terms(name, ua, ub, dv))
 
 
-def head_loss_batch(
-    name: str, scores: np.ndarray, y: np.ndarray, class_count: int
-) -> tuple[float, np.ndarray]:
+def head_loss_batch(name: str, scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean head loss over a batch and its gradient at the scores.
 
     Binary-mode scores have one column and hinge targets map 0 -> -1,

@@ -483,20 +483,15 @@ def _two_point_map(m_plus: int, m: int, pt_plus: np.ndarray, pt_minus: np.ndarra
     return h
 
 
-def generate_problem(seed: int, include_constant_maps: bool = False) -> FiniteProblem:
+def generate_problem(seed: int) -> FiniteProblem:
     """Random finite problem whose hypothesis list exercises every regime.
 
     The list always contains at least one exactly antipodal two-point map
     (so a collapsing separation optimum exists), some non-antipodal
     two-point maps, and input-splitting maps whose image has more than 4
     support points (so the support-size assumption holds for every
-    non-collapsing hypothesis).
-
-    ``include_constant_maps=True`` appends a constant map.  Constant maps
-    are not collapsing and have a one-point image, so they deliberately
-    violate the support-size assumption; the default generator therefore
-    leaves them out and they exist only to exercise the withheld-verdict
-    path.
+    non-collapsing hypothesis).  It holds no constant map, whose one-point
+    image would violate that assumption.
     """
     rng = substream(seed, "theory", "generate")
     m = int(rng.integers(6, 13))
@@ -532,8 +527,6 @@ def generate_problem(seed: int, include_constant_maps: bool = False) -> FinitePr
             if d.min() > 1e-6:
                 break
         hyps.append(pts)
-    if include_constant_maps:
-        hyps.append(np.tile(_unit(rng, p) * r, (m, 1)))
 
     return FiniteProblem(pmf=pmf, hypotheses=tuple(hyps), radius=r)
 

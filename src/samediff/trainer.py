@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -77,12 +77,11 @@ SHORT_SCHEDULE = ((0.1, 20), (0.01, 10), (0.001, 5))
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for every training entry point.
+    """Knobs for every training entry point; its fields are exactly the
+    config's ``train`` keys, and ``asdict`` of it is a run's recorded config.
 
     ``pair_loss=None`` resolves to sqdist for a binary head and ncs
-    otherwise.  ``augment`` receives (features, rng) and returns features;
-    it applies to stage-1 and baseline batches, never to the frozen-feature
-    head stage.
+    otherwise.
     """
 
     batch_size: int = 128
@@ -94,7 +93,6 @@ class TrainConfig:
     head_loss: str = "hinge"
     beta: float | None = None
     val_fraction: float = 1.0 / 12.0
-    augment: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -118,12 +116,6 @@ class TrainConfig:
             return self.pair_loss
         return "sqdist" if model.head.binary else "ncs"
 
-    def echo(self) -> dict:
-        """Every knob but the ``augment`` callable, the schedule as lists."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "augment"}
-        doc["schedule"] = [list(step) for step in self.schedule]
-        return doc
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -134,9 +126,6 @@ class EpochRecord:
     lr: float
     train_loss: float
     val_metric: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -197,14 +186,14 @@ def _weighted_mean(terms: Iterable[tuple[float, int]]) -> float:
 
 def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
                 plan: list[tuple[int, float]], tag: str, n: int,
-                epoch_body: Callable[[int, float, np.ndarray], Iterable[tuple[float, int]]],
+                epoch_body: Callable[[float, np.ndarray], Iterable[tuple[float, int]]],
                 val_score: Callable[[], float | None], maximize: bool = False) -> None:
     """The one epoch loop every trainer runs.
 
     Each epoch permutes the n training items with the ("shuffle", tag,
-    epoch) substream and hands the permutation to ``epoch_body(epoch, lr,
-    perm)``, which runs the regime's whole batch loop and yields each
-    stepped batch's (loss, weight); the epoch's train loss is their
+    epoch) substream and hands the permutation to ``epoch_body(lr, perm)``,
+    which runs the regime's whole batch loop and yields each stepped
+    batch's (loss, weight); the epoch's train loss is their
     ``_weighted_mean``.  ``val_score()`` returns the validation metric, or
     None without a validation set.  The model is cloned at the best metric
     (lowest, or highest with ``maximize``) and restored after the last
@@ -214,7 +203,7 @@ def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
     best, snapshot = np.inf, None
     for epoch, lr in plan:
         perm = substream(cfg.seed, "shuffle", tag, epoch).permutation(n)
-        train_loss = _weighted_mean(epoch_body(epoch, lr, perm))
+        train_loss = _weighted_mean(epoch_body(lr, perm))
         val_metric = val_score()
         if val_metric is not None and sign * val_metric < best:
             best, snapshot = sign * val_metric, model.clone()
@@ -243,7 +232,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     train_pairs, val_pairs = _split_pairs(pairs, cfg)
     if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None   # positive-free split cannot score this loss
-    run = TrainRun(stage="step1", config=cfg.echo())
+    run = TrainRun(stage="step1", config=asdict(cfg))
     # Ids resolve to feature rows once.  Each epoch gathers its rows in one
     # take, batch by batch as [a-sides; b-sides], so every batch is one
     # contiguous slice that takes one forward and one backward pass.
@@ -258,7 +247,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     to_a = start + pos
     to_b = to_a + np.minimum(bs, n - start)
 
-    def epoch_body(epoch, lr, perm):
+    def epoch_body(lr, perm):
         rows = np.empty(2 * n, dtype=np.intp)
         rows[to_a] = pos_a.take(perm)
         rows[to_b] = pos_b.take(perm)
@@ -268,11 +257,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
             if loss_name == "contrastive" and not np.any(t == 1):
                 continue
             m = len(t)
-            xab = x_ep[2 * lo:2 * (lo + m)]
-            if cfg.augment is not None:
-                arng = substream(cfg.seed, "augment", epoch, lo)
-                xab = np.concatenate([cfg.augment(xab[:m], arng), cfg.augment(xab[m:], arng)])
-            u, cache = model.features_cached(xab)
+            u, cache = model.features_cached(x_ep[2 * lo:2 * (lo + m)])
             risk, dua, dub = pair_risk_batch(
                 loss_name, u[:m], u[m:], t, radius=model.radius, beta=cfg.beta
             )
@@ -302,15 +287,13 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
     t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     u_train = model.features(train_ds.x)
-    run = TrainRun(stage="step2", config=cfg.echo())
+    run = TrainRun(stage="step2", config=asdict(cfg))
 
-    def epoch_body(epoch, lr, perm):
+    def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             u = u_train[idx]
-            loss, dscores = head_loss_batch(
-                cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
-            )
+            loss, dscores = head_loss_batch(cfg.head_loss, model.head.scores(u), train_ds.y[idx])
             dw, db, _ = model.head.backward(u, dscores)
             model.apply_grads(lr, head=(dw, db))
             yield loss, len(idx)
@@ -340,18 +323,13 @@ def train_baseline_full(
         raise ValueError("empty dataset")
     t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    run = TrainRun(stage="baseline", config=cfg.echo())
+    run = TrainRun(stage="baseline", config=asdict(cfg))
 
-    def epoch_body(epoch, lr, perm):
+    def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
-            x = train_ds.x[idx]
-            if cfg.augment is not None:
-                x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
-            u, cache = model.features_cached(x)
-            loss, dscores = head_loss_batch(
-                cfg.head_loss, model.head.scores(u), train_ds.y[idx], model.class_count
-            )
+            u, cache = model.features_cached(train_ds.x[idx])
+            loss, dscores = head_loss_batch(cfg.head_loss, model.head.scores(u), train_ds.y[idx])
             dw, db, du = model.head.backward(u, dscores)
             model.apply_grads(lr, hidden=model.backward_features(cache, du), head=(dw, db))
             yield loss, len(idx)
@@ -364,7 +342,7 @@ def train_baseline_full(
 
 
 def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig, loss_name: str):
-    """(lo, rows, t) for each batch of ``order`` that can take a pair step.
+    """(rows, t) for each batch of ``order`` that can take a pair step.
 
     ``t`` holds the agreement bits of the batch's pairs i < j in
     ``np.triu_indices`` order.  Batches of fewer than 2 examples have no
@@ -380,7 +358,7 @@ def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig
         t = sufficient_label(y.take(ii), y.take(jj))
         if loss_name == "contrastive" and not np.any(t == 1):
             continue
-        yield lo, idx, t
+        yield idx, t
 
 
 def train_online(
@@ -397,34 +375,36 @@ def train_online(
     batch takes one forward pass, one ``pair_risk_batch`` call on its
     features whole, which returns the gradient at its rows, and one
     backward pass.  Validation walks fixed-order batches of the held-out
-    examples the same way and averages their pair risk.
+    examples the same way and averages their pair risk; when none of them
+    can be scored, the stage has no validation split and its final
+    parameters stand.
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
     t0 = time.perf_counter()
     loss_name = cfg.resolved_pair_loss(model)
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    run = TrainRun(stage="step1-online", config=cfg.echo())
+    val_batches = [] if val_ds is None else [
+        (val_ds.x.take(idx, axis=0), t)
+        for idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]
+    run = TrainRun(stage="step1-online", config=asdict(cfg))
 
-    def epoch_body(epoch, lr, perm):
-        for lo, idx, t in _online_batches(train_ds, perm, cfg, loss_name):
-            x = train_ds.x.take(idx, axis=0)
-            if cfg.augment is not None:
-                x = cfg.augment(x, substream(cfg.seed, "augment", epoch, lo))
+    def epoch_body(lr, perm):
+        for idx, t in _online_batches(train_ds, perm, cfg, loss_name):
             run.max_pair_buffer = max(run.max_pair_buffer, len(t))
-            u, cache = model.features_cached(x)
+            u, cache = model.features_cached(train_ds.x.take(idx, axis=0))
             risk, du, _ = pair_risk_batch(loss_name, u, None, t, radius=model.radius,
                                           beta=cfg.beta)
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
             yield risk, len(t)
 
     def val_score():
-        if val_ds is None:
+        if not val_batches:
             return None
         return _weighted_mean(
-            (pair_risk_batch(loss_name, model.features(val_ds.x.take(idx, axis=0)), None, t,
-                             radius=model.radius, beta=cfg.beta)[0], len(t))
-            for _, idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name))
+            (pair_risk_batch(loss_name, model.features(x), None, t, radius=model.radius,
+                             beta=cfg.beta)[0], len(t))
+            for x, t in val_batches)
 
     _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),
                 epoch_body, val_score)

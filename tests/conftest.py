@@ -1,7 +1,7 @@
-"""Shared helpers: finite-difference gradients, tiny dataset builders,
-bitwise model equality, the theory tests' per-hypothesis references and
-risk target, and the grid risk and bisection that check the suite's
-dense-search cross-checks.
+"""Shared helpers: finite-difference gradients, tiny dataset builders and
+a jitter-augmented copy, bitwise model equality, the theory tests'
+per-hypothesis references, risk target and constant-map problems, and the
+grid risk and bisection that check the suite's dense-search cross-checks.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from samediff import FullyLabeledDataset, TwoPartClassifier, substream
-from samediff.theory import FiniteProblem, _directions, signed_mean
+import samediff.theory as theory
+from samediff.theory import FiniteProblem, _directions, generate_problem, signed_mean
 
 try:
     from hypothesis import settings
@@ -167,6 +168,36 @@ def labeled_grid(n_classes=3, per_class=4, dim=3, seed=0):
         xs.append(rng.normal(loc=3.0 * c, scale=1.0, size=(per_class, dim)))
         ys.append(np.full(per_class, c, dtype=np.int64))
     return FullyLabeledDataset.from_arrays(np.vstack(xs), np.concatenate(ys), n_classes)
+
+
+def augmented(ds, seed, scale=0.05):
+    """The dataset followed by a jittered copy of every row, with the same
+    labels: data augmentation done once, before training."""
+    rng = np.random.default_rng(seed)
+    x = np.vstack([ds.x, ds.x + scale * rng.normal(size=ds.x.shape)])
+    return FullyLabeledDataset.from_arrays(x, np.concatenate([ds.y, ds.y]), ds.class_count)
+
+
+def with_constant_map(seed):
+    """``generate_problem(seed)`` with one more hypothesis, a constant map.
+
+    Its point is the next unit direction of the generator's own stream,
+    times the radius, so a problem is the same bit for bit from run to run.
+    Its one-point image breaks the support-size assumption, so a
+    verification must withhold its verdict.
+    """
+    streams = []
+
+    def kept(*key):
+        streams.append(substream(*key))
+        return streams[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory, "substream", kept)
+        prob = generate_problem(seed)
+    point = theory._unit(streams[0], prob.rep_dim) * prob.radius
+    return FiniteProblem(pmf=prob.pmf, radius=prob.radius,
+                         hypotheses=(*prob.hypotheses, np.tile(point, (len(prob.pmf), 1))))
 
 
 @pytest.fixture

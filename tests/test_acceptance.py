@@ -156,14 +156,12 @@ class TestAcceptance:
                 scores = model.head.scores(u)
                 if name == "hinge" and np.min(np.abs(hinge_margins(scores, y))) < 1e-3:
                     continue  # a finite-difference step must not cross the hinge
-                _, dscores = head_loss_batch(name, scores, y, class_count)
+                _, dscores = head_loss_batch(name, scores, y)
                 head_w, head_b, du = model.head.backward(u, dscores)
                 layer_grads = model.backward_features(cache, du)
 
                 def objective():
-                    return head_loss_batch(
-                        name, model.head.scores(model.features(x)), y, class_count
-                    )[0]
+                    return head_loss_batch(name, model.head.scores(model.features(x)), y)[0]
 
                 arrays = [
                     (model.hidden.layers[0].wb[:-1], layer_grads[0][:-1]),
@@ -314,7 +312,7 @@ class TestAcceptance:
         """Exhaustive release fully leaks the classes; disjoint release
         caps components at two; the released file has no label field."""
         ds = generate_synthetic("blobs", n_per_class=30, noise=0.5, seed=0)
-        truth = {int(i): int(ds.y[ds.index_of(i)]) for i in ds.ids}
+        truth = dict(zip(ds.ids.tolist(), ds.y.tolist()))
         agreement = pairwise_agreement(recover_clusters(pair_exhaustive(ds)), truth)
 
         released, _, rep = encrypt_disjoint(ds, 20, seed=1)

@@ -91,8 +91,7 @@ class TestConfigValidation:
             load_config(str(path))
 
     def test_train_and_pairing_keys(self):
-        """The key sets derived from the config dataclasses: every knob but
-        ``augment``, which no JSON document can hold."""
+        """The key sets derived from the config dataclasses' fields."""
         assert _ALLOWED["train"] == {
             "batch_size", "schedule", "head_rate", "head_epochs", "seed",
             "pair_loss", "head_loss", "beta", "val_fraction",
@@ -563,6 +562,9 @@ class TestTrainEvalCommands:
         assert manifest["regime"] == "two-stage"
         assert manifest["test_accuracy"] == pytest.approx(reported, abs=5e-5)
         assert set(manifest["files"]) == {"model.ckpt", "trace.csv"}
+        # every run records its whole TrainConfig, which builds it again
+        cfg = build_train_config(manifest["config"])
+        assert all(build_train_config({"train": run["config"]}) == cfg for run in manifest["runs"])
         header = trace.read_text().splitlines()[0]
         assert header == "stage,epoch,lr,train_loss,val_metric"
 

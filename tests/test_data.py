@@ -66,16 +66,16 @@ class TestFullyLabeledDataset:
         with pytest.raises(ValueError):
             ds.y[0] = 2
 
-    def test_index_of_and_example(self):
+    def test_positions_of_and_example(self):
         ds = self._ds()
-        assert ds.index_of(30) == 2
-        k = ds.index_of(40)
+        assert ds.positions_of([30])[0] == 2
+        k = ds.positions_of([40])[0]
         assert ds.ids[k] == 40 and ds.y[k] == 2
         np.testing.assert_array_equal(ds.x[k], [6.0, 7.0])
 
-    def test_index_of_unknown_id(self):
+    def test_positions_of_unknown_id(self):
         with pytest.raises(KeyError, match="unknown example id"):
-            self._ds().index_of(999)
+            self._ds().positions_of([999])
 
     def test_features_for_preserves_order(self):
         ds = self._ds()
@@ -236,4 +236,4 @@ def test_labels_and_subset_by_ids_match_dict_lookup():
     np.testing.assert_array_equal(sub.ids, query)
     np.testing.assert_array_equal(sub.x, ds.x[rows])
     np.testing.assert_array_equal(sub.y, ds.y[rows])
-    assert ds.index_of(int(query[0])) == rows[0]
+    assert ds.positions_of([int(query[0])])[0] == rows[0]

@@ -102,7 +102,7 @@ class TestScalarSurfaces:
         assert hinge_unbounded(0.7, 1) == pytest.approx(-0.7)
         assert hinge_unbounded(0.7, -1) == pytest.approx(0.7)
         assert hinge_unbounded(-2.0, 1) == pytest.approx(2.0)
-        loss, _ = head_loss_batch("hinge", np.array([[0.7], [0.7], [-2.0]]), np.array([1, 0, 1]), 2)
+        loss, _ = head_loss_batch("hinge", np.array([[0.7], [0.7], [-2.0]]), np.array([1, 0, 1]))
         assert loss == pytest.approx(np.mean([-0.7, 0.7, 2.0]))
 
     def test_hinge_rejects_bad_target(self):
@@ -370,7 +370,7 @@ class TestWithinBatch:
 class TestHeadLossBatch:
     def test_binary_hinge_maps_labels_to_signs(self):
         s = np.array([[0.5], [0.5]])
-        loss, ds = head_loss_batch("hinge", s, np.array([1, 0]), 2)
+        loss, ds = head_loss_batch("hinge", s, np.array([1, 0]))
         # class 1 -> target +1 (loss -0.5), class 0 -> target -1 (loss +0.5)
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(ds, [[-0.5], [0.5]])
@@ -378,7 +378,7 @@ class TestHeadLossBatch:
     def test_multiclass_hinge_frozen_case(self):
         """One-vs-rest sum: true class pulls +1, the rest push -1."""
         s = np.array([[1.0, 2.0, 3.0]])
-        loss, ds = head_loss_batch("hinge", s, np.array([2]), 3)
+        loss, ds = head_loss_batch("hinge", s, np.array([2]))
         assert loss == pytest.approx(1.0 + 2.0 - 3.0)
         np.testing.assert_allclose(ds, [[1.0, 1.0, -1.0]])
 
@@ -387,32 +387,32 @@ class TestHeadLossBatch:
         for cols in (1, 4):
             s = rng.normal(size=(6, cols))
             y = rng.integers(0, 2 if cols == 1 else cols, size=6)
-            _, ds = head_loss_batch("hinge", s, y, 2 if cols == 1 else cols)
-            num = numeric_grad(lambda: head_loss_batch("hinge", s, y, 2 if cols == 1 else cols)[0], s)
+            _, ds = head_loss_batch("hinge", s, y)
+            num = numeric_grad(lambda: head_loss_batch("hinge", s, y)[0], s)
             assert rel_err(ds, num) < 1e-9
 
     def test_xent_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         s = rng.normal(size=(6, 4)) * 3
         y = rng.integers(0, 4, size=6)
-        _, ds = head_loss_batch("xent", s, y, 4)
-        num = numeric_grad(lambda: head_loss_batch("xent", s, y, 4)[0], s)
+        _, ds = head_loss_batch("xent", s, y)
+        num = numeric_grad(lambda: head_loss_batch("xent", s, y)[0], s)
         assert rel_err(ds, num) < 1e-7
 
     def test_xent_against_scalar_surface(self):
         rng = np.random.default_rng(42)
         s = rng.normal(size=(5, 3))
         y = rng.integers(0, 3, size=5)
-        loss, _ = head_loss_batch("xent", s, y, 3)
+        loss, _ = head_loss_batch("xent", s, y)
         assert loss == pytest.approx(np.mean([cross_entropy(s[i], int(y[i])) for i in range(5)]))
 
     def test_xent_needs_multiple_columns(self):
         with pytest.raises(ValueError, match="one score column per class"):
-            head_loss_batch("xent", np.zeros((2, 1)), np.array([0, 1]), 2)
+            head_loss_batch("xent", np.zeros((2, 1)), np.array([0, 1]))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
-            head_loss_batch("hinge", np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
+            head_loss_batch("hinge", np.zeros((0, 1)), np.zeros(0, dtype=int))
 
 
 class TestEmpiricalRisks:

@@ -36,7 +36,7 @@ class TestRecoverClusters:
         pairs = pair_exhaustive(ds)
         comps = recover_clusters(pairs)
         assert len(comps) == 3
-        truth = {int(i): int(ds.y[ds.index_of(i)]) for i in ds.ids}
+        truth = dict(zip(ds.ids.tolist(), ds.y.tolist()))
         for comp in comps:
             assert len({truth[p] for p in comp}) == 1
         assert pairwise_agreement(comps, truth) == 1.0
@@ -109,7 +109,7 @@ class TestStrengthReport:
     def test_exhaustive_extreme(self):
         rng = np.random.default_rng(42)
         ds = labeled(rng, n_classes=2, per_class=10)
-        rep = strength_report(pair_exhaustive(ds), {int(i): int(ds.y[ds.index_of(i)]) for i in ds.ids})
+        rep = strength_report(pair_exhaustive(ds), dict(zip(ds.ids.tolist(), ds.y.tolist())))
         assert rep.agreement == 1.0
         assert rep.component_count == 2
         assert rep.max_component_size == 10

@@ -24,7 +24,12 @@ from samediff.theory import (
     _cross_check_slack,
     _directions,
 )
-from conftest import half_best_gamma, min_head_risk_grid, required_head_norm_bisect
+from conftest import (
+    half_best_gamma,
+    min_head_risk_grid,
+    required_head_norm_bisect,
+    with_constant_map,
+)
 
 
 def antipodal_problem(alpha=0.5, radius=1.0, extra=()):
@@ -194,7 +199,7 @@ class TestCollapseOptimality:
         """Constant maps have a one-point image, breaking the support-size
         assumption, so the check must refuse to rule."""
         for seed in range(5):
-            rep = verify_collapse_optimality(generate_problem(seed, include_constant_maps=True))
+            rep = verify_collapse_optimality(with_constant_map(seed))
             assert not rep.assumption_support
             assert rep.equality is None
 

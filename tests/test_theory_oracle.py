@@ -13,7 +13,6 @@ match them exactly.  The suite's grid head norm, read off the same
 direction scan as the grid risk, must match the bisection it replaced.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -42,6 +41,7 @@ from conftest import (
     frozen_pair_objective_value,
     min_head_risk_grid,
     required_head_norm_bisect,
+    with_constant_map,
 )
 
 SEEDS = range(300)
@@ -265,8 +265,13 @@ def frozen_run_verification_suite(n_seeds, grid_dirs, gamma_fraction, generate):
 # -- the comparisons --------------------------------------------------------
 
 
+def generator(constant):
+    """``generate_problem``, appending a constant map for the constant-maps cases."""
+    return with_constant_map if constant else generate_problem
+
+
 def problems(constant):
-    return [generate_problem(seed, include_constant_maps=constant) for seed in SEEDS]
+    return [generator(constant)(seed) for seed in SEEDS]
 
 
 @pytest.mark.parametrize("constant", [False, True], ids=["plain", "constant-maps"])
@@ -323,7 +328,7 @@ def outcome(result):
 @pytest.mark.parametrize("grid_dirs", [10_000, 2_000])
 @pytest.mark.parametrize("constant", [False, True], ids=["plain", "constant-maps"])
 def test_suite_outcome(monkeypatch, grid_dirs, constant):
-    generate = functools.partial(generate_problem, include_constant_maps=constant)
+    generate = generator(constant)
     ref = frozen_run_verification_suite(SUITE_SEEDS, grid_dirs, 0.5, generate)
     monkeypatch.setattr(theory, "generate_problem", generate)
     assert outcome(run_verification_suite(SUITE_SEEDS, grid_dirs=grid_dirs)) == outcome(ref)

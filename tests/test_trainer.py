@@ -1,8 +1,12 @@
 """Training stages: freeze contract, determinism, regime behavior."""
 
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
+import samediff.config as config
 from samediff import (
     SHORT_SCHEDULE,
     EpochRecord,
@@ -11,6 +15,7 @@ from samediff import (
     TrainRun,
     TwoPartClassifier,
     accuracy,
+    build_train_config,
     generate_synthetic,
     pair_exhaustive,
     pair_sampled,
@@ -64,12 +69,14 @@ class TestTrainConfig:
         assert TrainConfig(pair_loss="mse").resolved_pair_loss(binary) == "mse"
 
     def test_echo_round_trip_keys(self):
-        echo = TrainConfig(seed=7).echo()
+        """A run records ``asdict`` of its config; JSON writes the schedule
+        tuples as arrays."""
+        echo = json.loads(json.dumps(asdict(TrainConfig(seed=7))))
         assert echo["seed"] == 7
         assert echo["schedule"] == [[0.1, 20], [0.01, 10], [0.001, 5]]
 
-    def test_echo_is_every_knob_but_augment(self):
-        assert TrainConfig(seed=7).echo() == {
+    def test_echo_is_every_knob(self):
+        assert json.loads(json.dumps(asdict(TrainConfig(seed=7)))) == {
             "batch_size": 128,
             "schedule": [[0.1, 20], [0.01, 10], [0.001, 5]],
             "head_rate": 0.1,
@@ -80,6 +87,18 @@ class TestTrainConfig:
             "beta": None,
             "val_fraction": 1.0 / 12.0,
         }
+
+    def test_every_knob_is_a_config_key(self):
+        """TrainConfig's fields, the typed reader's kinds and the allowed
+        ``train`` keys are one set, and a recorded config builds the same
+        TrainConfig again, so a knob that JSON cannot hold fails here."""
+        names = {f.name for f in fields(TrainConfig)}
+        assert names == set(config._TRAIN_KINDS) == config._ALLOWED["train"]
+        cfg = TrainConfig(batch_size=7, schedule=((0.5, 2), (0.25, 1)), head_rate=0.2,
+                          head_epochs=3, seed=11, pair_loss="mse", head_loss="xent",
+                          beta=-0.5, val_fraction=0.25)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(TrainConfig))
+        assert build_train_config({"train": json.loads(json.dumps(asdict(cfg)))}) == cfg
 
 
 class TestFreezeContract:
@@ -271,19 +290,21 @@ class TestOnline:
             buffers.append(run.max_pair_buffer)
         assert buffers == [120, 120]  # 16 choose 2, independent of N
 
-    def test_reshuffling_grows_pair_coverage_across_epochs(self):
+    def test_reshuffling_grows_pair_coverage_across_epochs(self, monkeypatch):
         """Batches re-form every epoch, so several epochs touch strictly more
         distinct pairs than any single epoch can."""
         ds = generate_synthetic("blobs", n_per_class=10, noise=0.4, seed=14)
         batches = []
+        features_cached = TwoPartClassifier.features_cached
 
-        def spy(x, rng):
+        def spy(model, x):
             batches.append(x.copy())
-            return x
+            return features_cached(model, x)
 
         cfg = TrainConfig(seed=14, schedule=((0.1, 3),), batch_size=10,
-                          val_fraction=0.0, head_epochs=1, augment=spy)
+                          val_fraction=0.0, head_epochs=1)
         model = fresh_model(14)
+        monkeypatch.setattr(TwoPartClassifier, "features_cached", spy)
         train_online(model, ds, stratified_subset(ds, 2, seed=14), cfg)
         batches_per_epoch = 2  # 20 examples / batch 10
         assert len(batches) == 3 * batches_per_epoch
@@ -302,6 +323,28 @@ class TestOnline:
         all_epochs = epoch_pairs(0) | epoch_pairs(1) | epoch_pairs(2)
         assert len(first) == 90  # two batches of 10 choose 2
         assert len(all_epochs) > len(first)
+
+    @pytest.mark.parametrize("case", ["one-row", "contrastive"])
+    def test_unscorable_validation_split_is_no_split(self, case):
+        """A held-out split with no batch to score (one row, or no same-class
+        pair under contrastive) is no validation split: every val_metric is
+        None and the last epoch's parameters stand."""
+        if case == "one-row":   # 16 rows hold out int(16 / 12) = 1
+            ds = generate_synthetic("blobs", n_per_class=8, noise=0.5, seed=3)
+            loss, classes = None, 2
+        else:                   # 24 rows in 12 classes hold out 2 of different classes
+            ds = generate_synthetic("blobs", n_per_class=2, noise=0.5, seed=3, class_count=12)
+            loss, classes = "contrastive", 12
+        runs = []
+        for epochs in (5, 1):
+            cfg = TrainConfig(seed=3, schedule=((0.1, epochs),), head_epochs=1, pair_loss=loss)
+            model = fresh_model(3, class_count=classes)
+            run, _ = train_online(model, ds, stratified_subset(ds, 2, seed=3), cfg)
+            runs.append((run, [a.copy() for a in hidden_param_arrays(model.hidden)]))
+        (run, after_five), (_, after_one) = runs
+        assert [rec.val_metric for rec in run.trace] == [None] * 5
+        assert run.best_epoch is None
+        assert not all(np.array_equal(a, b) for a, b in zip(after_five, after_one))
 
     def test_too_small_dataset_rejected(self):
         from samediff import FullyLabeledDataset
