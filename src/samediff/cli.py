@@ -30,13 +30,7 @@ from .config import (
     build_train_config,
     load_config,
 )
-from .harness import (
-    SweepSpec,
-    accuracy,
-    comparison_protocol,
-    run_sweep,
-    stratified_subset,
-)
+from .harness import SweepSpec, accuracy, comparison_protocol, run_sweep, train_regimes
 from .io import (
     DataFormatError,
     generate_synthetic,
@@ -50,9 +44,11 @@ from .io import (
 from .pairing import PairingConfig, build_pairs
 from .privacy import encrypt_disjoint
 from .theory import generalization_bound, run_verification_suite
-from .trainer import EpochRecord, train_baseline_full, train_online, train_two_stage
+from .trainer import EpochRecord
 
 __all__ = ["cli_main"]
+
+_REGIMES = {"two-stage": "sampled", "baseline": "full", "online": "online"}
 
 
 def _sha256(path: str) -> str:
@@ -63,14 +59,16 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, payload: dict, files: list[str]) -> str:
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+def _write_manifest(out_dir: str, payload: dict, files: list[str]) -> None:
     payload = dict(payload)
     payload["files"] = {os.path.basename(p): _sha256(p) for p in files}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return path
+    _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 def _write_trace_csv(path: str, runs) -> None:
@@ -132,9 +130,7 @@ def _cmd_encrypt(args) -> int:
     doc = {f.name: getattr(part, f.name) for part in (report, report.strength)
            for f in fields(part) if f.name not in ("strength", "component_sizes")}
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
-            f.write("\n")
+        _write_json(args.report_out, doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -145,23 +141,13 @@ def _cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
-    model = build_model(doc, train_ds, cfg.seed)
-    per_class = _read(doc, "labels.per_class", int, 1)
+    regime = _REGIMES[args.regime]
     t0 = time.perf_counter()
-
-    if args.regime == "baseline":
-        runs = [train_baseline_full(model, train_ds, cfg)]
-    elif args.regime == "online":
-        labeled = stratified_subset(
-            train_ds, per_class * train_ds.class_count, cfg.seed
-        )
-        runs = list(train_online(model, train_ds, labeled, cfg))
-    else:  # two-stage
-        pairs, label_pool = build_pairs(train_ds, build_pairing_config(doc))
-        labeled = stratified_subset(
-            label_pool, per_class * label_pool.class_count, cfg.seed
-        )
-        runs = list(train_two_stage(model, pairs, labeled, cfg))
+    model, runs = train_regimes(
+        train_ds, lambda seed: build_model(doc, train_ds, seed), cfg,
+        build_pairing_config(doc, train_ds),
+        _read(doc, "labels.per_class", int, 1) * train_ds.class_count, (regime,),
+    )[regime]
 
     acc = accuracy(model, test_ds)
     ckpt = os.path.join(out_dir, "model.ckpt")
@@ -211,7 +197,7 @@ def _cmd_sweep(args) -> int:
         train_ds, test_ds, spec,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        pairing=build_pairing_config(doc),
+        pairing=build_pairing_config(doc, train_ds),
     )
     csv_path = os.path.join(out_dir, "results.csv")
     result.to_csv(csv_path)
@@ -236,24 +222,18 @@ def _cmd_compare(args) -> int:
     doc = load_config(args.config)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
-    pairing = build_pairing_config(doc)
-    if pairing.mode == "disjoint":   # pair half the records, label from the rest
-        default_pairs = max(len(train_ds) // 4, 1)
-    else:
-        default_pairs = max(2 * len(train_ds), 1000)
+    pairing = build_pairing_config(doc, train_ds)
     result = comparison_protocol(
         train_ds, test_ds,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
         train_cfg=cfg,
-        n_pairs=_read(doc, "compare.n_pairs", int, default_pairs),
-        labels_per_class=_read(doc, "compare.labels_per_class", int, 1),
+        n_pairs=pairing.n_pairs,
+        labels_per_class=_read(doc, "labels.per_class", int, 1),
         trials=_read(doc, "compare.trials", int, 5),
         pairing=pairing,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(result.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        _write_json(args.out, result.to_dict())
     for name in result.regimes:
         mean, std = result.stats(name)
         print(f"{name}: accuracy {mean:.4f} +/- {std:.4f} over {result.trials} trials")
@@ -324,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model per a JSON run config")
     p.add_argument("--config", required=True)
-    p.add_argument("--regime", choices=["two-stage", "baseline", "online"], default="two-stage")
+    p.add_argument("--regime", choices=list(_REGIMES), default="two-stage")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_train)
 

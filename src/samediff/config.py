@@ -45,7 +45,7 @@ _ALLOWED: dict[str, set[str] | None] = {
     "pairing": {f.name for f in fields(PairingConfig)},
     "labels": {"per_class"},
     "sweep": {"n1", "n2", "reps"},
-    "compare": {"trials", "n_pairs", "labels_per_class"},
+    "compare": {"trials"},
     "output": {"dir"},
 }
 
@@ -213,11 +213,18 @@ def build_train_config(doc: dict) -> TrainConfig:
         raise ConfigError(str(e)) from None
 
 
-def build_pairing_config(doc: dict) -> PairingConfig:
+def build_pairing_config(doc: dict, train_ds: FullyLabeledDataset) -> PairingConfig:
+    """The pairing of ``train_ds``'s N records.  The default budget is N/4 under
+    disjoint pairing (half the records paired, the labels drawn from the rest)
+    and otherwise max(2N, 1000), capped at the N(N-1)/2 distinct pairs."""
+    mode = _read(doc, "pairing.mode", str, "sampled")
+    n = len(train_ds)
+    default_pairs = (max(n // 4, 1) if mode == "disjoint"
+                     else min(max(2 * n, 1000), n * (n - 1) // 2))
     try:
         return PairingConfig(
-            mode=_read(doc, "pairing.mode", str, "sampled"),
-            n_pairs=_read(doc, "pairing.n_pairs", int, 0),
+            mode=mode,
+            n_pairs=_read(doc, "pairing.n_pairs", int, default_pairs),
             class_batch_size=_read(doc, "pairing.class_batch_size", int),
             seed=_read(doc, "pairing.seed", int, _read(doc, "train.seed", int, 0)),
         )

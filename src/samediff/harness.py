@@ -1,15 +1,12 @@
-"""Evaluation harness: accuracy, label-budget sweeps, regime comparisons.
+"""Evaluation harness: accuracy, the regime runner, label-budget sweeps and
+regime comparisons.
 
-The sweep varies the pair budget n1 and the labeled-set size n2 on a grid
-with repeated trials; every cell draws fresh pairs, fresh labels and a
-fresh model from its own seed stream, and per-run accuracies are kept so
-any summary can be recomputed from the rows.
-
-The comparison protocol pits three regimes against each other under a
-paired design (same per-trial seed, same test set): the fully-supervised
-baseline on all labels, two-stage training on a pair budget built in the
-configured pairing mode plus a few labels per class, and online two-stage
-training on the same few labels.
+``train_regimes`` is how every experiment trains a regime from a pair
+budget and a label budget: ``train``, the sweep and the comparison call
+it.  The sweep varies the pair budget n1 and the labeled-set size n2 on a
+grid with repeated trials, each cell on its own seed, and keeps per-run
+accuracies so any summary can be recomputed from the rows.  The
+comparison runs the regimes on shared per-trial seeds and one test set.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from .trainer import TrainConfig, train_baseline_full, train_online, train_two_s
 __all__ = [
     "accuracy",
     "stratified_subset",
+    "train_regimes",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -69,6 +67,42 @@ def stratified_subset(ds: FullyLabeledDataset, n: int, seed: int) -> FullyLabele
         if not progressed:
             break
     return ds.subset(np.array(sorted(picked), dtype=np.int64))
+
+
+def train_regimes(
+    train_ds: FullyLabeledDataset,
+    model_factory: ModelFactory,
+    cfg: TrainConfig,
+    pairing: PairingConfig,
+    n_labels: int,
+    regimes: tuple[str, ...],
+) -> dict[str, tuple[TwoPartClassifier, list]]:
+    """Train a fresh ``model_factory(cfg.seed)`` per regime; returns
+    ``{regime: (model, runs)}``.
+
+    * full:    joint training on every label in ``train_ds``.
+    * sampled: two-stage training on the pairs ``pairing`` describes plus
+               ``n_labels`` labels drawn with ``cfg.seed`` from their pool.
+    * online:  online two-stage training on the same labels, drawn from
+               ``train_ds`` when "sampled" does not run.
+
+    Unknown regimes are refused and the models built before any pair is.
+    """
+    recipes = {
+        "full": lambda model: [train_baseline_full(model, train_ds, cfg)],
+        "sampled": lambda model: list(train_two_stage(model, pairs, labeled, cfg)),
+        "online": lambda model: list(train_online(model, train_ds, labeled, cfg)),
+    }
+    for name in regimes:
+        if name not in recipes:
+            raise ValueError(f"unknown regime {name!r}")
+    models = {name: model_factory(cfg.seed) for name in regimes}
+    pairs, label_pool = None, train_ds
+    if "sampled" in regimes:
+        pairs, label_pool = build_pairs(train_ds, pairing)
+    if "sampled" in regimes or "online" in regimes:
+        labeled = stratified_subset(label_pool, n_labels, cfg.seed)
+    return {name: (model, recipes[name](model)) for name, model in models.items()}
 
 
 def _mean_std(accuracies: list[float]) -> tuple[float, float]:
@@ -136,13 +170,9 @@ def run_sweep(
     train_cfg: TrainConfig,
     pairing: PairingConfig | None = None,
 ) -> SweepResult:
-    """Two-stage training over the (n1, n2) grid.
-
-    Every (n1, n2, rep) cell derives one seed from the spec seed and uses
-    it for pair construction (``pairing.mode`` with budget n1), label
-    subsetting from the pair construction's label pool, model init and
-    training, so a rerun reproduces every row exactly.
-    """
+    """Two-stage training over the (n1, n2) grid: every (n1, n2, rep) cell
+    runs the sampled regime with budgets n1 and n2 on one seed derived
+    from the spec seed, so a rerun reproduces every row exactly."""
     if pairing is None:
         pairing = PairingConfig(mode="sampled")
     result = SweepResult(spec=spec)
@@ -151,13 +181,10 @@ def run_sweep(
             for rep in range(spec.reps):
                 cell_seed = int(substream(spec.seed, "sweep", n1, n2, rep).integers(2**62))
                 t0 = time.perf_counter()
-                pairs, label_pool = build_pairs(
-                    train_ds, replace(pairing, n_pairs=n1, seed=cell_seed)
-                )
-                labeled = stratified_subset(label_pool, n2, cell_seed)
-                model = model_factory(cell_seed)
-                cfg = replace(train_cfg, seed=cell_seed)
-                train_two_stage(model, pairs, labeled, cfg)
+                model, _ = train_regimes(
+                    train_ds, model_factory, replace(train_cfg, seed=cell_seed),
+                    replace(pairing, n_pairs=n1, seed=cell_seed), n2, ("sampled",),
+                )["sampled"]
                 acc = accuracy(model, test_ds)
                 result.rows.append(
                     SweepRow(
@@ -203,36 +230,23 @@ def comparison_protocol(
     pairing: PairingConfig | None = None,
     regimes: tuple[str, ...] = ("full", "sampled", "online"),
 ) -> CompareResult:
-    """Compare supervision regimes with shared per-trial seeds.
-
-    * full:    joint training on every label in the training set.
-    * sampled: two-stage training on n_pairs pairs built per
-               ``pairing.mode`` plus labels_per_class labeled examples per
-               class, drawn from that construction's label pool.
-    * online:  online two-stage training on the same labeled examples.
+    """Compare the ``train_regimes`` regimes with shared per-trial seeds:
+    each trial's sampled regime builds ``n_pairs`` pairs per
+    ``pairing.mode``, and the head-stage regimes share
+    ``labels_per_class`` labeled examples per class.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if pairing is None:
         pairing = PairingConfig(mode="sampled")
     result = CompareResult(trials=trials, regimes={name: [] for name in regimes})
-    n_labels = labels_per_class * train_ds.class_count
     for trial in range(trials):
         seed = int(substream(train_cfg.seed, "compare", trial).integers(2**62))
-        cfg = replace(train_cfg, seed=seed)
-        pairs, label_pool = None, train_ds
-        if "sampled" in regimes:
-            pairs, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n_pairs, seed=seed))
-        labeled = stratified_subset(label_pool, n_labels, seed)
-        for name in regimes:
-            model = model_factory(seed)
-            if name == "full":
-                train_baseline_full(model, train_ds, cfg)
-            elif name == "sampled":
-                train_two_stage(model, pairs, labeled, cfg)
-            elif name == "online":
-                train_online(model, train_ds, labeled, cfg)
-            else:
-                raise ValueError(f"unknown regime {name!r}")
+        trained = train_regimes(
+            train_ds, model_factory, replace(train_cfg, seed=seed),
+            replace(pairing, n_pairs=n_pairs, seed=seed),
+            labels_per_class * train_ds.class_count, regimes,
+        )
+        for name, (model, _) in trained.items():
             result.regimes[name].append(accuracy(model, test_ds))
     return result

@@ -186,31 +186,30 @@ def signed_mean(h: np.ndarray, prob: FiniteProblem) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
     """Near-uniform unit directions and their covering angle: exact fan in
-    2-d, spiral in 3-d, seeded Gaussian draws otherwise.
+    2-d, spiral in 3-d.  Generated problems are 2-d or 3-d, so no other
+    dimension has a grid.
 
     The covering angle is the largest angle from any unit vector to its
     nearest direction: half the spacing for the fan, measured by
-    ``_spiral_covering_angle`` for the spiral, unknown (NaN) for the draws.
-    Cached per (p, n), the directions read-only, since every hypothesis
-    shares them.
+    ``_spiral_covering_angle`` for the spiral.  Cached per (p, n), the
+    directions read-only, since every hypothesis shares them.
     """
     if n < 1:
         raise ValueError(f"need at least one direction, got {n}")
+    if p not in (2, 3):
+        raise ValueError(f"{n} directions do not cover the {p}-d sphere: "
+                         "direction grids exist in 2-d and 3-d only")
     if p == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         theta = math.pi / n
-    elif p == 3:
+    else:
         i = np.arange(n, dtype=np.float64)
         z = 1.0 - 2.0 * (i + 0.5) / n
         lon = np.pi * (3.0 - np.sqrt(5.0)) * i
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         dirs = np.stack([rho * np.cos(lon), rho * np.sin(lon), z], axis=1)
         theta = _spiral_covering_angle(dirs)
-    else:
-        g = substream(0, "theory", "directions", p, n).normal(size=(n, p))
-        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        theta = math.nan
     dirs.flags.writeable = False
     return dirs, theta
 

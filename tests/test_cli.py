@@ -12,10 +12,13 @@ import pytest
 
 from samediff import (
     ConfigError,
+    PairingConfig,
     build_datasets,
     build_model,
+    build_pairing_config,
     build_train_config,
     cli_main,
+    comparison_protocol,
     generate_synthetic,
     load_config,
     load_csv,
@@ -122,6 +125,18 @@ class TestConfigBuilders:
                 base_config(train={"pair_loss": "huber"})
             )
 
+    @pytest.mark.parametrize("n_per_class, mode, n_pairs", [
+        (20, "sampled", 780), (20, "exhaustive", 780), (40, "sampled", 1000),
+        (300, "sampled", 1200), (40, "disjoint", 20), (1, "disjoint", 1),
+    ])
+    def test_default_pair_budget(self, n_per_class, mode, n_pairs):
+        """Without pairing.n_pairs, N training records get N/4 disjoint pairs
+        and otherwise max(2N, 1000), capped at the N(N-1)/2 that exist."""
+        train = generate_synthetic("blobs", n_per_class=n_per_class, seed=0)
+        assert build_pairing_config(base_config(pairing={"mode": mode}), train).n_pairs == n_pairs
+        doc = base_config(pairing={"mode": mode, "n_pairs": 0})
+        assert build_pairing_config(doc, train).n_pairs == 0
+
     def test_binary_head_follows_loss_and_classes(self):
         train, _ = build_datasets(base_config())
         binary = build_model(base_config(), train, seed=0)
@@ -184,9 +199,19 @@ class TestExitCodes:
         assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
         assert "--regime online" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("regime", ["baseline", "online"])
+    def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime):
+        """Every regime reads the pairing section; baseline and online once
+        trained past an unknown mode."""
+        cfg = write_config(tmp_path, pairing={"mode": "bogus"})
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2
+        assert "error: unknown pairing mode 'bogus'" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_zero_compare_trials_is_data_error(self, tmp_path, capsys):
         """Zero trials once exited 0 with "accuracy nan +/- 0.0000"."""
-        cfg = write_config(tmp_path, compare={"trials": 0, "n_pairs": 60})
+        cfg = write_config(tmp_path, compare={"trials": 0})
         assert cli_main(["compare", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert "trials must be at least 1, got 0" in captured.err
@@ -676,7 +701,7 @@ class TestSweepCompareCommands:
             assert "--regime online" in capsys.readouterr().err
 
     def test_compare_default_budget_follows_pairing_mode(self, tmp_path, capsys):
-        """Without compare.n_pairs, disjoint pairing pairs a quarter as many
+        """Without pairing.n_pairs, disjoint pairing pairs a quarter as many
         pairs as training records (80 here) instead of the sampled default
         of 1000, which exceeds the disjoint cap of 39."""
         cfg = write_config(tmp_path, compare={"trials": 1},
@@ -686,13 +711,54 @@ class TestSweepCompareCommands:
         assert "sampled: accuracy" in capsys.readouterr().out
         assert json.loads(out.read_text())["trials"] == 1
 
+    def test_default_pair_budget_fits_a_small_split(self, tmp_path, capsys):
+        """Without pairing.n_pairs, 40 training rows once asked compare for
+        1000 sampled pairs of the 780 that exist and train --regime
+        two-stage for none; both exited 2.  An explicit 0 still does."""
+        doc = base_config(compare={"trials": 1}, pairing={"mode": "sampled"})
+        doc["dataset"]["n_per_class"] = 20
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert cli_main(["compare", "--config", str(cfg)]) == 0
+        assert cli_main(["train", "--config", str(cfg), "--regime", "two-stage",
+                         "--out-dir", out]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, "zero.json", pairing={"mode": "sampled", "n_pairs": 0})
+        assert cli_main(["train", "--config", cfg, "--out-dir", out]) == 2
+        assert "sampled pairing needs n_pairs >= 1" in capsys.readouterr().err
+
+    def test_compare_reads_the_run_budgets(self, tmp_path, capsys):
+        """compare trains on pairing.n_pairs pairs and labels.per_class labels
+        per class; it once read only its own compare.* keys and so built
+        1000 pairs and one label per class here."""
+        doc = base_config(compare={"trials": 1}, labels={"per_class": 3})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cmp.json"
+        assert cli_main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        train, test = build_datasets(doc)
+        expected = comparison_protocol(
+            train, test, lambda seed: build_model(doc, train, seed), build_train_config(doc),
+            n_pairs=100, labels_per_class=3, trials=1,
+            pairing=PairingConfig(mode="sampled", n_pairs=100, seed=0),
+        )
+        assert json.loads(out.read_text()) == expected.to_dict()
+
+    @pytest.mark.parametrize("key", ["n_pairs", "labels_per_class"])
+    def test_compare_budget_keys_are_refused(self, tmp_path, capsys, key):
+        """Each budget has one key: pairing.n_pairs and labels.per_class."""
+        cfg = write_config(tmp_path, compare={"trials": 1, key: 60})
+        assert cli_main(["compare", "--config", cfg]) == 2
+        assert f"error: unknown key compare.{key}" in capsys.readouterr().err
+
     def test_sweep_requires_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli_main(["sweep", "--config", cfg]) == 2
         assert "needs a sweep section" in capsys.readouterr().err
 
     def test_compare_writes_summary(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, compare={"trials": 1, "n_pairs": 60})
+        cfg = write_config(tmp_path, compare={"trials": 1})
         out = tmp_path / "cmp.json"
         assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()

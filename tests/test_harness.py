@@ -1,5 +1,6 @@
 """Eval harness: subsets, sweeps, and the three-regime comparison."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,14 @@ from samediff import (
     pair_sampled,
     run_sweep,
     stratified_subset,
+    build_pairs,
     substream,
+    train_baseline_full,
+    train_online,
+    train_regimes,
     train_two_stage,
 )
+from conftest import params_equal
 
 
 def factory(seed, hidden=(16,), class_count=2):
@@ -126,7 +132,7 @@ class TestRunSweep:
 
         seen = []
         monkeypatch.setattr(harness, "train_two_stage",
-                            lambda model, pairs, labeled, cfg: seen.append((pairs, labeled)))
+                            lambda model, pairs, labeled, cfg: seen.append((pairs, labeled)) or ())
         train, test = blob_pair()
         disjoint = PairingConfig(mode="disjoint")
         spec = SweepSpec(n1_values=(20, 50), n2_values=(4,), reps=1, seed=2)
@@ -213,3 +219,109 @@ class TestComparisonProtocol:
         )
         for name in ("full", "sampled", "online"):
             assert result.stats(name)[0] > 0.9
+
+
+# -- the three regime recipes as they stood before ``train_regimes`` -------
+
+
+def frozen_train_branch(regime, train_ds, model, cfg, pairing, per_class):
+    """``cli._cmd_train``'s regime branch; returns the runs."""
+    if regime == "baseline":
+        return [train_baseline_full(model, train_ds, cfg)]
+    if regime == "online":
+        labeled = stratified_subset(train_ds, per_class * train_ds.class_count, cfg.seed)
+        return list(train_online(model, train_ds, labeled, cfg))
+    pairs, label_pool = build_pairs(train_ds, pairing)
+    labeled = stratified_subset(label_pool, per_class * label_pool.class_count, cfg.seed)
+    return list(train_two_stage(model, pairs, labeled, cfg))
+
+
+def frozen_sweep_cell(train_ds, model_factory, train_cfg, pairing, n1, n2, cell_seed):
+    """One ``run_sweep`` cell; returns the trained model."""
+    pairs, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n1, seed=cell_seed))
+    labeled = stratified_subset(label_pool, n2, cell_seed)
+    model = model_factory(cell_seed)
+    train_two_stage(model, pairs, labeled, replace(train_cfg, seed=cell_seed))
+    return model
+
+
+def frozen_comparison_trial(train_ds, model_factory, train_cfg, n_pairs, labels_per_class,
+                            pairing, regimes, seed):
+    """One ``comparison_protocol`` trial; returns the trained models by regime."""
+    cfg = replace(train_cfg, seed=seed)
+    pairs, label_pool = None, train_ds
+    if "sampled" in regimes:
+        pairs, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n_pairs, seed=seed))
+    labeled = stratified_subset(label_pool, labels_per_class * train_ds.class_count, seed)
+    models = {}
+    for name in regimes:
+        model = models[name] = model_factory(seed)
+        if name == "full":
+            train_baseline_full(model, train_ds, cfg)
+        elif name == "sampled":
+            train_two_stage(model, pairs, labeled, cfg)
+        else:
+            train_online(model, train_ds, labeled, cfg)
+    return models
+
+
+class TestRegimeRunnerMatchesFrozenRecipes:
+    """``train``, the sweep and the comparison train through
+    ``train_regimes`` to the same bits as their frozen recipes."""
+
+    PAIRINGS = {"sampled": 60, "disjoint": 20, "exhaustive": 0}
+
+    @staticmethod
+    def setup_problem():
+        train = generate_synthetic("blobs", n_per_class=20, noise=0.5, seed=4, class_count=3)
+        test = generate_synthetic("blobs", n_per_class=20, noise=0.5, seed=5, class_count=3)
+        cfg = quick_cfg(schedule=((0.1, 2),), head_epochs=5, head_loss="xent", seed=7)
+        built = []
+
+        def recording_factory(seed):
+            built.append(factory(seed, hidden=(8,), class_count=3))
+            return built[-1]
+
+        return train, test, cfg, recording_factory, built
+
+    @pytest.mark.parametrize("mode", list(PAIRINGS))
+    def test_train_regimes(self, mode):
+        train, test, cfg, make, _ = self.setup_problem()
+        pairing = PairingConfig(mode=mode, n_pairs=self.PAIRINGS[mode], seed=cfg.seed)
+        for regime, name in (("two-stage", "sampled"), ("baseline", "full"),
+                             ("online", "online")):
+            model, runs = train_regimes(train, make, cfg, pairing, 2 * 3, (name,))[name]
+            ref = make(cfg.seed)
+            ref_runs = frozen_train_branch(regime, train, ref, cfg, pairing, 2)
+            assert params_equal(model, ref)
+            assert accuracy(model, test) == accuracy(ref, test)
+            assert [r.trace for r in runs] == [r.trace for r in ref_runs]
+
+    @pytest.mark.parametrize("mode", list(PAIRINGS))
+    def test_sweep_cells(self, mode):
+        train, test, cfg, make, built = self.setup_problem()
+        pairing = PairingConfig(mode=mode)
+        n1 = self.PAIRINGS[mode] or 1
+        spec = SweepSpec(n1_values=(n1,), n2_values=(3, 6), reps=2, seed=1)
+        result = run_sweep(train, test, spec, make, cfg, pairing=pairing)
+        trained = list(built)
+        for row, model in zip(result.rows, trained, strict=True):
+            ref = frozen_sweep_cell(train, make, cfg, pairing, row.n1, row.n2, row.seed)
+            assert params_equal(model, ref)
+            assert row.accuracy == accuracy(ref, test)
+
+    @pytest.mark.parametrize("mode", list(PAIRINGS))
+    def test_comparison_trials(self, mode):
+        train, test, cfg, make, built = self.setup_problem()
+        pairing = PairingConfig(mode=mode)
+        regimes = ("full", "sampled", "online")
+        result = comparison_protocol(train, test, make, cfg, n_pairs=self.PAIRINGS[mode],
+                                     labels_per_class=2, trials=2, pairing=pairing)
+        trained = list(built)
+        for trial in range(2):
+            seed = int(substream(cfg.seed, "compare", trial).integers(2**62))
+            refs = frozen_comparison_trial(train, make, cfg, self.PAIRINGS[mode], 2,
+                                           pairing, regimes, seed)
+            for i, name in enumerate(regimes):
+                assert params_equal(trained[3 * trial + i], refs[name])
+                assert result.regimes[name][trial] == accuracy(refs[name], test)
