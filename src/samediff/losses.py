@@ -18,13 +18,16 @@ not the single pair.
 
 ``pair_risk_batch`` takes a batch in one of two forms.  Aligned sides
 (ua, ub) are materialised pairs, one row each.  ``ub=None`` is the online
-form: every pair i < j of the B rows of ``u``.  That form never expands
-the pairs.  It reads the kernel values off the Gram matrix K = U U^T,
-writes the value gradient into a B x B matrix D and returns
-dU = D U + D^T U; ncs on it is negated kernel-target alignment.  Both
-forms reduce per-pair values through ``_reduce_pair_values``, the only
-place the loss formulas are written, and build per-pair side gradients
-with ``_pair_terms``.
+form: every pair i < j of the B rows of ``u``, given the rows' B class
+labels, which fix every pair's agreement bit.  That form never expands the
+pairs.  sqdist reduces from per-class sums (count, feature sum and
+squared-norm sum) in O(B d).  The other losses, and sqdist on a batch with
+a row that phi floored, take the Gram route: it reads the kernel values off
+K = U U^T, writes the value gradient into a B x B matrix D and returns
+dU = D U + D^T U; ncs on it is negated kernel-target alignment.  The Gram
+route and the aligned form reduce per-pair values through
+``_reduce_pair_values`` and build per-pair side gradients with
+``_pair_terms``.
 
 Stage 2 (and the fully-supervised baseline) trains the head with either the
 unbounded hinge -y*yhat (one-vs-rest sum in multi-class mode) or softmax
@@ -38,7 +41,7 @@ import math
 
 import numpy as np
 
-from .data import PairDataset
+from .data import PairDataset, sufficient_label
 from .model import TwoPartClassifier
 
 __all__ = [
@@ -77,9 +80,9 @@ def _reduce_pair_values(
 
     The per-pair values are the squared distances ||u - u'||^2 for sqdist
     and the kernel values <u, u'> for every other loss: ``_pair_values``
-    for aligned sides, the Gram matrix in the online form.  This is the only
-    place the loss formulas are written; the training batch and the
-    whole-set risk both reduce through it.
+    for aligned sides, the Gram matrix in the online form.  The training
+    batch and the whole-set risk both reduce through it; only sqdist's
+    class-sum route writes its formula again, summed by class.
     """
     n = len(values)
     if name == "sqdist":
@@ -141,14 +144,60 @@ def _gram_buffers(b: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((b, b)), np.zeros((b, b))
 
 
-def _within_batch(
-    name: str, u: np.ndarray, t: np.ndarray, radius: float, beta: float | None
-) -> tuple[float, np.ndarray]:
-    """Risk over every pair i < j of u's rows and its gradient at u."""
+def _off_sphere(q: np.ndarray, radius: float) -> np.ndarray:
+    """Rows whose squared norms q put them off the radius sphere.
+
+    Every row phi did not floor lies on the sphere, and every floored one
+    within 1e-4 r of the origin, so a quarter of r^2 separates them.
+    """
+    return q < 0.25 * radius * radius
+
+
+def _sqdist_class_sums(u: np.ndarray, y: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """sqdist over every pair i < j of u's rows, from per-class sums.
+
+    With n_c rows, feature sum S_c and squared-norm sum Q_c in class c,
+    S = sum_c S_c and n = B(B-1)/2 pairs,
+
+        n * risk = sum_c (2 n_c - B) Q_c - (2 sum_c ||S_c||^2 - ||S||^2)
+        du_i     = (2/n) [(2 n_{y_i} - B) u_i - (2 S_{y_i} - S)].
+
+    This grouping cancels terms of size B r^2; the textbook one,
+    2 sum_c (n_c Q_c - ||S_c||^2) - (B Q - ||S||^2), cancels B^2 r^2.
+    """
     b = len(u)
+    if y.min() < 0 or y.max() >= b:
+        y = np.unique(y, return_inverse=True)[1]
+    weight = (2 * np.bincount(y) - b).astype(np.float64)
+    onehot = (y[:, None] == np.arange(len(weight))).astype(np.float64)
+    s_c, q_c = onehot.T @ u, onehot.T @ q
+    s = s_c.sum(axis=0)
+    n = b * (b - 1) // 2
+    risk = float(weight @ q_c - (2.0 * np.einsum("ij,ij->", s_c, s_c) - s @ s)) / n
+    pull = 2.0 * s_c
+    pull -= s
+    du = weight.take(y)[:, None] * u
+    du -= pull.take(y, axis=0)
+    du *= 2.0 / n
+    return risk, du
+
+
+def _within_batch(
+    name: str, u: np.ndarray, y: np.ndarray, radius: float, beta: float | None
+) -> tuple[float, np.ndarray]:
+    """Risk over every pair i < j of u's rows, labelled y, and its gradient at u.
+
+    sqdist reduces from per-class sums when every row is on the sphere.
+    Every other loss, and sqdist on a batch holding a floored row, scores
+    the pairs on the Gram matrix.
+    """
+    b = len(u)
+    if name == "sqdist":
+        q = _row_dots(u, u)
+        if not _off_sphere(q, radius).any():
+            return _sqdist_class_sums(u, y, q)
     ii, jj, flat = _triu_pairs(b)
-    if len(t) != len(flat):
-        raise ValueError(f"{b} rows have {len(flat)} pairs, got {len(t)} agreement bits")
+    t = sufficient_label(y.take(ii), y.take(jj))
     gram, dmat = _gram_buffers(b)
     np.matmul(u, u.T, out=gram)
     values = gram.ravel().take(flat)
@@ -161,11 +210,10 @@ def _within_batch(
     if name == "sqdist":
         du = 2.0 * ((dmat.sum(axis=1) + dmat.sum(axis=0))[:, None] * u - du)
     # phi's backward multiplies the adjoint of a floored row by r/NORM_FLOOR,
-    # which magnifies any change in its summation order.  Every unfloored
-    # row lies on the radius sphere and every floored one within 1e-4 r of
-    # the origin, so rows off the sphere take their gradient from the
-    # aligned per-pair terms, summed in np.add.at's order (ii, then jj).
-    off = diag < 0.25 * radius * radius
+    # which magnifies any change in its summation order, so rows off the
+    # sphere take their gradient from the aligned per-pair terms, summed in
+    # np.add.at's order (ii, then jj).
+    off = _off_sphere(diag, radius)
     if off.any():
         sel = np.flatnonzero(off.take(ii) | off.take(jj))
         si, sj = ii.take(sel), jj.take(sel)
@@ -192,20 +240,26 @@ def pair_risk_batch(
     Pairs carry uniform weight 1/n; for the batch-level losses the returned
     gradients include the flow through the shared normalizers.
 
-    With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, in
-    ``np.triu_indices`` order, and ``t`` holds their B(B-1)/2 bits; the
-    result is (risk, gradient at ua, None).  That form reuses two cached
-    B x B buffers, so it is not reentrant: do not call it from two threads
-    at once.
+    With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, and
+    ``t`` holds the B rows' integer class labels, from which every pair's
+    agreement bit follows; the result is (risk, gradient at ua, None).
+    sqdist on rows that all lie on the radius sphere reduces from per-class
+    sums in O(B d).  Every other case scores the pairs, in
+    ``np.triu_indices`` order, on two cached B x B buffers, so this form is
+    not reentrant: do not call it from two threads at once.
     """
     if name not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {name!r}")
     ua = np.asarray(ua, dtype=np.float64)
     t = np.asarray(t)
+    if ub is None:
+        if len(t) != len(ua):
+            raise ValueError(f"{len(ua)} rows, got {len(t)} class labels")
+        if len(t) < 2:
+            raise ValueError("empty pair batch")
+        return (*_within_batch(name, ua, t, radius, beta), None)
     if len(t) == 0:
         raise ValueError("empty pair batch")
-    if ub is None:
-        return (*_within_batch(name, ua, t, radius, beta), None)
     ub = np.asarray(ub, dtype=np.float64)
     risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
     return (risk, *_pair_terms(name, ua, ub, dv))

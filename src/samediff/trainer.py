@@ -27,10 +27,13 @@ resolves pair ids to feature rows once per run, gathers each epoch's rows
 in one take, and pushes each batch's a-sides and b-sides, one contiguous
 slice, through one forward and one backward pass.  The online
 step and its validation share one batch walk, ``_online_batches``: it
-yields each batch's rows with the agreement bits of its upper-triangle
-pairs, and ``pair_risk_batch`` takes the batch's features whole
-(``ub=None``), scoring every pair on one B x B Gram matrix and returning
-the gradient at the B rows.  The pairs are never gathered or scattered.
+yields each batch's rows with their class labels, which fix the agreement
+bits of all B(B-1)/2 pairs, and ``pair_risk_batch`` takes the batch's
+features whole (``ub=None``) and returns the gradient at the B rows.
+sqdist reduces from per-class sums; floored rows and the other losses
+score every pair on one B x B Gram matrix.  The pairs are never gathered
+or scattered.  Batches that cannot take a pair step are counted in
+``TrainRun.skipped_batches``.
 
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,
 0.001 x 5 epochs) is a tenth of the long recipe (200/100/50) for quick
@@ -48,11 +51,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset, sufficient_label
+from .data import FullyLabeledDataset, PairDataset
 from .losses import (
     HEAD_LOSSES,
     PAIR_LOSSES,
-    _triu_pairs,
     empirical_risk_pairs,
     head_loss_batch,
     pair_risk_batch,
@@ -136,6 +138,10 @@ class TrainRun:
     when no validation set existed and the final parameters stand (the
     tiny-labeled-set rule: with at most one example per class there is
     nothing to hold out, so selection falls back to the final train loss).
+    ``max_pair_buffer`` is the most pairs one online batch stood for, and
+    ``skipped_batches`` counts the training batches that took no step: a
+    contrastive batch with no same-class pair, or an online batch of one
+    row.
     """
 
     stage: str
@@ -144,6 +150,7 @@ class TrainRun:
     best_epoch: int | None = None
     wall_seconds: float = 0.0
     max_pair_buffer: int = 0
+    skipped_batches: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -255,6 +262,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
         for lo in range(0, n, bs):
             t = t_ep[lo:lo + bs]
             if loss_name == "contrastive" and not np.any(t == 1):
+                run.skipped_batches += 1
                 continue
             m = len(t)
             u, cache = model.features_cached(x_ep[2 * lo:2 * (lo + m)])
@@ -341,24 +349,23 @@ def train_baseline_full(
     return run
 
 
-def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig, loss_name: str):
-    """(rows, t) for each batch of ``order`` that can take a pair step.
+def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig,
+                    loss_name: str, run: TrainRun | None = None):
+    """(rows, labels) for each batch of ``order`` that can take a pair step.
 
-    ``t`` holds the agreement bits of the batch's pairs i < j in
-    ``np.triu_indices`` order.  Batches of fewer than 2 examples have no
-    pair, and under contrastive a batch without a same-class pair has no
-    risk; both are skipped.
+    Batches of fewer than 2 examples have no pair, and under contrastive a
+    batch in which no class appears twice has no same-class pair and so no
+    risk; both are skipped, and counted in ``run.skipped_batches`` when a
+    run is given.
     """
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
-        if len(idx) < 2:
-            continue
-        ii, jj, _ = _triu_pairs(len(idx))
         y = ds.y.take(idx)
-        t = sufficient_label(y.take(ii), y.take(jj))
-        if loss_name == "contrastive" and not np.any(t == 1):
+        if len(idx) < 2 or (loss_name == "contrastive" and np.bincount(y).max() < 2):
+            if run is not None:
+                run.skipped_batches += 1
             continue
-        yield idx, t
+        yield idx, y
 
 
 def train_online(
@@ -385,26 +392,27 @@ def train_online(
     loss_name = cfg.resolved_pair_loss(model)
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     val_batches = [] if val_ds is None else [
-        (val_ds.x.take(idx, axis=0), t)
-        for idx, t in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]
+        (val_ds.x.take(idx, axis=0), y)
+        for idx, y in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]
     run = TrainRun(stage="step1-online", config=asdict(cfg))
 
     def epoch_body(lr, perm):
-        for idx, t in _online_batches(train_ds, perm, cfg, loss_name):
-            run.max_pair_buffer = max(run.max_pair_buffer, len(t))
+        for idx, y in _online_batches(train_ds, perm, cfg, loss_name, run):
+            n_pairs = len(y) * (len(y) - 1) // 2
+            run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
             u, cache = model.features_cached(train_ds.x.take(idx, axis=0))
-            risk, du, _ = pair_risk_batch(loss_name, u, None, t, radius=model.radius,
+            risk, du, _ = pair_risk_batch(loss_name, u, None, y, radius=model.radius,
                                           beta=cfg.beta)
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
-            yield risk, len(t)
+            yield risk, n_pairs
 
     def val_score():
         if not val_batches:
             return None
         return _weighted_mean(
-            (pair_risk_batch(loss_name, model.features(x), None, t, radius=model.radius,
-                             beta=cfg.beta)[0], len(t))
-            for x, t in val_batches)
+            (pair_risk_batch(loss_name, model.features(x), None, y, radius=model.radius,
+                             beta=cfg.beta)[0], len(y) * (len(y) - 1) // 2)
+            for x, y in val_batches)
 
     _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),
                 epoch_body, val_score)

@@ -634,6 +634,21 @@ class TestTrainEvalCommands:
             assert seed == 0
         capsys.readouterr()
 
+    def test_online_manifest_counts_skipped_batches(self, tmp_path, capsys):
+        """80 rows hold out 6; batches of 73 leave one single-row batch per
+        epoch.  The count reaches the manifest, and trace.csv keeps its
+        columns."""
+        cfg = write_config(tmp_path, train={"schedule": [[0.1, 2]], "head_epochs": 1,
+                                            "seed": 0, "batch_size": 73})
+        out = tmp_path / "online"
+        assert cli_main(["train", "--config", cfg, "--regime", "online",
+                         "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [run["skipped_batches"] for run in runs] == [2, 0]
+        assert (out / "trace.csv").read_text().splitlines()[0] == (
+            "stage,epoch,lr,train_loss,val_metric")
+
     def test_two_stage_runs_every_materialised_pairing_mode(self, tmp_path, capsys):
         for mode in ("exhaustive", "disjoint"):
             cfg = write_config(tmp_path, f"{mode}.json", pairing={"mode": mode, "n_pairs": 30})

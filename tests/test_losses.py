@@ -270,10 +270,12 @@ class TestPairRiskGradients:
             assert risk1 < risk0
 
 
-def aligned_scatter(name, u, t, radius, beta=None):
-    """The within-batch risk the long way: both sides of every pair i < j
-    gathered, the aligned form, then np.add.at over ii and then jj."""
+def aligned_scatter(name, u, y, radius, beta=None):
+    """The within-batch risk the long way: the agreement bits of every pair
+    i < j of the labels y, both sides gathered, the aligned form, then
+    np.add.at over ii and then jj."""
     ii, jj = np.triu_indices(len(u), k=1)
+    t = sufficient_label(y[ii], y[jj])
     risk, dua, dub = pair_risk_batch(name, u[ii], u[jj], t, radius=radius, beta=beta)
     du = np.zeros_like(u)
     np.add.at(du, ii, dua)
@@ -281,13 +283,12 @@ def aligned_scatter(name, u, t, radius, beta=None):
     return risk, du
 
 
-def batch_bits(rng, b):
-    """Agreement bits of b rows from three classes, with rows 0 and 1 in
-    one class so every batch has a same-class pair."""
+def batch_labels(rng, b):
+    """Class labels of b rows from three classes, with rows 0 and 1 in one
+    class so every batch has a same-class pair."""
     y = rng.integers(0, 3, size=b)
     y[1] = y[0]
-    ii, jj = np.triu_indices(b, k=1)
-    return sufficient_label(y[ii], y[jj])
+    return y
 
 
 def integer_rows(rng, b, p):
@@ -304,8 +305,9 @@ def integer_rows(rng, b, p):
 
 
 class TestWithinBatch:
-    """``pair_risk_batch(name, u, None, t)``: every pair i < j of u's rows,
-    scored on one Gram matrix, against the aligned form plus np.add.at."""
+    """``pair_risk_batch(name, u, None, y)``: every pair i < j of u's rows,
+    labelled y, from class sums (sqdist on the sphere) or one Gram matrix,
+    against the aligned form plus np.add.at."""
 
     @pytest.mark.parametrize("p", [2, 8, 32])
     @pytest.mark.parametrize("b", [2, 3, 17, 128])
@@ -315,9 +317,9 @@ class TestWithinBatch:
         radius = 1.5
         u = random_features(rng, b, p)
         u *= radius / np.linalg.norm(u, axis=1, keepdims=True)
-        t = batch_bits(rng, b)
-        risk, du, none = pair_risk_batch(name, u, None, t, radius=radius)
-        want_risk, want_du = aligned_scatter(name, u, t, radius)
+        y = batch_labels(rng, b)
+        risk, du, none = pair_risk_batch(name, u, None, y, radius=radius)
+        want_risk, want_du = aligned_scatter(name, u, y, radius)
         assert none is None
         assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
         if name == "ncs" and b == 2:
@@ -338,9 +340,9 @@ class TestWithinBatch:
         off = rng.choice(b, size=6, replace=False)
         u[off[:3]] = 0.0
         u[off[3:]] = np.eye(p)[rng.integers(p, size=3)]
-        t = batch_bits(rng, b)
-        risk, du, _ = pair_risk_batch(name, u, None, t, radius=5.0)
-        want_risk, want_du = aligned_scatter(name, u, t, 5.0)
+        y = batch_labels(rng, b)
+        risk, du, _ = pair_risk_batch(name, u, None, y, radius=5.0)
+        want_risk, want_du = aligned_scatter(name, u, y, 5.0)
         assert risk == want_risk
         assert np.array_equal(du[off], want_du[off])
         assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
@@ -350,21 +352,59 @@ class TestWithinBatch:
         """Alternating batch sizes reuse the cached buffers without leaking
         one call's values into the next."""
         rng = np.random.default_rng(3)
-        batches = [(u, batch_bits(rng, len(u)))
+        batches = [(u, batch_labels(rng, len(u)))
                    for u in (random_features(rng, b, 8) for b in (128, 35, 128))]
         fresh = []
-        for u, t in batches:
+        for u, y in batches:
             losses._gram_buffers.cache_clear()
-            fresh.append(pair_risk_batch(name, u, None, t))
+            fresh.append(pair_risk_batch(name, u, None, y))
         for _ in range(2):
-            for (u, t), (want_risk, want_du, _) in zip(batches, fresh):
-                risk, du, _ = pair_risk_batch(name, u, None, t)
+            for (u, y), (want_risk, want_du, _) in zip(batches, fresh):
+                risk, du, _ = pair_risk_batch(name, u, None, y)
                 assert risk == want_risk
                 assert np.array_equal(du, want_du)
 
-    def test_bit_count_must_match_rows(self):
-        with pytest.raises(ValueError, match="4 rows have 6 pairs, got 5"):
-            pair_risk_batch("sqdist", np.ones((4, 2)), None, np.ones(5))
+    @pytest.mark.parametrize("layout", [
+        "one_class", "all_distinct", "b2", "labels_0_7", "labels_minus3_7", "k10_b128"])
+    def test_sqdist_class_sums_on_edge_layouts(self, layout):
+        """Label layouts that stress the per-class sums: a class holding
+        every row, no class holding two, one pair, classes with no row
+        between them, labels below 0 or at or above B (which are ranked
+        before summing) and ten classes in a full batch."""
+        rng = np.random.default_rng(list(layout.encode()))
+        y = {
+            "one_class": np.zeros(17, dtype=np.int64),
+            "all_distinct": np.arange(17),
+            "b2": np.array([0, 1]),
+            "labels_0_7": rng.choice([0, 7], size=17),
+            "labels_minus3_7": np.array([7, -3, 7, 7, -3]),
+            "k10_b128": rng.integers(0, 10, size=128),
+        }[layout]
+        radius = 1.5
+        u = random_features(rng, len(y), 8)
+        u *= radius / np.linalg.norm(u, axis=1, keepdims=True)
+        risk, du, _ = pair_risk_batch("sqdist", u, None, y, radius=radius)
+        want_risk, want_du = aligned_scatter("sqdist", u, y, radius)
+        assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
+        assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+
+    def test_sqdist_floored_row_takes_the_gram_route(self):
+        """One row near the origin sends the whole batch to the Gram route,
+        whose floored row sums its aligned terms in np.add.at's order."""
+        rng = np.random.default_rng(11)
+        y = batch_labels(rng, 128)
+        u = random_features(rng, 128, 8)
+        u *= 1.5 / np.linalg.norm(u, axis=1, keepdims=True)
+        u[37] *= 1e-5
+        risk, du, _ = pair_risk_batch("sqdist", u, None, y, radius=1.5)
+        want_risk, want_du = aligned_scatter("sqdist", u, y, 1.5)
+        assert np.array_equal(du[37], want_du[37])
+        assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
+        assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="4 rows, got 5 class labels"):
+            pair_risk_batch("sqdist", np.ones((4, 2)), None, np.zeros(5, dtype=np.int64))
 
 
 class TestHeadLossBatch:

@@ -377,7 +377,7 @@ class TestTrainRunBookkeeping:
     def test_to_dict_literal(self):
         run = TrainRun(stage="step2", config={"seed": 3},
                        trace=[EpochRecord(0, 0.1, 0.5, None), EpochRecord(1, 0.1, 0.25, 0.75)],
-                       best_epoch=1, wall_seconds=1.5, max_pair_buffer=4)
+                       best_epoch=1, wall_seconds=1.5, max_pair_buffer=4, skipped_batches=2)
         assert run.to_dict() == {
             "stage": "step2",
             "config": {"seed": 3},
@@ -388,4 +388,44 @@ class TestTrainRunBookkeeping:
             "best_epoch": 1,
             "wall_seconds": 1.5,
             "max_pair_buffer": 4,
+            "skipped_batches": 2,
         }
+
+
+class TestSkippedBatches:
+    """``TrainRun.skipped_batches`` counts the training batches that took no
+    step; validation batches and the head stage count none."""
+
+    def test_online_one_row_last_batch_is_one_skip_per_epoch(self):
+        ds = generate_synthetic("blobs", n_per_class=5, noise=0.5, seed=3)
+        cfg = TrainConfig(seed=3, schedule=((0.1, 2), (0.01, 1)), batch_size=3,
+                          val_fraction=0.0, head_epochs=1)
+        run, run2 = train_online(fresh_model(3), ds, stratified_subset(ds, 2, seed=3), cfg)
+        assert [run.skipped_batches, run2.skipped_batches] == [3, 0]  # 10 rows: 3+3+3+1
+        assert run.max_pair_buffer == 3
+
+    def test_online_contrastive_skips_batches_with_no_repeated_class(self):
+        """Two rows of twelve classes in batches of 2: a batch is skipped
+        exactly when its two rows differ in class."""
+        ds = generate_synthetic("blobs", n_per_class=2, noise=0.5, seed=3, class_count=12)
+        cfg = TrainConfig(seed=3, schedule=((0.1, 3),), batch_size=2, val_fraction=0.0,
+                          head_epochs=1, pair_loss="contrastive")
+        run, _ = train_online(fresh_model(3, class_count=12), ds,
+                              stratified_subset(ds, 1, seed=3), cfg)
+        want = 0
+        for epoch in range(3):
+            y = ds.y[substream(3, "shuffle", "online", epoch).permutation(len(ds))]
+            want += int(np.sum(y[0::2] != y[1::2]))
+        assert 0 < want < 36
+        assert run.skipped_batches == want
+
+    def test_step1_contrastive_counts_positive_free_batches(self):
+        ds = generate_synthetic("blobs", n_per_class=20, noise=0.3, seed=7)
+        pairs = pair_exhaustive(ds)
+        neg = pairs.take(np.flatnonzero(pairs.t == 0))
+        cfg = TrainConfig(seed=7, schedule=((0.1, 2),), pair_loss="contrastive")
+        run = train_step1(fresh_model(7), neg, cfg)
+        n_train = len(neg) - int(len(neg) * cfg.val_fraction)
+        assert run.skipped_batches == 2 * -(-n_train // cfg.batch_size)
+        pos_run = train_step1(fresh_model(7), pairs, TrainConfig(seed=7, schedule=((0.1, 2),)))
+        assert pos_run.skipped_batches == 0

@@ -5,9 +5,10 @@ gathers each batch by id and runs one forward and one backward pass per pair
 side, summing the two gradient lists; the online step expands a batch with
 ``u[ii]``/``u[jj]`` and scatters the pair gradients with ``np.add.at``.  The
 shipped stage 1 batches both sides into one pass, and the shipped online
-step scores its pairs on one Gram matrix, which can change floating-point
-summation order, so the two must agree to 1e-12: hidden parameters
-relative in norm, and per-epoch ``train_loss`` and ``val_metric``.
+step scores its pairs from per-class sums (sqdist) or on one Gram matrix,
+which can change floating-point summation order, so the two must agree to
+1e-12: hidden parameters relative in norm, and per-epoch ``train_loss`` and
+``val_metric``.
 
 ``reference_baseline``, ``reference_step2`` and
 ``reference_empirical_risk_pairs`` are copies of the per-regime loops and
