@@ -25,6 +25,7 @@ from .config import (
     ConfigError,
     _read,
     build_datasets,
+    build_label_budget,
     build_model,
     build_pairing_config,
     build_train_config,
@@ -145,8 +146,7 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     model, runs = train_regimes(
         train_ds, lambda seed: build_model(doc, train_ds, seed), cfg,
-        build_pairing_config(doc, train_ds),
-        _read(doc, "labels.per_class", int, 1) * train_ds.class_count, (regime,),
+        build_pairing_config(doc, train_ds), build_label_budget(doc, train_ds), (regime,),
     )[regime]
 
     acc = accuracy(model, test_ds)
@@ -186,12 +186,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
-    spec = SweepSpec(
-        n1_values=tuple(n1_values),
-        n2_values=tuple(n2_values),
-        reps=_read(doc, "sweep.reps", int, 5),
-        seed=cfg.seed,
-    )
+    spec = SweepSpec(tuple(n1_values), tuple(n2_values), _read(doc, "sweep.reps", int, 5))
     t0 = time.perf_counter()
     result = run_sweep(
         train_ds, test_ds, spec,
@@ -221,16 +216,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     doc = load_config(args.config)
     train_ds, test_ds = build_datasets(doc)
-    cfg = build_train_config(doc)
-    pairing = build_pairing_config(doc, train_ds)
     result = comparison_protocol(
         train_ds, test_ds,
         model_factory=lambda seed: build_model(doc, train_ds, seed),
-        train_cfg=cfg,
-        n_pairs=pairing.n_pairs,
-        labels_per_class=_read(doc, "labels.per_class", int, 1),
+        train_cfg=build_train_config(doc),
+        pairing=build_pairing_config(doc, train_ds),
+        n_labels=build_label_budget(doc, train_ds),
         trials=_read(doc, "compare.trials", int, 5),
-        pairing=pairing,
     )
     if args.out:
         _write_json(args.out, result.to_dict())

@@ -29,6 +29,7 @@ __all__ = [
     "build_model",
     "build_train_config",
     "build_pairing_config",
+    "build_label_budget",
 ]
 
 CONFIG_VERSION = 1
@@ -230,3 +231,11 @@ def build_pairing_config(doc: dict, train_ds: FullyLabeledDataset) -> PairingCon
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+def build_label_budget(doc: dict, train_ds: FullyLabeledDataset) -> int:
+    """``labels.per_class`` (default 1, at least 1) times the class count."""
+    per_class = _read(doc, "labels.per_class", int, 1)
+    if per_class < 1:
+        raise ConfigError(f"labels.per_class must be at least 1, got {per_class}")
+    return per_class * train_ds.class_count

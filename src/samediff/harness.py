@@ -3,10 +3,11 @@ regime comparisons.
 
 ``train_regimes`` is how every experiment trains a regime from a pair
 budget and a label budget: ``train``, the sweep and the comparison call
-it.  The sweep varies the pair budget n1 and the labeled-set size n2 on a
-grid with repeated trials, each cell on its own seed, and keeps per-run
-accuracies so any summary can be recomputed from the rows.  The
-comparison runs the regimes on shared per-trial seeds and one test set.
+it.  The sweep and the comparison run one loop of trials seeded from
+``train_cfg.seed``.  The sweep varies the pair budget n1 and the
+labeled-set size n2 on a grid and keeps per-run accuracies so any summary
+can be recomputed from the rows.  The comparison runs the regimes on
+shared per-trial seeds and one test set.
 """
 
 from __future__ import annotations
@@ -112,14 +113,27 @@ def _mean_std(accuracies: list[float]) -> tuple[float, float]:
     return float(np.mean(acc)), std
 
 
+def _trials(train_ds, test_ds, model_factory, train_cfg, pairing, n_labels, regimes,
+            name: tuple, count: int):
+    """The seeded trials both experiments run: trial k trains ``regimes``
+    through ``train_regimes`` on the seed ``substream(train_cfg.seed,
+    *name, k)`` and yields (seed, wall seconds, {regime: test accuracy})."""
+    for k in range(count):
+        seed = int(substream(train_cfg.seed, *name, k).integers(2**62))
+        t0 = time.perf_counter()
+        trained = train_regimes(train_ds, model_factory, replace(train_cfg, seed=seed),
+                                replace(pairing, seed=seed), n_labels, regimes)
+        acc = {regime: accuracy(model, test_ds) for regime, (model, _) in trained.items()}
+        yield seed, time.perf_counter() - t0, acc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of pair budgets and label budgets with repetitions."""
 
     n1_values: tuple[int, ...]
     n2_values: tuple[int, ...]
-    reps: int = 5
-    seed: int = 0
+    reps: int
 
     def __post_init__(self):
         if not self.n1_values or not self.n2_values:
@@ -168,30 +182,20 @@ def run_sweep(
     spec: SweepSpec,
     model_factory: ModelFactory,
     train_cfg: TrainConfig,
-    pairing: PairingConfig | None = None,
+    pairing: PairingConfig,
 ) -> SweepResult:
-    """Two-stage training over the (n1, n2) grid: every (n1, n2, rep) cell
-    runs the sampled regime with budgets n1 and n2 on one seed derived
-    from the spec seed, so a rerun reproduces every row exactly."""
-    if pairing is None:
-        pairing = PairingConfig(mode="sampled")
+    """Two-stage training over the (n1, n2) grid: rep k of cell (n1, n2)
+    runs the sampled regime on n1 pairs and n2 labels under the seed
+    ``substream(train_cfg.seed, "sweep", n1, n2, k)``, so a rerun
+    reproduces every row exactly."""
     result = SweepResult(spec=spec)
     for n1 in spec.n1_values:
         for n2 in spec.n2_values:
-            for rep in range(spec.reps):
-                cell_seed = int(substream(spec.seed, "sweep", n1, n2, rep).integers(2**62))
-                t0 = time.perf_counter()
-                model, _ = train_regimes(
-                    train_ds, model_factory, replace(train_cfg, seed=cell_seed),
-                    replace(pairing, n_pairs=n1, seed=cell_seed), n2, ("sampled",),
-                )["sampled"]
-                acc = accuracy(model, test_ds)
-                result.rows.append(
-                    SweepRow(
-                        n1=n1, n2=n2, rep=rep, seed=cell_seed, accuracy=acc,
-                        wall_seconds=time.perf_counter() - t0,
-                    )
-                )
+            cell = _trials(train_ds, test_ds, model_factory, train_cfg,
+                           replace(pairing, n_pairs=n1), n2, ("sampled",),
+                           ("sweep", n1, n2), spec.reps)
+            for rep, (seed, wall, acc) in enumerate(cell):
+                result.rows.append(SweepRow(n1, n2, rep, seed, acc["sampled"], wall))
     return result
 
 
@@ -224,29 +228,20 @@ def comparison_protocol(
     test_ds: FullyLabeledDataset,
     model_factory: ModelFactory,
     train_cfg: TrainConfig,
-    n_pairs: int,
-    labels_per_class: int = 1,
-    trials: int = 5,
-    pairing: PairingConfig | None = None,
+    pairing: PairingConfig,
+    n_labels: int,
+    trials: int,
     regimes: tuple[str, ...] = ("full", "sampled", "online"),
 ) -> CompareResult:
-    """Compare the ``train_regimes`` regimes with shared per-trial seeds:
-    each trial's sampled regime builds ``n_pairs`` pairs per
-    ``pairing.mode``, and the head-stage regimes share
-    ``labels_per_class`` labeled examples per class.
-    """
+    """Compare the ``train_regimes`` regimes on shared per-trial seeds
+    ``substream(train_cfg.seed, "compare", k)``: each trial's regimes train
+    from one seed, its sampled regime on the pairs ``pairing`` describes
+    and its head-stage regimes on the same ``n_labels`` labels."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if pairing is None:
-        pairing = PairingConfig(mode="sampled")
     result = CompareResult(trials=trials, regimes={name: [] for name in regimes})
-    for trial in range(trials):
-        seed = int(substream(train_cfg.seed, "compare", trial).integers(2**62))
-        trained = train_regimes(
-            train_ds, model_factory, replace(train_cfg, seed=seed),
-            replace(pairing, n_pairs=n_pairs, seed=seed),
-            labels_per_class * train_ds.class_count, regimes,
-        )
-        for name, (model, _) in trained.items():
-            result.regimes[name].append(accuracy(model, test_ds))
+    for _, _, acc in _trials(train_ds, test_ds, model_factory, train_cfg, pairing,
+                             n_labels, regimes, ("compare",), trials):
+        for name, value in acc.items():
+            result.regimes[name].append(value)
     return result

@@ -472,11 +472,6 @@ class TwoPartClassifier:
         """In-place projection of the head into its norm ball."""
         self.head = project_head(self.head, self.radius)
 
-    def projected(self) -> "TwoPartClassifier":
-        out = self.clone()
-        out.project_head()
-        return out
-
     def clone(self) -> "TwoPartClassifier":
         return TwoPartClassifier(self.hidden.clone(), self.radius, self.head.clone(),
                                  self.class_count)

@@ -44,8 +44,8 @@ class PairingConfig:
     """Settings for pair-set construction.
 
     ``class_batch_size`` is the M of the sampled regime; None means the
-    default min(10, class_count).  ``n_pairs`` is ignored by the exhaustive
-    and online regimes.
+    default min(10, class_count).  ``n_pairs`` must not be negative; the
+    exhaustive and online regimes ignore it.
     """
 
     mode: str = "sampled"
@@ -56,6 +56,8 @@ class PairingConfig:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "disjoint", "sampled", "online"):
             raise ValueError(f"unknown pairing mode {self.mode!r}")
+        if self.n_pairs < 0:
+            raise ValueError(f"n_pairs must not be negative, got {self.n_pairs}")
 
 
 def max_disjoint_pairs(n_examples: int) -> int:

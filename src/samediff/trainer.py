@@ -59,7 +59,7 @@ from .losses import (
     head_loss_batch,
     pair_risk_batch,
 )
-from .model import TwoPartClassifier
+from .model import TwoPartClassifier, project_head
 from .rng import substream
 
 __all__ = [
@@ -224,7 +224,9 @@ def _accuracy_score(model: TwoPartClassifier, val_ds: FullyLabeledDataset | None
     """Validation accuracy of the model with its head projected, or None."""
     if val_ds is None:
         return lambda: None
-    return lambda: float(np.mean(model.projected().predict(val_ds.x) == val_ds.y))
+    return lambda: float(np.mean(TwoPartClassifier(
+        model.hidden, model.radius, project_head(model.head, model.radius), model.class_count,
+    ).predict(val_ds.x) == val_ds.y))
 
 
 def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) -> TrainRun:

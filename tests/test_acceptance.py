@@ -189,8 +189,8 @@ class TestAcceptance:
         test = generate_synthetic("blobs", n_per_class=500, noise=0.5, seed=1)
         t0 = time.perf_counter()
         res = comparison_protocol(
-            train, test, blob_factory, TrainConfig(), n_pairs=5000,
-            labels_per_class=1, trials=5, regimes=("full", "sampled"),
+            train, test, blob_factory, TrainConfig(), PairingConfig(n_pairs=5000),
+            n_labels=train.class_count, trials=5, regimes=("full", "sampled"),
         )
         dt = time.perf_counter() - t0
         wins = sum(
@@ -227,8 +227,8 @@ class TestAcceptance:
         cfg = TrainConfig(head_loss="xent")
         t0 = time.perf_counter()
         res = comparison_protocol(
-            train, test, factory, cfg, n_pairs=0,
-            labels_per_class=1, trials=3, regimes=("full", "online"),
+            train, test, factory, cfg, PairingConfig(),
+            n_labels=train.class_count, trials=3, regimes=("full", "online"),
         )
         dt = time.perf_counter() - t0
         full_mean = res.stats("full")[0]
@@ -249,8 +249,8 @@ class TestAcceptance:
             return TwoPartClassifier.build(2, [32, 16], 4, 3, rng=substream(seed, "init"))
 
         res = comparison_protocol(
-            train, test, factory, TrainConfig(head_loss="xent"), n_pairs=4000,
-            labels_per_class=1, trials=3, regimes=("full", "online"),
+            train, test, factory, TrainConfig(head_loss="xent"), PairingConfig(n_pairs=4000),
+            n_labels=train.class_count, trials=3, regimes=("full", "online"),
         )
         full_mean = res.stats("full")[0]
         online_mean = res.stats("online")[0]
@@ -265,8 +265,8 @@ class TestAcceptance:
         pair budget up to one inversion within one standard deviation."""
         train = generate_synthetic("blobs", n_per_class=500, noise=1.0, seed=0)
         test = generate_synthetic("blobs", n_per_class=500, noise=1.0, seed=1)
-        spec = SweepSpec(n1_values=(100, 1000, 5000), n2_values=(2,), reps=5, seed=0)
-        result = run_sweep(train, test, spec, blob_factory, TrainConfig())
+        spec = SweepSpec(n1_values=(100, 1000, 5000), n2_values=(2,), reps=5)
+        result = run_sweep(train, test, spec, blob_factory, TrainConfig(), PairingConfig())
         stats = [result.cell_stats(n1, 2) for n1 in spec.n1_values]
         means = [m for m, _ in stats]
         inversions = [

@@ -199,14 +199,25 @@ class TestExitCodes:
         assert cli_main(["train", "--config", cfg, "--regime", "two-stage", "--out-dir", out]) == 2
         assert "--regime online" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("regime", ["baseline", "online"])
-    def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime):
-        """Every regime reads the pairing section; baseline and online once
-        trained past an unknown mode."""
-        cfg = write_config(tmp_path, pairing={"mode": "bogus"})
+    @pytest.mark.parametrize("regime, section, error", [
+        ("baseline", {"pairing": {"mode": "bogus"}}, "unknown pairing mode 'bogus'"),
+        ("online", {"pairing": {"mode": "bogus"}}, "unknown pairing mode 'bogus'"),
+        ("baseline", {"labels": {"per_class": 0}}, "labels.per_class must be at least 1, got 0"),
+        ("baseline", {"labels": {"per_class": -2}}, "labels.per_class must be at least 1, got -2"),
+        ("online", {"labels": {"per_class": -2}}, "labels.per_class must be at least 1, got -2"),
+        ("baseline", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
+        ("online", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
+    ], ids=["baseline", "online", "baseline-per-class-0", "baseline-per-class-negative",
+            "online-per-class-negative", "baseline-negative-pairs", "online-negative-pairs"])
+    def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime,
+                                                                section, error):
+        """Every regime reads the pairing section and the label budget;
+        baseline and online once trained past an unknown mode or a negative
+        pair budget, and baseline past a label budget below 1."""
+        cfg = write_config(tmp_path, **section)
         out = tmp_path / "out"
         assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2
-        assert "error: unknown pairing mode 'bogus'" in capsys.readouterr().err
+        assert f"error: {error}" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
     def test_zero_compare_trials_is_data_error(self, tmp_path, capsys):
@@ -678,7 +689,7 @@ class TestRunOutputFormats:
         docs = FORMATS.read_text(encoding="utf-8")
         trace, results = tmp_path / "trace.csv", tmp_path / "results.csv"
         _write_trace_csv(str(trace), [])
-        SweepResult(spec=SweepSpec(n1_values=(1,), n2_values=(1,))).to_csv(str(results))
+        SweepResult(spec=SweepSpec(n1_values=(1,), n2_values=(1,), reps=1)).to_csv(str(results))
         for path in (trace, results):
             documented = re.search(rf"`{path.name}`[^`]*header `([^`]*)`", docs).group(1)
             assert path.read_text(encoding="utf-8") == documented + "\n"
@@ -755,8 +766,8 @@ class TestSweepCompareCommands:
         train, test = build_datasets(doc)
         expected = comparison_protocol(
             train, test, lambda seed: build_model(doc, train, seed), build_train_config(doc),
-            n_pairs=100, labels_per_class=3, trials=1,
-            pairing=PairingConfig(mode="sampled", n_pairs=100, seed=0),
+            PairingConfig(mode="sampled", n_pairs=100, seed=0),
+            n_labels=3 * train.class_count, trials=1,
         )
         assert json.loads(out.read_text()) == expected.to_dict()
 

@@ -92,7 +92,7 @@ class TestStratifiedSubset:
 class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
-            SweepSpec(n1_values=(), n2_values=(2,))
+            SweepSpec(n1_values=(), n2_values=(2,), reps=1)
         with pytest.raises(ValueError, match="reps"):
             SweepSpec(n1_values=(10,), n2_values=(2,), reps=0)
 
@@ -100,9 +100,9 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_rows_reproduce_exactly(self):
         train, test = blob_pair()
-        spec = SweepSpec(n1_values=(50, 150), n2_values=(2,), reps=2, seed=3)
-        a = run_sweep(train, test, spec, factory, quick_cfg())
-        b = run_sweep(train, test, spec, factory, quick_cfg())
+        spec = SweepSpec(n1_values=(50, 150), n2_values=(2,), reps=2)
+        a = run_sweep(train, test, spec, factory, quick_cfg(seed=3), PairingConfig())
+        b = run_sweep(train, test, spec, factory, quick_cfg(seed=3), PairingConfig())
         assert len(a.rows) == 4
         for ra, rb in zip(a.rows, b.rows):
             assert (ra.n1, ra.n2, ra.rep, ra.seed) == (rb.n1, rb.n2, rb.rep, rb.seed)
@@ -112,8 +112,8 @@ class TestRunSweep:
         """A sweep cell is nothing more than pair sampling, label subsetting
         and two-stage training under the cell's derived seed."""
         train, test = blob_pair()
-        spec = SweepSpec(n1_values=(80,), n2_values=(2,), reps=1, seed=11)
-        result = run_sweep(train, test, spec, factory, quick_cfg())
+        spec = SweepSpec(n1_values=(80,), n2_values=(2,), reps=1)
+        result = run_sweep(train, test, spec, factory, quick_cfg(seed=11), PairingConfig())
         row = result.rows[0]
 
         cell_seed = int(substream(11, "sweep", 80, 2, 0).integers(2**62))
@@ -135,10 +135,10 @@ class TestRunSweep:
                             lambda model, pairs, labeled, cfg: seen.append((pairs, labeled)) or ())
         train, test = blob_pair()
         disjoint = PairingConfig(mode="disjoint")
-        spec = SweepSpec(n1_values=(20, 50), n2_values=(4,), reps=1, seed=2)
-        run_sweep(train, test, spec, factory, quick_cfg(), pairing=disjoint)
-        comparison_protocol(train, test, factory, quick_cfg(), n_pairs=30, trials=2,
-                            pairing=disjoint, regimes=("sampled",))
+        spec = SweepSpec(n1_values=(20, 50), n2_values=(4,), reps=1)
+        run_sweep(train, test, spec, factory, quick_cfg(seed=2), pairing=disjoint)
+        comparison_protocol(train, test, factory, quick_cfg(), replace(disjoint, n_pairs=30),
+                            n_labels=2, trials=2, regimes=("sampled",))
         assert [len(pairs) for pairs, _ in seen] == [20, 50, 30, 30]
         for pairs, labeled in seen:
             paired = np.concatenate([pairs.a_ids, pairs.b_ids])
@@ -149,8 +149,8 @@ class TestRunSweep:
 
     def test_cell_stats_and_csv(self, tmp_path):
         train, test = blob_pair()
-        spec = SweepSpec(n1_values=(60,), n2_values=(2,), reps=3, seed=0)
-        result = run_sweep(train, test, spec, factory, quick_cfg())
+        spec = SweepSpec(n1_values=(60,), n2_values=(2,), reps=3)
+        result = run_sweep(train, test, spec, factory, quick_cfg(), PairingConfig())
         mean, std = result.cell_stats(60, 2)
         acc = [r.accuracy for r in result.cell(60, 2)]
         assert mean == pytest.approx(np.mean(acc))
@@ -170,8 +170,8 @@ class TestRunSweep:
 
     def test_single_rep_std_is_zero(self):
         train, test = blob_pair()
-        spec = SweepSpec(n1_values=(40,), n2_values=(2,), reps=1, seed=0)
-        result = run_sweep(train, test, spec, factory, quick_cfg())
+        spec = SweepSpec(n1_values=(40,), n2_values=(2,), reps=1)
+        result = run_sweep(train, test, spec, factory, quick_cfg(), PairingConfig())
         assert result.cell_stats(40, 2)[1] == 0.0
 
 
@@ -179,7 +179,7 @@ class TestComparisonProtocol:
     def test_regime_keys_and_trial_counts(self):
         train, test = blob_pair()
         result = comparison_protocol(
-            train, test, factory, quick_cfg(), n_pairs=100, trials=2
+            train, test, factory, quick_cfg(), PairingConfig(n_pairs=100), n_labels=2, trials=2
         )
         assert set(result.regimes) == {"full", "sampled", "online"}
         assert all(len(v) == 2 for v in result.regimes.values())
@@ -187,16 +187,18 @@ class TestComparisonProtocol:
 
     def test_paired_design_is_deterministic(self):
         train, test = blob_pair()
-        a = comparison_protocol(train, test, factory, quick_cfg(), n_pairs=80, trials=2)
-        b = comparison_protocol(train, test, factory, quick_cfg(), n_pairs=80, trials=2)
+        a = comparison_protocol(train, test, factory, quick_cfg(), PairingConfig(n_pairs=80),
+                                n_labels=2, trials=2)
+        b = comparison_protocol(train, test, factory, quick_cfg(), PairingConfig(n_pairs=80),
+                                n_labels=2, trials=2)
         assert a.regimes == b.regimes
 
     def test_unknown_regime_rejected(self):
         train, test = blob_pair()
         with pytest.raises(ValueError, match="unknown regime 'bogus'"):
             comparison_protocol(
-                train, test, factory, quick_cfg(), n_pairs=50, trials=1,
-                regimes=("bogus",),
+                train, test, factory, quick_cfg(), PairingConfig(n_pairs=50), n_labels=2,
+                trials=1, regimes=("bogus",),
             )
 
     def test_stats_and_dict_round_trip(self):
@@ -215,7 +217,7 @@ class TestComparisonProtocol:
         train = generate_synthetic("blobs", n_per_class=80, noise=0.5, seed=6)
         test = generate_synthetic("blobs", n_per_class=80, noise=0.5, seed=7)
         result = comparison_protocol(
-            train, test, factory, TrainConfig(), n_pairs=400, trials=3
+            train, test, factory, TrainConfig(), PairingConfig(n_pairs=400), n_labels=2, trials=3
         )
         for name in ("full", "sampled", "online"):
             assert result.stats(name)[0] > 0.9
@@ -302,7 +304,7 @@ class TestRegimeRunnerMatchesFrozenRecipes:
         train, test, cfg, make, built = self.setup_problem()
         pairing = PairingConfig(mode=mode)
         n1 = self.PAIRINGS[mode] or 1
-        spec = SweepSpec(n1_values=(n1,), n2_values=(3, 6), reps=2, seed=1)
+        spec = SweepSpec(n1_values=(n1,), n2_values=(3, 6), reps=2)
         result = run_sweep(train, test, spec, make, cfg, pairing=pairing)
         trained = list(built)
         for row, model in zip(result.rows, trained, strict=True):
@@ -315,8 +317,9 @@ class TestRegimeRunnerMatchesFrozenRecipes:
         train, test, cfg, make, built = self.setup_problem()
         pairing = PairingConfig(mode=mode)
         regimes = ("full", "sampled", "online")
-        result = comparison_protocol(train, test, make, cfg, n_pairs=self.PAIRINGS[mode],
-                                     labels_per_class=2, trials=2, pairing=pairing)
+        result = comparison_protocol(train, test, make, cfg,
+                                     replace(pairing, n_pairs=self.PAIRINGS[mode]),
+                                     n_labels=2 * 3, trials=2)
         trained = list(built)
         for trial in range(2):
             seed = int(substream(cfg.seed, "compare", trial).integers(2**62))

@@ -10,6 +10,7 @@ import samediff.config as config
 from samediff import (
     SHORT_SCHEDULE,
     EpochRecord,
+    HiddenNetwork,
     PairingConfig,
     TrainConfig,
     TrainRun,
@@ -259,6 +260,20 @@ class TestBaseline:
         train_baseline_full(model, ds, TrainConfig(seed=12))
         norms = np.linalg.norm(model.head.weights, axis=1)
         assert np.all(norms <= 1.0 / model.radius + 1e-12)
+
+    def test_validation_clones_no_hidden_layers(self, monkeypatch):
+        """Scoring a validation epoch shares the hidden network; only the
+        best-epoch snapshots clone it."""
+        clones = []
+        clone = HiddenNetwork.clone
+        monkeypatch.setattr(HiddenNetwork, "clone", lambda net: clones.append(1) or clone(net))
+        ds, _, _ = blob_setup(seed=12, n_per_class=40)
+        run = train_baseline_full(fresh_model(12), ds, TrainConfig(seed=12))
+        best, snapshots = -np.inf, 0
+        for rec in run.trace:
+            if rec.val_metric > best:
+                best, snapshots = rec.val_metric, snapshots + 1
+        assert 0 < len(clones) == snapshots < len(run.trace)
 
 
 class TestOnline:
