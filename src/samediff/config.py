@@ -146,7 +146,11 @@ def _load_one(doc: dict, path_key: str, images_key: str, labels_key: str,
 
 
 def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]:
-    """Materialize (train, test) from the dataset section."""
+    """Materialize (train, test) from the dataset section.
+
+    A class count above the training rows is refused: the model's head
+    holds a row per class, and a stray large label would otherwise size it.
+    """
     kind = _read(doc, "dataset.kind", str)
     if kind in ("blobs", "moons", "xor"):
         common = dict(
@@ -161,25 +165,21 @@ def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]
             n_per_class=_read(doc, "dataset.test_n_per_class", int, n_per_class),
             seed=seed + 1, **common
         )
-        return train, test
-    if kind in ("csv", "idx"):
+    elif kind in ("csv", "idx"):
         cc = _read(doc, "dataset.class_count", int)
         train = _load_one(doc, "path", "images", "labels", cc, "limit")
         test = _load_one(doc, "test_path", "test_images", "test_labels", cc, "test_limit")
         if train is None or test is None:
             raise ConfigError("dataset paths missing for train or test split")
-        return train, test
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    if train.class_count > len(train):
+        raise ConfigError(f"{train.class_count} classes exceed the {len(train)} training rows")
+    return train, test
 
 
 def build_model(doc: dict, ds: FullyLabeledDataset, seed: int) -> TwoPartClassifier:
-    """The configured model for training on ``ds``.
-
-    A class count above the row count is refused: the head holds a row
-    per class, and a stray large label would otherwise size it.
-    """
-    if ds.class_count > len(ds):
-        raise ConfigError(f"{ds.class_count} classes exceed the {len(ds)} training rows")
+    """The configured model for training on ``ds``."""
     binary = _read(doc, "model.binary_head", bool)
     if binary is None:
         binary = ds.class_count == 2 and _read(doc, "train.head_loss", str, "hinge") == "hinge"
@@ -234,8 +234,13 @@ def build_pairing_config(doc: dict, train_ds: FullyLabeledDataset) -> PairingCon
 
 
 def build_label_budget(doc: dict, train_ds: FullyLabeledDataset) -> int:
-    """``labels.per_class`` (default 1, at least 1) times the class count."""
+    """``labels.per_class`` (default 1, at least 1) times the class count,
+    at most the training rows."""
     per_class = _read(doc, "labels.per_class", int, 1)
     if per_class < 1:
         raise ConfigError(f"labels.per_class must be at least 1, got {per_class}")
-    return per_class * train_ds.class_count
+    budget = per_class * train_ds.class_count
+    if budget > len(train_ds):
+        raise ConfigError(f"labels.per_class {per_class} times {train_ds.class_count} classes "
+                          f"exceeds the {len(train_ds)} training rows")
+    return budget

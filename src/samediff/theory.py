@@ -185,14 +185,21 @@ def signed_mean(h: np.ndarray, prob: FiniteProblem) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
-    """Near-uniform unit directions and their covering angle: exact fan in
-    2-d, spiral in 3-d.  Generated problems are 2-d or 3-d, so no other
-    dimension has a grid.
+    """At most n near-uniform unit directions and their covering angle:
+    exact fan in 2-d, latitude rings in 3-d.  Generated problems are 2-d or
+    3-d, so no other dimension has a grid.
 
     The covering angle is the largest angle from any unit vector to its
-    nearest direction: half the spacing for the fan, measured by
-    ``_spiral_covering_angle`` for the spiral.  Cached per (p, n), the
-    directions read-only, since every hypothesis shares them.
+    nearest direction: half the spacing for the fan.  The rings sit at the
+    centres of equal latitude bands, as many as fit in n (see
+    ``_rings``), and every unit vector lies in some band, within half
+    that band's ring spacing in longitude of one of its directions.  Along
+    a meridian the distance to a fixed ring direction peaks at a band edge,
+    and it grows with the longitude offset, so the covering angle is at
+    most the largest distance from a band edge, half a spacing over, to a
+    ring direction.  Fewer than two directions hold no ring and claim no
+    coverage.  Cached per (p, n), the directions read-only, since every
+    hypothesis shares them.
     """
     if n < 1:
         raise ValueError(f"need at least one direction, got {n}")
@@ -204,85 +211,32 @@ def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         theta = math.pi / n
     else:
-        i = np.arange(n, dtype=np.float64)
-        z = 1.0 - 2.0 * (i + 0.5) / n
-        lon = np.pi * (3.0 - np.sqrt(5.0)) * i
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        dirs = np.stack([rho * np.cos(lon), rho * np.sin(lon), z], axis=1)
-        theta = _spiral_covering_angle(dirs)
+        dirs, theta = _rings(n)
     dirs.flags.writeable = False
     return dirs, theta
 
 
-def _spiral_covering_angle(dirs: np.ndarray) -> float:
-    """Covering angle of the 3-d spiral.
+def _rings(n: int) -> tuple[np.ndarray, float]:
+    """The most latitude rings whose directions fit in n, and the bound on
+    their covering angle: one arccos per band edge, half a ring spacing
+    over from the ring's directions."""
+    def layout(n_lat):
+        lat = (np.arange(n_lat) + 0.5) * (np.pi / n_lat) - np.pi / 2.0
+        return lat, np.ceil(2.0 * n_lat * np.cos(lat)).astype(np.int64)
 
-    The points of the sphere farthest from the directions are circumcentres
-    of their spherical Delaunay triangles: triangles whose circumcircle
-    holds no direction.  ``_empty_triangles`` finds them among each
-    direction's k nearest neighbours; the largest circumradius is trusted
-    once they number Euler's 2n - 4, and otherwise k doubles, up to every
-    direction.
-    """
-    n = len(dirs)
-    if n < 4:
-        return math.pi   # no triangulation: claim no coverage
-    k = 8
-    while True:
-        k = min(k, n - 1)
-        found = _empty_triangles(dirs, k)
-        if found is not None and found[1] >= 2 * n - 4:
-            return found[0]
-        if k == n - 1:
-            raise ArithmeticError(f"no Delaunay triangulation found for {n} spiral directions")
-        k *= 2
-
-
-def _empty_triangles(dirs: np.ndarray, k: int) -> tuple[float, int] | None:
-    """(largest circumradius, count) of the spiral's empty triangles whose
-    lowest-index vertex has the other two among its k nearest neighbours,
-    or None when the neighbour search cannot vouch for its k.  Each such
-    triangle is counted once, from that vertex.
-
-    The spiral's z falls by 2/n per index and |dz| never exceeds the angle,
-    so the directions within ``reach`` of direction i lie within
-    reach * n / 2 indices of i: one matmul per block of 64 rows scores
-    them, which keeps the scratch memory small.  A circumcircle of angular
-    radius rho around i lies within 2 rho of i, so while 2 rho stays below
-    the k-th neighbour's angle, testing i's neighbours decides emptiness
-    exactly.
-    """
-    n = len(dirs)
-    whole = k == n - 1
-    reach = min(2.0, 4.0 * math.sqrt(k / n))
-    w = min(n, math.ceil(reach * n / 2.0))
-    jj, ll = np.triu_indices(k, 1)
-    largest, count = 0.0, 0
-    for lo in range(0, n, 64):
-        hi = min(lo + 64, n)
-        first = max(lo - w, 0)
-        cos = dirs[lo:hi] @ dirs[first:hi + w].T
-        cos[np.arange(hi - lo), np.arange(lo - first, hi - first)] = -2.0   # not itself
-        nbr = np.argpartition(cos, -k, axis=1)[:, -k:]
-        angle_k = np.arccos(np.clip(np.take_along_axis(cos, nbr, axis=1).min(axis=1), -1.0, 1.0))
-        if not whole and angle_k.max() >= reach:
-            return None
-        nbr += first
-        p = dirs[lo:hi]
-        c = np.cross(dirs[nbr[:, jj]] - p[:, None], dirs[nbr[:, ll]] - p[:, None])
-        c *= np.sign(np.einsum("ncx,nx->nc", c, p))[:, :, None]   # p's side
-        norm = np.sqrt(np.einsum("ncx,ncx->nc", c, c))
-        c /= np.where(norm > 0.0, norm, 1.0)[:, :, None]
-        cos_rho = np.einsum("ncx,nx->nc", c, p)
-        rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
-        nearest = np.einsum("ncx,njx->ncj", c, dirs[nbr]).max(axis=2)
-        empty = ((norm > 0.0) & (nearest <= cos_rho + 1e-12)
-                 & (whole | (2.0 * rho < angle_k[:, None])))
-        i = np.arange(lo, hi)[:, None]
-        mine = empty & (nbr[:, jj] > i) & (nbr[:, ll] > i)
-        largest = max(largest, float(rho[mine].max(initial=0.0)))
-        count += int(np.count_nonzero(mine))
-    return largest, count
+    # n_lat rings hold at least 4 n_lat^2 / pi directions, so no larger n_lat fits
+    fits = [k for k in range(1, math.isqrt(n) + 2) if layout(k)[1].sum() <= n]
+    if not fits:
+        return np.empty((0, 3)), math.pi   # no ring: claim no coverage
+    n_lat = fits[-1]
+    lat, size = layout(n_lat)
+    phi = np.repeat(lat, size)
+    lon = np.concatenate([np.arange(k) * (2.0 * np.pi / k) for k in size])
+    dirs = np.stack([np.cos(phi) * np.cos(lon), np.cos(phi) * np.sin(lon), np.sin(phi)], axis=1)
+    edge = lat[:, None] + np.array([-0.5, 0.5]) * (np.pi / n_lat)
+    cos_far = (np.sin(edge) * np.sin(lat)[:, None]
+               + np.cos(edge) * (np.cos(lat) * np.cos(np.pi / size))[:, None])
+    return dirs, float(np.arccos(cos_far.min()))
 
 
 def _best_dots(prob: FiniteProblem, n_dirs: int) -> list[float]:

@@ -205,15 +205,22 @@ class TestExitCodes:
         ("baseline", {"labels": {"per_class": 0}}, "labels.per_class must be at least 1, got 0"),
         ("baseline", {"labels": {"per_class": -2}}, "labels.per_class must be at least 1, got -2"),
         ("online", {"labels": {"per_class": -2}}, "labels.per_class must be at least 1, got -2"),
+        *[(regime, {"labels": {"per_class": 1000}},
+           "labels.per_class 1000 times 2 classes exceeds the 80 training rows")
+          for regime in ("two-stage", "baseline", "online")],
         ("baseline", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
         ("online", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
     ], ids=["baseline", "online", "baseline-per-class-0", "baseline-per-class-negative",
-            "online-per-class-negative", "baseline-negative-pairs", "online-negative-pairs"])
+            "online-per-class-negative", "two-stage-per-class-over-rows",
+            "baseline-per-class-over-rows", "online-per-class-over-rows",
+            "baseline-negative-pairs", "online-negative-pairs"])
     def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime,
                                                                 section, error):
         """Every regime reads the pairing section and the label budget;
         baseline and online once trained past an unknown mode or a negative
-        pair budget, and baseline past a label budget below 1."""
+        pair budget, and baseline past a label budget below 1 or above the
+        training rows, which two-stage and online refused without naming
+        ``labels.per_class``."""
         cfg = write_config(tmp_path, **section)
         out = tmp_path / "out"
         assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2

@@ -374,14 +374,14 @@ class TestVerificationSuite:
         assert result.all_passed
 
     def test_coarse_grid_passes_with_derived_tolerance(self):
-        """At 2,000 directions the 3-d spiral leaves seed 23's risk scan
-        1.19e-3 short of the closed form, beyond the old fixed 1e-3 and
+        """At 2,000 directions the 3-d rings leave seed 15's risk scan
+        1.10e-3 short of the closed form, beyond the old fixed 1e-3 and
         within ||E[Y rep]|| (1 - cos theta) / r."""
         result = run_verification_suite(n_seeds=30, grid_dirs=2000)
         assert result.all_passed, result.failures
-        prob = generate_problem(23)
-        closed = verify_collapse_optimality(prob).risks[3]
-        grid = min_head_risk_grid(prob.hypotheses[3], prob, n_dirs=2000)
+        prob = generate_problem(15)
+        closed = verify_collapse_optimality(prob).risks[1]
+        grid = min_head_risk_grid(prob.hypotheses[1], prob, n_dirs=2000)
         assert closed - grid < -1e-3
         assert abs(closed - grid) <= -closed * _cross_check_slack(prob.rep_dim, 2000)[0]
 
@@ -414,8 +414,8 @@ class TestCoveringAngle:
 
     @pytest.mark.parametrize("n", [4, 5, 12, 100, 2000, 10_000])
     def test_spiral_angle_bounds_random_probes(self, n):
-        """No random unit vector lies farther than theta from the spiral,
-        and the farthest of 20,000 comes within 20% of it."""
+        """No random unit vector lies farther than theta from the 3-d
+        rings, and the farthest of 20,000 comes within 20% of it."""
         dirs, theta = _directions(3, n)
         x = np.random.default_rng(n).normal(size=(20_000, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -423,5 +423,23 @@ class TestCoveringAngle:
         farthest = np.arccos(np.clip(best_cos, -1.0, 1.0)).max()
         assert 0.8 * theta <= farthest <= theta + 1e-12
 
-    def test_spiral_needs_four_directions(self):
-        assert _directions(3, 3)[1] == np.pi
+    def test_rings_need_six_directions(self):
+        """Fewer than 6 directions fit no ring layout that covers the
+        sphere to within 90 degrees: one equator ring leaves the poles at
+        exactly 90 degrees, and one direction holds no ring at all."""
+        for n in range(1, 6):
+            with pytest.raises(ValueError, match="do not cover the 3-d sphere"):
+                _cross_check_slack(3, n)
+        assert len(_directions(3, 6)[0]) == 6
+        _cross_check_slack(3, 6)
+
+    @pytest.mark.parametrize("n, spiral_theta", [(2000, 0.06100490889916341),
+                                                 (10_000, 0.027281442562976904)])
+    def test_rings_fit_the_budget_and_cover_no_worse_than_the_spiral(self, n, spiral_theta):
+        """The rings use at most n directions, and their covering angle is
+        no larger than the Fibonacci spiral's measured one on n directions,
+        so neither slack factor of the cross-checks loosens."""
+        dirs, theta = _directions(3, n)
+        assert len(dirs) <= n
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert theta <= spiral_theta

@@ -9,11 +9,14 @@ once per problem, 1-d lengths are ``math.sqrt(v.dot(v))`` and
 of that may change a result: the frozen functions below keep the
 verification code as it stood while each statistic was recomputed wherever
 it was needed, and every report, generated problem and suite outcome must
-match them exactly.  The suite's grid head norm, read off the same
-direction scan as the grid risk, must match the bisection it replaced.
+match them exactly; where the frozen bisection cannot reach a target, the
+shipped suite must stop at the same hypothesis and seed.  The suite's grid
+head norm, read off the same direction scan as the grid risk, must match
+the bisection it replaced.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -252,7 +255,11 @@ def frozen_run_verification_suite(n_seeds, grid_dirs, gamma_fraction, generate):
                 issues.append(f"risk cross-check off for hypothesis {k}: {closed} vs {grid}")
         for k in norm_rep.norms:
             closed = norm_rep.norms[k]
-            bisected = required_head_norm_bisect(prob.hypotheses[k], prob, gamma, n_dirs=grid_dirs)
+            try:
+                bisected = required_head_norm_bisect(prob.hypotheses[k], prob, gamma,
+                                                     n_dirs=grid_dirs)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: hypothesis {k} of seed {seed}") from exc
             if abs(closed - bisected) > closed * norm_slack + ROUNDING_TOL:
                 issues.append(f"norm cross-check off for hypothesis {k}: {closed} vs {bisected}")
         if issues:
@@ -321,7 +328,13 @@ def test_image_support_size_near_the_tolerance():
             assert image_support_size(h, prob, tol) == frozen_image_support_size(h, prob, tol)
 
 
-def outcome(result):
+def outcome(run):
+    """What ``run()`` gives: the suite's counts and failure texts, or, when
+    it raises ``ValueError``, the hypothesis and seed the error names."""
+    try:
+        result = run()
+    except ValueError as exc:
+        return re.search(r"hypothesis \d+ of seed \d+", str(exc)).group()
     return result.n_problems, result.n_passed, json.dumps(result.failures)
 
 
@@ -329,11 +342,16 @@ def outcome(result):
 @pytest.mark.parametrize("constant", [False, True], ids=["plain", "constant-maps"])
 def test_suite_outcome(monkeypatch, grid_dirs, constant):
     generate = generator(constant)
-    ref = frozen_run_verification_suite(SUITE_SEEDS, grid_dirs, 0.5, generate)
+    ref = outcome(lambda: frozen_run_verification_suite(SUITE_SEEDS, grid_dirs, 0.5, generate))
     monkeypatch.setattr(theory, "generate_problem", generate)
-    assert outcome(run_verification_suite(SUITE_SEEDS, grid_dirs=grid_dirs)) == outcome(ref)
-    # with constant maps every problem fails, so the failure texts are compared too
-    assert ref.n_passed == (0 if constant else SUITE_SEEDS)
+    assert outcome(lambda: run_verification_suite(SUITE_SEEDS, grid_dirs=grid_dirs)) == ref
+    if constant and grid_dirs == 2_000:
+        # on 1,955 ring directions no head within 1/r reaches gamma for the
+        # hypothesis needing 0.99982 of that cap, so both suites stop there
+        assert ref == "hypothesis 4 of seed 114"
+    else:
+        # with constant maps every problem fails, so the failure texts are compared too
+        assert ref[1] == (0 if constant else SUITE_SEEDS)
 
 
 @pytest.mark.parametrize("grid_dirs", [10_000, 2_000, 4])
