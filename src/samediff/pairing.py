@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FullyLabeledDataset, PairDataset, sufficient_label
+from .data import FullyLabeledDataset, PairDataset, _distinct, sufficient_label
 from .rng import substream
 
 __all__ = [
@@ -84,6 +84,10 @@ def pair_disjoint(
     uniformly from the other remaining records, and both leave the pool.
     Requires strictly more than 2 * n_pairs records so the remainder is
     never empty.
+
+    The k-th partner is drawn from the N - 2k - 1 records left.  Those bounds
+    are known in advance, so all draws are one ``rng.integers`` call, on the
+    same stream as one scalar call per pair.
     """
     n = len(ds)
     if n_pairs < 1:
@@ -98,9 +102,9 @@ def pair_disjoint(
     # partners are popped, so rest[k + 1:] is what the k-th anchor may pair
     # with, and rest[n_pairs:] is the remainder.
     rest = list(range(n))
-    partners = []
-    for k in range(n_pairs):
-        partners.append(rest.pop(k + 1 + int(rng.integers(len(rest) - k - 1))))
+    ks = np.arange(n_pairs)
+    picks = (ks + 1 + rng.integers(n - 2 * ks - 1)).tolist()
+    partners = [rest.pop(i) for i in picks]
     pa = order[rest[:n_pairs]]
     pb = order[partners]
     t = sufficient_label(ds.y[pa], ds.y[pb])
@@ -215,7 +219,7 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
             f"insufficient examples: {cfg.n_pairs} pairs requested, only {cap} distinct pairs exist"
         )
     rng = substream(cfg.seed, "pairing", "sampled")
-    present = np.unique(ds.y)
+    present = _distinct(ds.y)
     m_default = min(10, ds.class_count)
     m = cfg.class_batch_size if cfg.class_batch_size is not None else m_default
     if m < 1:

@@ -23,6 +23,7 @@ Reports carry both numbers rather than resolving the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -92,14 +93,18 @@ def pairwise_agreement(
     indexed by id.  Computed from contingency counts, so it is exact and
     linear in the participant count.  The components must be disjoint.
     """
-    sizes = [len(comp) for comp in components]
-    n = sum(sizes)
+    sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+    n = int(sizes.sum())
     total = n * (n - 1) // 2
     if total == 0:
         raise ValueError("agreement needs at least 2 participants")
     comp = np.repeat(np.arange(len(sizes)), sizes)
-    labels = [int(true_labels[pid]) for members in components for pid in members]
-    _, cls = np.unique(np.array(labels, dtype=np.int64), return_inverse=True)
+    members = chain.from_iterable(components)
+    if isinstance(true_labels, np.ndarray):
+        labels = true_labels.take(np.fromiter(members, np.int64, n)).astype(np.int64)
+    else:
+        labels = np.fromiter(map(true_labels.__getitem__, members), np.int64, n)
+    _, cls = np.unique(labels, return_inverse=True)
     both = _pairs2(np.unique(comp * len(labels) + cls, return_counts=True)[1])
     same_comp = _pairs2(np.bincount(comp))
     same_class = _pairs2(np.bincount(cls))
@@ -123,7 +128,7 @@ def strength_report(pairs: PairDataset,
                     true_labels: Mapping[int, int] | np.ndarray) -> StrengthReport:
     """Run the attack on a pair release and score it against the truth."""
     components = recover_clusters(pairs)
-    sizes = tuple(sorted((len(c) for c in components), reverse=True))
+    sizes = tuple(sorted(map(len, components), reverse=True))
     return StrengthReport(
         participant_count=int(sum(sizes)),
         component_count=len(components),

@@ -301,6 +301,20 @@ class TestDisjointOracle:
                 np.testing.assert_array_equal(getattr(got_rest, name), getattr(want_rest, name))
             assert got_rest.class_count == want_rest.class_count
 
+    @pytest.mark.parametrize("n", [2001, 10001])
+    def test_maximal_release(self, n):
+        """The largest release at the benchmark's size: every partner draw
+        of the one ``rng.integers`` call matches the scalar draws."""
+        rng = np.random.default_rng(n)
+        ds = random_dataset(rng, n, 10, odd_ids=True)
+        n_pairs = (n - 1) // 2
+        got, got_rest = pair_disjoint(ds, n_pairs, seed=n)
+        want, want_rest = reference_pair_disjoint(ds, n_pairs, seed=n)
+        assert_pairs_equal(got, want)
+        for name in ("ids", "x", "y"):
+            np.testing.assert_array_equal(getattr(got_rest, name), getattr(want_rest, name))
+        assert len(got_rest) == 1
+
 
 class TestSampledOracle:
     """The same seed gives the same pairs, in the same order, as the sampler
@@ -424,3 +438,20 @@ class TestAgreementOracle:
             if sum(map(len, comps)) < 2:
                 continue
             assert pairwise_agreement(comps, labels) == reference_pairwise_agreement(comps, labels)
+
+    def test_label_array_indexed_by_id(self):
+        """Labels as an array indexed by id, the form ``encrypt_disjoint``
+        passes for its slot ids, give the float the dict form gives."""
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            n_ids = int(rng.integers(2, 150))
+            pairs = random_release(rng, n_ids, int(rng.integers(1, 2 * n_ids)),
+                                   float(rng.random()))
+            shift = 3 * n_ids   # random_release draws ids from [-3n, 3n)
+            pairs = PairDataset(a_ids=pairs.a_ids + shift, b_ids=pairs.b_ids + shift, t=pairs.t)
+            comps = recover_clusters(pairs)
+            if sum(map(len, comps)) < 2:
+                continue
+            by_id = rng.integers(-3, 4, size=6 * n_ids)
+            labels = {int(p): int(by_id[p]) for c in comps for p in c}
+            assert pairwise_agreement(comps, by_id) == reference_pairwise_agreement(comps, labels)

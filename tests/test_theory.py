@@ -413,7 +413,7 @@ class TestCoveringAngle:
         assert np.max(dirs @ [np.cos(mid), np.sin(mid)]) == pytest.approx(np.cos(theta))
 
     @pytest.mark.parametrize("n", [4, 5, 12, 100, 2000, 10_000])
-    def test_spiral_angle_bounds_random_probes(self, n):
+    def test_ring_angle_bounds_random_probes(self, n):
         """No random unit vector lies farther than theta from the 3-d
         rings, and the farthest of 20,000 comes within 20% of it."""
         dirs, theta = _directions(3, n)
