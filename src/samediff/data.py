@@ -3,8 +3,8 @@
 A fully-labeled example carries a class index.  A pair label only records
 whether two examples share a class (t = 1) or not (t = 0); that single bit is
 the supervision consumed by the representation stage.  ``sufficient_label``
-is the one definition of that pair statistic: every pair constructor and the
-online pair loss's Gram route compute t through it.
+is the one definition of that pair statistic: every pair constructor and
+every online route that scores pairs compute t through it.
 """
 
 from __future__ import annotations

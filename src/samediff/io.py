@@ -256,12 +256,9 @@ def generate_synthetic(
         else:
             ang = 2.0 * np.pi * np.arange(class_count) / class_count
             centers = 2.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        xs, ys = [], []
-        for c in range(class_count):
-            pts = centers[c] + noise * rng.normal(size=(n_per_class, 2))
-            xs.append(pts)
-            ys.append(np.full(n_per_class, c, dtype=np.int64))
-        return FullyLabeledDataset.from_arrays(np.vstack(xs), np.concatenate(ys), class_count)
+        y = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
+        x = np.repeat(centers, n_per_class, axis=0) + noise * rng.normal(size=(len(y), 2))
+        return FullyLabeledDataset.from_arrays(x, y, class_count)
     if kind == "moons":
         if class_count != 2:
             raise DataFormatError("moons is a two-class dataset")
@@ -275,17 +272,11 @@ def generate_synthetic(
     if kind == "xor":
         if class_count != 2:
             raise DataFormatError("xor is a two-class dataset")
-        corners = {0: [(1.0, 1.0), (-1.0, -1.0)], 1: [(1.0, -1.0), (-1.0, 1.0)]}
-        xs, ys = [], []
-        for c in (0, 1):
-            counts = [n_per_class - n_per_class // 2, n_per_class // 2]
-            for corner, cnt in zip(corners[c], counts):
-                if cnt == 0:
-                    continue
-                pts = np.array(corner) + noise * rng.normal(size=(cnt, 2))
-                xs.append(pts)
-                ys.append(np.full(cnt, c, dtype=np.int64))
-        return FullyLabeledDataset.from_arrays(np.vstack(xs), np.concatenate(ys), 2)
+        corners = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        counts = [n_per_class - n_per_class // 2, n_per_class // 2] * 2
+        y = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
+        x = np.repeat(corners, counts, axis=0) + noise * rng.normal(size=(len(y), 2))
+        return FullyLabeledDataset.from_arrays(x, y, 2)
     raise DataFormatError(f"unknown synthetic kind {kind!r}")
 
 

@@ -19,15 +19,15 @@ not the single pair.
 ``pair_risk_batch`` takes a batch in one of two forms.  Aligned sides
 (ua, ub) are materialised pairs, one row each.  ``ub=None`` is the online
 form: every pair i < j of the B rows of ``u``, given the rows' B class
-labels, which fix every pair's agreement bit.  That form never expands the
-pairs.  sqdist reduces from per-class sums (count, feature sum and
-squared-norm sum) in O(B d).  The other losses, and sqdist on a batch with
-a row that phi floored, take the Gram route: it reads the kernel values off
-K = U U^T, writes the value gradient into a B x B matrix D and returns
-dU = D U + D^T U; ncs on it is negated kernel-target alignment.  The Gram
-route and the aligned form reduce per-pair values through
-``_reduce_pair_values`` and build per-pair side gradients with
-``_pair_terms``.
+labels, which fix every pair's agreement bit.  Each online batch takes
+exactly one route.  sqdist reduces from per-class sums (count, feature sum
+and squared-norm sum) in O(B d).  The other losses take the Gram route: it
+reads the kernel values off K = U U^T, writes the value gradient into a
+B x B matrix D and returns dU = D U + D^T U; ncs on it is negated
+kernel-target alignment.  A batch holding a row that phi floored takes
+neither, whatever its loss: it expands all B(B-1)/2 pairs into the aligned
+form and sums each row's side gradients in np.add.at's order.  Every route
+but the class sums reduces per-pair values through ``_reduce_pair_values``.
 
 Stage 2 (and the fully-supervised baseline) trains the head with either the
 unbounded hinge -y*yhat (one-vs-rest sum in multi-class mode) or softmax
@@ -80,9 +80,9 @@ def _reduce_pair_values(
 
     The per-pair values are the squared distances ||u - u'||^2 for sqdist
     and the kernel values <u, u'> for every other loss: ``_pair_values``
-    for aligned sides, the Gram matrix in the online form.  The training
-    batch and the whole-set risk both reduce through it; only sqdist's
-    class-sum route writes its formula again, summed by class.
+    for aligned sides, the Gram matrix on the online Gram route.  The
+    training batch and the whole-set risk both reduce through it; only
+    sqdist's class-sum route writes its formula again, summed by class.
     """
     n = len(values)
     if name == "sqdist":
@@ -187,41 +187,31 @@ def _within_batch(
 ) -> tuple[float, np.ndarray]:
     """Risk over every pair i < j of u's rows, labelled y, and its gradient at u.
 
-    sqdist reduces from per-class sums when every row is on the sphere.
-    Every other loss, and sqdist on a batch holding a floored row, scores
-    the pairs on the Gram matrix.
+    Each batch takes one route.  A batch holding a row that phi floored
+    takes the aligned form over all its pairs, with the side gradients
+    summed per row in np.add.at's order (ii, then jj): phi's backward
+    multiplies a floored row's adjoint by r/NORM_FLOOR, which magnifies any
+    change in summation order.  Otherwise sqdist reduces from per-class
+    sums and every other loss scores the pairs on the Gram matrix.
     """
     b = len(u)
-    if name == "sqdist":
-        q = _row_dots(u, u)
-        if not _off_sphere(q, radius).any():
-            return _sqdist_class_sums(u, y, q)
+    q = _row_dots(u, u)
+    floored = _off_sphere(q, radius).any()
+    if name == "sqdist" and not floored:
+        return _sqdist_class_sums(u, y, q)
     ii, jj, flat = _triu_pairs(b)
     t = sufficient_label(y.take(ii), y.take(jj))
+    if floored:
+        ua, ub = u.take(ii, axis=0), u.take(jj, axis=0)
+        risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
+        both, terms = np.concatenate([ii, jj]), np.concatenate(_pair_terms(name, ua, ub, dv))
+        return risk, np.column_stack(
+            [np.bincount(both, weights=terms[:, c], minlength=b) for c in range(u.shape[1])])
     gram, dmat = _gram_buffers(b)
     np.matmul(u, u.T, out=gram)
-    values = gram.ravel().take(flat)
-    diag = gram.diagonal()
-    if name == "sqdist":
-        values = diag.take(ii) + diag.take(jj) - 2.0 * values
-    risk, dv = _reduce_pair_values(name, values, t, radius, beta)
+    risk, dv = _reduce_pair_values(name, gram.ravel().take(flat), t, radius, beta)
     dmat.ravel()[flat] = dv
-    du = dmat @ u + dmat.T @ u
-    if name == "sqdist":
-        du = 2.0 * ((dmat.sum(axis=1) + dmat.sum(axis=0))[:, None] * u - du)
-    # phi's backward multiplies the adjoint of a floored row by r/NORM_FLOOR,
-    # which magnifies any change in its summation order, so rows off the
-    # sphere take their gradient from the aligned per-pair terms, summed in
-    # np.add.at's order (ii, then jj).
-    off = _off_sphere(diag, radius)
-    if off.any():
-        sel = np.flatnonzero(off.take(ii) | off.take(jj))
-        si, sj = ii.take(sel), jj.take(sel)
-        dua, dub = _pair_terms(name, u.take(si, axis=0), u.take(sj, axis=0), dv.take(sel))
-        both, terms = np.concatenate([si, sj]), np.concatenate([dua, dub])
-        for c in range(u.shape[1]):
-            du[off, c] = np.bincount(both, weights=terms[:, c], minlength=b)[off]
-    return risk, du
+    return risk, dmat @ u + dmat.T @ u
 
 
 # -- batched training surfaces -------------------------------------------
@@ -243,10 +233,11 @@ def pair_risk_batch(
     With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, and
     ``t`` holds the B rows' integer class labels, from which every pair's
     agreement bit follows; the result is (risk, gradient at ua, None).
-    sqdist on rows that all lie on the radius sphere reduces from per-class
-    sums in O(B d).  Every other case scores the pairs, in
-    ``np.triu_indices`` order, on two cached B x B buffers, so this form is
-    not reentrant: do not call it from two threads at once.
+    sqdist reduces from per-class sums in O(B d); the other losses score the
+    pairs, in ``np.triu_indices`` order, on two cached B x B buffers, so
+    this form is not reentrant: do not call it from two threads at once.
+    A batch holding a row that phi floored expands its pairs into the
+    aligned form instead, and equals it bit for bit.
     """
     if name not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {name!r}")

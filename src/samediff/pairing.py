@@ -9,8 +9,7 @@ Four regimes with very different privacy/coverage trade-offs:
 * sampled: a target number of distinct pairs drawn batch-wise, where each
   batch first picks M unique classes and then pairs records only inside
   that class pool (M controls the same-class fraction).  Pairs are drawn
-  as whole arrays of triangular codes over id ranks, so a seed yields
-  different pairs than the earlier one-pair-at-a-time sampler did.
+  as whole arrays of triangular codes over id ranks.
 * online: the full pair expansion of one minibatch, built per step inside
   the online trainer so the quadratic pair set never has to be
   materialized; no constructor here builds it.
@@ -198,17 +197,14 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     keys are a few sorted runs (``_TakenKeys``).  Pools of at most 2^16
     pairs are enumerated and the batch's quota is picked from their untaken
     keys; so are the untaken keys of the whole dataset once at most 2^16 of
-    them remain and the batch pools every record.  Larger pools draw triangular codes
-    uniformly and keep the first quota untaken keys in draw order.  The
-    stream differs from the earlier per-pair sampler's: a seed now yields
-    different (equally distributed) pairs than it did before.
+    them remain and the batch pools every record.  Larger pools draw
+    triangular codes uniformly and keep the first quota untaken keys in
+    draw order.
 
     After 50 batches in a row add no pair (the chosen classes have no
     untaken pair left), every later batch pools the whole dataset, so
     requests beyond the within-class pairs of M classes finish without a
-    stall per batch.  A seed whose request reaches that pool draws
-    different pairs than when the pool reverted to class batches after
-    each success; requests that never stall draw the same pairs.
+    stall per batch.
     """
     n = len(ds)
     cap = n * (n - 1) // 2

@@ -30,9 +30,11 @@ step and its validation share one batch walk, ``_online_batches``: it
 yields each batch's rows with their class labels, which fix the agreement
 bits of all B(B-1)/2 pairs, and ``pair_risk_batch`` takes the batch's
 features whole (``ub=None``) and returns the gradient at the B rows.
-sqdist reduces from per-class sums; floored rows and the other losses
-score every pair on one B x B Gram matrix.  The pairs are never gathered
-or scattered.  Batches that cannot take a pair step are counted in
+Each batch takes one route: sqdist reduces from per-class sums and the
+other losses score every pair on one B x B Gram matrix, so the pairs are
+never gathered or scattered, except in a batch holding a row that phi
+floored, which expands its pairs into the aligned form whatever the loss.
+Batches that cannot take a pair step are counted in
 ``TrainRun.skipped_batches``.
 
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,

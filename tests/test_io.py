@@ -1,5 +1,6 @@
 """File formats: CSV, IDX, pair files, checkpoints, synthetic generators."""
 
+import hashlib
 import struct
 import zlib
 from pathlib import Path
@@ -532,6 +533,18 @@ class TestSynthetic:
         # class means cancel: no linear rule can split the corners
         np.testing.assert_allclose(ds.x[ds.y == 0].mean(axis=0), [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(ds.x[ds.y == 1].mean(axis=0), [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("kind,class_count,digest", [
+        ("blobs", 2, "d2bd0002cb04025ad5711f020e3ddbd6817c74dcffa14b3e50ad17d38283d256"),
+        ("blobs", 3, "cea39f725567cd6b6f6cb011c98198d6d762b2c02ededec2d828f253325dac40"),
+        ("xor", 2, "b14db5c1fb9e70bd44dcf77edb572dc7a7da01f80af29194d77a29cb3fe88fd1"),
+        ("moons", 2, "646cafcc1d4b7202bd749e68135514bddbf2249481626ea5557c659efa98519d"),
+    ])
+    def test_noisy_draws_are_pinned(self, kind, class_count, digest):
+        """Seven rows per class (odd, so xor's corners split unevenly) at
+        noise 0.5: the x and y bytes hash to frozen literals."""
+        ds = generate_synthetic(kind, n_per_class=7, noise=0.5, seed=4, class_count=class_count)
+        assert hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest() == digest
 
     def test_two_class_only_kinds(self):
         with pytest.raises(DataFormatError, match="two-class"):

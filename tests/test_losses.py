@@ -306,8 +306,9 @@ def integer_rows(rng, b, p):
 
 class TestWithinBatch:
     """``pair_risk_batch(name, u, None, y)``: every pair i < j of u's rows,
-    labelled y, from class sums (sqdist on the sphere) or one Gram matrix,
-    against the aligned form plus np.add.at."""
+    labelled y, from class sums (sqdist) or one Gram matrix (the other
+    losses), or, with a floored row, the aligned form itself, against the
+    aligned form plus np.add.at."""
 
     @pytest.mark.parametrize("p", [2, 8, 32])
     @pytest.mark.parametrize("b", [2, 3, 17, 128])
@@ -332,8 +333,9 @@ class TestWithinBatch:
     @pytest.mark.parametrize("p", [2, 8, 32])
     @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
     def test_off_sphere_rows_match_bitwise(self, name, p):
-        """Rows off the sphere (zero rows and unit rows at radius 5) take the
-        aligned terms in np.add.at's order: bitwise equal, not just close."""
+        """Rows off the sphere (zero rows and unit rows at radius 5) send the
+        batch to the aligned form in np.add.at's order: bitwise equal in
+        every row, not just close."""
         rng = np.random.default_rng([7, p])
         b = 40
         u = integer_rows(rng, b, p)
@@ -344,8 +346,7 @@ class TestWithinBatch:
         risk, du, _ = pair_risk_batch(name, u, None, y, radius=5.0)
         want_risk, want_du = aligned_scatter(name, u, y, 5.0)
         assert risk == want_risk
-        assert np.array_equal(du[off], want_du[off])
-        assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+        assert np.array_equal(du, want_du)
 
     @pytest.mark.parametrize("name", ["sqdist", "ncs"])
     def test_reused_buffers_match_fresh_ones(self, name):
@@ -388,19 +389,20 @@ class TestWithinBatch:
         assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
         assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
 
-    def test_sqdist_floored_row_takes_the_gram_route(self):
-        """One row near the origin sends the whole batch to the Gram route,
-        whose floored row sums its aligned terms in np.add.at's order."""
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("p", [2, 8, 32])
+    @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
+    def test_floored_batch_takes_the_aligned_form(self, name, p):
+        """One row near the origin sends the whole batch, on random rows, to
+        the aligned form: its risk and every row equal the reference's."""
+        rng = np.random.default_rng([11, p])
         y = batch_labels(rng, 128)
-        u = random_features(rng, 128, 8)
+        u = random_features(rng, 128, p)
         u *= 1.5 / np.linalg.norm(u, axis=1, keepdims=True)
         u[37] *= 1e-5
-        risk, du, _ = pair_risk_batch("sqdist", u, None, y, radius=1.5)
-        want_risk, want_du = aligned_scatter("sqdist", u, y, 1.5)
-        assert np.array_equal(du[37], want_du[37])
-        assert abs(risk - want_risk) <= 1e-12 * abs(want_risk)
-        assert np.linalg.norm(du - want_du) <= 1e-12 * np.linalg.norm(want_du)
+        risk, du, _ = pair_risk_batch(name, u, None, y, radius=1.5)
+        want_risk, want_du = aligned_scatter(name, u, y, 1.5)
+        assert risk == want_risk
+        assert np.array_equal(du, want_du)
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ValueError, match="4 rows, got 5 class labels"):

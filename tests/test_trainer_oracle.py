@@ -5,8 +5,9 @@ gathers each batch by id and runs one forward and one backward pass per pair
 side, summing the two gradient lists; the online step expands a batch with
 ``u[ii]``/``u[jj]`` and scatters the pair gradients with ``np.add.at``.  The
 shipped stage 1 batches both sides into one pass, and the shipped online
-step scores its pairs from per-class sums (sqdist) or on one Gram matrix,
-which can change floating-point summation order, so the two must agree to
+step scores its pairs from per-class sums (sqdist) or on one Gram matrix
+(a batch with a floored row alone takes the aligned form), which can change
+floating-point summation order, so the two must agree to
 1e-12: hidden parameters relative in norm, and per-epoch ``train_loss`` and
 ``val_metric``.
 
