@@ -343,8 +343,8 @@ def cli_main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        # ConfigError and DataFormatError are ValueErrors
+    except (ValueError, OverflowError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
+        # ConfigError and DataFormatError are ValueErrors; OverflowError is an outsized count
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -122,7 +122,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:   # RecursionError: nested too deep
         raise ConfigError(f"{path}: not valid JSON: {e}") from None
     return validate_config(doc)
 

@@ -51,23 +51,22 @@ def stratified_subset(ds: FullyLabeledDataset, n: int, seed: int) -> FullyLabele
 
     Classes are visited round-robin in shuffled order, drawing one shuffled
     example at a time, so n = class_count yields exactly one per class.
+    Fewer than n rows come back once the labels in [0, class_count) run
+    out.  The rounds are computed as one stable sort by round number: round
+    k takes the k-th draw of every class, in the shuffled class order.
     """
     if not 1 <= n <= len(ds):
         raise ValueError(f"subset size {n} outside [1, {len(ds)}]")
     rng = substream(seed, "labels")
     classes = [c for c in range(ds.class_count) if np.any(ds.y == c)]
     rng.shuffle(classes)
-    queues = {c: list(rng.permutation(np.flatnonzero(ds.y == c))) for c in classes}
-    picked: list[int] = []
-    while len(picked) < n:
-        progressed = False
-        for c in classes:
-            if queues[c] and len(picked) < n:
-                picked.append(int(queues[c].pop()))
-                progressed = True
-        if not progressed:
-            break
-    return ds.subset(np.array(sorted(picked), dtype=np.int64))
+    # the round robin popped each permutation from its end, so reversed, draw k is round
+    # k's pick; the empty first draw lets a dataset with no class in range concatenate
+    draws = [np.empty(0, np.int64)]
+    draws += [rng.permutation(np.flatnonzero(ds.y == c))[::-1] for c in classes]
+    rounds = np.concatenate([np.arange(len(d)) for d in draws])
+    picked = np.concatenate(draws)[np.argsort(rounds, kind="stable")[:n]]
+    return ds.subset(np.sort(picked))
 
 
 def train_regimes(

@@ -20,7 +20,6 @@ what makes bit-level reproducibility checks possible downstream.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import warnings
 import zlib
@@ -167,23 +166,24 @@ def _parse_rows(path: str, lines: list[str], d: int, class_count: int | None):
 # -- IDX ------------------------------------------------------------------
 
 
-def _read_exact(f, n: int, path: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataFormatError(f"{path}: truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
-def _read_payload(f, path: str, *counts: int) -> bytes:
-    """The prod(counts) bytes a header announces, checked against the bytes
-    left before any is read (Python ints: no count can overflow this)."""
+def _idx_file(path: str, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """An IDX file's ``n_dims`` header counts and the uint8 payload they
+    announce, read in one pass; the counts are checked against the bytes
+    after the header as Python ints, so no count can overflow the check."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    head = 4 * (n_dims + 1)
+    if len(blob) < head:
+        raise DataFormatError(f"{path}: truncated: wanted {head} bytes, got {len(blob)}")
+    found, *counts = struct.unpack_from(f">{n_dims + 1}l", blob)
+    if found != magic:
+        raise DataFormatError(f"{path}: magic mismatch: expected {magic}, got {found}")
     if min(counts) < 0:
-        raise DataFormatError(f"{path}: negative count in header: {list(counts)}")
+        raise DataFormatError(f"{path}: negative count in header: {counts}")
     want = math.prod(counts)
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if want > left:
-        raise DataFormatError(f"{path}: truncated: wanted {want} bytes, got {left}")
-    return _read_exact(f, want, path)
+    if want > len(blob) - head:
+        raise DataFormatError(f"{path}: truncated: wanted {want} bytes, got {len(blob) - head}")
+    return counts, np.frombuffer(blob, dtype=np.uint8, count=want, offset=head)
 
 
 def load_idx(
@@ -196,27 +196,15 @@ def load_idx(
     mismatch, payloads shorter than their header's counts, and labels the
     dataset validation rejects.
     """
-    with open(images_path, "rb") as f:
-        magic, n_images, rows, cols = struct.unpack(">llll", _read_exact(f, 16, images_path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: magic mismatch: expected {IDX_IMAGE_MAGIC}, got {magic}"
-            )
-        raw = _read_payload(f, images_path, n_images, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">ll", _read_exact(f, 8, labels_path))
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: magic mismatch: expected {IDX_LABEL_MAGIC}, got {magic}"
-            )
-        raw_labels = _read_payload(f, labels_path, n_labels)
+    (n_images, rows, cols), raw = _idx_file(images_path, IDX_IMAGE_MAGIC, 3)
+    (n_labels,), raw_labels = _idx_file(labels_path, IDX_LABEL_MAGIC, 1)
     if n_images != n_labels:
         raise DataFormatError(
             f"count mismatch: {n_images} images vs {n_labels} labels"
         )
-    x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(n_images, rows * cols)
+    x = raw.astype(np.float64).reshape(n_images, rows * cols)
     x /= 255.0
-    y = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
+    y = raw_labels.astype(np.int64)
     ds = FullyLabeledDataset.from_arrays(x, y, class_count)
     problems = validate_dataset(ds)
     if problems:

@@ -42,9 +42,9 @@ STALL_LIMIT = 50       # fruitless class batches before pooling every record
 class PairingConfig:
     """Settings for pair-set construction.
 
-    ``class_batch_size`` is the M of the sampled regime; None means the
-    default min(10, class_count).  ``n_pairs`` must not be negative; the
-    exhaustive and online regimes ignore it.
+    ``class_batch_size`` is the M of the sampled regime, at least 1; None
+    means the default min(10, class_count).  ``n_pairs`` must not be
+    negative; the exhaustive and online regimes ignore it.
     """
 
     mode: str = "sampled"
@@ -57,6 +57,8 @@ class PairingConfig:
             raise ValueError(f"unknown pairing mode {self.mode!r}")
         if self.n_pairs < 0:
             raise ValueError(f"n_pairs must not be negative, got {self.n_pairs}")
+        if self.class_batch_size is not None and self.class_batch_size < 1:
+            raise ValueError(f"class_batch_size must be at least 1, got {self.class_batch_size}")
 
 
 def max_disjoint_pairs(n_examples: int) -> int:
@@ -216,11 +218,7 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
         )
     rng = substream(cfg.seed, "pairing", "sampled")
     present = _distinct(ds.y)
-    m_default = min(10, ds.class_count)
-    m = cfg.class_batch_size if cfg.class_batch_size is not None else m_default
-    if m < 1:
-        raise ValueError("class_batch_size must be at least 1")
-    m = min(m, len(present))
+    m = min(cfg.class_batch_size or min(10, ds.class_count), len(present))
 
     order = np.argsort(ds.ids, kind="stable")
     rank = np.empty(n, dtype=np.int64)

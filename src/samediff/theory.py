@@ -429,13 +429,6 @@ def _orthogonal_to(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
             return v / n
 
 
-def _two_point_map(m_plus: int, m: int, pt_plus: np.ndarray, pt_minus: np.ndarray) -> np.ndarray:
-    h = np.empty((m, pt_plus.shape[0]))
-    h[:m_plus] = pt_plus
-    h[m_plus:] = pt_minus
-    return h
-
-
 def generate_problem(seed: int) -> FiniteProblem:
     """Random finite problem whose hypothesis list exercises every regime.
 
@@ -445,6 +438,9 @@ def generate_problem(seed: int) -> FiniteProblem:
     support points (so the support-size assumption holds for every
     non-collapsing hypothesis).  It holds no constant map, whose one-point
     image would violate that assumption.
+
+    Each input-splitting map is one (m, p) normal draw with no per-row
+    rejection: a zero-length row scales to NaN and fails the coincidence test.
     """
     rng = substream(seed, "theory", "generate")
     m = int(rng.integers(6, 13))
@@ -460,21 +456,24 @@ def generate_problem(seed: int) -> FiniteProblem:
     pmf[m_plus:, 1] = (1.0 - alpha) * w_minus / w_minus.sum()
     pmf /= pmf.sum()   # exact renormalization against rounding
 
+    counts = (m_plus, m - m_plus)
     hyps: list[np.ndarray] = []
     axis = _unit(rng, p)
-    hyps.append(_two_point_map(m_plus, m, axis * r, -axis * r))
+    hyps.append(np.repeat([axis * r, -axis * r], counts, axis=0))
     if rng.random() < 0.5:
         axis2 = _unit(rng, p)
-        hyps.append(_two_point_map(m_plus, m, axis2 * r, -axis2 * r))
+        hyps.append(np.repeat([axis2 * r, -axis2 * r], counts, axis=0))
     for _ in range(int(rng.integers(1, 3))):
         a = _unit(rng, p)
         theta = rng.uniform(np.pi / 6.0, 5.0 * np.pi / 6.0)
         b = np.cos(theta) * a + np.sin(theta) * _orthogonal_to(rng, a)
         b = b / _length(b)
-        hyps.append(_two_point_map(m_plus, m, a * r, b * r))
+        hyps.append(np.repeat([a * r, b * r], counts, axis=0))
     for _ in range(int(rng.integers(1, 3))):
         while True:
-            pts = np.stack([_unit(rng, p) * r for _ in range(m)])
+            v = rng.normal(size=(m, p))
+            # rows over their lengths, the stacked (1, p) @ (p, 1) products summing as v.dot(v)
+            pts = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0]) * r
             diff = pts[:, None, :] - pts[None, :, :]
             d = np.linalg.norm(diff, axis=2) + np.eye(m)
             if d.min() > 1e-6:

@@ -227,6 +227,50 @@ class TestExitCodes:
         assert f"error: {error}" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--regime", "two-stage"], ["train", "--regime", "baseline"],
+        ["train", "--regime", "online"], ["convert", "--mode", "disjoint"],
+    ], ids=["two-stage", "baseline", "online", "convert-disjoint"])
+    def test_class_batch_size_below_one_is_data_error_everywhere(self, tmp_path, capsys,
+                                                                  command):
+        """Only sampled pairing read ``class_batch_size``: baseline, online
+        and a disjoint convert once ran past 0."""
+        out = tmp_path / "out"
+        if command[0] == "train":
+            cfg = write_config(tmp_path, pairing={"n_pairs": 100, "class_batch_size": 0})
+            argv = [*command, "--config", cfg, "--out-dir", str(out)]
+        else:
+            data = str(tmp_path / "blobs.csv")
+            save_csv(generate_synthetic("blobs", n_per_class=20, seed=0), data)
+            argv = [*command, "--data", data, "--n-pairs", "10", "--class-batch-size", "0",
+                    "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: class_batch_size must be at least 1, got 0\n"
+        assert not out.is_file() and not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda tmp: ["bound", "--t", "1", "--r", "1", "--n2", str(10**400), "--delta", "0.1"],
+         "int too large to convert to float"),
+        (lambda tmp: ["generate", "--kind", "blobs", "--n-per-class", str(10**20),
+                      "--out", str(tmp / "g.csv")],
+         "too large"),
+        (lambda tmp: ["train", "--config", write_config(tmp, dataset={
+            "kind": "blobs", "n_per_class": 10**20}), "--out-dir", str(tmp / "out")],
+         "too large"),
+        (lambda tmp: ["train", "--config", str(tmp / "deep.json"), "--out-dir", str(tmp / "out")],
+         "deep.json: not valid JSON"),
+    ], ids=["bound-n2", "generate-n-per-class", "train-n-per-class", "deep-config"])
+    def test_hostile_number_or_nesting_is_data_error(self, tmp_path, capsys, argv, message):
+        """Each once ended in an OverflowError or a RecursionError traceback
+        and exit code 1; the last is a config nested 100,000 levels deep."""
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert cli_main(argv(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not (tmp_path / "g.csv").exists() and not (tmp_path / "out" / "model.ckpt").exists()
+
     def test_zero_compare_trials_is_data_error(self, tmp_path, capsys):
         """Zero trials once exited 0 with "accuracy nan +/- 0.0000"."""
         cfg = write_config(tmp_path, compare={"trials": 0})

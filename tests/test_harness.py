@@ -8,6 +8,7 @@ import pytest
 
 from samediff import (
     CompareResult,
+    FullyLabeledDataset,
     PairingConfig,
     SweepSpec,
     TrainConfig,
@@ -87,6 +88,53 @@ class TestStratifiedSubset:
         ds = generate_synthetic("blobs", n_per_class=8, noise=0.4, seed=5)
         sub = stratified_subset(ds, 16, seed=0)
         assert sorted(sub.ids.tolist()) == sorted(ds.ids.tolist())
+
+    def test_picks_match_the_frozen_round_robin(self):
+        """The same rows as the loop it replaced, on unsorted ids, absent
+        classes and labels outside [0, class_count), for every n."""
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            size, k = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            y = rng.integers(-1, k + 2, size=size)
+            if trial % 10 == 0:
+                y[y == 0] = k    # class 0 absent
+            if trial % 20 == 0:
+                y[y < k] = -1    # no label in range
+            ds = FullyLabeledDataset(ids=rng.permutation(5 * size)[:size],
+                                     x=rng.normal(size=(size, 2)), y=y, class_count=k)
+            for n in range(1, size + 1):
+                seed = int(rng.integers(1000))
+                got, want = stratified_subset(ds, n, seed), frozen_stratified_subset(ds, n, seed)
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(got.x, want.x)
+
+    def test_short_and_empty_budgets(self):
+        """Rows whose labels lie outside [0, class_count) are never picked."""
+        ds = FullyLabeledDataset(ids=np.arange(5), x=np.zeros((5, 2)),
+                                 y=np.array([0, 9, 1, -1, 9]), class_count=2)
+        assert stratified_subset(ds, 5, seed=0).ids.tolist() == [0, 2]
+        none = FullyLabeledDataset(ids=np.arange(3), x=np.zeros((3, 2)),
+                                   y=np.array([-1, 2, 5]), class_count=2)
+        assert len(stratified_subset(none, 3, seed=0)) == 0
+
+
+def frozen_stratified_subset(ds, n, seed):
+    """The round-robin loop ``stratified_subset`` once ran: each shuffled
+    class in turn pops the last of its own shuffled rows."""
+    rng = substream(seed, "labels")
+    classes = [c for c in range(ds.class_count) if np.any(ds.y == c)]
+    rng.shuffle(classes)
+    queues = {c: list(rng.permutation(np.flatnonzero(ds.y == c))) for c in classes}
+    picked = []
+    while len(picked) < n:
+        progressed = False
+        for c in classes:
+            if queues[c] and len(picked) < n:
+                picked.append(int(queues[c].pop()))
+                progressed = True
+        if not progressed:
+            break
+    return ds.subset(np.array(sorted(picked), dtype=np.int64))
 
 
 class TestSweepSpec:
