@@ -139,7 +139,6 @@ def _cmd_encrypt(args) -> int:
 def _cmd_train(args) -> int:
     doc = load_config(args.config)
     out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
-    os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     regime = _REGIMES[args.regime]
@@ -150,6 +149,7 @@ def _cmd_train(args) -> int:
     )[regime]
 
     acc = accuracy(model, test_ds)
+    os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, "model.ckpt")
     trace = os.path.join(out_dir, "trace.csv")
     save_model(model, ckpt, seed=cfg.seed)
@@ -183,7 +183,6 @@ def _cmd_sweep(args) -> int:
     if n1_values is None or n2_values is None:
         raise ConfigError("sweep command needs a sweep section with n1 and n2 lists")
     out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
-    os.makedirs(out_dir, exist_ok=True)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     spec = SweepSpec(tuple(n1_values), tuple(n2_values), _read(doc, "sweep.reps", int, 5))
@@ -194,6 +193,7 @@ def _cmd_sweep(args) -> int:
         train_cfg=cfg,
         pairing=build_pairing_config(doc, train_ds),
     )
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     result.to_csv(csv_path)
     _write_manifest(
@@ -343,8 +343,9 @@ def cli_main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, OverflowError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        # ConfigError and DataFormatError are ValueErrors; OverflowError is an outsized count
+    except (ValueError, OverflowError, OSError, MemoryError) as e:
+        # ConfigError and DataFormatError are ValueErrors; OverflowError and
+        # MemoryError are outsized counts; OSError is an unusable path
         print(f"error: {e}", file=sys.stderr)
         return 2
 

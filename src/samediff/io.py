@@ -236,6 +236,9 @@ def generate_synthetic(
         raise DataFormatError("n_per_class must be at least 1")
     if class_count < 2:
         raise DataFormatError(f"class_count must be at least 2, got {class_count}")
+    if int(n_per_class) * int(class_count) * 16 > np.iinfo(np.intp).max:   # (rows, 2) float64
+        raise DataFormatError(f"n_per_class {n_per_class} x class_count {class_count} rows: "
+                              "too large for the address space")
     if not math.isfinite(noise):
         raise DataFormatError(f"noise must be finite, got {noise!r}")
     if kind == "blobs":

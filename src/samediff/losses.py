@@ -22,12 +22,17 @@ form: every pair i < j of the B rows of ``u``, given the rows' B class
 labels, which fix every pair's agreement bit.  Each online batch takes
 exactly one route.  sqdist reduces from per-class sums (count, feature sum
 and squared-norm sum) in O(B d).  The other losses take the Gram route: it
-reads the kernel values off K = U U^T, writes the value gradient into a
-B x B matrix D and returns dU = D U + D^T U; ncs on it is negated
-kernel-target alignment.  A batch holding a row that phi floored takes
-neither, whatever its loss: it expands all B(B-1)/2 pairs into the aligned
-form and sums each row's side gradients in np.add.at's order.  Every route
-but the class sums reduces per-pair values through ``_reduce_pair_values``.
+reads the kernel values off K = U U^T, in ``np.triu_indices`` order,
+writes the value gradient into a B x B matrix D and returns dU = D U +
+D^T U; ncs on it is negated kernel-target alignment.  K and D are buffers
+reused per batch size, so the online form is not reentrant.  A batch
+holding a row that phi floored takes neither, whatever its loss: it
+expands all B(B-1)/2 pairs into the aligned form and sums each row's side
+gradients in np.add.at's order (ii, then jj), because phi's backward
+multiplies a floored row's adjoint by r/NORM_FLOOR, which magnifies any
+change in summation order; it then equals the aligned form bit for bit.
+Every route but the class sums reduces per-pair values through
+``_reduce_pair_values``.
 
 Stage 2 (and the fully-supervised baseline) trains the head with either the
 unbounded hinge -y*yhat (one-vs-rest sum in multi-class mode) or softmax
@@ -185,15 +190,8 @@ def _sqdist_class_sums(u: np.ndarray, y: np.ndarray, q: np.ndarray) -> tuple[flo
 def _within_batch(
     name: str, u: np.ndarray, y: np.ndarray, radius: float, beta: float | None
 ) -> tuple[float, np.ndarray]:
-    """Risk over every pair i < j of u's rows, labelled y, and its gradient at u.
-
-    Each batch takes one route.  A batch holding a row that phi floored
-    takes the aligned form over all its pairs, with the side gradients
-    summed per row in np.add.at's order (ii, then jj): phi's backward
-    multiplies a floored row's adjoint by r/NORM_FLOOR, which magnifies any
-    change in summation order.  Otherwise sqdist reduces from per-class
-    sums and every other loss scores the pairs on the Gram matrix.
-    """
+    """Risk over every pair i < j of u's rows, labelled y, and its gradient at u,
+    by the one route per batch that the module docstring sets out."""
     b = len(u)
     q = _row_dots(u, u)
     floored = _off_sphere(q, radius).any()
@@ -232,12 +230,9 @@ def pair_risk_batch(
 
     With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, and
     ``t`` holds the B rows' integer class labels, from which every pair's
-    agreement bit follows; the result is (risk, gradient at ua, None).
-    sqdist reduces from per-class sums in O(B d); the other losses score the
-    pairs, in ``np.triu_indices`` order, on two cached B x B buffers, so
-    this form is not reentrant: do not call it from two threads at once.
-    A batch holding a row that phi floored expands its pairs into the
-    aligned form instead, and equals it bit for bit.
+    agreement bit follows; the result is (risk, gradient at ua, None), by
+    the one route per batch that the module docstring sets out (not
+    reentrant: do not call it from two threads at once).
     """
     if name not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {name!r}")

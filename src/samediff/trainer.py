@@ -7,11 +7,13 @@ A fully-supervised joint baseline and an online variant, which expands each
 shuffled minibatch into its B(B-1)/2 pairs on the fly, complete the four
 trainers.
 
-All four run one epoch driver, ``_run_epochs``: it owns the epoch plan, the
-per-epoch shuffle, the validation call, the best snapshot and the trace; a
-regime supplies only an epoch body, which holds its whole batch loop and
-yields each batch's (loss, weight), and a validation score.  Every mean
-over batches, train loss and online validation risk alike, is one
+All four run one epoch driver, ``_run_epochs``, which owns each stage's
+record: it creates and times the ``TrainRun``, walks the schedule,
+shuffles, validates, keeps the best snapshot, writes the trace and counts
+skipped batches as planned, ceil(n / batch_size), minus stepped.  A regime
+supplies only an epoch body, which holds its batch loop and yields each
+stepped batch's (loss, weight), and a validation score or None.  Every
+mean over batches, train loss and online validation risk alike, is one
 ``_weighted_mean``.
 
 Every regime trains through the model's one surface and steps with its
@@ -29,13 +31,8 @@ slice, through one forward and one backward pass.  The online
 step and its validation share one batch walk, ``_online_batches``: it
 yields each batch's rows with their class labels, which fix the agreement
 bits of all B(B-1)/2 pairs, and ``pair_risk_batch`` takes the batch's
-features whole (``ub=None``) and returns the gradient at the B rows.
-Each batch takes one route: sqdist reduces from per-class sums and the
-other losses score every pair on one B x B Gram matrix, so the pairs are
-never gathered or scattered, except in a batch holding a row that phi
-floored, which expands its pairs into the aligned form whatever the loss.
-Batches that cannot take a pair step are counted in
-``TrainRun.skipped_batches``.
+features whole (``ub=None``) and returns the gradient at the B rows,
+by the one route per batch that the ``losses`` module docstring sets out.
 
 Plain SGD throughout.  The default short schedule (0.1 x 20, 0.01 x 10,
 0.001 x 5 epochs) is a tenth of the long recipe (200/100/50) for quick
@@ -134,16 +131,17 @@ class EpochRecord:
 
 @dataclass
 class TrainRun:
-    """Outcome of one training stage.
+    """Outcome of one training stage, created by the epoch driver.
 
     ``best_epoch`` is the epoch whose snapshot the model ended on, or None
     when no validation set existed and the final parameters stand (the
     tiny-labeled-set rule: with at most one example per class there is
     nothing to hold out, so selection falls back to the final train loss).
-    ``max_pair_buffer`` is the most pairs one online batch stood for, and
-    ``skipped_batches`` counts the training batches that took no step: a
-    contrastive batch with no same-class pair, or an online batch of one
-    row.
+    ``wall_seconds`` times the driver's epoch loop, not the split or the
+    final head projection.  ``max_pair_buffer`` is the most pairs one
+    online batch stood for, and ``skipped_batches`` counts planned minus
+    stepped training batches: a contrastive batch with no same-class pair,
+    or an online batch of one row.
     """
 
     stage: str
@@ -156,11 +154,6 @@ class TrainRun:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _epoch_plan(schedule) -> list[tuple[int, float]]:
-    """(epoch, learning rate) for every epoch of a ((lr, epochs), ...) schedule."""
-    return list(enumerate(float(lr) for lr, epochs in schedule for _ in range(epochs)))
 
 
 def _split_pairs(pairs: PairDataset, cfg: TrainConfig) -> tuple[PairDataset, PairDataset | None]:
@@ -193,39 +186,47 @@ def _weighted_mean(terms: Iterable[tuple[float, int]]) -> float:
     return total / max(seen, 1)
 
 
-def _run_epochs(run: TrainRun, model: TwoPartClassifier, cfg: TrainConfig,
-                plan: list[tuple[int, float]], tag: str, n: int,
-                epoch_body: Callable[[float, np.ndarray], Iterable[tuple[float, int]]],
-                val_score: Callable[[], float | None], maximize: bool = False) -> None:
-    """The one epoch loop every trainer runs.
+def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule, tag: str,
+                n: int, epoch_body: Callable[[float, np.ndarray], Iterable[tuple[float, int]]],
+                val_score: Callable[[], float | None] | None, maximize: bool = False) -> TrainRun:
+    """The one epoch loop every trainer runs; it creates, times and returns
+    the stage's ``TrainRun``.
 
-    Each epoch permutes the n training items with the ("shuffle", tag,
-    epoch) substream and hands the permutation to ``epoch_body(lr, perm)``,
-    which runs the regime's whole batch loop and yields each stepped
-    batch's (loss, weight); the epoch's train loss is their
-    ``_weighted_mean``.  ``val_score()`` returns the validation metric, or
-    None without a validation set.  The model is cloned at the best metric
-    (lowest, or highest with ``maximize``) and restored after the last
-    epoch; parts the regime never moves come back bit-identical.
+    Each epoch of the ((lr, epochs), ...) schedule permutes the n training
+    items with the ("shuffle", tag, epoch) substream and hands it to
+    ``epoch_body(lr, perm)``, which slices it into ``cfg.batch_size``
+    batches and yields each stepped batch's (loss, weight); their
+    ``_weighted_mean`` is the train loss, and planned minus yielded batches
+    count as skipped.  ``val_score=None`` means no validation split.  The
+    model is cloned at the best metric (lowest, or highest with
+    ``maximize``) and restored after the last epoch; parts the regime
+    never moves come back bit-identical.
     """
+    run = TrainRun(stage=stage, config=asdict(cfg))
+    planned = -(-n // cfg.batch_size)
     sign = -1.0 if maximize else 1.0
     best, snapshot = np.inf, None
-    for epoch, lr in plan:
+    t0 = time.perf_counter()
+    for epoch, lr in enumerate(float(lr) for lr, epochs in schedule for _ in range(epochs)):
         perm = substream(cfg.seed, "shuffle", tag, epoch).permutation(n)
-        train_loss = _weighted_mean(epoch_body(lr, perm))
-        val_metric = val_score()
+        terms = list(epoch_body(lr, perm))
+        run.skipped_batches += planned - len(terms)
+        train_loss = _weighted_mean(terms)
+        val_metric = None if val_score is None else val_score()
         if val_metric is not None and sign * val_metric < best:
             best, snapshot = sign * val_metric, model.clone()
             run.best_epoch = epoch
         run.trace.append(EpochRecord(epoch, lr, train_loss, val_metric))
     if snapshot is not None:
         model.hidden, model.head = snapshot.hidden, snapshot.head
+    run.wall_seconds = time.perf_counter() - t0
+    return run
 
 
 def _accuracy_score(model: TwoPartClassifier, val_ds: FullyLabeledDataset | None):
     """Validation accuracy of the model with its head projected, or None."""
     if val_ds is None:
-        return lambda: None
+        return None
     return lambda: float(np.mean(TwoPartClassifier(
         model.hidden, model.radius, project_head(model.head, model.radius), model.class_count,
     ).predict(val_ds.x) == val_ds.y))
@@ -238,12 +239,10 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     fraction tracks validation pair risk and the best snapshot is restored
     at the end.
     """
-    t0 = time.perf_counter()
     loss_name = cfg.resolved_pair_loss(model)
     train_pairs, val_pairs = _split_pairs(pairs, cfg)
     if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None   # positive-free split cannot score this loss
-    run = TrainRun(stage="step1", config=asdict(cfg))
     # Ids resolve to feature rows once.  Each epoch gathers its rows in one
     # take, batch by batch as [a-sides; b-sides], so every batch is one
     # contiguous slice that takes one forward and one backward pass.
@@ -266,7 +265,6 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
         for lo in range(0, n, bs):
             t = t_ep[lo:lo + bs]
             if loss_name == "contrastive" and not np.any(t == 1):
-                run.skipped_batches += 1
                 continue
             m = len(t)
             u, cache = model.features_cached(x_ep[2 * lo:2 * (lo + m)])
@@ -277,13 +275,9 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
             yield risk, m
 
-    def val_score():
-        return None if val_pairs is None else empirical_risk_pairs(
-            model, val_pairs, loss_name, beta=cfg.beta)
-
-    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "step1", n, epoch_body, val_score)
-    run.wall_seconds = time.perf_counter() - t0
-    return run
+    val_score = None if val_pairs is None else (
+        lambda: empirical_risk_pairs(model, val_pairs, loss_name, beta=cfg.beta))
+    return _run_epochs("step1", model, cfg, cfg.schedule, "step1", n, epoch_body, val_score)
 
 
 def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig) -> TrainRun:
@@ -296,10 +290,8 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
     """
     if len(ds) == 0:
         raise ValueError("empty labeled set")
-    t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     u_train = model.features(train_ds.x)
-    run = TrainRun(stage="step2", config=asdict(cfg))
 
     def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
@@ -310,10 +302,9 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
             model.apply_grads(lr, head=(dw, db))
             yield loss, len(idx)
 
-    _run_epochs(run, model, cfg, _epoch_plan(((cfg.head_rate, cfg.head_epochs),)), "step2",
-                len(train_ds), epoch_body, _accuracy_score(model, val_ds), maximize=True)
+    run = _run_epochs("step2", model, cfg, ((cfg.head_rate, cfg.head_epochs),), "step2",
+                      len(train_ds), epoch_body, _accuracy_score(model, val_ds), maximize=True)
     model.project_head()
-    run.wall_seconds = time.perf_counter() - t0
     return run
 
 
@@ -333,9 +324,7 @@ def train_baseline_full(
     """Fully-supervised reference: joint SGD on all parameters."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    t0 = time.perf_counter()
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    run = TrainRun(stage="baseline", config=asdict(cfg))
 
     def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
@@ -346,28 +335,24 @@ def train_baseline_full(
             model.apply_grads(lr, hidden=model.backward_features(cache, du), head=(dw, db))
             yield loss, len(idx)
 
-    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "baseline", len(train_ds),
-                epoch_body, _accuracy_score(model, val_ds), maximize=True)
+    run = _run_epochs("baseline", model, cfg, cfg.schedule, "baseline", len(train_ds),
+                      epoch_body, _accuracy_score(model, val_ds), maximize=True)
     model.project_head()
-    run.wall_seconds = time.perf_counter() - t0
     return run
 
 
 def _online_batches(ds: FullyLabeledDataset, order: np.ndarray, cfg: TrainConfig,
-                    loss_name: str, run: TrainRun | None = None):
+                    loss_name: str):
     """(rows, labels) for each batch of ``order`` that can take a pair step.
 
     Batches of fewer than 2 examples have no pair, and under contrastive a
     batch in which no class appears twice has no same-class pair and so no
-    risk; both are skipped, and counted in ``run.skipped_batches`` when a
-    run is given.
+    risk; both are skipped.
     """
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         y = ds.y.take(idx)
         if len(idx) < 2 or (loss_name == "contrastive" and np.bincount(y).max() < 2):
-            if run is not None:
-                run.skipped_batches += 1
             continue
         yield idx, y
 
@@ -392,34 +377,29 @@ def train_online(
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
-    t0 = time.perf_counter()
     loss_name = cfg.resolved_pair_loss(model)
     train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
     val_batches = [] if val_ds is None else [
         (val_ds.x.take(idx, axis=0), y)
         for idx, y in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]
-    run = TrainRun(stage="step1-online", config=asdict(cfg))
+    peak = 0
 
     def epoch_body(lr, perm):
-        for idx, y in _online_batches(train_ds, perm, cfg, loss_name, run):
+        nonlocal peak
+        for idx, y in _online_batches(train_ds, perm, cfg, loss_name):
             n_pairs = len(y) * (len(y) - 1) // 2
-            run.max_pair_buffer = max(run.max_pair_buffer, n_pairs)
+            peak = max(peak, n_pairs)
             u, cache = model.features_cached(train_ds.x.take(idx, axis=0))
             risk, du, _ = pair_risk_batch(loss_name, u, None, y, radius=model.radius,
                                           beta=cfg.beta)
             model.apply_grads(lr, hidden=model.backward_features(cache, du))
             yield risk, n_pairs
 
-    def val_score():
-        if not val_batches:
-            return None
-        return _weighted_mean(
-            (pair_risk_batch(loss_name, model.features(x), None, y, radius=model.radius,
-                             beta=cfg.beta)[0], len(y) * (len(y) - 1) // 2)
-            for x, y in val_batches)
-
-    _run_epochs(run, model, cfg, _epoch_plan(cfg.schedule), "online", len(train_ds),
-                epoch_body, val_score)
-    run.wall_seconds = time.perf_counter() - t0
-    run2 = train_step2(model, labeled, cfg)
-    return run, run2
+    val_score = None if not val_batches else lambda: _weighted_mean(
+        (pair_risk_batch(loss_name, model.features(x), None, y, radius=model.radius,
+                         beta=cfg.beta)[0], len(y) * (len(y) - 1) // 2)
+        for x, y in val_batches)
+    run = _run_epochs("step1-online", model, cfg, cfg.schedule, "online", len(train_ds),
+                      epoch_body, val_score)
+    run.max_pair_buffer = peak
+    return run, train_step2(model, labeled, cfg)

@@ -225,7 +225,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["train", "--regime", "two-stage"], ["train", "--regime", "baseline"],
@@ -246,7 +246,7 @@ class TestExitCodes:
                     "--out", str(out)]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == "error: class_batch_size must be at least 1, got 0\n"
-        assert not out.is_file() and not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (lambda tmp: ["bound", "--t", "1", "--r", "1", "--n2", str(10**400), "--delta", "0.1"],
@@ -269,7 +269,59 @@ class TestExitCodes:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and message in line
-        assert not (tmp_path / "g.csv").exists() and not (tmp_path / "out" / "model.ckpt").exists()
+        assert not (tmp_path / "g.csv").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-per-class", 10**20), ("--n-per-class", 10**18),
+        ("--classes", 10**20), ("--classes", 10**18),
+    ])
+    def test_outsized_synthetic_count_names_its_input(self, tmp_path, capsys, flag, value):
+        """Rows whose (rows, 2) float64 array outgrows the address space once
+        failed inside numpy: an int conversion, "array is too big", or a
+        MemoryError traceback."""
+        out = tmp_path / "g.csv"
+        assert cli_main(["generate", "--kind", "blobs", flag, str(value), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        n_per_class, classes = (value, 2) if flag == "--n-per-class" else (500, value)
+        assert line.startswith(f"error: n_per_class {n_per_class} x class_count {classes} rows")
+        assert not out.exists()
+
+    def test_unallocatable_synthetic_dataset_is_data_error(self, tmp_path, capsys):
+        """2 x 10**15 rows pass the size check but no allocation can hold
+        them; the MemoryError once ended in a traceback and exit code 1."""
+        out = tmp_path / "g.csv"
+        assert cli_main(["generate", "--kind", "blobs", "--n-per-class", str(10**15),
+                         "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "generate", "convert", "encrypt", "train", "sweep", "compare", "train-into-file"])
+    def test_output_path_under_a_file_is_data_error(self, tmp_path, capsys, command):
+        """An output path through a regular file, or an --out-dir that is
+        one, once ended in a NotADirectoryError or FileExistsError
+        traceback and exit code 1."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        data = str(tmp_path / "blobs.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=20, seed=0), data)
+        cfg = write_config(tmp_path, sweep={"n1": [30], "n2": [1], "reps": 1},
+                           compare={"trials": 1})
+        under = str(blocker / "out")
+        argv = {
+            "generate": ["generate", "--kind", "blobs", "--out", under],
+            "convert": ["convert", "--data", data, "--mode", "exhaustive", "--out", under],
+            "encrypt": ["encrypt", "--data", data, "--n-pairs", "5", "--out", under],
+            "train": ["train", "--config", cfg, "--out-dir", under],
+            "sweep": ["sweep", "--config", cfg, "--out-dir", under],
+            "compare": ["compare", "--config", cfg, "--out", under],
+            "train-into-file": ["train", "--config", cfg, "--out-dir", str(blocker)],
+        }[command]
+        assert cli_main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert blocker.read_text() == ""
 
     def test_zero_compare_trials_is_data_error(self, tmp_path, capsys):
         """Zero trials once exited 0 with "accuracy nan +/- 0.0000"."""
@@ -331,7 +383,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, section, knobs, message", [
         ("train", "model", {"hidden": 32}, "model.hidden must be a list of integers, got 32"),
@@ -363,7 +415,7 @@ class TestExitCodes:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_csv_label_beyond_int64_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
@@ -403,7 +455,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: dataset.{key} must be at least 1, got {limit}" in err
         assert "Traceback" not in err
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     def test_hostile_or_invalid_idx_is_data_error(self, tmp_path, capsys):
         """eval on an IDX header claiming 2^30 images of 2^15 x 2^15 over a

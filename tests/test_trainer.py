@@ -1,7 +1,7 @@
 """Training stages: freeze contract, determinism, regime behavior."""
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -444,3 +444,41 @@ class TestSkippedBatches:
         assert run.skipped_batches == 2 * -(-n_train // cfg.batch_size)
         pos_run = train_step1(fresh_model(7), pairs, TrainConfig(seed=7, schedule=((0.1, 2),)))
         assert pos_run.skipped_batches == 0
+
+    @pytest.mark.parametrize("stage", ["step1", "online", "step2", "baseline"])
+    def test_driver_counts_planned_minus_stepped(self, monkeypatch, stage):
+        """The epoch driver books every stage: epochs x ceil(n_train /
+        batch_size) planned batches minus the steps that reached
+        ``apply_grads``.  Contrastive pair stages skip; head stages do not."""
+        steps = []
+        apply_grads = TwoPartClassifier.apply_grads
+
+        def counted(self, *args, **kwargs):
+            steps.append(stage)
+            return apply_grads(self, *args, **kwargs)
+
+        monkeypatch.setattr(TwoPartClassifier, "apply_grads", counted)
+        ds = generate_synthetic("blobs", n_per_class=4, noise=0.5, seed=5, class_count=6)
+        cfg = TrainConfig(seed=5, schedule=((0.1, 2), (0.01, 1)), batch_size=3, head_epochs=4,
+                          pair_loss="contrastive", val_fraction=0.25)
+        model = fresh_model(5, class_count=6)
+        n_train, epochs = len(ds) - len(ds) // 4, 3
+        if stage == "step1":
+            pairs = pair_exhaustive(ds)
+            run = train_step1(model, pairs, cfg)
+            n_train = len(pairs) - int(len(pairs) * cfg.val_fraction)
+        elif stage == "online":
+            run, head = train_online(model, ds, stratified_subset(ds, 1, seed=5),
+                                     replace(cfg, head_epochs=0))
+            assert head.trace == [] and head.skipped_batches == 0
+        elif stage == "step2":
+            run, epochs = train_step2(model, ds, cfg), cfg.head_epochs
+        else:
+            run = train_baseline_full(model, ds, cfg)
+        planned = epochs * -(-n_train // cfg.batch_size)
+        assert run.skipped_batches == planned - len(steps)
+        if stage in ("step1", "online"):
+            assert 0 < run.skipped_batches < planned
+        else:
+            assert run.skipped_batches == 0
+        assert run.wall_seconds > 0
