@@ -83,14 +83,6 @@ def _write_trace_csv(path: str, runs) -> None:
                 f.write(",".join([run.stage, *cells]) + "\n")
 
 
-def _load_eval_data(args) -> "FullyLabeledDataset":
-    if args.data:
-        return load_csv(args.data, args.class_count)
-    if args.images and args.labels:
-        return load_idx(args.images, args.labels, args.class_count)
-    raise DataFormatError("no evaluation data given: use --data or --images/--labels")
-
-
 # -- subcommand implementations -------------------------------------------
 
 
@@ -172,7 +164,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _ = load_model(args.checkpoint)
-    ds = _load_eval_data(args)
+    k = model.class_count
+    if args.class_count not in (None, k):
+        raise DataFormatError(f"--class-count {args.class_count} differs from the checkpoint's "
+                              f"class_count {k}")
+    if args.data:
+        ds = load_csv(args.data, k)
+    elif args.images and args.labels:
+        ds = load_idx(args.images, args.labels, k)
+    else:
+        raise DataFormatError("no evaluation data given: use --data or --images/--labels")
     print(f"accuracy {accuracy(model, ds):.6f}")
     return 0
 
@@ -186,6 +187,9 @@ def _cmd_sweep(args) -> int:
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     spec = SweepSpec(tuple(n1_values), tuple(n2_values), _read(doc, "sweep.reps", int, 5))
+    if max(spec.n2_values) > len(train_ds):
+        raise ConfigError(f"sweep.n2 {max(spec.n2_values)} exceeds the {len(train_ds)} "
+                          "training rows")
     t0 = time.perf_counter()
     result = run_sweep(
         train_ds, test_ds, spec,

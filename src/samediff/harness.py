@@ -86,7 +86,8 @@ def train_regimes(
     * online:  online two-stage training on the same labels, drawn from
                ``train_ds`` when "sampled" does not run.
 
-    Unknown regimes are refused and the models built before any pair is.
+    Unknown regimes, and a label budget above the records left to label,
+    are refused before any training; the models are built before any pair.
     """
     recipes = {
         "full": lambda model: [train_baseline_full(model, train_ds, cfg)],
@@ -101,6 +102,9 @@ def train_regimes(
     if "sampled" in regimes:
         pairs, label_pool = build_pairs(train_ds, pairing)
     if "sampled" in regimes or "online" in regimes:
+        if n_labels > len(label_pool):
+            raise ValueError(f"label budget {n_labels} exceeds the {len(label_pool)} records "
+                             "left to label")
         labeled = stratified_subset(label_pool, n_labels, cfg.seed)
     return {name: (model, recipes[name](model)) for name, model in models.items()}
 
@@ -139,6 +143,9 @@ class SweepSpec:
             raise ValueError("sweep grid must be nonempty")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        for key, values in (("n1", self.n1_values), ("n2", self.n2_values)):
+            if min(values) < 1:
+                raise ValueError(f"sweep.{key} must be at least 1, got {min(values)}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Stage 1 fits the hidden network on same/different pair labels only; the
 head never moves.  Stage 2 freezes the hidden network bit-for-bit and fits
-the head on a (typically tiny) fully-labeled set against frozen features.
+the head on frozen features from every label of a (typically tiny)
+fully-labeled set, holding none out, and keeps its final head.
 A fully-supervised joint baseline and an online variant, which expands each
 shuffled minibatch into its B(B-1)/2 pairs on the fly, complete the four
 trainers.
@@ -134,9 +135,8 @@ class TrainRun:
     """Outcome of one training stage, created by the epoch driver.
 
     ``best_epoch`` is the epoch whose snapshot the model ended on, or None
-    when no validation set existed and the final parameters stand (the
-    tiny-labeled-set rule: with at most one example per class there is
-    nothing to hold out, so selection falls back to the final train loss).
+    when no validation set existed and the final parameters stand, as in
+    every head stage.
     ``wall_seconds`` times the driver's epoch loop, not the split or the
     final head projection.  ``max_pair_buffer`` is the most pairs one
     online batch stood for, and ``skipped_batches`` counts planned minus
@@ -283,27 +283,26 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
 def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig) -> TrainRun:
     """Stage 2: fit the head on frozen features from a fully-labeled set.
 
-    The hidden network is not touched (training features are computed once
-    up front), so its parameters are bit-identical before and after.  The
-    head trains unconstrained and is projected into its norm ball for every
-    validation measurement and once more at the end.
+    The hidden network is not touched (features are computed once up
+    front), so its parameters are bit-identical before and after.  The head
+    trains on every given label, since a few held-out labels cannot choose
+    an epoch, and its final parameters are projected into the norm ball.
     """
     if len(ds) == 0:
         raise ValueError("empty labeled set")
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
-    u_train = model.features(train_ds.x)
+    u_train = model.features(ds.x)
 
     def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             u = u_train[idx]
-            loss, dscores = head_loss_batch(cfg.head_loss, model.head.scores(u), train_ds.y[idx])
+            loss, dscores = head_loss_batch(cfg.head_loss, model.head.scores(u), ds.y[idx])
             dw, db, _ = model.head.backward(u, dscores)
             model.apply_grads(lr, head=(dw, db))
             yield loss, len(idx)
 
     run = _run_epochs("step2", model, cfg, ((cfg.head_rate, cfg.head_epochs),), "step2",
-                      len(train_ds), epoch_body, _accuracy_score(model, val_ds), maximize=True)
+                      len(ds), epoch_body, None)
     model.project_head()
     return run
 

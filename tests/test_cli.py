@@ -210,17 +210,21 @@ class TestExitCodes:
           for regime in ("two-stage", "baseline", "online")],
         ("baseline", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
         ("online", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
+        ("two-stage", {"pairing": {"mode": "disjoint"}, "labels": {"per_class": 30}},
+         "label budget 60 exceeds the 40 records left to label"),
     ], ids=["baseline", "online", "baseline-per-class-0", "baseline-per-class-negative",
             "online-per-class-negative", "two-stage-per-class-over-rows",
             "baseline-per-class-over-rows", "online-per-class-over-rows",
-            "baseline-negative-pairs", "online-negative-pairs"])
+            "baseline-negative-pairs", "online-negative-pairs",
+            "two-stage-per-class-over-disjoint-remainder"])
     def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime,
                                                                 section, error):
         """Every regime reads the pairing section and the label budget;
         baseline and online once trained past an unknown mode or a negative
         pair budget, and baseline past a label budget below 1 or above the
         training rows, which two-stage and online refused without naming
-        ``labels.per_class``."""
+        ``labels.per_class``.  A budget above the 40 records that 20 disjoint
+        pairs leave once read ``subset size 60 outside [1, 40]``."""
         cfg = write_config(tmp_path, **section)
         out = tmp_path / "out"
         assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2
@@ -720,6 +724,27 @@ class TestTrainEvalCommands:
         evald = float(capsys.readouterr().out.split("accuracy ")[1])
         assert evald == pytest.approx(reported, abs=5e-5)
 
+    @pytest.mark.parametrize("classes, flag, message", [
+        (3, [], "outside [0, 2)"),
+        (2, ["--class-count", "3"], "--class-count 3 differs from the checkpoint's class_count 2"),
+        (3, ["--class-count", "3"], "--class-count 3 differs from the checkpoint's class_count 2"),
+    ], ids=["three-class-data", "flag-above-checkpoint", "flag-fits-data"])
+    def test_eval_scores_only_labels_the_checkpoint_predicts(self, tmp_path, capsys, classes,
+                                                             flag, message):
+        """The eval data load with the checkpoint's class count.  A 2-class
+        checkpoint once scored 3-class data (accuracy 0.166667 in one run),
+        and any --class-count, and exited 0."""
+        doc = base_config()
+        ckpt = str(tmp_path / "m.ckpt")
+        save_model(build_model(doc, build_datasets(doc)[0], 0), ckpt, seed=0)
+        data = str(tmp_path / "eval.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=10, seed=3, class_count=classes), data)
+        assert cli_main(["eval", "--checkpoint", ckpt, "--data", data, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     @pytest.mark.parametrize("regime", ["two-stage", "baseline", "online"])
     def test_train_reruns_are_byte_identical(self, tmp_path, capsys, regime):
         cfg = write_config(tmp_path)
@@ -880,6 +905,26 @@ class TestSweepCompareCommands:
         cfg = write_config(tmp_path, compare={"trials": 1, key: 60})
         assert cli_main(["compare", "--config", cfg]) == 2
         assert f"error: unknown key compare.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"n1": [30, -4], "n2": [1, 70]}, "sweep.n1 must be at least 1, got -4"),
+        ({"n1": [30], "n2": [0, 1]}, "sweep.n2 must be at least 1, got 0"),
+        ({"n1": [30], "n2": [1, 100]}, "sweep.n2 100 exceeds the 80 training rows"),
+    ], ids=["n1-below-one", "n2-below-one", "n2-over-rows"])
+    def test_sweep_grid_is_checked_before_training(self, tmp_path, capsys, monkeypatch, grid,
+                                                   message):
+        """Each once trained cell (30, 1), or none, before exiting 2 with
+        ``subset size ... outside [1, 80]``, which names no key."""
+        import samediff.harness as harness
+
+        monkeypatch.setattr(harness, "train_two_stage", lambda *a: pytest.fail("a cell trained"))
+        cfg = write_config(tmp_path, sweep={**grid, "reps": 1})
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sweep_requires_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -143,6 +143,10 @@ class TestSweepSpec:
             SweepSpec(n1_values=(), n2_values=(2,), reps=1)
         with pytest.raises(ValueError, match="reps"):
             SweepSpec(n1_values=(10,), n2_values=(2,), reps=0)
+        with pytest.raises(ValueError, match="sweep.n1 must be at least 1, got -4"):
+            SweepSpec(n1_values=(30, -4), n2_values=(2,), reps=1)
+        with pytest.raises(ValueError, match="sweep.n2 must be at least 1, got 0"):
+            SweepSpec(n1_values=(30,), n2_values=(0, 1), reps=1)
 
 
 class TestRunSweep:
@@ -194,6 +198,9 @@ class TestRunSweep:
             assert not np.isin(labeled.ids, paired).any()
         with pytest.raises(ValueError, match="online pairing"):
             run_sweep(train, test, spec, factory, quick_cfg(), pairing=PairingConfig(mode="online"))
+        with pytest.raises(ValueError, match="label budget 80 exceeds the 60 records left"):
+            train_regimes(train, factory, quick_cfg(), replace(disjoint, n_pairs=30), 80,
+                          ("sampled",))
 
     def test_cell_stats_and_csv(self, tmp_path):
         train, test = blob_pair()

@@ -472,7 +472,7 @@ class TestSkippedBatches:
                                      replace(cfg, head_epochs=0))
             assert head.trace == [] and head.skipped_batches == 0
         elif stage == "step2":
-            run, epochs = train_step2(model, ds, cfg), cfg.head_epochs
+            run, epochs, n_train = train_step2(model, ds, cfg), cfg.head_epochs, len(ds)
         else:
             run = train_baseline_full(model, ds, cfg)
         planned = epochs * -(-n_train // cfg.batch_size)
