@@ -39,7 +39,7 @@ _ALLOWED: dict[str, set[str] | None] = {
     "dataset": {
         "kind", "n_per_class", "noise", "seed", "class_count", "path",
         "images", "labels", "test_path", "test_images", "test_labels",
-        "limit", "test_limit", "test_n_per_class",
+        "limit", "test_limit",
     },
     "model": {"hidden", "rep_dim", "radius", "binary_head"},
     "train": {f.name for f in fields(TrainConfig)},
@@ -161,10 +161,7 @@ def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]
         seed = _read(doc, "dataset.seed", int, 0)
         n_per_class = _read(doc, "dataset.n_per_class", int, 500)
         train = generate_synthetic(n_per_class=n_per_class, seed=seed, **common)
-        test = generate_synthetic(
-            n_per_class=_read(doc, "dataset.test_n_per_class", int, n_per_class),
-            seed=seed + 1, **common
-        )
+        test = generate_synthetic(n_per_class=n_per_class, seed=seed + 1, **common)
     elif kind in ("csv", "idx"):
         cc = _read(doc, "dataset.class_count", int)
         train = _load_one(doc, "path", "images", "labels", cc, "limit")

@@ -193,7 +193,16 @@ def run_sweep(
     """Two-stage training over the (n1, n2) grid: rep k of cell (n1, n2)
     runs the sampled regime on n1 pairs and n2 labels under the seed
     ``substream(train_cfg.seed, "sweep", n1, n2, k)``, so a rerun
-    reproduces every row exactly."""
+    reproduces every row exactly.
+
+    The whole grid is refused before any cell trains: each n1 is paired
+    once, so a budget its pairing mode cannot meet raises, and the largest
+    n2 must fit in the records that every n1 leaves to label."""
+    for n1 in spec.n1_values:
+        _, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n1))
+        if max(spec.n2_values) > len(label_pool):
+            raise ValueError(f"sweep.n2 {max(spec.n2_values)} exceeds the {len(label_pool)} "
+                             f"records that {n1} pairs leave to label")
     result = SweepResult(spec=spec)
     for n1 in spec.n1_values:
         for n2 in spec.n2_values:

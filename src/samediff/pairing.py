@@ -128,9 +128,7 @@ def _tri_codes(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _untaken(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Mask of the keys absent from the sorted array ``taken``."""
-    if not len(taken):
-        return np.ones(len(keys), dtype=bool)
+    """Mask of the keys absent from the nonempty sorted array ``taken``."""
     k = np.minimum(np.searchsorted(taken, keys), len(taken) - 1)
     return taken[k] != keys
 

@@ -15,7 +15,10 @@ skipped batches as planned, ceil(n / batch_size), minus stepped.  A regime
 supplies only an epoch body, which holds its batch loop and yields each
 stepped batch's (loss, weight), and a validation score or None.  Every
 mean over batches, train loss and online validation risk alike, is one
-``_weighted_mean``.
+``_weighted_mean``.  Stage 1, online training and the baseline hold out
+by one rule, ``_holdout``: floor(n * val_fraction) of their n pairs or
+rows whenever both sides stay nonempty, so ``val_fraction=0`` holds
+nothing out.
 
 Every regime trains through the model's one surface and steps with its
 one update, ``apply_grads``.  The pair stages push their feature adjoint
@@ -83,7 +86,10 @@ class TrainConfig:
     config's ``train`` keys, and ``asdict`` of it is a run's recorded config.
 
     ``pair_loss=None`` resolves to sqdist for a binary head and ncs
-    otherwise.
+    otherwise.  ``val_fraction`` is the share of its n items that stage 1,
+    online training and the baseline hold out, floor(n * val_fraction),
+    whenever both sides stay nonempty; 0 holds nothing out, and the head
+    stage never does.
     """
 
     batch_size: int = 128
@@ -156,24 +162,15 @@ class TrainRun:
         return asdict(self)
 
 
-def _split_pairs(pairs: PairDataset, cfg: TrainConfig) -> tuple[PairDataset, PairDataset | None]:
-    n = len(pairs)
+def _holdout(n: int, cfg: TrainConfig, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Kept and held-out positions of n items: the ("valsplit", kind)
+    substream holds out floor(n * val_fraction) of them whenever both sides
+    stay nonempty; otherwise every item is kept and none is held out."""
     n_val = int(n * cfg.val_fraction)
     if n_val < 1 or n - n_val < 1:
-        return pairs, None
-    perm = substream(cfg.seed, "valsplit", "pairs").permutation(n)
-    return pairs.take(perm[n_val:]), pairs.take(perm[:n_val])
-
-
-def _split_examples(
-    ds: FullyLabeledDataset, cfg: TrainConfig, class_count: int
-) -> tuple[FullyLabeledDataset, FullyLabeledDataset | None]:
-    n = len(ds)
-    n_val = int(n * cfg.val_fraction)
-    if n <= class_count or n_val < 1 or n - n_val < 1:
-        return ds, None
-    perm = substream(cfg.seed, "valsplit", "examples").permutation(n)
-    return ds.subset(perm[n_val:]), ds.subset(perm[:n_val])
+        return np.arange(n), None
+    perm = substream(cfg.seed, "valsplit", kind).permutation(n)
+    return perm[n_val:], perm[:n_val]
 
 
 def _weighted_mean(terms: Iterable[tuple[float, int]]) -> float:
@@ -223,15 +220,6 @@ def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule
     return run
 
 
-def _accuracy_score(model: TwoPartClassifier, val_ds: FullyLabeledDataset | None):
-    """Validation accuracy of the model with its head projected, or None."""
-    if val_ds is None:
-        return None
-    return lambda: float(np.mean(TwoPartClassifier(
-        model.hidden, model.radius, project_head(model.head, model.radius), model.class_count,
-    ).predict(val_ds.x) == val_ds.y))
-
-
 def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) -> TrainRun:
     """Stage 1: fit the hidden network on a materialized pair set.
 
@@ -240,7 +228,8 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
     at the end.
     """
     loss_name = cfg.resolved_pair_loss(model)
-    train_pairs, val_pairs = _split_pairs(pairs, cfg)
+    keep, held = _holdout(len(pairs), cfg, "pairs")
+    train_pairs, val_pairs = pairs.take(keep), None if held is None else pairs.take(held)
     if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
         val_pairs = None   # positive-free split cannot score this loss
     # Ids resolve to feature rows once.  Each epoch gathers its rows in one
@@ -323,7 +312,8 @@ def train_baseline_full(
     """Fully-supervised reference: joint SGD on all parameters."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    keep, held = _holdout(len(ds), cfg, "examples")
+    train_ds, val_ds = ds.subset(keep), None if held is None else ds.subset(held)
 
     def epoch_body(lr, perm):
         for lo in range(0, len(perm), cfg.batch_size):
@@ -334,8 +324,13 @@ def train_baseline_full(
             model.apply_grads(lr, hidden=model.backward_features(cache, du), head=(dw, db))
             yield loss, len(idx)
 
+    def accuracy():   # of the model with its head projected
+        return float(np.mean(TwoPartClassifier(
+            model.hidden, model.radius, project_head(model.head, model.radius),
+            model.class_count).predict(val_ds.x) == val_ds.y))
+
     run = _run_epochs("baseline", model, cfg, cfg.schedule, "baseline", len(train_ds),
-                      epoch_body, _accuracy_score(model, val_ds), maximize=True)
+                      epoch_body, None if val_ds is None else accuracy, maximize=True)
     model.project_head()
     return run
 
@@ -377,7 +372,8 @@ def train_online(
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
     loss_name = cfg.resolved_pair_loss(model)
-    train_ds, val_ds = _split_examples(ds, cfg, model.class_count)
+    keep, held = _holdout(len(ds), cfg, "examples")
+    train_ds, val_ds = ds.subset(keep), None if held is None else ds.subset(held)
     val_batches = [] if val_ds is None else [
         (val_ds.x.take(idx, axis=0), y)
         for idx, y in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]

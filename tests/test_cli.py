@@ -724,6 +724,32 @@ class TestTrainEvalCommands:
         evald = float(capsys.readouterr().out.split("accuracy ")[1])
         assert evald == pytest.approx(reported, abs=5e-5)
 
+    def test_idx_dataset_trains_and_evaluates(self, tmp_path, capsys):
+        """dataset.images/labels/test_images/test_labels load through
+        load_idx, and eval --images/--labels scores the checkpoint on the
+        test files as train did."""
+        rng = np.random.default_rng(5)
+        paths = {}
+        for split in ("", "test_"):
+            labels = np.repeat(np.arange(2, dtype=np.uint8), 20)
+            pixels = 60 + 120 * labels[:, None, None] + rng.integers(0, 40, size=(40, 2, 3))
+            paths[f"{split}images"] = str(tmp_path / f"{split}images.idx")
+            paths[f"{split}labels"] = str(tmp_path / f"{split}labels.idx")
+            (tmp_path / f"{split}images.idx").write_bytes(
+                struct.pack(">llll", 2051, 40, 2, 3) + pixels.astype(np.uint8).tobytes())
+            (tmp_path / f"{split}labels.idx").write_bytes(
+                struct.pack(">ll", 2049, 40) + labels.tobytes())
+        cfg = write_config(tmp_path, dataset={"kind": "idx", "class_count": 2, **paths})
+        out_dir = tmp_path / "run"
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+        reported = float(capsys.readouterr().out.split("test accuracy ")[1].split(";")[0])
+        model, _ = load_model(str(out_dir / "model.ckpt"))
+        assert model.hidden.in_dim == 6
+        assert cli_main(["eval", "--checkpoint", str(out_dir / "model.ckpt"),
+                         "--images", paths["test_images"], "--labels", paths["test_labels"]]) == 0
+        evald = float(capsys.readouterr().out.split("accuracy ")[1])
+        assert evald == pytest.approx(reported, abs=5e-5)
+
     @pytest.mark.parametrize("classes, flag, message", [
         (3, [], "outside [0, 2)"),
         (2, ["--class-count", "3"], "--class-count 3 differs from the checkpoint's class_count 2"),
@@ -906,19 +932,27 @@ class TestSweepCompareCommands:
         assert cli_main(["compare", "--config", cfg]) == 2
         assert f"error: unknown key compare.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid, message", [
-        ({"n1": [30, -4], "n2": [1, 70]}, "sweep.n1 must be at least 1, got -4"),
-        ({"n1": [30], "n2": [0, 1]}, "sweep.n2 must be at least 1, got 0"),
-        ({"n1": [30], "n2": [1, 100]}, "sweep.n2 100 exceeds the 80 training rows"),
-    ], ids=["n1-below-one", "n2-below-one", "n2-over-rows"])
+    @pytest.mark.parametrize("grid, extra, message", [
+        ({"n1": [30, -4], "n2": [1, 70]}, {}, "sweep.n1 must be at least 1, got -4"),
+        ({"n1": [30], "n2": [0, 1]}, {}, "sweep.n2 must be at least 1, got 0"),
+        ({"n1": [30], "n2": [1, 100]}, {},
+         "sweep.n2 100 exceeds the 80 records that 30 pairs leave to label"),
+        ({"n1": [5, 30], "n2": [30]}, {"pairing": {"mode": "disjoint", "n_pairs": 5}},
+         "sweep.n2 30 exceeds the 20 records that 30 pairs leave to label"),
+        ({"n1": [30, 5000], "n2": [2]},
+         {"dataset": {"kind": "blobs", "n_per_class": 20, "noise": 0.5, "seed": 0}},
+         "insufficient examples: 5000 pairs requested, only 780 distinct pairs exist"),
+    ], ids=["n1-below-one", "n2-below-one", "n2-over-rows", "n2-over-disjoint-remainder",
+            "n1-over-sampled-pairs"])
     def test_sweep_grid_is_checked_before_training(self, tmp_path, capsys, monkeypatch, grid,
-                                                   message):
-        """Each once trained cell (30, 1), or none, before exiting 2 with
-        ``subset size ... outside [1, 80]``, which names no key."""
+                                                   extra, message):
+        """Each once trained cell (30, 1), (5, 30) or (30, 2), or none,
+        before exiting 2; the over-budget cells' messages named no key or
+        came only when the later cell started."""
         import samediff.harness as harness
 
         monkeypatch.setattr(harness, "train_two_stage", lambda *a: pytest.fail("a cell trained"))
-        cfg = write_config(tmp_path, sweep={**grid, "reps": 1})
+        cfg = write_config(tmp_path, sweep={**grid, "reps": 1}, **extra)
         out = tmp_path / "out"
         assert cli_main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()

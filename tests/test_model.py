@@ -8,9 +8,11 @@ from samediff import (
     Layer,
     LinearHead,
     TwoPartClassifier,
+    load_model,
     phi_backward,
     phi_normalize,
     project_head,
+    save_model,
     substream,
 )
 
@@ -254,6 +256,30 @@ class TestTwoPartClassifier:
             ]:
                 assert rel_err(analytic, numeric_grad(objective, arr)) < 1e-6
             checked += 1
+
+    def test_identity_inner_layer_matches_finite_differences(self, tmp_path):
+        """A checkpoint may store an inner layer with activation code 0: its
+        forward pass copies the preactivation into the next layer's input."""
+        rng = np.random.default_rng(7)
+        model = tiny_model(rng, in_dim=3, hidden=(4,), rep_dim=3)
+        model.hidden.layers[0].activation = "identity"
+        save_model(model, str(tmp_path / "model.ckpt"))
+        model, _ = load_model(str(tmp_path / "model.ckpt"))
+        assert [l.activation for l in model.hidden.layers] == ["identity", "identity"]
+        x = rng.normal(size=(5, 3))
+        assert far_from_kinks(model, x)
+        np.testing.assert_allclose(model.hidden.forward(x), naive_forward(model.hidden.layers, x),
+                                   rtol=1e-12)
+        adj = rng.normal(size=(5, 1))
+
+        def objective():
+            return float(np.sum(adj * model.head.scores(model.features(x))))
+
+        u, cache = model.features_cached(x)
+        _, _, du = model.head.backward(u, adj)
+        layer_grads = model.backward_features(cache, du)
+        for layer, dwb in zip(model.hidden.layers, layer_grads):
+            assert rel_err(dwb, numeric_grad(objective, layer.wb)) < 1e-6
 
     def test_clone_and_params_equal(self):
         model = tiny_model(np.random.default_rng(3))

@@ -332,6 +332,15 @@ class TestSampledOracle:
             cfg = PairingConfig(n_pairs=n_pairs, class_batch_size=m, seed=int(rng.integers(2**31)))
             assert_pairs_equal(pair_sampled(ds, cfg), reference_pair_sampled(ds, cfg))
 
+    def test_single_record_classes_stall(self):
+        """With one record per class and one class per batch, no pool holds a
+        pair: 50 empty pools stall the class batches, then the whole dataset
+        pools."""
+        rng = np.random.default_rng(9)
+        ds = FullyLabeledDataset.from_arrays(rng.normal(size=(9, 2)), rng.permutation(9), 9)
+        cfg = PairingConfig(n_pairs=20, class_batch_size=1, seed=9)
+        assert_pairs_equal(pair_sampled(ds, cfg), reference_pair_sampled(ds, cfg))
+
     @pytest.mark.parametrize("n,classes,m,fraction", [
         (150, 2, 1, 1.0),     # stall, whole-dataset pool, complement tail
         (200, 4, 2, 0.9),     # small enumerated class pools

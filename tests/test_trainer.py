@@ -407,6 +407,38 @@ class TestTrainRunBookkeeping:
         }
 
 
+class TestHoldout:
+    def test_one_row_per_class_holds_one_out(self, monkeypatch):
+        """Twelve classes of one row each: online training and the baseline
+        hold out int(12 / 12) = 1 row and train on 11, as they do on 13 rows.
+        A set no larger than its class count once held nothing out.
+        ``val_fraction=0`` holds nothing out."""
+        import samediff.trainer as trainer
+
+        seen = []
+        run_epochs = trainer._run_epochs
+
+        def recorded(stage, model, cfg, schedule, tag, n, *args, **kwargs):
+            seen.append((stage, n))
+            return run_epochs(stage, model, cfg, schedule, tag, n, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_run_epochs", recorded)
+        ds = generate_synthetic("blobs", n_per_class=1, noise=0.5, seed=3, class_count=12)
+        cfg = TrainConfig(seed=3, schedule=((0.1, 2),), head_epochs=1)
+        online, _ = train_online(fresh_model(3, class_count=12), ds, ds, cfg)
+        baseline = train_baseline_full(fresh_model(3, class_count=12), ds, cfg)
+        assert seen == [("step1-online", 11), ("step2", 12), ("baseline", 11)]
+        assert online.max_pair_buffer == 11 * 10 // 2
+        assert [rec.val_metric for rec in online.trace] == [None, None]   # one row, no pair
+        assert all(rec.val_metric in (0.0, 1.0) for rec in baseline.trace)
+        seen.clear()
+        cfg = replace(cfg, val_fraction=0.0)
+        train_online(fresh_model(3, class_count=12), ds, ds, cfg)
+        baseline = train_baseline_full(fresh_model(3, class_count=12), ds, cfg)
+        assert seen == [("step1-online", 12), ("step2", 12), ("baseline", 12)]
+        assert [rec.val_metric for rec in baseline.trace] == [None, None]
+
+
 class TestSkippedBatches:
     """``TrainRun.skipped_batches`` counts the training batches that took no
     step; validation batches and the head stage count none."""
