@@ -12,6 +12,7 @@ wall-clock timings and is the one output excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -257,7 +258,10 @@ def _cmd_bound(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: each subcommand's
+    handler is bound here and reads the module's globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="samediff",
         description="Train and audit classifiers built from same/different pair labels.",

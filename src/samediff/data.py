@@ -194,23 +194,37 @@ class PairDataset:
         return _distinct(np.concatenate([self.a_ids, self.b_ids]))
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions of both pair sides in the source's feature array."""
+        """Row positions of both pair sides in the source's feature array.
+
+        They are resolved on the first call and kept, read-only, like the
+        source's ``_id_order``; an unknown id raises ``KeyError`` here.
+        """
         if self.source is None:
             raise ValueError("pair collection has no feature source attached")
-        return self.source.positions_of(self.a_ids), self.source.positions_of(self.b_ids)
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        return (_freeze(self.source.positions_of(self.a_ids)),
+                _freeze(self.source.positions_of(self.b_ids)))
 
     def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialize (features_a, features_b, t) through the source."""
         pa, pb = self.positions()
         x = self.source.x
-        return x[pa], x[pb], np.asarray(self.t, dtype=np.int64)
+        return x.take(pa, axis=0), x.take(pb, axis=0), np.asarray(self.t, dtype=np.int64)
 
     def take(self, positions: np.ndarray) -> "PairDataset":
+        """The pairs at the given positions, on the same source; rows already
+        resolved carry over, and nothing is resolved here."""
         positions = np.asarray(positions, dtype=np.int64)
-        return PairDataset(
+        sub = PairDataset(
             a_ids=self.a_ids[positions], b_ids=self.b_ids[positions],
             t=self.t[positions], source=self.source,
         )
+        if "_positions" in self.__dict__:
+            sub.__dict__["_positions"] = tuple(_freeze(p[positions]) for p in self._positions)
+        return sub
 
 
 def validate_dataset(ds: FullyLabeledDataset) -> list[str]:

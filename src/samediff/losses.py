@@ -300,13 +300,15 @@ def empirical_risk_pairs(
     """Pair risk of the model over a whole pair set, uniform 1/n weighting.
 
     For the batch-level losses the entire set is the batch: per-pair values
-    are computed chunk by chunk and reduced once at the end.
+    are computed chunk by chunk and reduced once at the end.  The set's ids
+    resolve once, on its first scoring, and every chunk carries its rows.
     """
     if loss not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {loss!r}")
     n = len(pairs)
     if n == 0:
         raise ValueError("empty pair set")
+    pairs.positions()
     values = []
     for lo in range(0, n, _RISK_CHUNK):
         part = pairs.take(np.arange(lo, min(lo + _RISK_CHUNK, n)))

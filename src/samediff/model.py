@@ -28,6 +28,16 @@ back to the network as its one spare for the next call of that row count.
 Returned gradients are always fresh arrays.  Like ``pair_risk_batch``, the
 surface is not reentrant across threads.
 
+Inference is separate from that workspace.  ``HiddenNetwork.forward``, and
+through it ``features``, ``predict`` and every validation and accuracy
+pass, walks its rows in blocks of ``_EVAL_ROWS`` through one workspace of
+its own, built per call and never the training spare, and writes one
+(n, out_dim) output; a batch of at most one block is one ``forward_cached``
+call.  Each block's buffers stay in cache where a whole large batch would
+write fresh ones of n rows.  Blocking changes no row's arithmetic, but the
+BLAS picks its kernel by matrix size, so a batch above one block can round
+apart from a single whole-batch pass in the last bit.
+
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
 (r/||v||) (I - v v^T / ||v||^2), so finite-difference checks can hold to
@@ -55,6 +65,10 @@ NORM_EPSILON = 1e-12   # below this the activation counts as degenerate
 NORM_FLOOR = 1e-8      # added to degenerate norms
 
 _ACTIVATIONS = ("identity", "relu")
+
+# Rows per inference block.  Of 1,024, 2,048 and 4,096, 1,024 measured
+# fastest for predict on 20,000 rows with hidden [32] (one thread).
+_EVAL_ROWS = 1024
 
 
 class Layer:
@@ -147,8 +161,30 @@ class HiddenNetwork:
     def out_dim(self) -> int:
         return self.layers[-1].wb.shape[1]
 
+    def _batch(self, x) -> np.ndarray:
+        """x as a float64 (n, in_dim) batch, or a ValueError."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError("forward expects a (n, d) batch")
+        if x.shape[1] != self.in_dim:
+            raise ValueError(
+                f"feature dimension mismatch: model expects {self.in_dim}, got {x.shape[1]}"
+            )
+        return x
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x)
+        """Network output of a (n, d) batch, checked once and computed
+        ``_EVAL_ROWS`` rows at a time, each block one ``forward_cached`` call
+        into one workspace; the training spare is not touched.  A batch of
+        at most one block comes back as that call's output.
+        """
+        x = self._batch(x)
+        if len(x) <= _EVAL_ROWS:
+            return self.forward_cached(x)[0]
+        out, ws = np.empty((len(x), self.out_dim)), None
+        for lo in range(0, len(x), _EVAL_ROWS):
+            v, ws = self.forward_cached(x[lo:lo + _EVAL_ROWS], ws)
+            out[lo:lo + _EVAL_ROWS] = v
         return out
 
     def forward_cached(
@@ -161,13 +197,7 @@ class HiddenNetwork:
         ``a @ wb`` adds the bias inside the matmul; an inner layer's
         activation writes straight into the next layer's input.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("forward expects a (n, d) batch")
-        if x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"feature dimension mismatch: model expects {self.in_dim}, got {x.shape[1]}"
-            )
+        x = self._batch(x)
         if ws is None or ws.n != len(x):
             ws = _Workspace(self.layers, len(x))
         ws.inputs[0][:, :-1] = x

@@ -1,8 +1,11 @@
 """Command-line interface and run-config validation."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -156,6 +159,25 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "verify-theory" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        """The parser is built once per process; a usage error leaves it
+        fit for the next call, and handlers still read the module's globals."""
+        import samediff.cli as cli_mod
+        assert cli_mod.build_parser() is cli_mod.build_parser()
+        argv = ["bound", "--t", "1", "--r", "1", "--n2", "100", "--delta", "0.1"]
+        assert cli_main(["bound", "--t", "1"]) == 1
+        assert cli_main(argv) == 0
+        in_process = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        fresh = subprocess.run([sys.executable, "-m", "samediff", *argv], capture_output=True,
+                               text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert in_process == fresh.stdout
+        assert cli_main(["--help"]) == 0
+        assert "verify-theory" in capsys.readouterr().out
+        monkeypatch.setattr(cli_mod, "generalization_bound", lambda *args: 0.25)
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == "0.25\n"
 
     def test_missing_file_is_data_error(self, capsys):
         assert cli_main(["train", "--config", "/nonexistent/run.json"]) == 2

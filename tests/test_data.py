@@ -169,6 +169,33 @@ class TestPairDataset:
         np.testing.assert_array_equal(sub.t, [0, 1])
         assert sub.source is pairs.source
 
+    def test_positions_resolve_once_read_only(self):
+        ds = self._ds()
+        pairs = PairDataset.build([3, 1, 2], [2, 4, 4], [0, 0, 1], source=ds)
+        pa, pb = pairs.positions()
+        np.testing.assert_array_equal(pa, ds.positions_of(pairs.a_ids))
+        np.testing.assert_array_equal(pb, ds.positions_of(pairs.b_ids))
+        assert not pa.flags.writeable and not pb.flags.writeable
+        again = pairs.positions()
+        assert again[0] is pa and again[1] is pb
+
+    def test_take_carries_resolved_rows(self):
+        ds = self._ds()
+        pairs = PairDataset.build([1, 1, 2, 3], [2, 3, 4, 4], [1, 0, 0, 1], source=ds)
+        pairs.positions()
+        sub = pairs.take(np.array([3, 0, 3]))
+        fresh = PairDataset(sub.a_ids, sub.b_ids, sub.t, source=ds)
+        for got, want in zip(sub.positions(), fresh.positions(), strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_unknown_id_raises_on_resolution_not_take(self):
+        pairs = PairDataset.build([1, 9], [2, 4], [1, 0], source=self._ds())
+        sub = pairs.take(np.array([1, 0]))
+        for call in (sub.positions, sub.gather, pairs.gather):
+            with pytest.raises(KeyError, match="unknown example id 9"):
+                call()
+
     def test_participant_ids_sorted_unique(self):
         pairs = PairDataset.build([1, 2], [4, 4], [0, 1])
         np.testing.assert_array_equal(pairs.participant_ids(), [1, 2, 4])

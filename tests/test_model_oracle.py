@@ -11,6 +11,14 @@ The shipped trainers run once on a shipped model and once on a frozen copy
 of it.  Folding the bias into each layer's matmul changes floating-point
 summation order, so every parameter array must agree to 1e-12 relative in
 norm and every trace field to 1e-12 relative; ``best_epoch`` must be equal.
+
+``frozen_whole_forward`` keeps inference as it stood before it ran in
+blocks of ``_EVAL_ROWS`` rows: the whole batch in one pass.  A batch of at
+most one block must match it bit for bit.  A larger one must match it bit
+for bit on each block; against the whole batch at once it may round apart,
+because the BLAS picks its kernel by matrix size (a one-row block takes
+gemv, and OpenBLAS leaves its small-matrix kernel above m*k*n = 10^6), so
+there it must agree to 1e-12 and predict the same classes.
 """
 
 import numpy as np
@@ -31,7 +39,7 @@ from samediff import (
     train_step1,
 )
 from samediff.data import FullyLabeledDataset
-from samediff.model import NORM_EPSILON, NORM_FLOOR
+from samediff.model import _EVAL_ROWS, NORM_EPSILON, NORM_FLOOR, phi_normalize
 from conftest import augmented, param_arrays
 
 TOL = 1e-12
@@ -227,3 +235,62 @@ def test_baseline_matches_frozen_model(augment, head_loss, classes):
     run, ref_run = train_baseline_full(model, ds, cfg), train_baseline_full(ref, ds, cfg)
     assert run.best_epoch is not None
     assert_runs_match(model, ref, [run], [ref_run])
+
+
+def frozen_whole_forward(net, x):
+    """The network output in one pass over the whole batch, each layer input
+    carrying a trailing ones column."""
+    a = np.empty((len(x), net.in_dim + 1))
+    a[:, :-1], a[:, -1] = x, 1.0
+    for i, layer in enumerate(net.layers):
+        z = a @ layer.wb
+        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if i + 1 == len(net.layers):
+            return v
+        a = np.empty((len(x), z.shape[1] + 1))
+        a[:, :-1], a[:, -1] = v, 1.0
+
+
+def frozen_inference(model, v):
+    """(features, predictions) from network outputs v, by the shipped phi
+    and head, which blocking leaves as they were."""
+    u = phi_normalize(v, model.radius)
+    s = model.head.scores(u)
+    pred = (s[:, 0] > 0.0) if model.head.binary else np.argmax(s, axis=1)
+    return u, pred.astype(np.int64)
+
+
+B = _EVAL_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3, 20_000])
+@pytest.mark.parametrize("hidden, rep_dim", [([32], 2), ([16, 16], 2), ([32], 8)])
+def test_blocked_inference_matches_whole_batch_forward(hidden, rep_dim, n):
+    model = TwoPartClassifier.build(2, hidden, rep_dim, 4, rng=substream(3, "init"))
+    rng = np.random.default_rng(n)
+    x = 2.0 * rng.normal(size=(n, 2))
+    x[rng.permutation(n)[:n // 50 + 1]] = 0.0   # zero rows at zero biases: phi floors them
+    v = model.hidden.forward(x)
+    assert v.shape == (n, rep_dim)
+    assert n == 0 or np.linalg.norm(v[~x.any(axis=1)], axis=1).max() < NORM_EPSILON
+    whole = frozen_whole_forward(model.hidden, x)
+    # up to n = B the one block is the whole batch
+    blocks = np.concatenate([whole[:0]] + [frozen_whole_forward(model.hidden, x[lo:lo + B])
+                                           for lo in range(0, n, B)])
+    u, pred = frozen_inference(model, blocks)
+    assert v.tobytes() == blocks.tobytes()
+    assert model.features(x).tobytes() == u.tobytes()
+    assert model.predict(x).tobytes() == pred.tobytes()
+    np.testing.assert_allclose(v, whole, rtol=TOL, atol=TOL)
+    np.testing.assert_array_equal(model.predict(x), frozen_inference(model, whole)[1])
+
+
+@pytest.mark.parametrize("n", [0, 3, B + 1])
+def test_blocked_inference_keeps_its_input_errors(n):
+    model = TwoPartClassifier.build(2, [32], 2, 4, rng=substream(3, "init"))
+    for call in (model.hidden.forward, model.features, model.predict):
+        with pytest.raises(ValueError, match=r"^forward expects a \(n, d\) batch$"):
+            call(np.zeros(n))
+        with pytest.raises(ValueError, match="^feature dimension mismatch: model expects 2, "
+                                             "got 3$"):
+            call(np.zeros((n, 3)))
