@@ -215,16 +215,13 @@ class PairDataset:
         return x.take(pa, axis=0), x.take(pb, axis=0), np.asarray(self.t, dtype=np.int64)
 
     def take(self, positions: np.ndarray) -> "PairDataset":
-        """The pairs at the given positions, on the same source; rows already
-        resolved carry over, and nothing is resolved here."""
+        """The pairs at the given positions, on the same source; nothing is
+        resolved here."""
         positions = np.asarray(positions, dtype=np.int64)
-        sub = PairDataset(
+        return PairDataset(
             a_ids=self.a_ids[positions], b_ids=self.b_ids[positions],
             t=self.t[positions], source=self.source,
         )
-        if "_positions" in self.__dict__:
-            sub.__dict__["_positions"] = tuple(_freeze(p[positions]) for p in self._positions)
-        return sub
 
 
 def validate_dataset(ds: FullyLabeledDataset) -> list[str]:

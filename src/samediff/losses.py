@@ -60,8 +60,6 @@ __all__ = [
 PAIR_LOSSES = ("sqdist", "ncs", "contrastive", "mse")
 HEAD_LOSSES = ("hinge", "xent")
 
-_RISK_CHUNK = 8192
-
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner products <a_i, b_i>; cheaper than np.sum(a * b, axis=1)
@@ -299,20 +297,15 @@ def empirical_risk_pairs(
 ) -> float:
     """Pair risk of the model over a whole pair set, uniform 1/n weighting.
 
-    For the batch-level losses the entire set is the batch: per-pair values
-    are computed chunk by chunk and reduced once at the end.  The set's ids
-    resolve once, on its first scoring, and every chunk carries its rows.
+    For the batch-level losses the entire set is the batch: one gather and
+    one ``features`` pass per side, whose rows the model walks in its own
+    inference blocks, then one reduction.  The set's ids resolve once, on
+    its first scoring.
     """
     if loss not in PAIR_LOSSES:
         raise ValueError(f"unknown pair loss {loss!r}")
-    n = len(pairs)
-    if n == 0:
+    if len(pairs) == 0:
         raise ValueError("empty pair set")
-    pairs.positions()
-    values = []
-    for lo in range(0, n, _RISK_CHUNK):
-        part = pairs.take(np.arange(lo, min(lo + _RISK_CHUNK, n)))
-        xa, xb, _ = part.gather()
-        values.append(_pair_values(loss, model.features(xa), model.features(xb)))
-    t = np.asarray(pairs.t, dtype=np.int64)
-    return _reduce_pair_values(loss, np.concatenate(values), t, model.radius, beta)[0]
+    xa, xb, t = pairs.gather()
+    values = _pair_values(loss, model.features(xa), model.features(xb))
+    return _reduce_pair_values(loss, values, t, model.radius, beta)[0]

@@ -28,15 +28,16 @@ back to the network as its one spare for the next call of that row count.
 Returned gradients are always fresh arrays.  Like ``pair_risk_batch``, the
 surface is not reentrant across threads.
 
-Inference is separate from that workspace.  ``HiddenNetwork.forward``, and
-through it ``features``, ``predict`` and every validation and accuracy
-pass, walks its rows in blocks of ``_EVAL_ROWS`` through one workspace of
-its own, built per call and never the training spare, and writes one
-(n, out_dim) output; a batch of at most one block is one ``forward_cached``
-call.  Each block's buffers stay in cache where a whole large batch would
-write fresh ones of n rows.  Blocking changes no row's arithmetic, but the
-BLAS picks its kernel by matrix size, so a batch above one block can round
-apart from a single whole-batch pass in the last bit.
+Inference is separate from that workspace, and the model alone bounds its
+memory: nothing outside it chunks.  ``HiddenNetwork.forward``, and through
+it ``features``, ``predict``, the whole-set pair risk and every validation
+and accuracy pass, walks its rows in blocks of ``_EVAL_ROWS`` through one
+workspace of its own, built per call and never the training spare, and
+writes one (n, out_dim) output.  Each block's buffers stay in cache where a
+whole large batch would write fresh ones of n rows.  Blocking changes no
+row's arithmetic, but the BLAS picks its kernel by matrix size, so a batch
+above one block can round apart from a single whole-batch pass in the last
+bit.
 
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
@@ -175,12 +176,10 @@ class HiddenNetwork:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network output of a (n, d) batch, checked once and computed
         ``_EVAL_ROWS`` rows at a time, each block one ``forward_cached`` call
-        into one workspace; the training spare is not touched.  A batch of
-        at most one block comes back as that call's output.
+        into one workspace, into one fresh (n, out_dim) output; the training
+        spare is not touched.
         """
         x = self._batch(x)
-        if len(x) <= _EVAL_ROWS:
-            return self.forward_cached(x)[0]
         out, ws = np.empty((len(x), self.out_dim)), None
         for lo in range(0, len(x), _EVAL_ROWS):
             v, ws = self.forward_cached(x[lo:lo + _EVAL_ROWS], ws)

@@ -18,7 +18,8 @@ mean over batches, train loss and online validation risk alike, is one
 ``_weighted_mean``.  Stage 1, online training and the baseline hold out
 by one rule, ``_holdout``: floor(n * val_fraction) of their n pairs or
 rows whenever both sides stay nonempty, so ``val_fraction=0`` holds
-nothing out.
+nothing out; a held-out split that would score nothing goes back to
+training.
 
 Every regime trains through the model's one surface and steps with its
 one update, ``apply_grads``.  The pair stages push their feature adjoint
@@ -88,8 +89,8 @@ class TrainConfig:
     ``pair_loss=None`` resolves to sqdist for a binary head and ncs
     otherwise.  ``val_fraction`` is the share of its n items that stage 1,
     online training and the baseline hold out, floor(n * val_fraction),
-    whenever both sides stay nonempty; 0 holds nothing out, and the head
-    stage never does.
+    whenever both sides stay nonempty and the split can be scored; 0 holds
+    nothing out, and the head stage never does.
     """
 
     batch_size: int = 128
@@ -165,7 +166,8 @@ class TrainRun:
 def _holdout(n: int, cfg: TrainConfig, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Kept and held-out positions of n items: the ("valsplit", kind)
     substream holds out floor(n * val_fraction) of them whenever both sides
-    stay nonempty; otherwise every item is kept and none is held out."""
+    stay nonempty; otherwise every item is kept and none is held out.  A
+    trainer whose held-out items would score nothing keeps them all too."""
     n_val = int(n * cfg.val_fraction)
     if n_val < 1 or n - n_val < 1:
         return np.arange(n), None
@@ -225,13 +227,14 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
 
     Only hidden-layer parameters move.  When enough pairs exist, a held-out
     fraction tracks validation pair risk and the best snapshot is restored
-    at the end.
+    at the end.  Under contrastive, a held-out split without a same-class
+    pair cannot be scored, so its pairs train.
     """
     loss_name = cfg.resolved_pair_loss(model)
     keep, held = _holdout(len(pairs), cfg, "pairs")
+    if held is not None and loss_name == "contrastive" and not np.any(pairs.t[held] == 1):
+        keep, held = np.arange(len(pairs)), None   # a positive-free split scores nothing
     train_pairs, val_pairs = pairs.take(keep), None if held is None else pairs.take(held)
-    if val_pairs is not None and loss_name == "contrastive" and not np.any(val_pairs.t == 1):
-        val_pairs = None   # positive-free split cannot score this loss
     # Ids resolve to feature rows once.  Each epoch gathers its rows in one
     # take, batch by batch as [a-sides; b-sides], so every batch is one
     # contiguous slice that takes one forward and one backward pass.
@@ -366,17 +369,18 @@ def train_online(
     features whole, which returns the gradient at its rows, and one
     backward pass.  Validation walks fixed-order batches of the held-out
     examples the same way and averages their pair risk; when none of them
-    can be scored, the stage has no validation split and its final
-    parameters stand.
+    can be scored, they train too, so the stage has no validation split
+    and its final parameters stand.
     """
     if len(ds) < 2:
         raise ValueError("online training needs at least 2 examples")
     loss_name = cfg.resolved_pair_loss(model)
     keep, held = _holdout(len(ds), cfg, "examples")
-    train_ds, val_ds = ds.subset(keep), None if held is None else ds.subset(held)
-    val_batches = [] if val_ds is None else [
-        (val_ds.x.take(idx, axis=0), y)
-        for idx, y in _online_batches(val_ds, np.arange(len(val_ds)), cfg, loss_name)]
+    val_batches = [] if held is None else [
+        (ds.x.take(idx, axis=0), y) for idx, y in _online_batches(ds, held, cfg, loss_name)]
+    if not val_batches:   # no held-out batch to score: no split
+        keep = np.arange(len(ds))
+    train_ds = ds.subset(keep)
     peak = 0
 
     def epoch_body(lr, perm):

@@ -86,6 +86,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="missing required section 'dataset'"):
             validate_config({"version": 1})
 
+    @pytest.mark.parametrize("root", [[], [1, 2], 3, "run", None])
+    def test_root_must_be_object(self, tmp_path, root):
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps(root))
+        with pytest.raises(ConfigError, match=r"^configuration root must be an object$"):
+            load_config(str(path))
+
     def test_sections_must_be_objects(self):
         with pytest.raises(ConfigError, match="section 'train' must be an object"):
             validate_config({"version": 1, "dataset": {}, "train": 3})
@@ -114,6 +121,24 @@ class TestConfigBuilders:
     def test_csv_dataset_paths_required(self):
         with pytest.raises(ConfigError, match="paths missing"):
             build_datasets({"version": 1, "dataset": {"kind": "csv", "path": None}})
+
+    def test_csv_limits_keep_first_rows(self, tmp_path):
+        """dataset.limit and dataset.test_limit keep each file's first rows;
+        a limit above the row count keeps every row."""
+        train_csv, test_csv = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=4, seed=0), train_csv)
+        save_csv(generate_synthetic("blobs", n_per_class=4, seed=1), test_csv)
+        full_train, full_test = load_csv(train_csv, 2), load_csv(test_csv, 2)
+        for limits, (n_train, n_test) in (({"limit": 5, "test_limit": 3}, (5, 3)),
+                                          ({"limit": 9, "test_limit": 100}, (8, 8))):
+            doc = {"version": 1, "dataset": {"kind": "csv", "path": train_csv,
+                                             "test_path": test_csv, "class_count": 2, **limits}}
+            train, test = build_datasets(doc)
+            for got, full, n in ((train, full_train, n_train), (test, full_test, n_test)):
+                assert len(got) == n
+                np.testing.assert_array_equal(got.ids, full.ids[:n])
+                np.testing.assert_array_equal(got.x, full.x[:n])
+                np.testing.assert_array_equal(got.y, full.y[:n])
 
     def test_unknown_dataset_kind(self):
         with pytest.raises(ConfigError, match="unknown dataset kind 'mnist'"):
@@ -183,6 +208,16 @@ class TestExitCodes:
         assert cli_main(["train", "--config", "/nonexistent/run.json"]) == 2
         assert cli_main(["eval", "--checkpoint", "/nonexistent/m.ckpt"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("data", [[], ["--images", "x.idx"], ["--labels", "y.idx"]],
+                             ids=["none", "images-only", "labels-only"])
+    def test_eval_without_data_is_data_error(self, tmp_path, capsys, data):
+        doc = base_config()
+        path = tmp_path / "m.ckpt"
+        save_model(build_model(doc, build_datasets(doc)[0], 0), str(path), seed=0)
+        assert cli_main(["eval", "--checkpoint", str(path), *data]) == 2
+        assert capsys.readouterr().err == (
+            "error: no evaluation data given: use --data or --images/--labels\n")
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

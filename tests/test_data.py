@@ -105,6 +105,13 @@ class TestFullyLabeledDataset:
 
 
 class TestValidateDataset:
+    @pytest.mark.parametrize("x, y, problem", [
+        (np.ones(3), [0, 1, 0], "features must form a 2-d array, got 1-d"),
+        (np.ones((3, 2)), [0, 1], "ids, features and labels must have matching lengths"),
+    ], ids=["1-d-features", "mismatched-lengths"])
+    def test_shape_problems_reported(self, x, y, problem):
+        assert validate_dataset(FullyLabeledDataset.from_arrays(x, y, 2)) == [problem]
+
     def test_clean_dataset_has_no_violations(self):
         ds = FullyLabeledDataset.from_arrays(np.ones((4, 2)), [0, 1, 0, 1], 2)
         assert validate_dataset(ds) == []
@@ -140,6 +147,13 @@ class TestPairDataset:
         pairs = PairDataset.build([4, 1], [2, 3], [0, 0])
         np.testing.assert_array_equal(pairs.a_ids, [2, 1])
         np.testing.assert_array_equal(pairs.b_ids, [4, 3])
+
+    @pytest.mark.parametrize("a, b, t", [
+        ([1, 2], [3], [0, 1]), ([1], [3], [0, 1]), ([[1]], [3], [0]),
+    ], ids=["b-short", "t-long", "a-2d"])
+    def test_sides_of_different_shapes_refused(self, a, b, t):
+        with pytest.raises(ValueError, match=r"^pair arrays must share one shape$"):
+            PairDataset(a_ids=np.array(a), b_ids=np.array(b), t=np.array(t))
 
     def test_build_rejects_self_pairs(self):
         with pytest.raises(ValueError, match="self-pairs"):
@@ -179,14 +193,11 @@ class TestPairDataset:
         again = pairs.positions()
         assert again[0] is pa and again[1] is pb
 
-    def test_take_carries_resolved_rows(self):
-        ds = self._ds()
-        pairs = PairDataset.build([1, 1, 2, 3], [2, 3, 4, 4], [1, 0, 0, 1], source=ds)
-        pairs.positions()
+    def test_take_resolves_to_parent_rows(self):
+        pairs = PairDataset.build([1, 1, 2, 3], [2, 3, 4, 4], [1, 0, 0, 1], source=self._ds())
         sub = pairs.take(np.array([3, 0, 3]))
-        fresh = PairDataset(sub.a_ids, sub.b_ids, sub.t, source=ds)
-        for got, want in zip(sub.positions(), fresh.positions(), strict=True):
-            np.testing.assert_array_equal(got, want)
+        for got, parent in zip(sub.positions(), pairs.positions(), strict=True):
+            np.testing.assert_array_equal(got, parent[[3, 0, 3]])
             assert not got.flags.writeable
 
     def test_unknown_id_raises_on_resolution_not_take(self):

@@ -465,13 +465,13 @@ class TestEmpiricalRisks:
         return FullyLabeledDataset.from_arrays(x, y, 2)
 
     @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
-    def test_pair_risk_chunking_matches_single_batch(self, name):
-        """The reducer accumulates kernels chunk by chunk but must agree with
-        treating the entire pair set as one batch (9730 pairs here, past the
-        8192-pair chunk size)."""
+    def test_whole_set_risk_equals_aligned_batch_risk(self, name):
+        """The whole-set risk is the aligned batch risk of the entire pair
+        set, bit for bit: both reduce the same values once (9730 pairs here,
+        past several of the model's inference blocks)."""
         rng = np.random.default_rng(42)
         model = tiny_model(rng, in_dim=2)
-        n = 140  # 9730 pairs > one 8192 chunk
+        n = 140  # 9730 pairs
         x = rng.normal(size=(n, 2)) + np.sign(rng.normal(size=(n, 2)))
         y = rng.integers(0, 2, size=n)
         ds = FullyLabeledDataset.from_arrays(x, y, 2)
@@ -480,8 +480,22 @@ class TestEmpiricalRisks:
         xa, xb, t = pairs.gather()
         want, _, _ = pair_risk_batch(name, model.features(xa), model.features(xb), t,
                                      radius=model.radius)
-        got = empirical_risk_pairs(model, pairs, name)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert empirical_risk_pairs(model, pairs, name) == want
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty-aligned", "empty pair batch"),
+        ("head-loss", "unknown head loss 'mse'"),
+        ("whole-set-loss", "unknown pair loss 'huber'"),
+    ])
+    def test_refusals(self, case, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if case == "empty-aligned":
+                pair_risk_batch("sqdist", np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+            elif case == "head-loss":
+                head_loss_batch("mse", np.zeros((2, 1)), np.array([0, 1]))
+            else:
+                empirical_risk_pairs(tiny_model(np.random.default_rng(0)),
+                                     pair_exhaustive(self._dataset(n=4)), "huber")
 
     def test_empty_inputs_rejected(self):
         model = tiny_model(np.random.default_rng(0))

@@ -39,6 +39,22 @@ def naive_forward(layers, x):
     return a
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Layer(np.zeros((3, 2)), "tanh"), "unknown activation 'tanh'"),
+    (lambda: HiddenNetwork([]), "network needs at least one layer"),
+    (lambda: HiddenNetwork.init([3], substream(0, "init")),
+     "dims must list at least input and output width"),
+    (lambda: LinearHead(np.zeros(2)), r"head weights must be \(rows, rep_dim\)"),
+    (lambda: LinearHead(np.zeros((2, 2)), np.zeros(3)), "head bias shape must match weight rows"),
+    (lambda: TwoPartClassifier(HiddenNetwork.init([2, 2], substream(0, "init")), 1.0,
+                               LinearHead(np.zeros((3, 2)), np.zeros(3)), 2),
+     "head must have one row per class"),
+], ids=["activation", "no-layers", "one-width", "head-1d", "head-bias", "head-rows"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestHiddenNetwork:
     def test_forward_matches_naive_loops(self):
         rng = np.random.default_rng(42)

@@ -67,7 +67,7 @@ def frozen_phi_backward(v, g, radius, denom):
 class FrozenHidden(HiddenNetwork):
     """F1 with the forward, backward and update of separate weights and bias."""
 
-    def forward_cached(self, x):
+    def forward_cached(self, x, ws=None):
         a = np.asarray(x, dtype=np.float64)
         cache = []
         for layer in self.layers:

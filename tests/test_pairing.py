@@ -50,6 +50,11 @@ class TestExhaustive:
 
 
 class TestDisjoint:
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_no_pairs_refused(self, n_pairs):
+        with pytest.raises(ValueError, match=r"^disjoint pairing needs n_pairs >= 1$"):
+            pair_disjoint(balanced_dataset(2, 4), n_pairs)
+
     def test_property_over_random_triples(self):
         """No id appears twice; remainder is exactly the untouched ids."""
         rng = np.random.default_rng(42)

@@ -32,6 +32,9 @@ from conftest import (
 )
 
 
+ANTIPODAL = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
 def antipodal_problem(alpha=0.5, radius=1.0, extra=()):
     """Two inputs, one per class, plus an exactly antipodal two-point map."""
     pmf = np.array([[alpha, 0.0], [0.0, 1.0 - alpha]])
@@ -45,6 +48,22 @@ def rotation(theta):
 
 
 class TestFiniteProblem:
+    @pytest.mark.parametrize("pmf, hyps, radius, message", [
+        (np.full((2, 3), 1 / 6), (ANTIPODAL,), 1.0, r"pmf must be \(m, 2\)"),
+        (np.full(4, 0.25), (ANTIPODAL,), 1.0, r"pmf must be \(m, 2\)"),
+        (np.array([[0.6, -0.1], [0.0, 0.5]]), (ANTIPODAL,), 1.0,
+         "pmf entries must be nonnegative"),
+        (np.eye(2) * 0.5, (ANTIPODAL,), 0.0, "radius must be positive"),
+        (np.eye(2) * 0.5, (ANTIPODAL,), -1.0, "radius must be positive"),
+        (np.eye(2) * 0.5, (), 1.0, "at least one hypothesis required"),
+        (np.eye(2) * 0.5, (ANTIPODAL, np.zeros((3, 2))), 1.0,
+         r"hypothesis 1 must have shape \(2, 2\)"),
+    ], ids=["pmf-3-cols", "pmf-1d", "pmf-negative", "radius-0", "radius-negative",
+            "no-hypotheses", "hypothesis-shape"])
+    def test_refusals(self, pmf, hyps, radius, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteProblem(pmf=pmf, hypotheses=hyps, radius=radius)
+
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             FiniteProblem(pmf=np.array([[0.6, 0.0], [0.0, 0.5]]),

@@ -247,6 +247,11 @@ class TestAblation:
 
 
 class TestBaseline:
+    def test_empty_set_refused(self):
+        empty = generate_synthetic("blobs", n_per_class=2, seed=0).subset(np.arange(0))
+        with pytest.raises(ValueError, match=r"^empty dataset$"):
+            train_baseline_full(fresh_model(0), empty, TrainConfig())
+
     def test_full_supervision_solves_blobs(self):
         ds, test, _ = blob_setup(seed=11, n_per_class=80)
         model = fresh_model(11)
@@ -339,27 +344,40 @@ class TestOnline:
         assert len(first) == 90  # two batches of 10 choose 2
         assert len(all_epochs) > len(first)
 
-    @pytest.mark.parametrize("case", ["one-row", "contrastive"])
+    @pytest.mark.parametrize("case", ["one-row", "contrastive", "step1-contrastive"])
     def test_unscorable_validation_split_is_no_split(self, case):
         """A held-out split with no batch to score (one row, or no same-class
-        pair under contrastive) is no validation split: every val_metric is
-        None and the last epoch's parameters stand."""
+        pair under contrastive, online or in stage 1) goes back to training:
+        every val_metric is None, the last epoch's parameters stand, and they
+        equal those of a run that holds nothing out."""
         if case == "one-row":   # 16 rows hold out int(16 / 12) = 1
             ds = generate_synthetic("blobs", n_per_class=8, noise=0.5, seed=3)
             loss, classes = None, 2
-        else:                   # 24 rows in 12 classes hold out 2 of different classes
+        elif case == "contrastive":   # 24 rows in 12 classes hold out 2 of different classes
             ds = generate_synthetic("blobs", n_per_class=2, noise=0.5, seed=3, class_count=12)
             loss, classes = "contrastive", 12
-        runs = []
-        for epochs in (5, 1):
-            cfg = TrainConfig(seed=3, schedule=((0.1, epochs),), head_epochs=1, pair_loss=loss)
+        else:   # 400 different-class pairs and 6 same-class ones; the 33 held out hold none
+            ds = generate_synthetic("blobs", n_per_class=20, noise=0.5, seed=3)
+            every = pair_exhaustive(ds)
+            pairs = every.take(np.concatenate(
+                [np.flatnonzero(every.t == 0), np.flatnonzero(every.t)[:6]]))
+            loss, classes = "contrastive", 2
+
+        def train(epochs, val_fraction=TrainConfig.val_fraction):
+            cfg = TrainConfig(seed=3, schedule=((0.1, epochs),), head_epochs=1, pair_loss=loss,
+                              val_fraction=val_fraction)
             model = fresh_model(3, class_count=classes)
-            run, _ = train_online(model, ds, stratified_subset(ds, 2, seed=3), cfg)
-            runs.append((run, [a.copy() for a in hidden_param_arrays(model.hidden)]))
-        (run, after_five), (_, after_one) = runs
+            if case == "step1-contrastive":
+                run = train_step1(model, pairs, cfg)
+            else:
+                run, _ = train_online(model, ds, stratified_subset(ds, 2, seed=3), cfg)
+            return run, model
+
+        (run, after_five), (_, after_one), (_, unsplit) = train(5), train(1), train(5, 0.0)
         assert [rec.val_metric for rec in run.trace] == [None] * 5
         assert run.best_epoch is None
-        assert not all(np.array_equal(a, b) for a, b in zip(after_five, after_one))
+        assert not params_equal(after_five, after_one)
+        assert params_equal(after_five, unsplit)
 
     def test_too_small_dataset_rejected(self):
         from samediff import FullyLabeledDataset
@@ -409,9 +427,9 @@ class TestTrainRunBookkeeping:
 
 class TestHoldout:
     def test_one_row_per_class_holds_one_out(self, monkeypatch):
-        """Twelve classes of one row each: online training and the baseline
-        hold out int(12 / 12) = 1 row and train on 11, as they do on 13 rows.
-        A set no larger than its class count once held nothing out.
+        """Twelve classes of one row each: the baseline holds out int(12 / 12)
+        = 1 row and trains on 11, as it does on 13 rows.  Online training
+        cannot score one held-out row, so that row goes back to training.
         ``val_fraction=0`` holds nothing out."""
         import samediff.trainer as trainer
 
@@ -427,8 +445,8 @@ class TestHoldout:
         cfg = TrainConfig(seed=3, schedule=((0.1, 2),), head_epochs=1)
         online, _ = train_online(fresh_model(3, class_count=12), ds, ds, cfg)
         baseline = train_baseline_full(fresh_model(3, class_count=12), ds, cfg)
-        assert seen == [("step1-online", 11), ("step2", 12), ("baseline", 11)]
-        assert online.max_pair_buffer == 11 * 10 // 2
+        assert seen == [("step1-online", 12), ("step2", 12), ("baseline", 11)]
+        assert online.max_pair_buffer == 12 * 11 // 2
         assert [rec.val_metric for rec in online.trace] == [None, None]   # one row, no pair
         assert all(rec.val_metric in (0.0, 1.0) for rec in baseline.trace)
         seen.clear()
@@ -472,8 +490,8 @@ class TestSkippedBatches:
         neg = pairs.take(np.flatnonzero(pairs.t == 0))
         cfg = TrainConfig(seed=7, schedule=((0.1, 2),), pair_loss="contrastive")
         run = train_step1(fresh_model(7), neg, cfg)
-        n_train = len(neg) - int(len(neg) * cfg.val_fraction)
-        assert run.skipped_batches == 2 * -(-n_train // cfg.batch_size)
+        # A positive-free held-out split scores nothing, so every pair trains.
+        assert run.skipped_batches == 2 * -(-len(neg) // cfg.batch_size)
         pos_run = train_step1(fresh_model(7), pairs, TrainConfig(seed=7, schedule=((0.1, 2),)))
         assert pos_run.skipped_batches == 0
 
