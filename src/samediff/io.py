@@ -374,8 +374,9 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
 def load_model(path: str) -> tuple[TwoPartClassifier, int]:
     """Read a checkpoint back; returns the model and its training seed.
 
-    A file whose counts or parameters are inconsistent raises
-    ``DataFormatError`` even when its checksum is valid.
+    A file whose counts or parameters are inconsistent, or whose parameters
+    hold a non-finite value, raises ``DataFormatError`` even when its
+    checksum is valid.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -435,4 +436,6 @@ def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
         head=LinearHead(weights=hw, biases=hb),
         class_count=class_count,
     )
+    if not model.all_finite():
+        raise DataFormatError(f"{path}: non-finite parameter")
     return model, int(seed)

@@ -16,23 +16,25 @@ The ncs and contrastive objectives are batch-level: gradients flow through
 the norm and partition-sum terms, so the batch is the unit of optimization,
 not the single pair.
 
-``pair_risk_batch`` takes a batch in one of two forms.  Aligned sides
-(ua, ub) are materialised pairs, one row each.  ``ub=None`` is the online
-form: every pair i < j of the B rows of ``u``, given the rows' B class
-labels, which fix every pair's agreement bit.  Each online batch takes
-exactly one route.  sqdist reduces from per-class sums (count, feature sum
-and squared-norm sum) in O(B d).  The other losses take the Gram route: it
-reads the kernel values off K = U U^T, in ``np.triu_indices`` order,
-writes the value gradient into a B x B matrix D and returns dU = D U +
-D^T U; ncs on it is negated kernel-target alignment.  K and D are buffers
-reused per batch size, so the online form is not reentrant.  A batch
-holding a row that phi floored takes neither, whatever its loss: it
-expands all B(B-1)/2 pairs into the aligned form and sums each row's side
-gradients in np.add.at's order (ii, then jj), because phi's backward
-multiplies a floored row's adjoint by r/NORM_FLOOR, which magnifies any
-change in summation order; it then equals the aligned form bit for bit.
-Every route but the class sums reduces per-pair values through
-``_reduce_pair_values``.
+``pair_risk_batch`` takes a batch in one of two forms.  Aligned sides (ua,
+ub) are materialised pairs, one row each; their gradients are written into
+one fresh (2n, d) array, the a-sides' rows and then the b-sides', so stage
+1, whose batch is stacked the same way, backpropagates it whole.
+``ub=None`` is the online form: every pair i < j of the B rows of ``u``,
+given the rows' B class labels, which fix every pair's agreement bit.
+Each online batch takes exactly one route.  sqdist reduces from per-class
+sums (count, feature sum and squared-norm sum) in O(B d).  The other
+losses take the Gram route: it reads the kernel values off K = U U^T, in
+``np.triu_indices`` order, writes the value gradient into a B x B matrix D
+and returns dU = D U + D^T U; ncs on it is negated kernel-target
+alignment.  K and D are buffers reused per batch size, so the online form
+is not reentrant.  A batch holding a row that phi floored takes neither,
+whatever its loss: it expands all B(B-1)/2 pairs into the aligned form and
+sums each row's side gradients from that stacked array in np.add.at's
+order (ii, then jj), because phi's backward multiplies a floored row's
+adjoint by r/NORM_FLOOR, which magnifies any change in summation order; it
+then equals the aligned form bit for bit.  Every route but the class sums
+reduces per-pair values through ``_reduce_pair_values``.
 
 Stage 2 (and the fully-supervised baseline) trains the head with either the
 unbounded hinge -y*yhat (one-vs-rest sum in multi-class mode) or softmax
@@ -89,11 +91,11 @@ def _reduce_pair_values(
     """
     n = len(values)
     if name == "sqdist":
-        sign = np.where(t == 1, 1.0, -1.0)
+        sign = np.array([-1.0, 1.0]).take(t)
         return float(np.mean(sign * values)), sign * (1.0 / n)
     if beta is None:
         beta = -radius * radius
-    target = np.where(t == 1, radius * radius, beta)
+    target = np.array([beta, radius * radius]).take(t)
     if name == "ncs":
         kn = math.sqrt(values @ values)
         sn = math.sqrt(target @ target)
@@ -115,14 +117,30 @@ def _reduce_pair_values(
     return float(np.mean(resid * resid)), (2.0 / n) * resid
 
 
-def _pair_terms(
-    name: str, ua: np.ndarray, ub: np.ndarray, dv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair gradients at both sides, given the gradient dv at the values."""
+def _pair_terms(name: str, ua: np.ndarray, ub: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per-pair gradients at both sides, given the gradient dv at the values:
+    one fresh (2n, d) array, the n a-sides' rows and then the b-sides'."""
+    n = len(dv)
+    du = np.empty((2 * n, ua.shape[1]))
+    dua, dub = du[:n], du[n:]
     if name == "sqdist":
-        dua = (2.0 * dv)[:, None] * (ua - ub)
-        return dua, -dua
-    return dv[:, None] * ub, dv[:, None] * ua
+        np.multiply((2.0 * dv)[:, None], np.subtract(ua, ub, out=dua), out=dua)
+        np.negative(dua, out=dub)
+    else:
+        col = dv[:, None]
+        np.multiply(col, ub, out=dua)
+        np.multiply(col, ua, out=dub)
+    return du
+
+
+def _aligned_risk(
+    name: str, ua: np.ndarray, ub: np.ndarray, t: np.ndarray, radius: float,
+    beta: float | None
+) -> tuple[float, np.ndarray]:
+    """Risk of the aligned pairs (ua[i], ub[i]) with bits t and the stacked
+    gradient ``_pair_terms`` at [ua; ub]."""
+    risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
+    return risk, _pair_terms(name, ua, ub, dv)
 
 
 @functools.lru_cache(maxsize=8)
@@ -199,8 +217,8 @@ def _within_batch(
     t = sufficient_label(y.take(ii), y.take(jj))
     if floored:
         ua, ub = u.take(ii, axis=0), u.take(jj, axis=0)
-        risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
-        both, terms = np.concatenate([ii, jj]), np.concatenate(_pair_terms(name, ua, ub, dv))
+        risk, terms = _aligned_risk(name, ua, ub, t, radius, beta)
+        both = np.concatenate([ii, jj])
         return risk, np.column_stack(
             [np.bincount(both, weights=terms[:, c], minlength=b) for c in range(u.shape[1])])
     gram, dmat = _gram_buffers(b)
@@ -224,7 +242,12 @@ def pair_risk_batch(
     """Batch risk and its gradients with respect to both feature sides.
 
     Pairs carry uniform weight 1/n; for the batch-level losses the returned
-    gradients include the flow through the shared normalizers.
+    gradients include the flow through the shared normalizers.  Aligned
+    sides take ``t`` as the pairs' 0/1 agreement bits, integer or bool,
+    and get (risk, du[:n], du[n:]): the halves of one fresh (2n, d) array,
+    their common ``base``, that aliases neither input, so a caller whose
+    sides are the two halves of one stacked batch backpropagates ``base``
+    as it is.
 
     With ``ub=None`` the pairs are every i < j of ``ua``'s B rows, and
     ``t`` holds the B rows' integer class labels, from which every pair's
@@ -245,8 +268,9 @@ def pair_risk_batch(
     if len(t) == 0:
         raise ValueError("empty pair batch")
     ub = np.asarray(ub, dtype=np.float64)
-    risk, dv = _reduce_pair_values(name, _pair_values(name, ua, ub), t, radius, beta)
-    return (risk, *_pair_terms(name, ua, ub, dv))
+    risk, du = _aligned_risk(name, ua, ub, t, radius, beta)
+    n = len(t)
+    return risk, du[:n], du[n:]
 
 
 def head_loss_batch(name: str, scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

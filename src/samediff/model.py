@@ -25,8 +25,10 @@ backward pass over n rows writes, built once per row count.  The cache
 in it.  Live caches are independent, so they backpropagate in any order;
 ``backward_features`` spends a cache and its ``u``, handing the workspace
 back to the network as its one spare for the next call of that row count.
-Returned gradients are always fresh arrays.  Like ``pair_risk_batch``, the
-surface is not reentrant across threads.
+Returned gradients are always fresh arrays.  phi's forward writes its
+per-row scale radius / denom into the workspace once, and its backward
+multiplies by that same column instead of dividing again.  Like
+``pair_risk_batch``, the surface is not reentrant across threads.
 
 Inference is separate from that workspace, and the model alone bounds its
 memory: nothing outside it chunks.  ``HiddenNetwork.forward``, and through
@@ -42,7 +44,10 @@ bit.
 All parameters and activations are float64 and every gradient is computed
 in closed form, including the normalization Jacobian
 (r/||v||) (I - v v^T / ||v||^2), so finite-difference checks can hold to
-tight tolerances and repeated runs are bit-reproducible.
+tight tolerances and repeated runs are bit-reproducible.  ``all_finite``
+is the one test that a model's parameters hold no inf or nan: the epoch
+driver refuses a stage that ends without it, and ``load_model`` a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -109,8 +114,9 @@ class _Workspace:
     and its preactivation ``z``; ``v`` is the network output.  The backward
     buffers (a float ReLU mask per relu layer and the adjoint at each layer
     output) and phi's (squared entries ``sq``, row denominators ``denom``,
-    features ``u`` and phi's backward output ``grad_v``) are built on first
-    use, so a forward-only pass never allocates them.
+    the (n, 1) column ``scale`` = radius / denom, features ``u`` and phi's
+    backward output ``grad_v``) are built on first use, so a forward-only
+    pass never allocates them.
     """
 
     def __init__(self, layers: Sequence[Layer], n: int):
@@ -121,7 +127,7 @@ class _Workspace:
         self.z = [np.empty((n, layer.wb.shape[1])) for layer in layers]
         self.v = np.empty_like(self.z[-1]) if layers[-1].activation == "relu" else self.z[-1]
         self.masks = self.adjoints = None
-        self.sq = self.denom = self.u = self.grad_v = None
+        self.sq = self.denom = self.scale = self.u = self.grad_v = None
 
 
 class HiddenNetwork:
@@ -212,8 +218,12 @@ class HiddenNetwork:
     def backward(self, cache: _Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
         """Reverse pass; returns each layer's ``dwb``, one fresh matmul each.
 
-        ``grad_out`` is only read; the adjoints are written into the cache.
-        The gradient at the network's input is never formed.
+        ``grad_out`` is a float64 (n, out_dim) array and is only read; the
+        adjoints are written into the cache.  Each adjoint meets the strided
+        view of the layer's transposed weights: a contiguous copy multiplies
+        faster but rounds apart from it on many shapes where the layer has
+        16 or more units, and on single-row batches.  The gradient at the
+        network's input is never formed.
         """
         if cache is None:
             raise ValueError("no recorded forward state to backpropagate through")
@@ -221,16 +231,16 @@ class HiddenNetwork:
             cache.masks = [np.empty_like(z) if layer.activation == "relu" else None
                            for layer, z in zip(self.layers, cache.z)]
             cache.adjoints = [np.empty_like(z) for z in cache.z]
-        g = np.asarray(grad_out, dtype=np.float64)
-        grads: list[np.ndarray] = [None] * len(self.layers)
+        g, grads = grad_out, []
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == "relu":
                 mask = np.greater(cache.z[i], 0.0, out=cache.masks[i])
                 g = np.multiply(g, mask, out=cache.adjoints[i])
-            grads[i] = cache.inputs[i].T @ g
+            grads.append(cache.inputs[i].T @ g)
             if i:
                 g = np.matmul(g, layer.wb[:-1].T, out=cache.adjoints[i - 1])
+        grads.reverse()
         return grads
 
     def sgd_step(self, grads: list[np.ndarray], lr: float) -> None:
@@ -266,25 +276,31 @@ def _phi_denominators(
     """
     norms = _row_sums(np.multiply(v, v, out=sq), out=out)
     np.sqrt(norms, out=norms)   # what np.linalg.norm computes
-    if norms.min(initial=NORM_EPSILON) < NORM_EPSILON:
+    if np.minimum.reduce(norms, initial=NORM_EPSILON) < NORM_EPSILON:
         np.add(norms, NORM_FLOOR, out=norms, where=norms < NORM_EPSILON)
     return norms
+
+
+def _phi_scale(radius: float, denom: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (n, 1) column radius / denom that phi multiplies each row by."""
+    return np.divide(radius, denom[:, None], out=out)
 
 
 def phi_normalize(
     v: np.ndarray,
     radius: float = 1.0,
-    denom: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescale each row of the (n, d) batch v onto the sphere of the given radius.
 
-    ``denom`` takes the row denominators ``_phi_denominators(v)`` when the
-    caller already holds them; ``out``, shaped like v, takes the result.
+    ``scale`` takes the (n, 1) column radius / ``_phi_denominators(v)``
+    when the caller already holds it; ``out``, shaped like v, takes the
+    result.
     """
-    if denom is None:
-        denom = _phi_denominators(v)
-    return np.multiply(v, (radius / denom)[:, None], out=out)
+    if scale is None:
+        scale = _phi_scale(radius, _phi_denominators(v))
+    return np.multiply(v, scale, out=out)
 
 
 def phi_backward(
@@ -293,21 +309,27 @@ def phi_backward(
     radius: float = 1.0,
     denom: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian-transpose product of the normalization at v.
 
     For nondegenerate rows this is exactly
-    (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` and ``out`` are as for
-    ``phi_normalize``; ``out`` must not overlap v or grad_u.
+    (r/||v||) (g - v <v, g> / ||v||^2).  ``denom`` takes the row
+    denominators ``_phi_denominators(v)`` and ``scale`` the column
+    radius / denom that ``phi_normalize`` multiplied by, when the caller
+    already holds them; ``out``, shaped like v, takes the result and must
+    not overlap v or grad_u.
     """
     if denom is None:
         denom = _phi_denominators(v)
+    if scale is None:
+        scale = _phi_scale(radius, denom)
     res = np.multiply(v, grad_u, out=out)
     vg = _row_sums(res)
     vg /= denom * denom
     np.multiply(v, vg[:, None], out=res)
     np.subtract(grad_u, res, out=res)
-    np.multiply((radius / denom)[:, None], res, out=res)
+    np.multiply(scale, res, out=res)
     return res
 
 
@@ -467,9 +489,10 @@ class TwoPartClassifier:
         v, ws = hidden.forward_cached(x, ws)
         if ws.u is None:
             ws.sq, ws.u, ws.grad_v = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-            ws.denom = np.empty(len(v))
+            ws.denom, ws.scale = np.empty(len(v)), np.empty((len(v), 1))
         denom = _phi_denominators(v, ws.sq, ws.denom)
-        return phi_normalize(v, self.radius, denom, out=ws.u), ws
+        scale = _phi_scale(self.radius, denom, out=ws.scale)
+        return phi_normalize(v, self.radius, scale, out=ws.u), ws
 
     def backward_features(self, cache: _Workspace, grad_u: np.ndarray) -> list:
         """Gradients of the hidden layers given an adjoint at the normalized
@@ -478,7 +501,8 @@ class TwoPartClassifier:
         This spends the cache and its features: its workspace becomes the
         network's spare.  The gradients are fresh arrays.
         """
-        grad_v = phi_backward(cache.v, grad_u, self.radius, cache.denom, out=cache.grad_v)
+        grad_v = phi_backward(cache.v, grad_u, self.radius, cache.denom, out=cache.grad_v,
+                              scale=cache.scale)
         grads = self.hidden.backward(cache, grad_v)
         self.hidden._spare = cache
         return grads
@@ -496,6 +520,14 @@ class TwoPartClassifier:
                 self.head.biases -= lr * db
 
     # bookkeeping ---------------------------------------------------------
+
+    def all_finite(self) -> bool:
+        """Whether every parameter, hidden and head, is finite."""
+        head = self.head
+        parts = [layer.wb for layer in self.hidden.layers] + [head.weights]
+        if head.biases is not None:
+            parts.append(head.biases)
+        return all(np.isfinite(p).all() for p in parts)
 
     def project_head(self) -> None:
         """In-place projection of the head into its norm ball."""

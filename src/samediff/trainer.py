@@ -11,7 +11,9 @@ trainers.
 All four run one epoch driver, ``_run_epochs``, which owns each stage's
 record: it creates and times the ``TrainRun``, walks the schedule,
 shuffles, validates, keeps the best snapshot, writes the trace and counts
-skipped batches as planned, ceil(n / batch_size), minus stepped.  A regime
+skipped batches as planned, ceil(n / batch_size), minus stepped.  A stage
+whose final parameters hold an inf or nan has diverged: the driver raises
+a ``ValueError`` naming it, so nothing downstream trains on or writes it.  A regime
 supplies only an epoch body, which holds its batch loop and yields each
 stepped batch's (loss, weight), and a validation score or None.  Every
 mean over batches, train loss and online validation risk alike, is one
@@ -32,7 +34,8 @@ Every pair-stage step is a few whole-batch numpy calls, because at these
 tensor sizes per-call overhead, not arithmetic, sets the cost.  Stage 1
 resolves pair ids to feature rows once per run, gathers each epoch's rows
 in one take, and pushes each batch's a-sides and b-sides, one contiguous
-slice, through one forward and one backward pass.  The online
+slice, through one forward and one backward pass; the backward takes the
+pair risk's gradient array as it is, stacked the same way.  The online
 step and its validation share one batch walk, ``_online_batches``: it
 yields each batch's rows with their class labels, which fix the agreement
 bits of all B(B-1)/2 pairs, and ``pair_risk_batch`` takes the batch's
@@ -219,6 +222,8 @@ def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule
     if snapshot is not None:
         model.hidden, model.head = snapshot.hidden, snapshot.head
     run.wall_seconds = time.perf_counter() - t0
+    if not model.all_finite():
+        raise ValueError(f"stage {stage} diverged: its final parameters hold a non-finite value")
     return run
 
 
@@ -260,11 +265,11 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
                 continue
             m = len(t)
             u, cache = model.features_cached(x_ep[2 * lo:2 * (lo + m)])
-            risk, dua, dub = pair_risk_batch(
+            risk, dua, _ = pair_risk_batch(
                 loss_name, u[:m], u[m:], t, radius=model.radius, beta=cfg.beta
             )
-            du = np.concatenate([dua, dub])
-            model.apply_grads(lr, hidden=model.backward_features(cache, du))
+            # The two halves share one (2m, d) array, stacked as u is.
+            model.apply_grads(lr, hidden=model.backward_features(cache, dua.base))
             yield risk, m
 
     val_score = None if val_pairs is None else (

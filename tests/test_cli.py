@@ -225,6 +225,29 @@ class TestExitCodes:
         assert cli_main(["train", "--config", str(path)]) == 2
         assert "unknown key 'oops'" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        doc = base_config()
+        model = build_model(doc, build_datasets(doc)[0], 0)
+        model.head.weights[0, -1] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_model(model, str(path), seed=0)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: non-finite parameter\n"
+
+    @pytest.mark.parametrize("regime, stage", [("two-stage", "step2"), ("online", "step2")])
+    def test_diverged_run_is_data_error(self, tmp_path, capsys, regime, stage):
+        """A learning rate of 1e300 sends the features through inf, and the
+        head trained on them ends non-finite: the run exits 2 naming the
+        stage and writes nothing."""
+        path = write_config(tmp_path, train={"schedule": [[1e300, 1]], "head_epochs": 2})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert cli_main(["train", "--config", path, "--regime", regime,
+                             "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage {stage} diverged: its final parameters hold a non-finite value\n")
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, capsys):
         """A checkpoint with a valid CRC but impossible layer counts."""
         doc = base_config()

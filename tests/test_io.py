@@ -506,6 +506,20 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="radius must be finite and positive"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", ["layer", "head weights", "head biases"])
+    def test_non_finite_parameter(self, tmp_path, rng42, part, value):
+        """A checkpoint whose CRC holds but one of whose parameters is NaN
+        or ±inf, as a diverged run would have written it."""
+        model = tiny_model(rng42, class_count=3)
+        array = {"layer": model.hidden.layers[-1].wb, "head weights": model.head.weights,
+                 "head biases": model.head.biases}[part]
+        array.flat[-1] = value
+        path = str(tmp_path / "m.ckpt")
+        save_model(model, path, seed=0)
+        with pytest.raises(DataFormatError, match="non-finite parameter"):
+            load_model(path)
+
 
 class TestSynthetic:
     def test_deterministic(self):

@@ -1,8 +1,10 @@
 """Property tests of the file formats (hypothesis).
 
 * SDPF pair files and SDCK checkpoints: any well-formed file, including
-  arbitrary feature or parameter bits (NaN payloads, infinities,
-  subnormals), reads back and re-saves to the same bytes.  A one-byte
+  arbitrary feature bits (NaN payloads, infinities, subnormals) and
+  arbitrary finite parameter bits (signed zeros, subnormals), reads back
+  and re-saves to the same bytes; a checkpoint with a NaN or infinite
+  parameter is not well-formed.  A one-byte
   corruption with the CRC re-stamped either still parses or raises
   ``DataFormatError``, never another exception.
 * Dataset CSVs: ``load_csv`` makes the same decision as the per-line
@@ -89,6 +91,15 @@ def test_one_byte_corruption_parses_or_is_a_format_error(tmp_path_factory, case,
         pass
 
 
+def finite_params(draw, count):
+    """count float64 parameters of arbitrary bits, except that every NaN or
+    infinite word is made finite by clearing the top bit of its exponent."""
+    words = np.frombuffer(draw(st.binary(min_size=8 * count, max_size=8 * count)),
+                          dtype="<u8").copy()
+    words[((words >> 52) & 0x7FF) == 0x7FF] &= ~np.uint64(1 << 62)
+    return words.tobytes()
+
+
 @st.composite
 def sdck_files(draw):
     """Bytes of a well-formed checkpoint: a binary head (one bias-free row,
@@ -96,14 +107,12 @@ def sdck_files(draw):
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     layers = b""
     for fan_in, fan_out in zip(widths, widths[1:]):
-        params = draw(st.binary(min_size=8 * (fan_in + 1) * fan_out,
-                                max_size=8 * (fan_in + 1) * fan_out))
+        params = finite_params(draw, (fan_in + 1) * fan_out)
         layers += struct.pack("<IIB", fan_in, fan_out, draw(st.integers(0, 1))) + params
     rows = draw(st.integers(1, 4))
     biased = rows > 1 and draw(st.booleans())
     class_count = max(rows, 2)
-    head = draw(st.binary(min_size=8 * rows * (widths[-1] + biased),
-                          max_size=8 * rows * (widths[-1] + biased)))
+    head = finite_params(draw, rows * (widths[-1] + biased))
     radius = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     header = struct.pack("<HHdqII", 1, int(biased), radius, draw(INT64), class_count,
                          len(widths) - 1)

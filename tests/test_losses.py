@@ -246,6 +246,24 @@ class TestPairRiskGradients:
             assert rel_err(dua, numeric_grad(risk_only, ua)) < 1e-7
             assert rel_err(dub, numeric_grad(risk_only, ub)) < 1e-7
 
+    @pytest.mark.parametrize("name", ["sqdist", "ncs", "contrastive", "mse"])
+    def test_aligned_halves_are_one_fresh_array(self, name):
+        """Both side gradients are the halves of one fresh (2n, d) array,
+        a-sides first, that aliases neither input; stage 1 backpropagates
+        it as it is."""
+        rng = np.random.default_rng(44)
+        u = random_features(rng, 14, 3)
+        ua, ub = u[:7], u[7:]
+        t = np.array([1, 0, 1, 1, 0, 0, 1])
+        _, dua, dub = pair_risk_batch(name, ua, ub, t)
+        du = dua.base
+        assert du is not None and dub.base is du and du.base is None
+        assert du.shape == (14, 3) and du.flags.c_contiguous
+        assert np.shares_memory(du[:7], dua) and np.shares_memory(du[7:], dub)
+        assert not np.shares_memory(du, u)
+        want = pair_risk_batch(name, ua.copy(), ub.copy(), t)
+        assert du.tobytes() == np.concatenate(want[1:]).tobytes()
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty pair batch"):
             pair_risk_batch("sqdist", np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))

@@ -422,6 +422,26 @@ class TestWorkspace:
         net.backward(cache, g)
         assert cache.adjoints[0].tobytes() == (g * (z > 0.0)).tobytes()
 
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_workspace_scale_is_phi_scale(self, radius):
+        """The forward writes radius / denom into the workspace once, as an
+        (n, 1) column, and the backward reuses it: the gradients equal
+        those of ``phi_backward`` computing its own scale."""
+        rng = np.random.default_rng(24)
+        model = tiny_model(rng, radius=radius)
+        x, du = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        x[2] = 0.0   # a row phi floors
+        u, cache = model.features_cached(x)
+        assert cache.scale.shape == (6, 1)
+        assert cache.scale.tobytes() == (radius / cache.denom)[:, None].tobytes()
+        assert u.tobytes() == (cache.v * (radius / cache.denom)[:, None]).tobytes()
+        v, denom = cache.v.copy(), cache.denom.copy()
+        grads = model.backward_features(cache, du)
+        ref = model.clone()
+        _, ref_cache = ref.features_cached(x)
+        want = ref.hidden.backward(ref_cache, phi_backward(v, du, radius, denom))
+        assert _bits(grads) == _bits(want)
+
     def test_backward_leaves_grad_out_unchanged(self):
         rng = np.random.default_rng(23)
         net = HiddenNetwork([Layer.init(3, 4, "relu", rng), Layer.init(4, 2, "relu", rng)])

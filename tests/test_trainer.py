@@ -397,6 +397,25 @@ class TestTrainRunBookkeeping:
         assert len(r2.trace) == 50
         assert np.isfinite(r1.trace[-1].train_loss)
 
+    @pytest.mark.parametrize("stage", ["step1", "step1-online", "baseline", "step2"])
+    def test_non_finite_final_parameters_fail_the_stage(self, stage):
+        """A stage that ends on an inf or nan parameter raises naming it.
+        One NaN hidden weight poisons every step, and with no finite
+        validation score no snapshot can replace the final parameters."""
+        ds, _, pairs = blob_setup(seed=17, n_per_class=30, n_pairs=200)
+        labeled = stratified_subset(ds, 2, seed=17)
+        model = fresh_model(17)
+        model.hidden.layers[0].wb[0, 0] = np.nan
+        cfg = TrainConfig(seed=17, schedule=((0.1, 2),), head_epochs=2)
+        train = {"step1": lambda: train_step1(model, pairs, cfg),
+                 "step1-online": lambda: train_online(model, ds, labeled, cfg),
+                 "baseline": lambda: train_baseline_full(model, ds, cfg),
+                 "step2": lambda: train_step2(model, labeled, cfg)}[stage]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^stage {stage} diverged: its final "
+                                                 "parameters hold a non-finite value$"):
+                train()
+
     def test_to_dict_shape(self):
         ds, _, pairs = blob_setup(seed=16, n_per_class=30, n_pairs=200)
         model = fresh_model(16)
