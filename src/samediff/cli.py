@@ -23,16 +23,17 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .config import (
-    ConfigError,
-    _read,
+    build_compare_trials,
     build_datasets,
     build_label_budget,
     build_model,
+    build_out_dir,
     build_pairing_config,
+    build_sweep_spec,
     build_train_config,
     load_config,
 )
-from .harness import SweepSpec, accuracy, comparison_protocol, run_sweep, train_regimes
+from .harness import accuracy, comparison_protocol, run_sweep, train_regimes
 from .io import (
     DataFormatError,
     generate_synthetic,
@@ -131,7 +132,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_train(args) -> int:
     doc = load_config(args.config)
-    out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
+    out_dir = build_out_dir(doc, args.out_dir)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
     regime = _REGIMES[args.regime]
@@ -181,13 +182,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = load_config(args.config)
-    n1_values, n2_values = _read(doc, "sweep.n1", [int]), _read(doc, "sweep.n2", [int])
-    if n1_values is None or n2_values is None:
-        raise ConfigError("sweep command needs a sweep section with n1 and n2 lists")
-    out_dir = args.out_dir or _read(doc, "output.dir", str) or "."
+    spec = build_sweep_spec(doc)
+    out_dir = build_out_dir(doc, args.out_dir)
     train_ds, test_ds = build_datasets(doc)
     cfg = build_train_config(doc)
-    spec = SweepSpec(tuple(n1_values), tuple(n2_values), _read(doc, "sweep.reps", int, 5))
     t0 = time.perf_counter()
     result = run_sweep(
         train_ds, test_ds, spec,
@@ -224,7 +222,7 @@ def _cmd_compare(args) -> int:
         train_cfg=build_train_config(doc),
         pairing=build_pairing_config(doc, train_ds),
         n_labels=build_label_budget(doc, train_ds),
-        trials=_read(doc, "compare.trials", int, 5),
+        trials=build_compare_trials(doc),
     )
     if args.out:
         _write_json(args.out, result.to_dict())

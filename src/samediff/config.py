@@ -1,10 +1,12 @@
 """Run configuration: one nested JSON document, strictly validated.
 
-Unknown keys abort immediately with the offending dotted path, so typos
-cannot silently fall back to defaults, and every value is read through
-``_read``, which refuses a value of the wrong JSON type the same way.  All
-sections except ``version`` and ``dataset`` are optional; every knob has
-the trainer's defaults.
+This module alone reads the document, and ``docs/formats.md`` lists every
+key it accepts.  Unknown keys abort immediately with the offending dotted
+path, so typos cannot silently fall back to defaults; a ``dataset``
+section accepts only the keys its ``kind`` reads.  Every value is read
+through ``_read``, which refuses a value of the wrong JSON type the same
+way.  All sections except ``version`` and ``dataset`` are optional; every
+knob has the trainer's defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import fields
 import numpy as np
 
 from .data import FullyLabeledDataset
-from .io import DataFormatError, generate_synthetic, load_csv, load_idx
+from .harness import SweepSpec
+from .io import generate_synthetic, load_csv, load_idx
 from .model import TwoPartClassifier
 from .pairing import PairingConfig
 from .rng import substream
@@ -30,18 +33,30 @@ __all__ = [
     "build_train_config",
     "build_pairing_config",
     "build_label_budget",
+    "build_sweep_spec",
+    "build_compare_trials",
+    "build_out_dir",
 ]
 
 CONFIG_VERSION = 1
 
+# Each file kind's (train, test) file keys, in its loader's argument order.
+_SPLIT_FILES = {
+    "csv": (("path",), ("test_path",)),
+    "idx": (("images", "labels"), ("test_images", "test_labels")),
+}
+# The keys each dataset kind reads.
+_DATASET_KEYS: dict[str, set[str]] = {
+    **dict.fromkeys(("blobs", "moons", "xor"),
+                    {"kind", "n_per_class", "noise", "seed", "class_count"}),
+    **{kind: {"kind", "class_count", "limit", "test_limit", *train, *test}
+       for kind, (train, test) in _SPLIT_FILES.items()},
+}
+
 _ALLOWED: dict[str, set[str] | None] = {
     "version": None,
-    "dataset": {
-        "kind", "n_per_class", "noise", "seed", "class_count", "path",
-        "images", "labels", "test_path", "test_images", "test_labels",
-        "limit", "test_limit",
-    },
-    "model": {"hidden", "rep_dim", "radius", "binary_head"},
+    "dataset": set().union(*_DATASET_KEYS.values()),   # narrowed to its kind's keys
+    "model": {"hidden", "rep_dim", "radius"},
     "train": {f.name for f in fields(TrainConfig)},
     "pairing": {f.name for f in fields(PairingConfig)},
     "labels": {"per_class"},
@@ -56,7 +71,9 @@ class ConfigError(ValueError):
 
 
 def validate_config(doc: dict) -> dict:
-    """Reject unknown keys at any level; returns the document unchanged."""
+    """Reject unknown keys at any level, and dataset keys the section's
+    kind does not read; returns the document unchanged.  A dataset section
+    without a kind may hold any kind's keys: ``build_datasets`` refuses it."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
     for key, value in doc.items():
@@ -67,9 +84,15 @@ def validate_config(doc: dict) -> dict:
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"section {key!r} must be an object")
+        where = ""
+        if key == "dataset" and "kind" in value:
+            kind = _typed("dataset.kind", value["kind"], str)
+            if kind not in _DATASET_KEYS:
+                raise ConfigError(f"unknown dataset kind {kind!r}")
+            allowed, where = _DATASET_KEYS[kind], f" for dataset kind {kind!r}"
         for sub in value:
             if sub not in allowed:
-                raise ConfigError(f"unknown key {key}.{sub}")
+                raise ConfigError(f"unknown key {key}.{sub}{where}")
     if "version" not in doc:
         raise ConfigError("missing required key 'version'")
     if doc["version"] != CONFIG_VERSION:
@@ -101,21 +124,27 @@ def _noun(kind) -> str:
     return {int: "integer", float: "number", str: "string", bool: "boolean"}[kind]
 
 
+def _typed(key: str, value, kind):
+    """``value`` as ``kind`` (see ``_cast``); a ``ConfigError`` naming the
+    dotted ``key`` when it has another JSON type."""
+    try:
+        return _cast(value, kind)
+    except TypeError:
+        noun = _noun(kind)
+        raise ConfigError(f"{key} must be {'an' if noun[0] in 'aeiou' else 'a'} {noun}, "
+                          f"got {json.dumps(value)}") from None
+
+
 def _read(doc: dict, key: str, kind, default=None):
-    """The value at the dotted ``key`` ("section.name") as ``kind`` (see
-    ``_cast``), or ``default`` when it is absent.  Null counts as absent
-    only where the default is None; any other mistyped value is a
-    ``ConfigError`` naming the key."""
+    """The value at the dotted ``key`` ("section.name") as ``kind``, or
+    ``default`` when it is absent.  Null counts as absent only where the
+    default is None; any other mistyped value is a ``ConfigError`` naming
+    the key."""
     section, name = key.split(".")
     sec = doc.get(section, {})
     if name not in sec or (sec[name] is None and default is None):
         return default
-    try:
-        return _cast(sec[name], kind)
-    except TypeError:
-        noun = _noun(kind)
-        raise ConfigError(f"{key} must be {'an' if noun[0] in 'aeiou' else 'a'} {noun}, "
-                          f"got {json.dumps(sec[name])}") from None
+    return _typed(key, sec[name], kind)
 
 
 def load_config(path: str) -> dict:
@@ -127,19 +156,16 @@ def load_config(path: str) -> dict:
     return validate_config(doc)
 
 
-def _load_one(doc: dict, path_key: str, images_key: str, labels_key: str,
-              class_count, limit_key: str) -> FullyLabeledDataset | None:
-    path, images, labels = (_read(doc, f"dataset.{key}", str)
-                            for key in (path_key, images_key, labels_key))
+def _load_one(doc: dict, kind: str, file_keys: tuple[str, ...], limit_key: str,
+              class_count) -> FullyLabeledDataset | None:
+    """One split of a file kind, or None when a file key is missing."""
+    files = [_read(doc, f"dataset.{key}", str) for key in file_keys]
     limit = _read(doc, f"dataset.{limit_key}", int)
     if limit is not None and limit < 1:
         raise ConfigError(f"dataset.{limit_key} must be at least 1, got {limit}")
-    if path:
-        ds = load_csv(path, class_count)
-    elif images and labels:
-        ds = load_idx(images, labels, class_count)
-    else:
+    if not all(files):
         return None
+    ds = (load_csv if kind == "csv" else load_idx)(*files, class_count)
     if limit is not None:
         ds = ds.subset(np.arange(min(limit, len(ds))))
     return ds
@@ -162,10 +188,11 @@ def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]
         n_per_class = _read(doc, "dataset.n_per_class", int, 500)
         train = generate_synthetic(n_per_class=n_per_class, seed=seed, **common)
         test = generate_synthetic(n_per_class=n_per_class, seed=seed + 1, **common)
-    elif kind in ("csv", "idx"):
+    elif kind in _SPLIT_FILES:
         cc = _read(doc, "dataset.class_count", int)
-        train = _load_one(doc, "path", "images", "labels", cc, "limit")
-        test = _load_one(doc, "test_path", "test_images", "test_labels", cc, "test_limit")
+        train_files, test_files = _SPLIT_FILES[kind]
+        train = _load_one(doc, kind, train_files, "limit", cc)
+        test = _load_one(doc, kind, test_files, "test_limit", cc)
         if train is None or test is None:
             raise ConfigError("dataset paths missing for train or test split")
     else:
@@ -176,10 +203,10 @@ def build_datasets(doc: dict) -> tuple[FullyLabeledDataset, FullyLabeledDataset]
 
 
 def build_model(doc: dict, ds: FullyLabeledDataset, seed: int) -> TwoPartClassifier:
-    """The configured model for training on ``ds``."""
-    binary = _read(doc, "model.binary_head", bool)
-    if binary is None:
-        binary = ds.class_count == 2 and _read(doc, "train.head_loss", str, "hinge") == "hinge"
+    """The configured model for training on ``ds``: its head is the
+    bias-free single row exactly when ``ds`` has two classes and the head
+    loss is hinge."""
+    binary = ds.class_count == 2 and _read(doc, "train.head_loss", str, "hinge") == "hinge"
     try:
         return TwoPartClassifier.build(
             in_dim=ds.dim,
@@ -241,3 +268,28 @@ def build_label_budget(doc: dict, train_ds: FullyLabeledDataset) -> int:
         raise ConfigError(f"labels.per_class {per_class} times {train_ds.class_count} classes "
                           f"exceeds the {len(train_ds)} training rows")
     return budget
+
+
+def build_sweep_spec(doc: dict) -> SweepSpec:
+    """The ``sweep`` section's grid: its n1 and n2 lists, required, and
+    ``reps`` (default 5)."""
+    n1_values, n2_values = _read(doc, "sweep.n1", [int]), _read(doc, "sweep.n2", [int])
+    if n1_values is None or n2_values is None:
+        raise ConfigError("sweep command needs a sweep section with n1 and n2 lists")
+    try:
+        return SweepSpec(tuple(n1_values), tuple(n2_values), _read(doc, "sweep.reps", int, 5))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def build_compare_trials(doc: dict) -> int:
+    """``compare.trials``, default 5."""
+    return _read(doc, "compare.trials", int, 5)
+
+
+def build_out_dir(doc: dict, given: str | None) -> str:
+    """``given`` (the command line's ``--out-dir``) when set, else
+    ``output.dir``, else the working directory; ``output.dir`` is read
+    either way, so a mistyped one is refused."""
+    configured = _read(doc, "output.dir", str)
+    return given or configured or "."

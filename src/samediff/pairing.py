@@ -10,9 +10,11 @@ Four regimes with very different privacy/coverage trade-offs:
   batch first picks M unique classes and then pairs records only inside
   that class pool (M controls the same-class fraction).  Pairs are drawn
   as whole arrays of triangular codes over id ranks.
-* online: the full pair expansion of one minibatch, built per step inside
-  the online trainer so the quadratic pair set never has to be
-  materialized; no constructor here builds it.
+* online: every within-batch pair of one minibatch, which the online
+  trainer scores per step without a pair set: from class sums under
+  sqdist (O(B·d)) and from the B×B Gram matrix otherwise, expanding the
+  pairs only for a batch with a floored row (see ``losses``); no
+  constructor here builds them.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def pair_disjoint(
             f"insufficient examples for disjoint pairing: need more than {2 * n_pairs}, have {n}"
         )
     rng = substream(seed, "pairing", "disjoint")
-    order = np.argsort(ds.ids, kind="stable")   # positions sorted by id
+    order = ds._id_order[0]   # positions sorted by id
     # Records in id order.  Anchors stay in place as the prefix rest[:k];
     # partners are popped, so rest[k + 1:] is what the k-th anchor may pair
     # with, and rest[n_pairs:] is the remainder.
@@ -218,7 +220,7 @@ def pair_sampled(ds: FullyLabeledDataset, cfg: PairingConfig) -> PairDataset:
     present = _distinct(ds.y)
     m = min(cfg.class_batch_size or min(10, ds.class_count), len(present))
 
-    order = np.argsort(ds.ids, kind="stable")
+    order = ds._id_order[0]   # positions sorted by id
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     taken = _TakenKeys()

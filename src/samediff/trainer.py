@@ -4,16 +4,20 @@ Stage 1 fits the hidden network on same/different pair labels only; the
 head never moves.  Stage 2 freezes the hidden network bit-for-bit and fits
 the head on frozen features from every label of a (typically tiny)
 fully-labeled set, holding none out, and keeps its final head.
-A fully-supervised joint baseline and an online variant, which expands each
-shuffled minibatch into its B(B-1)/2 pairs on the fly, complete the four
-trainers.
+A fully-supervised joint baseline and an online variant, which scores the
+B(B-1)/2 within-batch pairs of each shuffled minibatch without
+materialising them (from class sums under sqdist, from the B x B Gram
+matrix otherwise, expanding them only for a batch with a floored row),
+complete the four trainers.
 
 All four run one epoch driver, ``_run_epochs``, which owns each stage's
 record: it creates and times the ``TrainRun``, walks the schedule,
 shuffles, validates, keeps the best snapshot, writes the trace and counts
 skipped batches as planned, ceil(n / batch_size), minus stepped.  A stage
-whose final parameters hold an inf or nan has diverged: the driver raises
-a ``ValueError`` naming it, so nothing downstream trains on or writes it.  A regime
+whose final parameters hold an inf or nan, or whose final model maps one
+of its training rows to a non-finite feature (finite weights can still
+overflow), has diverged: the driver raises a ``ValueError`` naming it, so
+nothing downstream trains on or writes it.  A regime
 supplies only an epoch body, which holds its batch loop and yields each
 stepped batch's (loss, weight), and a validation score or None.  Every
 mean over batches, train loss and online validation risk alike, is one
@@ -190,7 +194,8 @@ def _weighted_mean(terms: Iterable[tuple[float, int]]) -> float:
 
 def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule, tag: str,
                 n: int, epoch_body: Callable[[float, np.ndarray], Iterable[tuple[float, int]]],
-                val_score: Callable[[], float | None] | None, maximize: bool = False) -> TrainRun:
+                val_score: Callable[[], float | None] | None, x: np.ndarray,
+                maximize: bool = False) -> TrainRun:
     """The one epoch loop every trainer runs; it creates, times and returns
     the stage's ``TrainRun``.
 
@@ -202,7 +207,9 @@ def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule
     count as skipped.  ``val_score=None`` means no validation split.  The
     model is cloned at the best metric (lowest, or highest with
     ``maximize``) and restored after the last epoch; parts the regime
-    never moves come back bit-identical.
+    never moves come back bit-identical.  The stage has diverged, and
+    raises, when the model it ends on holds a non-finite parameter or maps
+    a row of ``x``, its training inputs, to a non-finite feature.
     """
     run = TrainRun(stage=stage, config=asdict(cfg))
     planned = -(-n // cfg.batch_size)
@@ -222,8 +229,9 @@ def _run_epochs(stage: str, model: TwoPartClassifier, cfg: TrainConfig, schedule
     if snapshot is not None:
         model.hidden, model.head = snapshot.hidden, snapshot.head
     run.wall_seconds = time.perf_counter() - t0
-    if not model.all_finite():
-        raise ValueError(f"stage {stage} diverged: its final parameters hold a non-finite value")
+    if not (model.all_finite() and np.isfinite(model.features(x)).all()):
+        raise ValueError(f"stage {stage} diverged: its final parameters or training-row "
+                         "features hold a non-finite value")
     return run
 
 
@@ -274,7 +282,7 @@ def train_step1(model: TwoPartClassifier, pairs: PairDataset, cfg: TrainConfig) 
 
     val_score = None if val_pairs is None else (
         lambda: empirical_risk_pairs(model, val_pairs, loss_name, beta=cfg.beta))
-    return _run_epochs("step1", model, cfg, cfg.schedule, "step1", n, epoch_body, val_score)
+    return _run_epochs("step1", model, cfg, cfg.schedule, "step1", n, epoch_body, val_score, x)
 
 
 def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainConfig) -> TrainRun:
@@ -299,7 +307,7 @@ def train_step2(model: TwoPartClassifier, ds: FullyLabeledDataset, cfg: TrainCon
             yield loss, len(idx)
 
     run = _run_epochs("step2", model, cfg, ((cfg.head_rate, cfg.head_epochs),), "step2",
-                      len(ds), epoch_body, None)
+                      len(ds), epoch_body, None, ds.x)
     model.project_head()
     return run
 
@@ -338,7 +346,7 @@ def train_baseline_full(
             model.class_count).predict(val_ds.x) == val_ds.y))
 
     run = _run_epochs("baseline", model, cfg, cfg.schedule, "baseline", len(train_ds),
-                      epoch_body, None if val_ds is None else accuracy, maximize=True)
+                      epoch_body, None if val_ds is None else accuracy, train_ds.x, maximize=True)
     model.project_head()
     return run
 
@@ -404,6 +412,6 @@ def train_online(
                          beta=cfg.beta)[0], len(y) * (len(y) - 1) // 2)
         for x, y in val_batches)
     run = _run_epochs("step1-online", model, cfg, cfg.schedule, "online", len(train_ds),
-                      epoch_body, val_score)
+                      epoch_body, val_score, train_ds.x)
     run.max_pair_buffer = peak
     return run, train_step2(model, labeled, cfg)

@@ -32,7 +32,7 @@ from samediff import (
     validate_config,
 )
 from samediff.cli import _write_trace_csv
-from samediff.config import _ALLOWED
+from samediff.config import _ALLOWED, _DATASET_KEYS
 from samediff.harness import SweepResult, SweepSpec
 from samediff.privacy import EncryptionReport, StrengthReport
 from samediff.theory import SuiteResult
@@ -111,6 +111,42 @@ class TestConfigValidation:
         }
         assert _ALLOWED["pairing"] == {"mode", "n_pairs", "class_batch_size", "seed"}
 
+    def test_each_dataset_kind_accepts_only_the_keys_it_reads(self):
+        synthetic = {"kind", "n_per_class", "noise", "seed", "class_count"}
+        assert _DATASET_KEYS == {
+            "blobs": synthetic, "moons": synthetic, "xor": synthetic,
+            "csv": {"kind", "path", "test_path", "class_count", "limit", "test_limit"},
+            "idx": {"kind", "images", "labels", "test_images", "test_labels", "class_count",
+                    "limit", "test_limit"},
+        }
+        assert _ALLOWED["dataset"] == set().union(*_DATASET_KEYS.values())
+        assert _ALLOWED["model"] == {"hidden", "rep_dim", "radius"}
+        for kind, keys in _DATASET_KEYS.items():
+            for key in _ALLOWED["dataset"] - keys:
+                with pytest.raises(ConfigError, match=rf"^unknown key dataset\.{key} for "
+                                                      rf"dataset kind '{kind}'$"):
+                    validate_config({"version": 1, "dataset": {"kind": kind, key: 1}})
+
+    def test_dataset_without_kind_keeps_its_errors(self):
+        """A section naming no kind may hold any kind's keys, and building it
+        refuses the missing kind."""
+        with pytest.raises(ConfigError, match=r"^unknown key dataset\.bogus$"):
+            validate_config({"version": 1, "dataset": {"bogus": 1}})
+        doc = validate_config({"version": 1, "dataset": {"path": "x.csv"}})
+        with pytest.raises(ConfigError, match="^unknown dataset kind None$"):
+            build_datasets(doc)
+
+    def test_cli_reads_no_private_config_name(self):
+        """``config`` alone reads the document: the CLI imports only its
+        public builders."""
+        import ast
+        import samediff.cli as cli_mod
+        tree = ast.parse(Path(cli_mod.__file__).read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "config"
+                 for alias in node.names]
+        assert names and not [name for name in names if name.startswith("_")]
+
 
 class TestConfigBuilders:
     def test_synthetic_datasets_use_shifted_test_seed(self):
@@ -139,6 +175,18 @@ class TestConfigBuilders:
                 np.testing.assert_array_equal(got.ids, full.ids[:n])
                 np.testing.assert_array_equal(got.x, full.x[:n])
                 np.testing.assert_array_equal(got.y, full.y[:n])
+
+    def test_each_file_kind_loads_only_its_own_files(self, tmp_path):
+        """A csv section naming IDX files, or an idx section naming CSVs,
+        has no files of its kind; before validation refused the keys, each
+        loaded the other kind's files."""
+        csv = str(tmp_path / "blobs.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=4, seed=0), csv)
+        idx = {"images": "im.idx", "labels": "lb.idx",
+               "test_images": "im.idx", "test_labels": "lb.idx"}
+        for dataset in ({"kind": "csv", **idx}, {"kind": "idx", "path": csv, "test_path": csv}):
+            with pytest.raises(ConfigError, match="paths missing"):
+                build_datasets({"version": 1, "dataset": dataset})
 
     def test_unknown_dataset_kind(self):
         with pytest.raises(ConfigError, match="unknown dataset kind 'mnist'"):
@@ -225,6 +273,43 @@ class TestExitCodes:
         assert cli_main(["train", "--config", str(path)]) == 2
         assert "unknown key 'oops'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ({"dataset": {"kind": "blobs", "n_per_class": 20, "path": "does_not_exist.csv"}},
+         "unknown key dataset.path for dataset kind 'blobs'"),
+        ({"dataset": {"kind": "csv", "path": "a.csv", "test_path": "a.csv", "noise": 0.5}},
+         "unknown key dataset.noise for dataset kind 'csv'"),
+        ({"dataset": {"kind": "idx", "path": "a.csv", "test_path": "a.csv"}},
+         "unknown key dataset.path for dataset kind 'idx'"),
+        ({"dataset": {"kind": "csv", "images": "a.idx", "labels": "b.idx"}},
+         "unknown key dataset.images for dataset kind 'csv'"),
+        ({"model": {"hidden": [8], "binary_head": True}}, "unknown key model.binary_head"),
+        ({"dataset": {"kind": ["blobs"]}}, 'dataset.kind must be a string, got ["blobs"]'),
+        ({"dataset": {"kind": 3}}, "dataset.kind must be a string, got 3"),
+        ({"dataset": {"kind": None}}, "dataset.kind must be a string, got null"),
+    ], ids=["blobs-path", "csv-noise", "idx-path", "csv-images", "binary-head", "list-kind",
+            "number-kind", "null-kind"])
+    def test_key_the_config_does_not_read_is_data_error(self, tmp_path, capsys, section,
+                                                        message):
+        """Each of these once trained, ignoring the key (a blobs run with a
+        path, a csv run with noise), loaded the other file kind, failed only
+        after stage 1 trained, or ended in a TypeError traceback."""
+        cfg = write_config(tmp_path, **section)
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_mistyped_output_dir_is_refused_beside_out_dir(self, tmp_path, capsys):
+        """``output.dir`` is read, and so type-checked, even where
+        ``--out-dir`` overrides it."""
+        cfg = write_config(tmp_path, output={"dir": 5})
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: output.dir must be a string, got 5\n"
+        assert not out.exists()
+
     def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
         doc = base_config()
         model = build_model(doc, build_datasets(doc)[0], 0)
@@ -234,18 +319,20 @@ class TestExitCodes:
         assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
         assert capsys.readouterr().err == f"error: {path}: non-finite parameter\n"
 
-    @pytest.mark.parametrize("regime, stage", [("two-stage", "step2"), ("online", "step2")])
+    @pytest.mark.parametrize("regime, stage", [
+        ("two-stage", "step1"), ("online", "step1-online"), ("baseline", "baseline")])
     def test_diverged_run_is_data_error(self, tmp_path, capsys, regime, stage):
-        """A learning rate of 1e300 sends the features through inf, and the
-        head trained on them ends non-finite: the run exits 2 naming the
-        stage and writes nothing."""
+        """A learning rate of 1e300 leaves the hidden weights finite but
+        sends every training row's features through inf: the run exits 2
+        naming its first stage and writes nothing."""
         path = write_config(tmp_path, train={"schedule": [[1e300, 1]], "head_epochs": 2})
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
             assert cli_main(["train", "--config", path, "--regime", regime,
                              "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: stage {stage} diverged: its final parameters hold a non-finite value\n")
+            f"error: stage {stage} diverged: its final parameters or training-row features "
+            "hold a non-finite value\n")
         assert not out.exists()
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, capsys):
@@ -472,7 +559,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, section, knobs, message", [
         ("train", "model", {"hidden": 32}, "model.hidden must be a list of integers, got 32"),
         ("train", "model", {"hidden": "32"}, 'model.hidden must be a list of integers, got "32"'),
-        ("train", "model", {"binary_head": "no"}, 'model.binary_head must be a boolean, got "no"'),
         ("train", "train", {"batch_size": None}, "train.batch_size must be an integer, got null"),
         ("train", "train", {"schedule": 5},
          "train.schedule must be a list of [number, integer] pairs, got 5"),
@@ -482,13 +568,13 @@ class TestExitCodes:
         ("train", "output", {"dir": 5}, "output.dir must be a string, got 5"),
         ("sweep", "sweep", {"n1": 5}, "sweep.n1 must be a list of integers, got 5"),
         ("compare", "compare", {"trials": None}, "compare.trials must be an integer, got null"),
-    ], ids=["int-hidden", "string-hidden", "string-binary-head", "null-batch-size",
+    ], ids=["int-hidden", "string-hidden", "null-batch-size",
             "int-schedule", "null-per-class", "string-class-batch-size", "int-output-dir",
             "int-sweep-n1", "null-compare-trials"])
     def test_mistyped_config_value_is_data_error(self, tmp_path, capsys, command, section,
                                                  knobs, message):
         """Each of these once ended in a TypeError traceback (exit 1), or, for
-        a string hidden width or binary_head, trained on a misread value."""
+        a string hidden width, trained on a misread value."""
         cfg = write_config(tmp_path, **{section: {**base_config().get(section, {}), **knobs}})
         out = tmp_path / "out"
         argv = [command, "--config", cfg]
@@ -927,6 +1013,28 @@ class TestRunOutputFormats:
         for path in (trace, results):
             documented = re.search(rf"`{path.name}`[^`]*header `([^`]*)`", docs).group(1)
             assert path.read_text(encoding="utf-8") == documented + "\n"
+
+
+    def test_documented_config_keys_match_the_schema(self):
+        """The "Run config" section of docs/formats.md lists exactly the keys
+        ``config`` accepts, and for each dataset kind exactly those it reads."""
+        docs = FORMATS.read_text(encoding="utf-8")
+        section = docs[docs.index("## Run config"):docs.index("## Run outputs")]
+        keys_table = section[section.index("| key | type | default |"):]
+        kinds_table = section[section.index("| kind | keys |"):]
+
+        def rows(table):   # the first two cells of each row of the leading table
+            table = table[:table.index("\n\n")]
+            return [line.split(" | ")[:2] for line in table.splitlines()[2:]]
+
+        documented = {}
+        for key, _ in rows(keys_table):
+            name, _, sub = key.strip("|` ").partition(".")
+            documented.setdefault(name, set()).update([sub] if sub else [])
+        assert documented == {name: allowed or set() for name, allowed in _ALLOWED.items()}
+        kinds = {kind: set(re.findall(r"`(\w+)`", keys))
+                 for cell, keys in rows(kinds_table) for kind in re.findall(r"`(\w+)`", cell)}
+        assert kinds == _DATASET_KEYS
 
 
 class TestSweepCompareCommands:

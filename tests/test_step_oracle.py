@@ -251,7 +251,7 @@ def frozen_step1(model, pairs, cfg):
         return frozen_reduce(loss_name, values, t, model.radius, cfg.beta)[0]
 
     return trainer._run_epochs("step1", model, cfg, cfg.schedule, "step1", n, epoch_body,
-                               None if val_pairs is None else val_score)
+                               None if val_pairs is None else val_score, x)
 
 
 # -- the gate ------------------------------------------------------------

@@ -413,7 +413,28 @@ class TestTrainRunBookkeeping:
                  "step2": lambda: train_step2(model, labeled, cfg)}[stage]
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match=f"^stage {stage} diverged: its final "
-                                                 "parameters hold a non-finite value$"):
+                                                 "parameters or training-row features "
+                                                 "hold a non-finite value$"):
+                train()
+
+    @pytest.mark.parametrize("stage", ["step1", "step1-online", "baseline", "step2"])
+    def test_overflowing_features_fail_the_stage(self, stage):
+        """Finite weights of 1e300 map the training rows through inf to
+        NaN features; with no epoch to run, the stage ends on them and
+        raises naming itself."""
+        ds, _, pairs = blob_setup(seed=17, n_per_class=30, n_pairs=200)
+        labeled = stratified_subset(ds, 2, seed=17)
+        model = fresh_model(17)
+        for layer in model.hidden.layers:
+            layer.wb[:] = 1e300
+        assert model.all_finite()
+        cfg = TrainConfig(seed=17, schedule=((0.1, 0),), head_epochs=0)
+        train = {"step1": lambda: train_step1(model, pairs, cfg),
+                 "step1-online": lambda: train_online(model, ds, labeled, cfg),
+                 "baseline": lambda: train_baseline_full(model, ds, cfg),
+                 "step2": lambda: train_step2(model, labeled, cfg)}[stage]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=f"^stage {stage} diverged"):
                 train()
 
     def test_to_dict_shape(self):
