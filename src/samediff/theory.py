@@ -22,14 +22,12 @@ the best grid head gives both the best risk and, scaled, the smallest
 head norm reaching a target risk, so no claim rests on a single
 derivation.
 
-Each problem holds its hypotheses as one read-only (K, m, p) array, and
-its statistics are array expressions over that stack, computed once:
-``verify_collapse_optimality`` reads every pair objective, best-head risk
-and collapse test off the stack and keeps the report on the problem, so
-``verify_head_norm_argmin`` reads its target set, the collapsing
-separation optima, from that report, and ``run_verification_suite``'s
-cross-checks read its risks; one direction scan per problem serves both
-cross-checks.
+Each problem holds its hypotheses as one read-only (K, m, p) array and,
+built on first use, one statistics object over it: the signed means, their
+lengths and the pairwise squared distances.  It feeds every check: the
+collapse report (kept on the problem), the head-norm check, which takes its
+norms from the lengths and its target set from that report, and the one
+grid scan per problem behind both of the suite's cross-checks.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +101,7 @@ class FiniteProblem:
             if h.shape != (m, p):
                 raise ValueError(f"hypothesis {k} must have shape ({m}, {p})")
         stack = np.stack(hyps)
-        gap = np.abs(np.linalg.norm(stack, axis=2) - self.radius)
+        gap = np.abs(np.sqrt(np.add.reduce(stack * stack, axis=2)) - self.radius)
         off = ~np.all(gap <= ROW_NORM_TOL * max(self.radius, 1.0), axis=1)   # NaN rows too
         if off.any():
             raise ValueError(f"hypothesis {int(np.argmax(off))} has rows off the "
@@ -124,37 +123,38 @@ class FiniteProblem:
         return float(self.pmf[:, 0].sum())
 
     @functools.cached_property
-    def _optimality(self) -> "OptimalityReport":
-        """``verify_collapse_optimality``'s report, computed on first use
-        over the whole stack: per hypothesis, the best-head risk
-        -||E[Y rep(X)]|| / r, the pair objective (expected negated squared
-        distance of two independent draws with different labels) and the
-        collapse test (each class on one point, the two points distinct)."""
-        hyps = self.hypotheses
-        means = signed_mean(hyps, self)
+    def _statistics(self) -> "_Statistics":
+        """Every check's statistics, each one expression over the stack."""
+        means = signed_mean(self.hypotheses, self)
         # the stacked (1, p) @ (p, 1) products sum each row as e.dot(e) does
-        risks = -np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0]) / self.radius
-        diff = hyps[:, :, None, :] - hyps[:, None, :, :]
+        lengths = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
+        return _Statistics(means, lengths, _sq_distances(self.hypotheses))
+
+    @functools.cached_property
+    def _optimality(self) -> "OptimalityReport":
+        """``verify_collapse_optimality``'s report: per hypothesis, the
+        best-head risk -||E[Y rep(X)]|| / r, the pair objective (expected
+        negated squared distance of two draws with different labels), the
+        collapse test (each class on one point, the two points distinct)."""
+        stats = self._statistics
+        risks = -stats.lengths / self.radius
         cross = np.outer(self.pmf[:, 0], self.pmf[:, 1])
-        objective = (np.sum(cross * -np.sum(diff * diff, axis=3), axis=(1, 2))
+        objective = (np.sum(cross * -stats.sq_dists, axis=(1, 2))
                      / (self.alpha * (1.0 - self.alpha)))
-        collapsing = np.ones(len(hyps), dtype=bool)
-        points = []
-        for col in (0, 1):
-            rows = hyps[:, self.pmf[:, col] > 0.0]
-            collapsing &= np.linalg.norm(rows - rows[:, :1], axis=2).max(axis=1) <= TIE_TOL
-            points.append(rows[:, 0])
-        collapsing &= np.linalg.norm(points[0] - points[1], axis=1) > TIE_TOL
+        dist = np.sqrt(stats.sq_dists)
+        rows = [np.flatnonzero(self.pmf[:, col] > 0.0) for col in (0, 1)]
+        collapsing = dist[:, rows[0][0], rows[1][0]] > TIE_TOL
+        for idx in rows:
+            collapsing &= dist[:, idx[0], idx].max(axis=1) <= TIE_TOL
         d_set = _argmin_set(objective)
         s_set = tuple(np.flatnonzero(collapsing).tolist())
         f_set = _argmin_set(risks)
-        overlap = _overlap(d_set, s_set)
-        assumption_overlap = len(overlap) > 0
-        assumption_support = all(
-            image_support_size(h, self) > MIN_SUPPORT for h in hyps[~collapsing])
-        equality = None
-        if assumption_overlap and assumption_support:
-            equality = set(f_set) == set(overlap)
+        assumption_overlap = not set(d_set).isdisjoint(s_set)
+        support = np.flatnonzero(self.pmf.sum(axis=1) > 0.0)
+        near = dist[np.ix_(~collapsing, support, support)] <= TIE_TOL
+        assumption_support = all(_support_count(n) > MIN_SUPPORT for n in near.tolist())
+        equality = (set(f_set) == set(d_set) & set(s_set)
+                    if assumption_overlap and assumption_support else None)
         return OptimalityReport(
             separation_set=d_set,
             collapsing_set=s_set,
@@ -167,12 +167,25 @@ class FiniteProblem:
         )
 
 
+class _Statistics(NamedTuple):
+    """One problem's statistics over its (K, m, p) hypothesis stack."""
+
+    means: np.ndarray      # (K, p) signed means E[Y rep(X)]
+    lengths: np.ndarray    # (K,) their Euclidean lengths
+    sq_dists: np.ndarray   # (K, m, m) squared distances between each map's points
+
+
+def _sq_distances(x: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x, (..., n, p) to (..., n, n)."""
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
 # -- best-head risk -------------------------------------------------------
 
 
 def _length(v: np.ndarray) -> float:
-    """Euclidean length of a 1-d vector: what ``np.linalg.norm`` computes
-    for it, without that function's dispatch."""
+    """Euclidean length of a 1-d vector, as ``np.linalg.norm`` computes it."""
     return math.sqrt(float(v.dot(v)))
 
 
@@ -185,21 +198,18 @@ def signed_mean(h: np.ndarray, prob: FiniteProblem) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
-    """At most n near-uniform unit directions and their covering angle:
-    exact fan in 2-d, latitude rings in 3-d.  Generated problems are 2-d or
-    3-d, so no other dimension has a grid.
-
-    The covering angle is the largest angle from any unit vector to its
-    nearest direction: half the spacing for the fan.  The rings sit at the
-    centres of equal latitude bands, as many as fit in n (see
-    ``_rings``), and every unit vector lies in some band, within half
-    that band's ring spacing in longitude of one of its directions.  Along
-    a meridian the distance to a fixed ring direction peaks at a band edge,
-    and it grows with the longitude offset, so the covering angle is at
-    most the largest distance from a band edge, half a spacing over, to a
-    ring direction.  Fewer than two directions hold no ring and claim no
-    coverage.  Cached per (p, n), the directions read-only, since every
-    hypothesis shares them.
+    """At most n near-uniform unit directions and their covering angle: an
+    exact fan in 2-d, latitude rings in 3-d (generated problems are 2-d or
+    3-d).  The covering angle is the largest angle from any unit vector to
+    its nearest direction: half the spacing for the fan.  The rings sit at
+    the centres of equal latitude bands, as many as fit in n (``_rings``),
+    and every unit vector lies in some band, within half that band's ring
+    spacing in longitude of one of its directions.  Along a meridian the
+    distance to a fixed ring direction peaks at a band edge, and it grows
+    with the longitude offset, so the covering angle is at most the largest
+    distance from a band edge, half a spacing over, to a ring direction.
+    Fewer than two directions hold no ring and claim no coverage.  Cached
+    per (p, n), the directions read-only: every hypothesis shares them.
     """
     if n < 1:
         raise ValueError(f"need at least one direction, got {n}")
@@ -218,8 +228,7 @@ def _directions(p: int, n: int) -> tuple[np.ndarray, float]:
 
 def _rings(n: int) -> tuple[np.ndarray, float]:
     """The most latitude rings whose directions fit in n, and the bound on
-    their covering angle: one arccos per band edge, half a ring spacing
-    over from the ring's directions."""
+    their covering angle: one arccos per band edge, half a spacing over."""
     def layout(n_lat):
         lat = (np.arange(n_lat) + 0.5) * (np.pi / n_lat) - np.pi / 2.0
         return lat, np.ceil(2.0 * n_lat * np.cos(lat)).astype(np.int64)
@@ -243,24 +252,25 @@ def _best_dots(prob: FiniteProblem, n_dirs: int) -> list[float]:
     """Per hypothesis, the largest <d, E[Y rep(X)]> over the ``n_dirs``
     grid directions d: the grid's best unit head scores risk -best_dot."""
     dirs, _ = _directions(prob.rep_dim, n_dirs)
-    means = signed_mean(prob.hypotheses, prob)
     # (n, p) @ (K, p, 1) scores each hypothesis as dirs @ e does, to the bit
-    return np.matmul(dirs, means[:, :, None]).max(axis=1)[:, 0].tolist()
+    return np.matmul(dirs, prob._statistics.means[:, :, None]).max(axis=1)[:, 0].tolist()
 
 
 # -- the optimal sets -----------------------------------------------------
 
 
 def _argmin_set(values: np.ndarray) -> tuple[int, ...]:
-    vmin = float(np.min(values))
-    return tuple(int(i) for i in np.flatnonzero(values <= vmin + TIE_TOL))
+    return tuple((values <= values.min() + TIE_TOL).nonzero()[0].tolist())
 
 
 def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> int:
     """Number of distinct representation points over positive-probability inputs."""
-    h = np.asarray(h, dtype=np.float64)
-    rows = h[np.flatnonzero(prob.pmf.sum(axis=1) > 0.0)]
-    near = (np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2) <= tol).tolist()
+    rows = np.asarray(h, dtype=np.float64)[np.flatnonzero(prob.pmf.sum(axis=1) > 0.0)]
+    return _support_count((np.sqrt(_sq_distances(rows)) <= tol).tolist())
+
+
+def _support_count(near: list[list[bool]]) -> int:
+    """Distinct points given which rows lie within the tolerance of which."""
     reps: list[int] = []   # greedy: a row is new unless near an earlier representative
     for i, row_near in enumerate(near):
         if not any(row_near[j] for j in reps):
@@ -284,24 +294,17 @@ class OptimalityReport:
     @property
     def overlap(self) -> tuple[int, ...]:
         """The collapsing separation optima, in index order."""
-        return _overlap(self.separation_set, self.collapsing_set)
+        return tuple(sorted(set(self.separation_set) & set(self.collapsing_set)))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
 
-def _overlap(d_set: tuple[int, ...], s_set: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(d_set) & set(s_set)))
-
-
 def verify_collapse_optimality(prob: FiniteProblem) -> OptimalityReport:
     """Check that the best-risk hypotheses are exactly the collapsing
-    separation optima, provided the two stated assumptions hold.
-
-    When either assumption fails the verdict is withheld (None) rather than
-    evaluated on unsupported ground.  Each hypothesis's pair objective,
-    best-head risk and collapse test are computed once, and the report is
-    kept on the problem.
+    separation optima, provided the two stated assumptions hold.  When
+    either fails the verdict is withheld (None) rather than evaluated on
+    unsupported ground.  The report is computed once and kept on the problem.
     """
     return prob._optimality
 
@@ -313,25 +316,30 @@ def required_head_norm(h: np.ndarray, prob: FiniteProblem, gamma: float) -> floa
     """Smallest head-norm budget whose ball contains a head with true risk gamma.
 
     Closed form -gamma / ||E[Y rep(X)]|| for attainable negative gamma.
-    Raises for gamma >= 0 (trivial risk: the zero head already achieves it)
-    and for targets below what the norm cap 1/r allows.
+    Raises for a non-finite gamma, for gamma >= 0 (trivial risk: the zero
+    head already achieves it) and for targets beyond the norm cap 1/r.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    return _head_norm(_length(signed_mean(h, prob)), gamma, prob.radius)
+
+
+def _head_norm(length: float, gamma: float, radius: float) -> float:
+    """``required_head_norm`` from the signed mean's length: -gamma / length."""
     if gamma >= 0:
         raise ValueError("trivial risk: target must be negative")
-    norm_e = _length(signed_mean(h, prob))
-    if norm_e <= 0.0:
+    if length <= 0.0:
         raise ValueError("risk below model capacity: this hypothesis cannot reach it")
-    t = -gamma / norm_e
-    if t > 1.0 / prob.radius + TIE_TOL:
+    t = -gamma / length
+    if t > 1.0 / radius + TIE_TOL:
         raise ValueError("risk below model capacity: needs head norm beyond 1/r")
     return t
 
 
 def _grid_head_norm(best_dot: float, gamma: float, radius: float) -> float | None:
-    """Dense-search cross-check of ``required_head_norm``, given the grid's
+    """Dense-search cross-check of ``required_head_norm`` from the grid's
     ``_best_dots``: a head of norm t along the best direction scores
-    -t * best_dot, so the smallest t reaching gamma < 0 is -gamma / best_dot.
-    None when even t = 1/r falls short."""
+    -t * best_dot, so t = -gamma / best_dot, or None if even 1/r falls short."""
     if -(1.0 / radius) * max(best_dot, 0.0) > gamma:
         return None
     return -gamma / best_dot
@@ -355,29 +363,30 @@ class HeadNormReport:
 
 def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport:
     """Check that the hypotheses needing the least head norm to reach gamma
-    are exactly the collapsing separation optima.
-
-    The target set is the ``overlap`` of the problem's
-    ``verify_collapse_optimality`` report.  Hypotheses for which gamma is
-    unattainable are excluded from the argmin and reported; the verdict is
-    withheld when no hypothesis is both collapsing and separation-optimal.
+    are exactly the collapsing separation optima, the ``overlap`` of the
+    problem's ``verify_collapse_optimality`` report.  Hypotheses for which
+    gamma is unattainable are excluded from the argmin and reported; the
+    verdict is withheld when no hypothesis is both collapsing and
+    separation-optimal.  Ties are decided on norm / -gamma = 1 / ||E[Y rep(X)]||,
+    which does not shrink with gamma.  Raises for a non-finite gamma.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     target = verify_collapse_optimality(prob).overlap
     norms: dict[int, float] = {}
     excluded: list[int] = []
-    for k, h in enumerate(prob.hypotheses):
+    for k, length in enumerate(prob._statistics.lengths.tolist()):
         try:
-            norms[k] = required_head_norm(h, prob, gamma)
+            norms[k] = _head_norm(length, gamma, prob.radius)
         except ValueError:
             excluded.append(k)
     assumption_overlap = len(target) > 0
     equality = None
+    argmin: tuple[int, ...] = ()
     if assumption_overlap and norms:
-        keys = sorted(norms)
-        argmin = tuple(keys[i] for i in _argmin_set(np.array([norms[k] for k in keys])))
+        keys = list(norms)
+        argmin = tuple(keys[i] for i in _argmin_set(np.array(list(norms.values())) / -gamma))
         equality = set(argmin) == set(target)
-    else:
-        argmin = ()
     return HeadNormReport(
         gamma=float(gamma),
         norms=norms,
@@ -393,10 +402,11 @@ def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport
 
 
 def generalization_bound(t: float, r: float, n2: int, delta: float) -> float:
-    """High-probability deviation bound for the head stage.
-
+    """High-probability deviation bound for the head stage:
     2 t r / sqrt(n2) + 5 t r sqrt(2 ln(8/delta) / n2), for a labeled sample
-    of size n2 at confidence 1 - delta.
+    of size n2 at confidence 1 - delta.  ln(8/delta) is taken as
+    ln 8 - ln delta, which no delta overflows; a bound too large for a
+    double raises ``OverflowError``.
     """
     if not isinstance(n2, (int, np.integer)) or n2 < 1:
         raise ValueError("n2 must be a positive integer")
@@ -405,42 +415,37 @@ def generalization_bound(t: float, r: float, n2: int, delta: float) -> float:
     if not (0.0 <= t < math.inf and 0.0 < r < math.inf):   # also rejects NaN
         raise ValueError(f"t must be finite and nonnegative and r finite and positive, "
                          f"got t={t!r}, r={r!r}")
-    root_n = math.sqrt(n2)
-    return 2.0 * t * r / root_n + 5.0 * t * r * math.sqrt(2.0 * math.log(8.0 / delta) / n2)
+    log_term = math.log(8.0) - math.log(delta)
+    bound = t * r * (2.0 / math.sqrt(n2) + 5.0 * math.sqrt(2.0 * log_term / n2))
+    if not math.isfinite(bound):
+        raise OverflowError(f"the bound at t={t!r}, r={r!r}, n2={n2} overflows a double")
+    return bound
 
 
 # -- randomized problem generator -----------------------------------------
 
 
-def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
+def _unit(rng: np.random.Generator, p: int, orthogonal_to: np.ndarray | None = None) -> np.ndarray:
+    """A random unit vector in p-d, orthogonal to the given unit vector if any."""
     while True:
         v = rng.normal(size=p)
-        n = _length(v)
-        if n > 1e-6:
-            return v / n
-
-
-def _orthogonal_to(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
-    while True:
-        v = rng.normal(size=a.shape[0])
-        v = v - np.dot(v, a) * a
+        if orthogonal_to is not None:
+            v = v - np.dot(v, orthogonal_to) * orthogonal_to
         n = _length(v)
         if n > 1e-6:
             return v / n
 
 
 def generate_problem(seed: int) -> FiniteProblem:
-    """Random finite problem whose hypothesis list exercises every regime.
-
-    The list always contains at least one exactly antipodal two-point map
-    (so a collapsing separation optimum exists), some non-antipodal
-    two-point maps, and input-splitting maps whose image has more than 4
-    support points (so the support-size assumption holds for every
-    non-collapsing hypothesis).  It holds no constant map, whose one-point
-    image would violate that assumption.
-
-    Each input-splitting map is one (m, p) normal draw with no per-row
-    rejection: a zero-length row scales to NaN and fails the coincidence test.
+    """Random finite problem whose hypothesis list exercises every regime:
+    at least one exactly antipodal two-point map (so a collapsing
+    separation optimum exists), some non-antipodal two-point maps, and
+    input-splitting maps whose image has more than 4 support points (so the
+    support-size assumption holds for every non-collapsing hypothesis).  It
+    holds no constant map, whose one-point image would violate that
+    assumption.  Each input-splitting map is one (m, p) normal draw with no
+    per-row rejection: a zero-length row scales to NaN and fails the
+    coincidence test.
     """
     rng = substream(seed, "theory", "generate")
     m = int(rng.integers(6, 13))
@@ -466,7 +471,7 @@ def generate_problem(seed: int) -> FiniteProblem:
     for _ in range(int(rng.integers(1, 3))):
         a = _unit(rng, p)
         theta = rng.uniform(np.pi / 6.0, 5.0 * np.pi / 6.0)
-        b = np.cos(theta) * a + np.sin(theta) * _orthogonal_to(rng, a)
+        b = np.cos(theta) * a + np.sin(theta) * _unit(rng, p, orthogonal_to=a)
         b = b / _length(b)
         hyps.append(np.repeat([a * r, b * r], counts, axis=0))
     for _ in range(int(rng.integers(1, 3))):
@@ -474,9 +479,7 @@ def generate_problem(seed: int) -> FiniteProblem:
             v = rng.normal(size=(m, p))
             # rows over their lengths, the stacked (1, p) @ (p, 1) products summing as v.dot(v)
             pts = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0]) * r
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.linalg.norm(diff, axis=2) + np.eye(m)
-            if d.min() > 1e-6:
+            if (np.sqrt(_sq_distances(pts)) + np.eye(m)).min() > 1e-6:
                 break
         hyps.append(pts)
 
@@ -501,15 +504,13 @@ class SuiteResult:
 
 def _cross_check_slack(p: int, n_dirs: int) -> tuple[float, float]:
     """How far the dense searches may miss on ``n_dirs`` directions in p-d.
-
     With covering angle theta, some direction lies within theta of
     E[Y rep(X)], so the scan finds at least cos(theta) of the best dot
     product: the grid's best head can fall short of the closed-form risk by
     (1 - cos theta) times its size, and the norm it needs to reach a target
     risk can overshoot the closed-form norm by (1 / cos theta - 1) times
     its size.  Returns those two factors; a direction set that does not
-    cover the sphere to within 90 degrees is rejected.
-    """
+    cover the sphere to within 90 degrees is rejected."""
     theta = _directions(p, n_dirs)[1]
     if not theta < math.pi / 2:
         raise ValueError(f"{n_dirs} directions do not cover the {p}-d sphere to within "
@@ -531,13 +532,11 @@ def run_verification_suite(
     gamma = gamma_fraction * (best achievable risk); and, when enabled, the
     closed forms must agree with the grid's best head on ``grid_dirs``
     directions for every hypothesis, within what ``_cross_check_slack``
-    allows for the grid plus ``ROUNDING_TOL``.  One direction scan per
-    problem gives every hypothesis's grid risk and grid norm.
-
-    Raises ``ValueError`` for fewer than one seed, for a gamma fraction
-    outside (0, 1] and for a grid too coarse to cross-check on, including
-    one whose best head cannot reach within 1/r a norm the grid's slack
-    can explain; a miss the slack cannot explain is a failed cross-check.
+    allows for the grid plus ``ROUNDING_TOL``.  Raises ``ValueError`` for
+    fewer than one seed, for a gamma fraction outside (0, 1] and for a grid
+    too coarse to cross-check on, including one whose best head cannot
+    reach within 1/r a norm the grid's slack can explain; a miss the slack
+    cannot explain is a failed cross-check.
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")

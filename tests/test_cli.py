@@ -686,15 +686,15 @@ class TestExitCodes:
         """A closed-form norm too small for the grid's slack to explain the
         bisection's miss is a failed cross-check, not a bad argument."""
         import samediff.theory as theory_mod
-        true_norm = theory_mod.required_head_norm
+        true_norm = theory_mod._head_norm
 
-        def halved_norm(h, prob, gamma):
+        def halved_norm(length, gamma, radius):
             try:
-                return 0.5 * true_norm(h, prob, gamma)
+                return 0.5 * true_norm(length, gamma, radius)
             except ValueError:   # seed 1's hypotheses 3 and 4 cannot reach gamma
-                return 0.5 / prob.radius
+                return 0.5 / radius
 
-        monkeypatch.setattr(theory_mod, "required_head_norm", halved_norm)
+        monkeypatch.setattr(theory_mod, "_head_norm", halved_norm)
         assert cli_main(["verify-theory", "--seeds", "2"]) == 3
         out = capsys.readouterr().out
         assert "passed 0/2" in out
@@ -723,6 +723,18 @@ class TestBoundCommand:
         assert cli_main(["bound", "--t", "1", "--r", "1", "--n2", "100", "--delta", "2"]) == 2
         capsys.readouterr()
 
+    def test_tiny_delta_is_finite(self, capsys):
+        """8 / 1e-320 overflows; this once printed inf and exited 0."""
+        assert cli_main(["bound", "--t", "1", "--r", "1", "--n2", "10", "--delta", "1e-320"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(61.41512915, rel=1e-9)
+
+    def test_overflowing_bound_is_data_error(self, capsys):
+        argv = ["bound", "--t", "1e308", "--r", "1e308", "--n2", "1", "--delta", "0.5"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "overflows a double" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("t, r", [("nan", "1"), ("inf", "1"), ("1", "inf"), ("1", "nan")])
     def test_rejects_non_finite_t_or_r(self, capsys, t, r):
         """Each of these once printed nan or inf and exited 0."""
@@ -737,6 +749,12 @@ class TestVerifyTheoryCommand:
     def test_small_suite_passes(self, capsys):
         assert cli_main(["verify-theory", "--seeds", "8"]) == 0
         assert "passed 8/8 generated problems" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [[], ["--skip-cross-checks"]], ids=["cross", "closed"])
+    def test_tiny_gamma_fraction_passes(self, capsys, extra):
+        """At F = 1e-13 every norm is about 1e-13; this once printed passed 0/20."""
+        assert cli_main(["verify-theory", "--seeds", "20", "--gamma-frac", "1e-13", *extra]) == 0
+        assert capsys.readouterr().out == "passed 20/20 generated problems\n"
 
 
 class TestDataCommands:

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from mpmath import log as mplog
 from mpmath import sqrt as mpsqrt
 
+import samediff.theory as theory
 from samediff import (
     FiniteProblem,
     generalization_bound,
@@ -279,6 +280,13 @@ class TestRequiredHeadNorm:
     def test_half_best_gamma_value(self):
         assert half_best_gamma(antipodal_problem()) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, gamma):
+        """A NaN target once came back as a NaN norm budget."""
+        prob = antipodal_problem()
+        with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma!r}"):
+            required_head_norm(prob.hypotheses[0], prob, gamma)
+
 
 class TestHeadNormArgmin:
     def test_equality_on_generated_problems(self):
@@ -288,6 +296,25 @@ class TestHeadNormArgmin:
             assert rep.assumption_overlap
             assert rep.equality is True
             assert set(rep.argmin_set) == set(rep.target_set)
+
+    @pytest.mark.parametrize("fraction", [1e-13, 1e-200])
+    def test_ties_do_not_shrink_with_gamma(self, fraction):
+        """Every norm is about -gamma, so a tie rule absolute in the norms
+        once put every hypothesis in the argmin at these fractions."""
+        for seed in range(20):
+            prob = generate_problem(seed)
+            gamma = fraction * min(verify_collapse_optimality(prob).risks)
+            rep = verify_head_norm_argmin(prob, gamma)
+            assert rep.equality is True, (seed, rep.to_json())
+            assert rep.argmin_set == verify_head_norm_argmin(prob, gamma / fraction * 0.5).argmin_set
+        assert run_verification_suite(n_seeds=20, gamma_fraction=fraction).all_passed
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, gamma):
+        """A NaN target once gave a report of NaN norms, an empty argmin and
+        equality False, which read as a failed claim."""
+        with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma!r}"):
+            verify_head_norm_argmin(generate_problem(0), gamma)
 
     def test_excluded_hypotheses_stay_out_of_argmin(self):
         prob = generate_problem(1)
@@ -335,6 +362,26 @@ class TestGeneralizationBound:
         base = generalization_bound(1.0, 1.0, 64, 0.05)
         assert generalization_bound(2.0, 1.0, 64, 0.05) == pytest.approx(2 * base)
         assert generalization_bound(1.0, 3.0, 64, 0.05) == pytest.approx(3 * base)
+
+    def test_delta_whose_reciprocal_overflows(self):
+        """8 / delta overflows at delta = 1e-320, which once gave inf."""
+        got = generalization_bound(1, 1, 10, 1e-320)
+        with mp.workdps(50):
+            delta = mpf(1e-320)   # the same double, exactly
+            want = 2 / mpsqrt(10) + 5 * mpsqrt(2 * mplog(8 / delta) / 10)
+            assert got == pytest.approx(float(want), rel=1e-14)
+
+    def test_overflowing_bound_raises(self):
+        with pytest.raises(OverflowError, match="overflows a double"):
+            generalization_bound(1e308, 1e308, 1, 0.5)
+
+    def test_large_t_with_small_r_is_finite(self):
+        """2 t alone overflows at t = 1e308, though t r times the rest does not."""
+        got = generalization_bound(1e308, 1e-10, 1, 0.5)
+        with mp.workdps(50):
+            t, r = mpf(1e308), mpf(1e-10)
+            want = 2 * t * r + 5 * t * r * mpsqrt(2 * mplog(8 / mpf(0.5)))
+            assert got == pytest.approx(float(want), rel=1e-14)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -387,6 +434,36 @@ class TestVerificationSuite:
         assert result.n_passed == 25
         assert result.all_passed
         assert result.failures == []
+
+    def test_one_statistics_pass_per_problem(self, monkeypatch):
+        """Outside the generator, each problem builds its signed-mean stack
+        and its distance tensor once, and every check reads those."""
+        calls = {"signed_mean": [], "_sq_distances": []}
+        generating = []
+
+        def counted(name):
+            inner = getattr(theory, name)
+
+            def wrapper(*args):
+                if not generating:
+                    calls[name].append(np.shape(args[0]))
+                return inner(*args)
+            return wrapper
+
+        def generate(seed):
+            generating.append(seed)
+            try:
+                return generate_problem(seed)
+            finally:
+                generating.pop()
+
+        stacks = [generate_problem(seed).hypotheses.shape for seed in range(5)]
+        for name in calls:
+            monkeypatch.setattr(theory, name, counted(name))
+        monkeypatch.setattr(theory, "generate_problem", generate)
+        assert run_verification_suite(n_seeds=5).all_passed
+        assert calls["signed_mean"] == stacks
+        assert calls["_sq_distances"] == stacks
 
     def test_skipping_cross_checks_still_passes(self):
         result = run_verification_suite(n_seeds=10, cross_checks=False)

@@ -328,6 +328,34 @@ def test_image_support_size_near_the_tolerance():
             assert image_support_size(h, prob, tol) == frozen_image_support_size(h, prob, tol)
 
 
+def test_collapse_report_near_the_tolerance():
+    """Hypotheses whose rows sit fractions of the tolerance apart: the
+    collapse test and the support count, read off the problem's one
+    distance tensor, must give the frozen report."""
+    rng = np.random.default_rng(11)
+    pmf = np.repeat([[1.0 / 8, 0.0], [0.0, 1.0 / 8]], 4, axis=0)
+
+    def arc(start, steps):
+        angles = start + np.cumsum(steps)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    def tiny(n):
+        return rng.choice([0.0, 0.4, 0.7, 1.1], size=n) * TIE_TOL
+
+    seen = set()
+    for _ in range(200):
+        hyps = (
+            np.vstack([arc(0.0, tiny(4)), arc(np.pi, tiny(4))]),    # near-antipodal classes
+            np.vstack([arc(0.0, tiny(4)), arc(tiny(1)[0], tiny(4))]),   # classes nearly one point
+            arc(0.0, tiny(8) + rng.choice([0.0, 0.5], size=8)),    # support near MIN_SUPPORT
+        )
+        prob = FiniteProblem(pmf=pmf, hypotheses=hyps)
+        rep = verify_collapse_optimality(prob)
+        assert rep.to_json() == frozen_verify_collapse_optimality(prob).to_json()
+        seen.add((rep.collapsing_set, rep.assumption_support))
+    assert len(seen) > 2
+
+
 def outcome(run):
     """What ``run()`` gives: the suite's counts and failure texts, or, when
     it raises ``ValueError``, the hypothesis and seed the error names."""
