@@ -195,9 +195,13 @@ def run_sweep(
     ``substream(train_cfg.seed, "sweep", n1, n2, k)``, so a rerun
     reproduces every row exactly.
 
-    The whole grid is refused before any cell trains: each n1 is paired
+    The whole grid is refused before any cell trains: exhaustive pairing,
+    which takes every pair whatever n1 says, raises; each n1 is paired
     once, so a budget its pairing mode cannot meet raises, and the largest
     n2 must fit in the records that every n1 leaves to label."""
+    if pairing.mode == "exhaustive":
+        raise ValueError("pairing.mode exhaustive takes every pair whatever sweep.n1 says, "
+                         "so every n1 cell would train on the same pairs")
     for n1 in spec.n1_values:
         _, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n1))
         if max(spec.n2_values) > len(label_pool):

@@ -12,6 +12,8 @@ own convention; exact byte maps in docs/formats.md):
   radius f64, seed i64, class_count u32, layer count u32, per layer
   (fan_in u32, fan_out u32, activation u8, weights f64, biases f64), head
   (rows u32, rep_dim u32, weights f64, biases f64 if flagged), crc32.
+  The network has one layout, so each activation byte is fixed: 1 (ReLU) on
+  every inner layer and 0 (linear) on the last; any other byte is refused.
 
 Loading and re-saving either format reproduces the bytes exactly, which is
 what makes bit-level reproducibility checks possible downstream.
@@ -49,9 +51,6 @@ CKPT_MAGIC = b"SDCK"
 CKPT_VERSION = 1
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
-
-_ACT_CODES = {"identity": 0, "relu": 1}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class DataFormatError(ValueError):
@@ -356,9 +355,10 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
             len(model.hidden.layers),
         ),
     ]
-    for layer in model.hidden.layers:
+    for i, layer in enumerate(model.hidden.layers, start=1):
         fan_in, fan_out = layer.wb.shape[0] - 1, layer.wb.shape[1]
-        parts.append(struct.pack("<IIB", fan_in, fan_out, _ACT_CODES[layer.activation]))
+        act = int(i < len(model.hidden.layers))   # ReLU on every layer but the last
+        parts.append(struct.pack("<IIB", fan_in, fan_out, act))
         parts.append(layer.wb.astype("<f8").tobytes())
     rows, rep_dim = model.head.weights.shape
     parts.append(struct.pack("<II", rows, rep_dim))
@@ -374,9 +374,9 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
 def load_model(path: str) -> tuple[TwoPartClassifier, int]:
     """Read a checkpoint back; returns the model and its training seed.
 
-    A file whose counts or parameters are inconsistent, or whose parameters
-    hold a non-finite value, raises ``DataFormatError`` even when its
-    checksum is valid.
+    A file whose counts or parameters are inconsistent, whose activation
+    bytes differ from the one layout, or whose parameters hold a non-finite
+    value, raises ``DataFormatError`` even when its checksum is valid.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -417,13 +417,15 @@ def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
         return out
 
     layers = []
-    for _ in range(n_layers):
+    for i in range(1, n_layers + 1):
         fan_in, fan_out, act = struct.unpack_from("<IIB", blob, off)
         off += 9
         wb = floats(fan_in + 1, fan_out)
-        if act not in _ACT_NAMES:
-            raise DataFormatError(f"{path}: unknown activation code {act}")
-        layers.append(Layer(wb, _ACT_NAMES[act]))
+        want = int(i < n_layers)   # ReLU on every layer but the last
+        if act != want:
+            raise DataFormatError(f"{path}: layer {i} of {n_layers}: activation code {act}, "
+                                  f"expected {want} (ReLU after every layer but the last)")
+        layers.append(Layer(wb))
     rows, rep_dim = struct.unpack_from("<II", blob, off)
     off += 8
     hw = floats(rows, rep_dim)

@@ -1,11 +1,12 @@
 """Two-part classifier: hidden MLP, sphere-normalized feature map, linear head.
 
-The full model is f2(phi(F1(x))).  F1 is a plain fully-connected network,
-phi rescales its output onto the sphere of radius r, and the head is linear
-with per-class weight norm capped at 1/r.  Together the cap and the sphere
-keep every binary score inside [-1, 1].  The model stores r, which must be
-finite and positive, and applies phi through ``phi_normalize`` and
-``phi_backward``.
+The full model is f2(phi(F1(x))).  F1 is a fully-connected network with
+one layout, the paper's: a ReLU after every layer but the last, which is
+linear, decided by the layer's position.  phi rescales its output onto the
+sphere of radius r, and the head is linear with per-class weight norm
+capped at 1/r.  Together the cap and the sphere keep every binary score
+inside [-1, 1].  The model stores r, which must be finite and positive,
+and applies phi through ``phi_normalize`` and ``phi_backward``.
 
 Every trainer uses one training surface: ``features_cached`` (forward
 through F1 and phi), ``LinearHead.backward`` (the only head gradient; it
@@ -70,15 +71,13 @@ __all__ = [
 NORM_EPSILON = 1e-12   # below this the activation counts as degenerate
 NORM_FLOOR = 1e-8      # added to degenerate norms
 
-_ACTIVATIONS = ("identity", "relu")
-
 # Rows per inference block.  Of 1,024, 2,048 and 4,096, 1,024 measured
 # fastest for predict on 20,000 rows with hidden [32] (one thread).
 _EVAL_ROWS = 1024
 
 
 class Layer:
-    """One affine layer with an elementwise activation.
+    """One affine layer; its network decides whether a ReLU follows it.
 
     Its parameters are one (fan_in + 1, fan_out) matrix ``wb``, the weights
     with the bias as the last row, so an input with a ones column appended
@@ -87,9 +86,7 @@ class Layer:
     the matrix it is given.
     """
 
-    def __init__(self, wb: np.ndarray, activation: str = "relu"):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, wb: np.ndarray):
         wb = np.array(wb, dtype=np.float64)
         if wb.ndim != 2 or wb.shape[0] < 2 or wb.shape[1] < 1:
             raise ValueError(
@@ -97,26 +94,25 @@ class Layer:
                 f" at least 1, got shape {wb.shape}"
             )
         self.wb = wb
-        self.activation = activation
 
     @classmethod
-    def init(cls, fan_in: int, fan_out: int, activation: str, rng: np.random.Generator) -> "Layer":
+    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator) -> "Layer":
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         wb = np.zeros((fan_in + 1, fan_out))
         wb[:-1] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return cls(wb, activation)
+        return cls(wb)
 
 
 class _Workspace:
     """Every array one forward and backward pass over n rows writes.
 
     Per layer: its input with a trailing ones column (written once, here)
-    and its preactivation ``z``; ``v`` is the network output.  The backward
-    buffers (a float ReLU mask per relu layer and the adjoint at each layer
-    output) and phi's (squared entries ``sq``, row denominators ``denom``,
-    the (n, 1) column ``scale`` = radius / denom, features ``u`` and phi's
-    backward output ``grad_v``) are built on first use, so a forward-only
-    pass never allocates them.
+    and its preactivation ``z``; ``v``, the network output, is the last
+    layer's ``z``.  The backward buffers (a float ReLU mask and the adjoint
+    at the output of each inner layer) and phi's (squared entries ``sq``,
+    row denominators ``denom``, the (n, 1) column ``scale`` = radius /
+    denom, features ``u`` and phi's backward output ``grad_v``) are built
+    on first use, so a forward-only pass never allocates them.
     """
 
     def __init__(self, layers: Sequence[Layer], n: int):
@@ -125,13 +121,14 @@ class _Workspace:
         for a in self.inputs:
             a[:, -1] = 1.0
         self.z = [np.empty((n, layer.wb.shape[1])) for layer in layers]
-        self.v = np.empty_like(self.z[-1]) if layers[-1].activation == "relu" else self.z[-1]
+        self.v = self.z[-1]
         self.masks = self.adjoints = None
         self.sq = self.denom = self.scale = self.u = self.grad_v = None
 
 
 class HiddenNetwork:
-    """The representation network F1: a stack of affine+activation layers.
+    """The representation network F1: a stack of affine layers with a ReLU
+    after every one but the last.
 
     It keeps one spare workspace, the last one a classifier spent, for the
     next training step of the same row count; ``clone`` copies none.
@@ -148,17 +145,12 @@ class HiddenNetwork:
 
     @classmethod
     def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "HiddenNetwork":
-        """Build from a dims chain [in, h1, ..., out]: relu everywhere
-        except an identity output layer."""
+        """Build from a dims chain [in, h1, ..., out]."""
         if len(dims) < 2:
             raise ValueError("dims must list at least input and output width")
         if min(dims) < 1:
             raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
-        n_layers = len(dims) - 1
-        return cls([
-            Layer.init(dims[i], dims[i + 1], "relu" if i < n_layers - 1 else "identity", rng)
-            for i in range(n_layers)
-        ])
+        return cls([Layer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     @property
     def in_dim(self) -> int:
@@ -199,20 +191,18 @@ class HiddenNetwork:
 
         A fresh workspace is built when ``ws`` is None or holds another row
         count.  Each layer input carries a trailing ones column, so
-        ``a @ wb`` adds the bias inside the matmul; an inner layer's
-        activation writes straight into the next layer's input.
+        ``a @ wb`` adds the bias inside the matmul; an inner layer's ReLU
+        writes straight into the next layer's input, and the last layer's
+        preactivation is the output.
         """
         x = self._batch(x)
         if ws is None or ws.n != len(x):
             ws = _Workspace(self.layers, len(x))
         ws.inputs[0][:, :-1] = x
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.layers[:-1]):
             z = np.matmul(ws.inputs[i], layer.wb, out=ws.z[i])
-            nxt = ws.inputs[i + 1][:, :-1] if i + 1 < len(self.layers) else ws.v
-            if layer.activation == "relu":
-                np.maximum(z, 0.0, out=nxt)
-            elif nxt is not z:
-                nxt[...] = z
+            np.maximum(z, 0.0, out=ws.inputs[i + 1][:, :-1])
+        np.matmul(ws.inputs[-1], self.layers[-1].wb, out=ws.v)
         return ws.v, ws
 
     def backward(self, cache: _Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
@@ -228,18 +218,17 @@ class HiddenNetwork:
         if cache is None:
             raise ValueError("no recorded forward state to backpropagate through")
         if cache.adjoints is None:
-            cache.masks = [np.empty_like(z) if layer.activation == "relu" else None
-                           for layer, z in zip(self.layers, cache.z)]
-            cache.adjoints = [np.empty_like(z) for z in cache.z]
+            cache.masks = [np.empty_like(z) for z in cache.z[:-1]]
+            cache.adjoints = [np.empty_like(z) for z in cache.z[:-1]]
+        last = len(self.layers) - 1
         g, grads = grad_out, []
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            if layer.activation == "relu":
+        for i in range(last, -1, -1):
+            if i < last:
                 mask = np.greater(cache.z[i], 0.0, out=cache.masks[i])
                 g = np.multiply(g, mask, out=cache.adjoints[i])
             grads.append(cache.inputs[i].T @ g)
             if i:
-                g = np.matmul(g, layer.wb[:-1].T, out=cache.adjoints[i - 1])
+                g = np.matmul(g, self.layers[i].wb[:-1].T, out=cache.adjoints[i - 1])
         grads.reverse()
         return grads
 
@@ -248,7 +237,7 @@ class HiddenNetwork:
             layer.wb -= lr * dwb
 
     def clone(self) -> "HiddenNetwork":
-        return HiddenNetwork([Layer(l.wb, l.activation) for l in self.layers])
+        return HiddenNetwork([Layer(l.wb) for l in self.layers])
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

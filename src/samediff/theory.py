@@ -368,7 +368,9 @@ def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport
     gamma is unattainable are excluded from the argmin and reported; the
     verdict is withheld when no hypothesis is both collapsing and
     separation-optimal.  Ties are decided on norm / -gamma = 1 / ||E[Y rep(X)]||,
-    which does not shrink with gamma.  Raises for a non-finite gamma.
+    taken from the cached lengths, so they neither shrink with gamma nor
+    round together when the norms are subnormal.  Raises for a non-finite
+    gamma.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
@@ -385,7 +387,7 @@ def verify_head_norm_argmin(prob: FiniteProblem, gamma: float) -> HeadNormReport
     argmin: tuple[int, ...] = ()
     if assumption_overlap and norms:
         keys = list(norms)
-        argmin = tuple(keys[i] for i in _argmin_set(np.array(list(norms.values())) / -gamma))
+        argmin = tuple(keys[i] for i in _argmin_set(1.0 / prob._statistics.lengths[keys]))
         equality = set(argmin) == set(target)
     return HeadNormReport(
         gamma=float(gamma),

@@ -59,8 +59,8 @@ def far_from_kinks(model, x, margin=1e-3, min_raw_norm=1e-2):
     v, cache = model.hidden.forward_cached(np.asarray(x, dtype=np.float64))
     if np.any(np.linalg.norm(v, axis=1) < min_raw_norm):
         return False
-    for layer, z in zip(model.hidden.layers, cache.z):
-        if layer.activation == "relu" and np.any(np.abs(z) < margin):
+    for z in cache.z[:-1]:   # the last layer is linear
+        if np.any(np.abs(z) < margin):
             return False
     return True
 

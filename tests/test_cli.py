@@ -750,10 +750,15 @@ class TestVerifyTheoryCommand:
         assert cli_main(["verify-theory", "--seeds", "8"]) == 0
         assert "passed 8/8 generated problems" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("extra", [[], ["--skip-cross-checks"]], ids=["cross", "closed"])
-    def test_tiny_gamma_fraction_passes(self, capsys, extra):
-        """At F = 1e-13 every norm is about 1e-13; this once printed passed 0/20."""
-        assert cli_main(["verify-theory", "--seeds", "20", "--gamma-frac", "1e-13", *extra]) == 0
+    @pytest.mark.parametrize("frac, extra", [
+        ("1e-13", []), ("1e-13", ["--skip-cross-checks"]),
+        ("5e-324", []), ("5e-324", ["--skip-cross-checks"]),
+    ], ids=["cross", "closed", "subnormal-cross", "subnormal-closed"])
+    def test_tiny_gamma_fraction_passes(self, capsys, frac, extra):
+        """At F = 1e-13 every norm is about 1e-13; this once printed passed
+        0/20.  At the subnormal 5e-324 every norm rounds to 5e-324 or
+        1e-323; this once printed passed 5/20."""
+        assert cli_main(["verify-theory", "--seeds", "20", "--gamma-frac", frac, *extra]) == 0
         assert capsys.readouterr().out == "passed 20/20 generated problems\n"
 
 
@@ -1148,13 +1153,19 @@ class TestSweepCompareCommands:
         ({"n1": [30, 5000], "n2": [2]},
          {"dataset": {"kind": "blobs", "n_per_class": 20, "noise": 0.5, "seed": 0}},
          "insufficient examples: 5000 pairs requested, only 780 distinct pairs exist"),
+        ({"n1": [5, 500], "n2": [1]},
+         {"dataset": {"kind": "blobs", "n_per_class": 20, "noise": 0.5, "seed": 0},
+          "pairing": {"mode": "exhaustive"}},
+         "pairing.mode exhaustive takes every pair whatever sweep.n1 says, so every n1 cell "
+         "would train on the same pairs"),
     ], ids=["n1-below-one", "n2-below-one", "n2-over-rows", "n2-over-disjoint-remainder",
-            "n1-over-sampled-pairs"])
+            "n1-over-sampled-pairs", "exhaustive-pairing"])
     def test_sweep_grid_is_checked_before_training(self, tmp_path, capsys, monkeypatch, grid,
                                                    extra, message):
         """Each once trained cell (30, 1), (5, 30) or (30, 2), or none,
         before exiting 2; the over-budget cells' messages named no key or
-        came only when the later cell started."""
+        came only when the later cell started.  Exhaustive pairing once
+        trained every n1 cell on the same pairs and exited 0."""
         import samediff.harness as harness
 
         monkeypatch.setattr(harness, "train_two_stage", lambda *a: pytest.fail("a cell trained"))

@@ -356,10 +356,17 @@ class TestRegimeRunnerMatchesFrozenRecipes:
 
     @pytest.mark.parametrize("mode", list(PAIRINGS))
     def test_sweep_cells(self, mode):
+        """Each cell matches its frozen recipe; exhaustive pairing, which
+        takes every pair whatever n1 says, is refused before any cell."""
         train, test, cfg, make, built = self.setup_problem()
         pairing = PairingConfig(mode=mode)
         n1 = self.PAIRINGS[mode] or 1
         spec = SweepSpec(n1_values=(n1,), n2_values=(3, 6), reps=2)
+        if mode == "exhaustive":
+            with pytest.raises(ValueError, match="^pairing.mode exhaustive takes every pair"):
+                run_sweep(train, test, spec, make, cfg, pairing=pairing)
+            assert built == []
+            return
         result = run_sweep(train, test, spec, make, cfg, pairing=pairing)
         trained = list(built)
         for row, model in zip(result.rows, trained, strict=True):

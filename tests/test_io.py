@@ -1,6 +1,7 @@
 """File formats: CSV, IDX, pair files, checkpoints, synthetic generators."""
 
 import hashlib
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -15,6 +16,7 @@ from samediff import (
     Layer,
     LinearHead,
     TwoPartClassifier,
+    cli_main,
     generate_synthetic,
     load_csv,
     load_idx,
@@ -428,15 +430,25 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="magic mismatch"):
             load_model(str(wrong))
 
-    def test_unknown_activation_code(self, tmp_path, rng42):
+    @pytest.mark.parametrize("layer, code", [(0, 0), (1, 1), (0, 9)],
+                             ids=["inner-linear", "last-relu", "code-9"])
+    def test_unknown_activation_code(self, tmp_path, rng42, capsys, layer, code):
+        """Only the one layout loads, 1 on the inner layer and 0 on the last;
+        code 0 on an inner layer once loaded as an identity layer."""
         model = tiny_model(rng42)
         path = tmp_path / "m.ckpt"
         save_model(model, str(path), seed=0)
         blob = bytearray(path.read_bytes())
-        blob[40] = 9  # activation byte of the first layer record
+        at = 40 + sum(9 + l.wb.nbytes for l in model.hidden.layers[:layer])   # its activation byte
+        want = int(layer == 0)
+        assert blob[at] == want
+        blob[at] = code
         path.write_bytes(patch_crc(bytes(blob)))
-        with pytest.raises(DataFormatError, match="unknown activation code 9"):
+        message = f"layer {layer + 1} of 2: activation code {code}, expected {want} "
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_model(str(path))
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "offset, fmt, value",
@@ -479,7 +491,7 @@ class TestCheckpoints:
         layer's weights row-major, then its biases, then the head."""
         w1, b1 = np.arange(6.0).reshape(2, 3) / 8, np.array([0.5, -0.25, 2.0])
         w2, b2 = -np.arange(12.0).reshape(3, 4) / 16, np.array([1.0, -1.0, 0.125, 3.0])
-        hidden = [(w1, b1, 1), (w2, b2, 0)]   # activation codes: relu, identity
+        hidden = [(w1, b1, 1), (w2, b2, 0)]   # activation codes: relu, linear
         head_w, head_b = np.arange(12.0).reshape(3, 4) / 32 - 0.1, np.array([0.3, -0.2, 0.1])
         cases = [
             (np.arange(4.0).reshape(1, 4) / 10, None, 2, 1.5, 11),
@@ -487,8 +499,7 @@ class TestCheckpoints:
         ]
         for weights, biases, class_count, radius, seed in cases:
             model = TwoPartClassifier(
-                HiddenNetwork([Layer(np.vstack([w1, b1]), "relu"),
-                               Layer(np.vstack([w2, b2]), "identity")]),
+                HiddenNetwork([Layer(np.vstack([w1, b1])), Layer(np.vstack([w2, b2]))]),
                 radius, LinearHead(weights, biases), class_count,
             )
             path = tmp_path / "m.ckpt"

@@ -103,12 +103,13 @@ def finite_params(draw, count):
 @st.composite
 def sdck_files(draw):
     """Bytes of a well-formed checkpoint: a binary head (one bias-free row,
-    two classes) or one row per class with or without biases."""
+    two classes) or one row per class with or without biases, and the one
+    hidden layout, activation byte 1 on every inner layer and 0 on the last."""
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     layers = b""
-    for fan_in, fan_out in zip(widths, widths[1:]):
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=2):
         params = finite_params(draw, (fan_in + 1) * fan_out)
-        layers += struct.pack("<IIB", fan_in, fan_out, draw(st.integers(0, 1))) + params
+        layers += struct.pack("<IIB", fan_in, fan_out, int(i < len(widths))) + params
     rows = draw(st.integers(1, 4))
     biased = rows > 1 and draw(st.booleans())
     class_count = max(rows, 2)

@@ -10,11 +10,9 @@ from samediff import (
     Layer,
     LinearHead,
     TwoPartClassifier,
-    load_model,
     phi_backward,
     phi_normalize,
     project_head,
-    save_model,
     substream,
 )
 
@@ -24,9 +22,10 @@ from conftest import (far_from_kinks, hidden_param_arrays, numeric_grad, params_
 
 
 def naive_forward(layers, x):
-    """Reference forward pass written as explicit loops."""
+    """Reference forward pass written as explicit loops: ReLU after every
+    layer but the last."""
     a = np.array(x, dtype=np.float64)
-    for layer in layers:
+    for pos, layer in enumerate(layers, start=1):
         w, b = layer.wb[:-1], layer.wb[-1]
         out = np.empty((a.shape[0], w.shape[1]))
         for i in range(a.shape[0]):
@@ -34,13 +33,12 @@ def naive_forward(layers, x):
                 s = b[j]
                 for k in range(a.shape[1]):
                     s += a[i, k] * w[k, j]
-                out[i, j] = max(s, 0.0) if layer.activation == "relu" else s
+                out[i, j] = max(s, 0.0) if pos < len(layers) else s
         a = out
     return a
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Layer(np.zeros((3, 2)), "tanh"), "unknown activation 'tanh'"),
     (lambda: HiddenNetwork([]), "network needs at least one layer"),
     (lambda: HiddenNetwork.init([3], substream(0, "init")),
      "dims must list at least input and output width"),
@@ -49,7 +47,7 @@ def naive_forward(layers, x):
     (lambda: TwoPartClassifier(HiddenNetwork.init([2, 2], substream(0, "init")), 1.0,
                                LinearHead(np.zeros((3, 2)), np.zeros(3)), 2),
      "head must have one row per class"),
-], ids=["activation", "no-layers", "one-width", "head-1d", "head-bias", "head-rows"])
+], ids=["no-layers", "one-width", "head-1d", "head-bias", "head-rows"])
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
@@ -65,8 +63,13 @@ class TestHiddenNetwork:
             np.testing.assert_allclose(net.forward(x), naive_forward(net.layers, x), rtol=1e-12)
 
     def test_default_activations(self):
+        """ReLU after the inner layer, none after the last: the output keeps
+        negative entries and the next layer's input does not."""
         net = HiddenNetwork.init([3, 4, 2], np.random.default_rng(0))
-        assert [l.activation for l in net.layers] == ["relu", "identity"]
+        v, cache = net.forward_cached(np.random.default_rng(1).normal(size=(50, 3)))
+        assert v is cache.z[-1] and np.any(v < 0.0)
+        np.testing.assert_array_equal(cache.inputs[1][:, :-1], np.maximum(cache.z[0], 0.0))
+        assert np.any(cache.z[0] < 0.0)
 
     def test_dimension_mismatch_message(self):
         net = HiddenNetwork.init([3, 2], np.random.default_rng(0))
@@ -85,7 +88,7 @@ class TestHiddenNetwork:
             net.backward(None, np.zeros((1, 2)))
 
     def test_glorot_init_range(self):
-        layer = Layer.init(10, 6, "relu", np.random.default_rng(42))
+        layer = Layer.init(10, 6, np.random.default_rng(42))
         limit = np.sqrt(6.0 / 16.0)
         assert np.all(np.abs(layer.wb[:-1]) <= limit)
         np.testing.assert_array_equal(layer.wb[-1], np.zeros(6))
@@ -275,30 +278,6 @@ class TestTwoPartClassifier:
                 assert rel_err(analytic, numeric_grad(objective, arr)) < 1e-6
             checked += 1
 
-    def test_identity_inner_layer_matches_finite_differences(self, tmp_path):
-        """A checkpoint may store an inner layer with activation code 0: its
-        forward pass copies the preactivation into the next layer's input."""
-        rng = np.random.default_rng(7)
-        model = tiny_model(rng, in_dim=3, hidden=(4,), rep_dim=3)
-        model.hidden.layers[0].activation = "identity"
-        save_model(model, str(tmp_path / "model.ckpt"))
-        model, _ = load_model(str(tmp_path / "model.ckpt"))
-        assert [l.activation for l in model.hidden.layers] == ["identity", "identity"]
-        x = rng.normal(size=(5, 3))
-        assert far_from_kinks(model, x)
-        np.testing.assert_allclose(model.hidden.forward(x), naive_forward(model.hidden.layers, x),
-                                   rtol=1e-12)
-        adj = rng.normal(size=(5, 1))
-
-        def objective():
-            return float(np.sum(adj * model.head.scores(model.features(x))))
-
-        u, cache = model.features_cached(x)
-        _, _, du = model.head.backward(u, adj)
-        layer_grads = model.backward_features(cache, du)
-        for layer, dwb in zip(model.hidden.layers, layer_grads):
-            assert rel_err(dwb, numeric_grad(objective, layer.wb)) < 1e-6
-
     def test_clone_and_params_equal(self):
         model = tiny_model(np.random.default_rng(3))
         twin = model.clone()
@@ -411,8 +390,10 @@ class TestWorkspace:
         assert not np.shares_memory(u_other, u)
 
     def test_float_mask_keeps_signed_zeros(self):
-        """The masked adjoint equals ``g * (z > 0.0)`` bit for bit."""
-        net = HiddenNetwork([Layer(np.array([[1.0] * 6, [0.0] * 6]), "relu")])
+        """The masked adjoint equals ``g * (z > 0.0)`` bit for bit, g being
+        the adjoint the linear last layer (here the identity) hands back."""
+        net = HiddenNetwork([Layer(np.array([[1.0] * 6, [0.0] * 6])),
+                             Layer(np.vstack([np.eye(6), np.zeros(6)]))])
         _, cache = net.forward_cached(np.ones((2, 1)))
         z = np.array([[0.0, -0.0, 1.0, -1.0, 0.0, 2.0],
                       [-0.0, 0.0, -3.0, 4.0, 1.0, -0.0]])
@@ -420,7 +401,7 @@ class TestWorkspace:
                       [-1.0, 3.0, -0.0, -5.0, -0.0, -7.0]])
         cache.z[0][...] = z
         net.backward(cache, g)
-        assert cache.adjoints[0].tobytes() == (g * (z > 0.0)).tobytes()
+        assert cache.adjoints[0].tobytes() == ((g @ np.eye(6)) * (z > 0.0)).tobytes()
 
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     def test_workspace_scale_is_phi_scale(self, radius):
@@ -444,7 +425,7 @@ class TestWorkspace:
 
     def test_backward_leaves_grad_out_unchanged(self):
         rng = np.random.default_rng(23)
-        net = HiddenNetwork([Layer.init(3, 4, "relu", rng), Layer.init(4, 2, "relu", rng)])
+        net = HiddenNetwork([Layer.init(3, 4, rng), Layer.init(4, 2, rng)])
         _, cache = net.forward_cached(rng.normal(size=(5, 3)))
         g = rng.normal(size=(5, 2))
         before = g.tobytes()

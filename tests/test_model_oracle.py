@@ -70,10 +70,10 @@ class FrozenHidden(HiddenNetwork):
     def forward_cached(self, x, ws=None):
         a = np.asarray(x, dtype=np.float64)
         cache = []
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             z = a @ layer.wb[:-1] + layer.wb[-1]
             cache.append((a, z))
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            a = np.maximum(z, 0.0) if i < len(self.layers) - 1 else z
         return a, cache
 
     def backward(self, cache, grad_out):
@@ -82,7 +82,7 @@ class FrozenHidden(HiddenNetwork):
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             a_in, z = cache[i]
-            if layer.activation == "relu":
+            if i < len(self.layers) - 1:
                 g = g * (z > 0.0)
             grads[i] = (a_in.T @ g, g.sum(axis=0))
             g = g @ layer.wb[:-1].T
@@ -121,7 +121,7 @@ class FrozenClassifier(TwoPartClassifier):
 
 
 def frozen(model):
-    hidden = FrozenHidden([Layer(l.wb, l.activation) for l in model.hidden.layers])
+    hidden = FrozenHidden([Layer(l.wb) for l in model.hidden.layers])
     return FrozenClassifier(hidden, model.radius, model.head.clone(), model.class_count)
 
 
@@ -244,7 +244,7 @@ def frozen_whole_forward(net, x):
     a[:, :-1], a[:, -1] = x, 1.0
     for i, layer in enumerate(net.layers):
         z = a @ layer.wb
-        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        v = np.maximum(z, 0.0) if i + 1 < len(net.layers) else z
         if i + 1 == len(net.layers):
             return v
         a = np.empty((len(x), z.shape[1] + 1))

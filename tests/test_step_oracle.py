@@ -86,14 +86,13 @@ class FrozenStepHidden(HiddenNetwork):
 
     def backward(self, cache, grad_out):
         if cache.adjoints is None:
-            cache.masks = [np.empty_like(z) if layer.activation == "relu" else None
-                           for layer, z in zip(self.layers, cache.z)]
+            cache.masks = [np.empty_like(z) for z in cache.z[:-1]]
             cache.adjoints = [np.empty_like(z) for z in cache.z]
         g = np.asarray(grad_out, dtype=np.float64)
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            if layer.activation == "relu":
+            if i < len(self.layers) - 1:   # ReLU after every layer but the last
                 mask = np.greater(cache.z[i], 0.0, out=cache.masks[i])
                 g = np.multiply(g, mask, out=cache.adjoints[i])
             grads[i] = cache.inputs[i].T @ g
@@ -134,7 +133,7 @@ class FrozenStepClassifier(TwoPartClassifier):
 
 
 def frozen(model):
-    hidden = FrozenStepHidden([Layer(l.wb, l.activation) for l in model.hidden.layers])
+    hidden = FrozenStepHidden([Layer(l.wb) for l in model.hidden.layers])
     return FrozenStepClassifier(hidden, model.radius, model.head.clone(), model.class_count)
 
 
