@@ -240,12 +240,12 @@ def build_train_config(doc: dict) -> TrainConfig:
 
 def build_pairing_config(doc: dict, train_ds: FullyLabeledDataset) -> PairingConfig:
     """The pairing of ``train_ds``'s N records.  The default budget is N/4 under
-    disjoint pairing (half the records paired, the labels drawn from the rest)
-    and otherwise max(2N, 1000), capped at the N(N-1)/2 distinct pairs."""
+    disjoint pairing (half the records paired, the labels drawn from the rest),
+    max(2N, 1000) capped at the N(N-1)/2 distinct pairs under sampled, else 0."""
     mode = _read(doc, "pairing.mode", str, "sampled")
     n = len(train_ds)
-    default_pairs = (max(n // 4, 1) if mode == "disjoint"
-                     else min(max(2 * n, 1000), n * (n - 1) // 2))
+    default_pairs = {"disjoint": max(n // 4, 1),
+                     "sampled": min(max(2 * n, 1000), n * (n - 1) // 2)}.get(mode, 0)
     try:
         return PairingConfig(
             mode=mode,

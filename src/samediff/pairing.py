@@ -38,16 +38,19 @@ __all__ = [
 BATCH_GRANULARITY = 1024
 SMALL_POOL = 1 << 16   # pools up to this many pairs are enumerated
 STALL_LIMIT = 50       # fruitless class batches before pooling every record
+# Each mode's pairs, and which of n_pairs and class_batch_size it reads.
+_MODE_READS = {"exhaustive": ("takes every pair", ()),
+               "disjoint": ("pairs each record at most once", ("n_pairs",)),
+               "sampled": ("draws class batches", ("n_pairs", "class_batch_size")),
+               "online": ("is online pairing (train --regime online)", ())}
 
 
 @dataclass(frozen=True)
 class PairingConfig:
-    """Settings for pair-set construction.
-
-    ``class_batch_size`` is the M of the sampled regime, at least 1; None
-    means the default min(10, class_count).  ``n_pairs`` must not be
-    negative; the exhaustive and online regimes ignore it.
-    """
+    """Settings for pair-set construction.  ``n_pairs`` must not be negative
+    and ``class_batch_size``, the sampled regime's M, at least 1 (None means
+    min(10, class_count)); a mode refuses either unless it reads it
+    (``_MODE_READS``) or it is unset: 0 or None."""
 
     mode: str = "sampled"
     n_pairs: int = 0
@@ -55,12 +58,16 @@ class PairingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "disjoint", "sampled", "online"):
+        if self.mode not in _MODE_READS:
             raise ValueError(f"unknown pairing mode {self.mode!r}")
         if self.n_pairs < 0:
             raise ValueError(f"n_pairs must not be negative, got {self.n_pairs}")
         if self.class_batch_size is not None and self.class_batch_size < 1:
             raise ValueError(f"class_batch_size must be at least 1, got {self.class_batch_size}")
+        pairs, reads = _MODE_READS[self.mode]
+        for key, unset in (("n_pairs", 0), ("class_batch_size", None)):
+            if (v := getattr(self, key)) != unset and key not in reads:
+                raise ValueError(f"pairing.mode {self.mode} {pairs} and reads no {key}, got {v}")
 
 
 def max_disjoint_pairs(n_examples: int) -> int:

@@ -34,6 +34,7 @@ from samediff import (
 from samediff.cli import _write_trace_csv
 from samediff.config import _ALLOWED, _DATASET_KEYS
 from samediff.harness import SweepResult, SweepSpec
+from samediff.pairing import _MODE_READS
 from samediff.privacy import EncryptionReport, StrengthReport
 from samediff.theory import SuiteResult
 from samediff.trainer import EpochRecord, TrainRun
@@ -202,12 +203,13 @@ class TestConfigBuilders:
             )
 
     @pytest.mark.parametrize("n_per_class, mode, n_pairs", [
-        (20, "sampled", 780), (20, "exhaustive", 780), (40, "sampled", 1000),
-        (300, "sampled", 1200), (40, "disjoint", 20), (1, "disjoint", 1),
+        (20, "sampled", 780), (20, "exhaustive", 0), (40, "sampled", 1000),
+        (300, "sampled", 1200), (40, "disjoint", 20), (1, "disjoint", 1), (20, "online", 0),
     ])
     def test_default_pair_budget(self, n_per_class, mode, n_pairs):
-        """Without pairing.n_pairs, N training records get N/4 disjoint pairs
-        and otherwise max(2N, 1000), capped at the N(N-1)/2 that exist."""
+        """Without pairing.n_pairs, N training records get N/4 disjoint pairs,
+        max(2N, 1000) sampled pairs capped at the N(N-1)/2 that exist, and
+        0 under exhaustive and online pairing, which read no budget."""
         train = generate_synthetic("blobs", n_per_class=n_per_class, seed=0)
         assert build_pairing_config(base_config(pairing={"mode": mode}), train).n_pairs == n_pairs
         doc = base_config(pairing={"mode": mode, "n_pairs": 0})
@@ -379,11 +381,21 @@ class TestExitCodes:
         ("online", {"pairing": {"n_pairs": -5}}, "n_pairs must not be negative, got -5"),
         ("two-stage", {"pairing": {"mode": "disjoint"}, "labels": {"per_class": 30}},
          "label budget 60 exceeds the 40 records left to label"),
+        *[(regime, {"pairing": {"mode": "exhaustive", "n_pairs": 30}},
+           "pairing.mode exhaustive takes every pair and reads no n_pairs, got 30")
+          for regime in ("two-stage", "baseline", "online")],
+        *[(regime, {"pairing": {"mode": "disjoint", "n_pairs": 20, "class_batch_size": 3}},
+           "pairing.mode disjoint pairs each record at most once and reads no "
+           "class_batch_size, got 3")
+          for regime in ("two-stage", "baseline", "online")],
     ], ids=["baseline", "online", "baseline-per-class-0", "baseline-per-class-negative",
             "online-per-class-negative", "two-stage-per-class-over-rows",
             "baseline-per-class-over-rows", "online-per-class-over-rows",
             "baseline-negative-pairs", "online-negative-pairs",
-            "two-stage-per-class-over-disjoint-remainder"])
+            "two-stage-per-class-over-disjoint-remainder",
+            "two-stage-exhaustive-budget", "baseline-exhaustive-budget",
+            "online-exhaustive-budget", "two-stage-disjoint-class-batch",
+            "baseline-disjoint-class-batch", "online-disjoint-class-batch"])
     def test_bad_pairing_section_is_data_error_in_every_regime(self, tmp_path, capsys, regime,
                                                                 section, error):
         """Every regime reads the pairing section and the label budget;
@@ -391,7 +403,8 @@ class TestExitCodes:
         pair budget, and baseline past a label budget below 1 or above the
         training rows, which two-stage and online refused without naming
         ``labels.per_class``.  A budget above the 40 records that 20 disjoint
-        pairs leave once read ``subset size 60 outside [1, 40]``."""
+        pairs leave once read ``subset size 60 outside [1, 40]``.  Every
+        regime once trained past a setting its pairing mode does not read."""
         cfg = write_config(tmp_path, **section)
         out = tmp_path / "out"
         assert cli_main(["train", "--config", cfg, "--regime", regime, "--out-dir", str(out)]) == 2
@@ -418,6 +431,24 @@ class TestExitCodes:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == "error: class_batch_size must be at least 1, got 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "exhaustive", "--n-pairs", "5"],
+         "pairing.mode exhaustive takes every pair and reads no n_pairs, got 5"),
+        (["--mode", "disjoint", "--class-batch-size", "3"],
+         "pairing.mode disjoint pairs each record at most once and reads no "
+         "class_batch_size, got 3"),
+    ], ids=["exhaustive-n-pairs", "disjoint-class-batch-size"])
+    def test_convert_refuses_a_setting_its_mode_does_not_read(self, tmp_path, capsys, flags,
+                                                              message):
+        """Exhaustive once wrote all 780 pairs whatever ``--n-pairs`` said."""
+        data = str(tmp_path / "blobs.csv")
+        save_csv(generate_synthetic("blobs", n_per_class=20, seed=0), data)
+        out, rest = tmp_path / "p.sdpf", tmp_path / "rest.csv"
+        assert cli_main(["convert", "--data", data, *flags, "--out", str(out),
+                         "--remainder-out", str(rest)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not rest.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (lambda tmp: ["bound", "--t", "1", "--r", "1", "--n2", str(10**400), "--delta", "0.1"],
@@ -1004,8 +1035,8 @@ class TestTrainEvalCommands:
             "stage,epoch,lr,train_loss,val_metric")
 
     def test_two_stage_runs_every_materialised_pairing_mode(self, tmp_path, capsys):
-        for mode in ("exhaustive", "disjoint"):
-            cfg = write_config(tmp_path, f"{mode}.json", pairing={"mode": mode, "n_pairs": 30})
+        for mode, budget in (("exhaustive", {}), ("disjoint", {"n_pairs": 30})):
+            cfg = write_config(tmp_path, f"{mode}.json", pairing={"mode": mode, **budget})
             assert cli_main(["train", "--config", cfg, "--out-dir", str(tmp_path / mode)]) == 0
             assert "test accuracy" in capsys.readouterr().out
 
@@ -1040,7 +1071,8 @@ class TestRunOutputFormats:
 
     def test_documented_config_keys_match_the_schema(self):
         """The "Run config" section of docs/formats.md lists exactly the keys
-        ``config`` accepts, and for each dataset kind exactly those it reads."""
+        ``config`` accepts, for each dataset kind exactly those it reads, and
+        for each pairing mode exactly the budget settings it reads."""
         docs = FORMATS.read_text(encoding="utf-8")
         section = docs[docs.index("## Run config"):docs.index("## Run outputs")]
         keys_table = section[section.index("| key | type | default |"):]
@@ -1058,6 +1090,10 @@ class TestRunOutputFormats:
         kinds = {kind: set(re.findall(r"`(\w+)`", keys))
                  for cell, keys in rows(kinds_table) for kind in re.findall(r"`(\w+)`", cell)}
         assert kinds == _DATASET_KEYS
+        modes_table = section[section.index("| mode | keys |"):]
+        modes = {mode: set(re.findall(r"`(\w+)`", keys))
+                 for cell, keys in rows(modes_table) for mode in re.findall(r"`(\w+)`", cell)}
+        assert modes == {mode: set(reads) for mode, (_, reads) in _MODE_READS.items()}
 
 
 class TestSweepCompareCommands:
@@ -1136,6 +1172,25 @@ class TestSweepCompareCommands:
         )
         assert json.loads(out.read_text()) == expected.to_dict()
 
+    def test_only_train_reads_pairing_seed(self, tmp_path, capsys):
+        """``sweep`` and ``compare`` pair each trial on that trial's seed, so
+        ``pairing.seed`` changes only what ``train`` writes."""
+        outputs = []
+        for seed in (1, 2):
+            cfg = write_config(tmp_path, f"seed{seed}.json", compare={"trials": 1},
+                               sweep={"n1": [40], "n2": [2], "reps": 1},
+                               pairing={"mode": "sampled", "n_pairs": 100, "seed": seed})
+            d = tmp_path / f"seed{seed}"
+            assert cli_main(["train", "--config", cfg, "--out-dir", str(d / "train")]) == 0
+            assert cli_main(["sweep", "--config", cfg, "--out-dir", str(d / "sweep")]) == 0
+            assert cli_main(["compare", "--config", cfg, "--out", str(d / "compare.json")]) == 0
+            outputs.append([(d / name).read_bytes() for name in
+                            ("train/model.ckpt", "sweep/results.csv", "compare.json")])
+        capsys.readouterr()
+        (ckpt1, *rest1), (ckpt2, *rest2) = outputs
+        assert ckpt1 != ckpt2
+        assert rest1 == rest2
+
     @pytest.mark.parametrize("key", ["n_pairs", "labels_per_class"])
     def test_compare_budget_keys_are_refused(self, tmp_path, capsys, key):
         """Each budget has one key: pairing.n_pairs and labels.per_class."""
@@ -1156,16 +1211,18 @@ class TestSweepCompareCommands:
         ({"n1": [5, 500], "n2": [1]},
          {"dataset": {"kind": "blobs", "n_per_class": 20, "noise": 0.5, "seed": 0},
           "pairing": {"mode": "exhaustive"}},
-         "pairing.mode exhaustive takes every pair whatever sweep.n1 says, so every n1 cell "
-         "would train on the same pairs"),
+         "pairing.mode exhaustive takes every pair and reads no n_pairs, got 5"),
+        ({"n1": [30, 30], "n2": [1, 1]}, {}, "sweep.n1 lists 30 twice"),
+        ({"n1": [30, 60], "n2": [2, 1, 2]}, {}, "sweep.n2 lists 2 twice"),
     ], ids=["n1-below-one", "n2-below-one", "n2-over-rows", "n2-over-disjoint-remainder",
-            "n1-over-sampled-pairs", "exhaustive-pairing"])
+            "n1-over-sampled-pairs", "exhaustive-pairing", "n1-listed-twice", "n2-listed-twice"])
     def test_sweep_grid_is_checked_before_training(self, tmp_path, capsys, monkeypatch, grid,
                                                    extra, message):
         """Each once trained cell (30, 1), (5, 30) or (30, 2), or none,
         before exiting 2; the over-budget cells' messages named no key or
         came only when the later cell started.  Exhaustive pairing once
-        trained every n1 cell on the same pairs and exited 0."""
+        trained every n1 cell on the same pairs and exited 0, and a value
+        listed twice trained its cells twice on the same seeds."""
         import samediff.harness as harness
 
         monkeypatch.setattr(harness, "train_two_stage", lambda *a: pytest.fail("a cell trained"))

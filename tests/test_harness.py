@@ -147,6 +147,8 @@ class TestSweepSpec:
             SweepSpec(n1_values=(30, -4), n2_values=(2,), reps=1)
         with pytest.raises(ValueError, match="sweep.n2 must be at least 1, got 0"):
             SweepSpec(n1_values=(30,), n2_values=(0, 1), reps=1)
+        with pytest.raises(ValueError, match="^sweep.n1 lists 30 twice$"):
+            SweepSpec(n1_values=(30, 60, 30), n2_values=(1,), reps=2)
 
 
 class TestRunSweep:

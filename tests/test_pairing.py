@@ -309,7 +309,7 @@ class TestBuildPairs:
 
     def test_dispatch_matches_constructors(self):
         ds = balanced_dataset(3, 12, seed=4)
-        pairs, pool = build_pairs(ds, PairingConfig(mode="exhaustive", n_pairs=5))
+        pairs, pool = build_pairs(ds, PairingConfig(mode="exhaustive"))
         self.same_pairs(pairs, pair_exhaustive(ds))
         assert pool is ds
         cfg = PairingConfig(mode="sampled", n_pairs=40, class_batch_size=2, seed=3)
@@ -334,3 +334,26 @@ class TestConfigAndCoverage:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown pairing mode"):
             PairingConfig(mode="surprise")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "disjoint", "sampled", "online"])
+    def test_each_mode_takes_only_the_settings_it_reads(self, mode):
+        """Exhaustive and online read neither setting, disjoint reads
+        ``n_pairs`` and sampled both; a setting left at 0 or None is unset."""
+        reads = pairing._MODE_READS[mode][1]
+        assert reads == {"exhaustive": (), "disjoint": ("n_pairs",),
+                         "sampled": ("n_pairs", "class_batch_size"), "online": ()}[mode]
+        PairingConfig(mode=mode)
+        PairingConfig(mode=mode, n_pairs=0, class_batch_size=None, seed=5)
+        for key, value in (("n_pairs", 7), ("class_batch_size", 3)):
+            if key in reads:
+                assert getattr(PairingConfig(mode=mode, **{key: value}), key) == value
+            else:
+                with pytest.raises(ValueError, match=rf"^pairing\.mode {mode} .* reads no "
+                                                     rf"{key}, got {value}$"):
+                    PairingConfig(mode=mode, **{key: value})
+
+    def test_range_checks_come_before_the_mode_rule(self):
+        with pytest.raises(ValueError, match="^n_pairs must not be negative, got -1$"):
+            PairingConfig(mode="exhaustive", n_pairs=-1)
+        with pytest.raises(ValueError, match="^class_batch_size must be at least 1, got 0$"):
+            PairingConfig(mode="disjoint", n_pairs=3, class_batch_size=0)
