@@ -201,7 +201,11 @@ def run_sweep(
     once, so a budget its pairing cannot take raises, and the largest n2
     must fit in the records that every n1 leaves to label."""
     for n1 in spec.n1_values:
-        _, label_pool = build_pairs(train_ds, replace(pairing, n_pairs=n1))
+        try:
+            cell_pairing = replace(pairing, n_pairs=n1)
+        except ValueError as err:   # the mode reads no budget: say where this one came from
+            raise ValueError(f"sweep.n1 {n1}: {err}") from None
+        _, label_pool = build_pairs(train_ds, cell_pairing)
         if max(spec.n2_values) > len(label_pool):
             raise ValueError(f"sweep.n2 {max(spec.n2_values)} exceeds the {len(label_pool)} "
                              f"records that {n1} pairs leave to label")

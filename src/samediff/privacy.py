@@ -9,6 +9,11 @@ attacker can union them into clusters.  The two extremes:
 * record-disjoint pairing gives each record at most one edge, so no
   component can exceed two records no matter how many pairs are released.
 
+The attack works on arrays: ``recover_clusters`` gives each participant
+its component number, ``pairwise_agreement`` scores those numbers against
+the true classes, and ``strength_report`` counts component sizes from them,
+so no list is built per component or per participant.
+
 ``encrypt_disjoint`` produces the strong form: disjoint pairs with features
 embedded inline and ids and class labels stripped, plus the untouched
 holdout needed for the head stage.  All reported statistics are recomputed
@@ -23,7 +28,6 @@ Reports carry both numbers rather than resolving the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -41,19 +45,22 @@ __all__ = [
 ]
 
 
-def recover_clusters(pairs: PairDataset) -> list[list[int]]:
+def recover_clusters(pairs: PairDataset) -> tuple[np.ndarray, np.ndarray]:
     """The attack: connected components of participants under t = 1 edges.
 
-    Participants touched only by t = 0 pairs stay singletons; disagreement
-    edges are constraints the attacker knows but cannot merge on.
-    Components are sorted by smallest member for stable output.
+    Returns ``(ids, component)``: the sorted participant ids and, aligned
+    with them, each participant's component, numbered from 0 in order of
+    the component's smallest member.  Participants touched only by t = 0
+    pairs stay singletons; disagreement edges are constraints the attacker
+    knows but cannot merge on.
 
     Array connected components: every participant points at a root, first
     itself.  Each round hooks the larger root of every edge whose ends
     have different roots under the smaller one, then jumps pointers to
     their pointers' pointers until every participant points at a root.
     Roots only ever hook under smaller roots, so each component ends up
-    pointing at its smallest participant.
+    pointing at its smallest participant, and numbering the roots in
+    order numbers the components.
     """
     ids = pairs.participant_ids()
     same = pairs.t == 1
@@ -72,10 +79,8 @@ def recover_clusters(pairs: PairDataset) -> list[list[int]]:
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
-    members = ids[order].tolist()
-    return [members[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(members)])]
+    root_rank = np.cumsum(label == np.arange(len(ids))) - 1
+    return ids, root_rank[label]
 
 
 def _pairs2(counts: np.ndarray) -> np.int64:
@@ -84,29 +89,28 @@ def _pairs2(counts: np.ndarray) -> np.int64:
 
 
 def pairwise_agreement(
-    components: list[list[int]], true_labels: Mapping[int, int] | np.ndarray
+    clusters: tuple[np.ndarray, np.ndarray], true_labels: Mapping[int, int] | np.ndarray
 ) -> float:
     """Fraction of participant pairs on which the recovered partition and the
-    true class partition agree (same-cluster vs same-class).
+    true class partition agree (same-cluster vs same-class): the Rand index.
 
-    ``true_labels[pid]`` is participant pid's class: a mapping, or an array
-    indexed by id.  Computed from contingency counts, so it is exact and
-    linear in the participant count.  The components must be disjoint.
+    ``clusters`` is ``recover_clusters``' ``(ids, component)``: distinct ids
+    and each one's component number.  ``true_labels[pid]`` is participant
+    pid's class: a mapping, or an array indexed by id.  Computed from
+    contingency counts, so it is exact and linear in the participant count.
     """
-    sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
-    n = int(sizes.sum())
+    ids, component = clusters
+    n = len(ids)
     total = n * (n - 1) // 2
     if total == 0:
         raise ValueError("agreement needs at least 2 participants")
-    comp = np.repeat(np.arange(len(sizes)), sizes)
-    members = chain.from_iterable(components)
     if isinstance(true_labels, np.ndarray):
-        labels = true_labels.take(np.fromiter(members, np.int64, n)).astype(np.int64)
+        labels = true_labels.take(ids).astype(np.int64)
     else:
-        labels = np.fromiter(map(true_labels.__getitem__, members), np.int64, n)
+        labels = np.fromiter(map(true_labels.__getitem__, ids.tolist()), np.int64, n)
     _, cls = np.unique(labels, return_inverse=True)
-    both = _pairs2(np.unique(comp * len(labels) + cls, return_counts=True)[1])
-    same_comp = _pairs2(np.bincount(comp))
+    both = _pairs2(np.unique(component * n + cls, return_counts=True)[1])
+    same_comp = _pairs2(np.bincount(component))
     same_class = _pairs2(np.bincount(cls))
     true_pos = both
     true_neg = total - same_comp - same_class + both
@@ -126,15 +130,20 @@ class StrengthReport:
 
 def strength_report(pairs: PairDataset,
                     true_labels: Mapping[int, int] | np.ndarray) -> StrengthReport:
-    """Run the attack on a pair release and score it against the truth."""
-    components = recover_clusters(pairs)
-    sizes = tuple(sorted(map(len, components), reverse=True))
+    """Run the attack on a pair release and score it against the truth.
+
+    The component sizes are one ``np.bincount`` of the component numbers,
+    reported largest first.
+    """
+    clusters = recover_clusters(pairs)
+    ids, component = clusters
+    sizes = tuple(np.sort(np.bincount(component))[::-1].tolist())
     return StrengthReport(
-        participant_count=int(sum(sizes)),
-        component_count=len(components),
-        max_component_size=max(sizes) if sizes else 0,
+        participant_count=len(ids),
+        component_count=len(sizes),
+        max_component_size=sizes[0] if sizes else 0,
         component_sizes=sizes,
-        agreement=pairwise_agreement(components, true_labels),
+        agreement=pairwise_agreement(clusters, true_labels),
     )
 
 

@@ -1,7 +1,8 @@
 """Shared helpers: finite-difference gradients, tiny dataset builders and
 a jitter-augmented copy, bitwise model equality, the theory tests'
-per-hypothesis references, risk target and constant-map problems, and the
-grid risk and bisection that check the suite's dense-search cross-checks.
+per-hypothesis references, risk target and constant-map problems, the
+grid risk and bisection that check the suite's dense-search cross-checks,
+and converters between the attack's component arrays and member lists.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -198,6 +199,28 @@ def with_constant_map(seed):
     point = theory._unit(streams[0], prob.rep_dim) * prob.radius
     return FiniteProblem(pmf=prob.pmf, radius=prob.radius,
                          hypotheses=(*prob.hypotheses, np.tile(point, (len(prob.pmf), 1))))
+
+
+def as_lists(clusters):
+    """``recover_clusters``' ``(ids, component)`` as one list of ids per
+    component number, in number order.  Canonical numbering makes this the
+    member lists sorted by smallest member; a skipped number shows as an
+    empty list."""
+    ids, component = clusters
+    lists = [[] for _ in range(int(component.max()) + 1 if len(component) else 0)]
+    for pid, g in zip(ids.tolist(), component.tolist()):
+        lists[g].append(pid)
+    return lists
+
+
+def from_lists(components):
+    """Clusters in ``recover_clusters``' form from disjoint member lists:
+    the ids sorted, each with the index of its list."""
+    ids = np.array([pid for comp in components for pid in comp], dtype=np.int64)
+    component = np.repeat(np.arange(len(components)),
+                          np.array([len(comp) for comp in components], dtype=np.int64))
+    order = np.argsort(ids, kind="stable")
+    return ids[order], component[order]
 
 
 @pytest.fixture

@@ -1211,18 +1211,24 @@ class TestSweepCompareCommands:
         ({"n1": [5, 500], "n2": [1]},
          {"dataset": {"kind": "blobs", "n_per_class": 20, "noise": 0.5, "seed": 0},
           "pairing": {"mode": "exhaustive"}},
-         "pairing.mode exhaustive takes every pair and reads no n_pairs, got 5"),
+         "sweep.n1 5: pairing.mode exhaustive takes every pair and reads no n_pairs, got 5"),
+        ({"n1": [5, 500], "n2": [1]}, {"pairing": {"mode": "online"}},
+         "sweep.n1 5: pairing.mode online is online pairing (train --regime online) "
+         "and reads no n_pairs, got 5"),
         ({"n1": [30, 30], "n2": [1, 1]}, {}, "sweep.n1 lists 30 twice"),
         ({"n1": [30, 60], "n2": [2, 1, 2]}, {}, "sweep.n2 lists 2 twice"),
     ], ids=["n1-below-one", "n2-below-one", "n2-over-rows", "n2-over-disjoint-remainder",
-            "n1-over-sampled-pairs", "exhaustive-pairing", "n1-listed-twice", "n2-listed-twice"])
+            "n1-over-sampled-pairs", "exhaustive-pairing", "online-pairing", "n1-listed-twice",
+            "n2-listed-twice"])
     def test_sweep_grid_is_checked_before_training(self, tmp_path, capsys, monkeypatch, grid,
                                                    extra, message):
         """Each once trained cell (30, 1), (5, 30) or (30, 2), or none,
         before exiting 2; the over-budget cells' messages named no key or
         came only when the later cell started.  Exhaustive pairing once
-        trained every n1 cell on the same pairs and exited 0, and a value
-        listed twice trained its cells twice on the same seeds."""
+        trained every n1 cell on the same pairs and exited 0, a mode that
+        reads no budget was refused under n_pairs though the value came
+        from sweep.n1, and a value listed twice trained its cells twice on
+        the same seeds."""
         import samediff.harness as harness
 
         monkeypatch.setattr(harness, "train_two_stage", lambda *a: pytest.fail("a cell trained"))

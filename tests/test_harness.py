@@ -365,7 +365,8 @@ class TestRegimeRunnerMatchesFrozenRecipes:
         n1 = self.PAIRINGS[mode] or 1
         spec = SweepSpec(n1_values=(n1,), n2_values=(3, 6), reps=2)
         if mode == "exhaustive":
-            with pytest.raises(ValueError, match="^pairing.mode exhaustive takes every pair"):
+            with pytest.raises(ValueError,
+                               match="^sweep.n1 1: pairing.mode exhaustive takes every pair"):
                 run_sweep(train, test, spec, make, cfg, pairing=pairing)
             assert built == []
             return

@@ -19,6 +19,8 @@ from samediff import (
     strength_report,
 )
 
+from conftest import as_lists, from_lists
+
 
 def labeled(rng, n_classes=3, per_class=8, dim=4):
     x = rng.normal(size=(n_classes * per_class, dim))
@@ -34,19 +36,20 @@ class TestRecoverClusters:
         rng = np.random.default_rng(42)
         ds = labeled(rng)
         pairs = pair_exhaustive(ds)
-        comps = recover_clusters(pairs)
+        clusters = recover_clusters(pairs)
+        comps = as_lists(clusters)
         assert len(comps) == 3
         truth = dict(zip(ds.ids.tolist(), ds.y.tolist()))
         for comp in comps:
             assert len({truth[p] for p in comp}) == 1
-        assert pairwise_agreement(comps, truth) == 1.0
+        assert pairwise_agreement(clusters, truth) == 1.0
 
     def test_disjoint_release_caps_components_at_two(self):
         rng = np.random.default_rng(42)
         for seed in range(20):
             ds = labeled(rng, n_classes=2, per_class=15)
             pairs, _ = pair_disjoint(ds, 14, seed=seed)
-            comps = recover_clusters(pairs)
+            comps = as_lists(recover_clusters(pairs))
             assert max(len(c) for c in comps) <= 2
 
     def test_disagreement_edges_never_merge(self):
@@ -57,7 +60,7 @@ class TestRecoverClusters:
             b_ids=np.array([1, 3, 5], dtype=np.int64),
             t=np.zeros(3, dtype=np.int8),
         )
-        comps = recover_clusters(pairs)
+        comps = as_lists(recover_clusters(pairs))
         assert comps == [[0], [1], [2], [3], [4], [5]]
 
     def test_transitive_chain_merges(self):
@@ -66,13 +69,13 @@ class TestRecoverClusters:
             b_ids=np.array([1, 2, 3], dtype=np.int64),
             t=np.ones(3, dtype=np.int8),
         )
-        assert recover_clusters(pairs) == [[0, 1, 2, 3]]
+        assert as_lists(recover_clusters(pairs)) == [[0, 1, 2, 3]]
 
 
 class TestPairwiseAgreement:
     def test_needs_two_participants(self):
         with pytest.raises(ValueError, match="at least 2 participants"):
-            pairwise_agreement([[7]], {7: 0})
+            pairwise_agreement(from_lists([[7]]), {7: 0})
 
     def test_matches_quadratic_reference(self):
         """Contingency counting equals the O(P^2) definition computed
@@ -96,13 +99,13 @@ class TestPairwiseAgreement:
                     same_comp = assign[i] == assign[j]
                     same_class = labels[i] == labels[j]
                     agree += same_comp == same_class
-            assert pairwise_agreement(comps, labels) == pytest.approx(agree / total)
+            assert pairwise_agreement(from_lists(comps), labels) == pytest.approx(agree / total)
 
     def test_all_singletons_scores_cross_pairs_only(self):
         labels = {0: 0, 1: 0, 2: 1}
         comps = [[0], [1], [2]]
         # of the 3 pairs, exactly (0,1) shares a class and is missed
-        assert pairwise_agreement(comps, labels) == pytest.approx(2 / 3)
+        assert pairwise_agreement(from_lists(comps), labels) == pytest.approx(2 / 3)
 
 
 class TestStrengthReport:

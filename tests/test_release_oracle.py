@@ -6,13 +6,15 @@ walks an alive mask and takes ``np.flatnonzero`` of it for every pair;
 taken keys with ``np.insert``;
 ``reference_save_pairs``/``reference_load_pairs`` pack and unpack one
 ``struct`` record at a time; ``reference_recover_clusters`` runs a dict
-union-find; ``reference_pairwise_agreement`` counts contingencies in dicts.
+union-find and returns member lists sorted by smallest member;
+``reference_pairwise_agreement`` counts contingencies in dicts.
 The shipped array versions must reproduce them exactly: the same pairs,
-remainders, file bytes, component lists and agreement floats.
+remainders, file bytes, components, agreement floats and strength reports.
 """
 
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,8 +32,12 @@ from samediff import (
     pairwise_agreement,
     recover_clusters,
     save_pairs,
+    strength_report,
     substream,
 )
+from samediff.privacy import StrengthReport
+
+from conftest import as_lists
 
 
 def reference_pair_disjoint(ds, n_pairs, seed=0):
@@ -407,7 +413,7 @@ class TestClustersOracle:
             n_ids = int(rng.integers(2, 120))
             pairs = random_release(rng, n_ids, int(rng.integers(1, 3 * n_ids)),
                                    float(rng.random()))
-            assert recover_clusters(pairs) == reference_recover_clusters(pairs)
+            assert as_lists(recover_clusters(pairs)) == reference_recover_clusters(pairs)
 
     def test_isolated_and_disagreement_only_participants(self):
         """Ids touched only by t = 0 pairs stay singletons in both."""
@@ -416,7 +422,7 @@ class TestClustersOracle:
             b_ids=np.array([4, 50, 3, 5, 8, 21], dtype=np.int64),
             t=np.array([0, 0, 1, 1, 0, 1], dtype=np.uint8),
         )
-        got = recover_clusters(pairs)
+        got = as_lists(recover_clusters(pairs))
         assert got == reference_recover_clusters(pairs)
         assert got == [[-9], [0, 3, 5], [4], [7], [8], [20, 21], [50]]
 
@@ -425,14 +431,34 @@ class TestClustersOracle:
         n = 20000
         for perm in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
             pairs = PairDataset.build(perm[:-1], perm[1:], np.ones(n - 1, dtype=np.uint8))
-            got = recover_clusters(pairs)
+            got = as_lists(recover_clusters(pairs))
             assert got == reference_recover_clusters(pairs)
             assert got == [list(range(n))]
 
     def test_empty_release(self):
         empty = np.empty(0, dtype=np.int64)
         pairs = PairDataset(a_ids=empty, b_ids=empty, t=np.empty(0, dtype=np.uint8))
-        assert recover_clusters(pairs) == []
+        assert as_lists(recover_clusters(pairs)) == []
+        ids, component = recover_clusters(pairs)
+        assert ids.shape == component.shape == (0,)
+
+    def test_components_are_numbered_canonically(self):
+        """The ids are the sorted participants; the first is in component 0,
+        and each number not seen before is one more than the largest so far,
+        so the numbers follow each component's smallest member."""
+        rng = np.random.default_rng(29)
+        for _ in range(80):
+            n_ids = int(rng.integers(2, 120))
+            pairs = random_release(rng, n_ids, int(rng.integers(1, 3 * n_ids)),
+                                   float(rng.random()))
+            ids, component = recover_clusters(pairs)
+            np.testing.assert_array_equal(ids, pairs.participant_ids())
+            assert component.shape == ids.shape
+            assert component[0] == 0
+            largest = -1
+            for g in component.tolist():
+                assert 0 <= g <= largest + 1
+                largest = max(largest, g)
 
 
 class TestAgreementOracle:
@@ -442,11 +468,13 @@ class TestAgreementOracle:
             n_ids = int(rng.integers(2, 150))
             pairs = random_release(rng, n_ids, int(rng.integers(1, 2 * n_ids)),
                                    float(rng.random()))
-            comps = recover_clusters(pairs)
+            clusters = recover_clusters(pairs)
+            comps = as_lists(clusters)
             labels = {int(p): int(rng.integers(-3, 4)) for c in comps for p in c}
             if sum(map(len, comps)) < 2:
                 continue
-            assert pairwise_agreement(comps, labels) == reference_pairwise_agreement(comps, labels)
+            assert (pairwise_agreement(clusters, labels)
+                    == reference_pairwise_agreement(comps, labels))
 
     def test_label_array_indexed_by_id(self):
         """Labels as an array indexed by id, the form ``encrypt_disjoint``
@@ -458,9 +486,47 @@ class TestAgreementOracle:
                                    float(rng.random()))
             shift = 3 * n_ids   # random_release draws ids from [-3n, 3n)
             pairs = PairDataset(a_ids=pairs.a_ids + shift, b_ids=pairs.b_ids + shift, t=pairs.t)
-            comps = recover_clusters(pairs)
+            clusters = recover_clusters(pairs)
+            comps = as_lists(clusters)
             if sum(map(len, comps)) < 2:
                 continue
             by_id = rng.integers(-3, 4, size=6 * n_ids)
             labels = {int(p): int(by_id[p]) for c in comps for p in c}
-            assert pairwise_agreement(comps, by_id) == reference_pairwise_agreement(comps, labels)
+            assert (pairwise_agreement(clusters, by_id)
+                    == reference_pairwise_agreement(comps, labels))
+
+
+def reference_strength_report(pairs, true_labels):
+    comps = reference_recover_clusters(pairs)
+    sizes = tuple(sorted(map(len, comps), reverse=True))
+    return StrengthReport(
+        participant_count=sum(sizes),
+        component_count=len(comps),
+        max_component_size=max(sizes, default=0),
+        component_sizes=sizes,
+        agreement=reference_pairwise_agreement(comps, true_labels),
+    )
+
+
+class TestStrengthReportOracle:
+    @pytest.mark.parametrize("by_array", [False, True], ids=["dict-labels", "array-labels"])
+    def test_random_graphs(self, by_array):
+        """Every field equals the reference's, with the same Python types,
+        since ``encrypt`` writes them as JSON."""
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n_ids = int(rng.integers(2, 150))
+            pairs = random_release(rng, n_ids, int(rng.integers(1, 3 * n_ids)),
+                                   float(rng.random()))
+            shift = 3 * n_ids   # random_release draws ids from [-3n, 3n)
+            pairs = PairDataset(a_ids=pairs.a_ids + shift, b_ids=pairs.b_ids + shift, t=pairs.t)
+            if len(pairs.participant_ids()) < 2:
+                continue
+            by_id = rng.integers(-3, 4, size=6 * n_ids)
+            labels = {int(p): int(by_id[p]) for p in pairs.participant_ids()}
+            got = strength_report(pairs, by_id if by_array else labels)
+            want = reference_strength_report(pairs, labels)
+            for f in fields(StrengthReport):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                assert (g, type(g)) == (w, type(w)), f.name
+            assert all(type(size) is int for size in got.component_sizes)
