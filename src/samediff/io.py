@@ -3,20 +3,25 @@
 Binary layouts (all little-endian except IDX, which is big-endian by its
 own convention; exact byte maps in docs/formats.md):
 
-* pair file:  magic "SDPF", version u16, flags u16 (bit 0 = inline),
-  dim u32, count u64, then records, then crc32 over everything before it.
-  Id-form records are (a i64, b i64, t u8); inline records are
-  (features_a f64*dim, features_b f64*dim, t u8) with no ids and no label
-  field anywhere in the format.
-* checkpoint: magic "SDCK", version u16, flags u16 (bit 0 = head bias),
-  radius f64, seed i64, class_count u32, layer count u32, per layer
-  (fan_in u32, fan_out u32, activation u8, weights f64, biases f64), head
-  (rows u32, rep_dim u32, weights f64, biases f64 if flagged), crc32.
+* frame: both binary formats are a 4-byte magic, version u16 (1), flags u16
+  whose bit 0 is the format's one flag, the format's body, then the crc32
+  of every byte before it.  ``_write_framed`` writes the frame and
+  ``_read_framed`` checks it: length, magic, crc, version, then flags, where
+  any bit but bit 0 is refused.
+* pair file:  magic "SDPF", bit 0 = inline; body dim u32 (0 in id form),
+  count u64, then records.  Id-form records are (a i64, b i64, t u8);
+  inline records are (features_a f64*dim, features_b f64*dim, t u8) with no
+  ids and no label field anywhere in the format.
+* checkpoint: magic "SDCK", bit 0 = head bias; body radius f64, seed i64,
+  class_count u32, layer count u32, per layer (fan_in u32, fan_out u32,
+  activation u8, weights f64, biases f64), head (rows u32, rep_dim u32,
+  weights f64, biases f64 if flagged).
   The network has one layout, so each activation byte is fixed: 1 (ReLU) on
   every inner layer and 0 (linear) on the last; any other byte is refused.
 
 Loading and re-saving either format reproduces the bytes exactly, which is
-what makes bit-level reproducibility checks possible downstream.
+what makes bit-level reproducibility checks possible downstream.  A header
+no save would write back is refused.
 """
 
 from __future__ import annotations
@@ -46,9 +51,8 @@ __all__ = [
 ]
 
 PAIR_MAGIC = b"SDPF"
-PAIR_VERSION = 1
 CKPT_MAGIC = b"SDCK"
-CKPT_VERSION = 1
+FORMAT_VERSION = 1
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
@@ -270,6 +274,39 @@ def generate_synthetic(
     raise DataFormatError(f"unknown synthetic kind {kind!r}")
 
 
+# -- binary frame ---------------------------------------------------------
+
+
+def _write_framed(path: str, magic: bytes, flag: bool, body: bytes) -> None:
+    """Write magic, version, flags (bit 0 = ``flag``) and body, then the
+    crc32 of all of it."""
+    head = magic + struct.pack("<HH", FORMAT_VERSION, int(flag))
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body, zlib.crc32(head))))
+
+
+def _read_framed(path: str, magic: bytes, header: int, noun: str) -> tuple[bytes, bool]:
+    """Read a framed file once and check its frame in order: at least
+    ``header`` bytes plus the crc, magic, crc, version, flags.  Returns the
+    file's bytes and flags bit 0, the only bit a save sets."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if len(blob) < header + 4:
+        raise DataFormatError(f"{path}: truncated header")
+    if blob[:4] != magic:
+        raise DataFormatError(f"{path}: magic mismatch: not a {noun}")
+    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
+        raise DataFormatError(f"{path}: checksum failure")
+    version, flags = struct.unpack_from("<HH", blob, 4)
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{path}: version mismatch: {version}")
+    if flags > 1:
+        raise DataFormatError(f"{path}: unknown flags {flags:#06x}: only bit 0 is defined")
+    return blob, flags == 1
+
+
 # -- pair files -----------------------------------------------------------
 
 
@@ -293,10 +330,7 @@ def save_pairs(pairs: PairDataset, path: str, inline: bool = False) -> None:
         dim = 0
     rec = np.empty(n, dtype=_pair_records(dim, inline))
     rec["a"], rec["b"], rec["t"] = a, b, t
-    payload = PAIR_MAGIC + struct.pack("<HHIQ", PAIR_VERSION, int(inline), dim, n) + rec.tobytes()
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    _write_framed(path, PAIR_MAGIC, inline, struct.pack("<IQ", dim, n) + rec.tobytes())
 
 
 def load_pairs(path: str, source=None) -> PairDataset:
@@ -306,19 +340,10 @@ def load_pairs(path: str, source=None) -> PairDataset:
     store; id-form files resolve against ``source`` when given, otherwise
     stay unresolved until a source is attached.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 20:
-        raise DataFormatError(f"{path}: truncated header")
-    if blob[:4] != PAIR_MAGIC:
-        raise DataFormatError(f"{path}: magic mismatch: not a pair file")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != stored_crc:
-        raise DataFormatError(f"{path}: checksum failure")
-    version, flags, dim, n = struct.unpack("<HHIQ", blob[4:20])
-    if version != PAIR_VERSION:
-        raise DataFormatError(f"{path}: version mismatch: {version}")
-    inline = bool(flags & 1)
+    blob, inline = _read_framed(path, PAIR_MAGIC, 20, "pair file")
+    dim, n = struct.unpack_from("<IQ", blob, 8)
+    if not inline and dim != 0:
+        raise DataFormatError(f"{path}: dim {dim} in an id-form pair file, expected 0")
     body = memoryview(blob)[20:-4]
     # Python ints: a hostile count or dim cannot overflow this check.
     if len(body) != n * (16 * dim + 1 if inline else 17):
@@ -340,21 +365,8 @@ def load_pairs(path: str, source=None) -> PairDataset:
 
 def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
     """Write the full parameter state; float64 throughout, crc-terminated."""
-    flags = 0
-    if model.head.biases is not None:
-        flags |= 1
-    parts = [
-        CKPT_MAGIC,
-        struct.pack(
-            "<HHdqII",
-            CKPT_VERSION,
-            flags,
-            float(model.radius),
-            int(seed),
-            model.class_count,
-            len(model.hidden.layers),
-        ),
-    ]
+    parts = [struct.pack("<dqII", float(model.radius), int(seed), model.class_count,
+                         len(model.hidden.layers))]
     for i, layer in enumerate(model.hidden.layers, start=1):
         fan_in, fan_out = layer.wb.shape[0] - 1, layer.wb.shape[1]
         act = int(i < len(model.hidden.layers))   # ReLU on every layer but the last
@@ -365,10 +377,7 @@ def save_model(model: TwoPartClassifier, path: str, seed: int = 0) -> None:
     parts.append(model.head.weights.astype("<f8").tobytes())
     if model.head.biases is not None:
         parts.append(model.head.biases.astype("<f8").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    _write_framed(path, CKPT_MAGIC, model.head.biases is not None, b"".join(parts))
 
 
 def load_model(path: str) -> tuple[TwoPartClassifier, int]:
@@ -378,29 +387,17 @@ def load_model(path: str) -> tuple[TwoPartClassifier, int]:
     bytes differ from the one layout, or whose parameters hold a non-finite
     value, raises ``DataFormatError`` even when its checksum is valid.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 36:
-        raise DataFormatError(f"{path}: truncated header")
-    if blob[:4] != CKPT_MAGIC:
-        raise DataFormatError(f"{path}: magic mismatch: not a checkpoint")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != stored_crc:
-        raise DataFormatError(f"{path}: checksum failure")
+    blob, biased = _read_framed(path, CKPT_MAGIC, 32, "checkpoint")
     try:
-        return _parse_checkpoint(blob, path)
+        return _parse_checkpoint(blob, biased, path)
     except DataFormatError:
         raise
     except (struct.error, ValueError, OverflowError) as e:
         raise DataFormatError(f"{path}: corrupt checkpoint: {e}") from None
 
 
-def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
-    version, flags, radius, seed, class_count, n_layers = struct.unpack(
-        "<HHdqII", blob[4:32]
-    )
-    if version != CKPT_VERSION:
-        raise DataFormatError(f"{path}: version mismatch: {version}")
+def _parse_checkpoint(blob: bytes, biased: bool, path: str) -> tuple[TwoPartClassifier, int]:
+    radius, seed, class_count, n_layers = struct.unpack_from("<dqII", blob, 8)
     end = len(blob) - 4
     off = 32
 
@@ -429,7 +426,7 @@ def _parse_checkpoint(blob: bytes, path: str) -> tuple[TwoPartClassifier, int]:
     rows, rep_dim = struct.unpack_from("<II", blob, off)
     off += 8
     hw = floats(rows, rep_dim)
-    hb = floats(rows) if flags & 1 else None
+    hb = floats(rows) if biased else None
     if off != end:
         raise DataFormatError(f"{path}: truncated or oversized parameter block")
     model = TwoPartClassifier(

@@ -94,10 +94,12 @@ def pairwise_agreement(
     """Fraction of participant pairs on which the recovered partition and the
     true class partition agree (same-cluster vs same-class): the Rand index.
 
-    ``clusters`` is ``recover_clusters``' ``(ids, component)``: distinct ids
-    and each one's component number.  ``true_labels[pid]`` is participant
-    pid's class: a mapping, or an array indexed by id.  Computed from
-    contingency counts, so it is exact and linear in the participant count.
+    ``clusters`` is ``recover_clusters``' ``(ids, component)``: sorted
+    distinct ids and each one's component number.  ``true_labels[pid]`` is
+    participant pid's class: a mapping, or an array indexed by id.  An id
+    without a label raises ``KeyError`` naming it, in either form.  Computed
+    from contingency counts, so it is exact and linear in the participant
+    count.
     """
     ids, component = clusters
     n = len(ids)
@@ -105,6 +107,8 @@ def pairwise_agreement(
     if total == 0:
         raise ValueError("agreement needs at least 2 participants")
     if isinstance(true_labels, np.ndarray):
+        if ids[0] < 0 or ids[-1] >= len(true_labels):   # sorted: the ends decide
+            raise KeyError(int(ids[(ids < 0) | (ids >= len(true_labels))][0]))
         labels = true_labels.take(ids).astype(np.int64)
     else:
         labels = np.fromiter(map(true_labels.__getitem__, ids.tolist()), np.int64, n)

@@ -48,7 +48,6 @@ __all__ = [
     "HeadNormReport",
     "SuiteResult",
     "signed_mean",
-    "image_support_size",
     "verify_collapse_optimality",
     "required_head_norm",
     "verify_head_norm_argmin",
@@ -261,12 +260,6 @@ def _best_dots(prob: FiniteProblem, n_dirs: int) -> list[float]:
 
 def _argmin_set(values: np.ndarray) -> tuple[int, ...]:
     return tuple((values <= values.min() + TIE_TOL).nonzero()[0].tolist())
-
-
-def image_support_size(h: np.ndarray, prob: FiniteProblem, tol: float = TIE_TOL) -> int:
-    """Number of distinct representation points over positive-probability inputs."""
-    rows = np.asarray(h, dtype=np.float64)[np.flatnonzero(prob.pmf.sum(axis=1) > 0.0)]
-    return _support_count((np.sqrt(_sq_distances(rows)) <= tol).tolist())
 
 
 def _support_count(near: list[list[bool]]) -> int:

@@ -1,8 +1,9 @@
 """Shared helpers: finite-difference gradients, tiny dataset builders and
 a jitter-augmented copy, bitwise model equality, the theory tests'
-per-hypothesis references, risk target and constant-map problems, the
-grid risk and bisection that check the suite's dense-search cross-checks,
-and converters between the attack's component arrays and member lists.
+per-hypothesis references, image support size, risk target and
+constant-map problems, the grid risk and bisection that check the suite's
+dense-search cross-checks, and converters between the attack's component
+arrays and member lists.
 
 Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``: unset
 means hypothesis's own default; ``ci`` draws ten times the examples, in
@@ -18,7 +19,8 @@ import pytest
 
 from samediff import FullyLabeledDataset, TwoPartClassifier, substream
 import samediff.theory as theory
-from samediff.theory import FiniteProblem, _directions, generate_problem, signed_mean
+from samediff.theory import (TIE_TOL, FiniteProblem, _directions, _sq_distances,
+                             _support_count, generate_problem, signed_mean)
 
 try:
     from hypothesis import settings
@@ -101,6 +103,13 @@ def frozen_pair_objective_value(h, prob):
     d2 = np.sum(diff * diff, axis=2)
     cross = np.outer(prob.pmf[:, 0], prob.pmf[:, 1])
     return float(np.sum(cross * (-d2)) / (alpha * (1.0 - alpha)))
+
+
+def image_support_size(h, prob, tol=TIE_TOL):
+    """Number of distinct representation points over positive-probability
+    inputs, counted by the theory module's own support count."""
+    rows = np.asarray(h, dtype=np.float64)[np.flatnonzero(prob.pmf.sum(axis=1) > 0.0)]
+    return _support_count((np.sqrt(_sq_distances(rows)) <= tol).tolist())
 
 
 def half_best_gamma(prob):

@@ -304,16 +304,31 @@ class TestPairFiles:
         path = tmp_path / "p.sdpf"
         save_pairs(pair_exhaustive(ds), str(path))
         blob = bytearray(path.read_bytes())
+        saved = bytes(blob)
         blob[4:6] = struct.pack("<H", 2)  # crc re-stamped so only version differs
         path.write_bytes(patch_crc(bytes(blob)))
         with pytest.raises(DataFormatError, match="version mismatch: 2"):
             load_pairs(str(path))
+        # Header fields no save writes back: a flags bit above bit 0, and a
+        # nonzero dim in an id-form file.
+        for at, fmt, value, message in [
+            (6, "<H", 0b10, "unknown flags 0x0002: only bit 0 is defined"),
+            (6, "<H", 0x8001, "unknown flags 0x8001: only bit 0 is defined"),
+            (8, "<I", 3, "dim 3 in an id-form pair file, expected 0"),
+        ]:
+            blob = bytearray(saved)
+            blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+            path.write_bytes(patch_crc(bytes(blob)))
+            with pytest.raises(DataFormatError, match=re.escape(message)):
+                load_pairs(str(path))
 
     def test_truncated_header_and_wrong_magic(self, tmp_path):
         short = tmp_path / "s.sdpf"
-        short.write_bytes(b"SDPF\x01")
-        with pytest.raises(DataFormatError, match="truncated header"):
-            load_pairs(str(short))
+        # the 20-byte header needs its 4-byte crc after it
+        for blob in [b"SDPF\x01", b"SDPF" + bytes(16), b"SDPF" + bytes(19)]:
+            short.write_bytes(blob)
+            with pytest.raises(DataFormatError, match="truncated header"):
+                load_pairs(str(short))
         wrong = tmp_path / "w.sdpf"
         wrong.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(DataFormatError, match="magic mismatch"):
@@ -404,7 +419,7 @@ class TestCheckpoints:
         save_model(back, p2, seed=seed)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
-    def test_corruption_and_version(self, tmp_path, rng42):
+    def test_corruption_and_version(self, tmp_path, rng42, capsys):
         model = tiny_model(rng42)
         path = tmp_path / "m.ckpt"
         save_model(model, str(path), seed=0)
@@ -419,12 +434,20 @@ class TestCheckpoints:
         path.write_bytes(patch_crc(bytes(blob)))
         with pytest.raises(DataFormatError, match="version mismatch: 9"):
             load_model(str(path))
+        blob[4:8] = struct.pack("<HH", 1, 0b10)  # bit 1: no save sets it
+        path.write_bytes(patch_crc(bytes(blob)))
+        message = "unknown flags 0x0002: only bit 0 is defined"
+        with pytest.raises(DataFormatError, match=message):
+            load_model(str(path))
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", "unused.csv"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_truncated_header_and_magic(self, tmp_path):
         short = tmp_path / "s.ckpt"
-        short.write_bytes(b"SDCK")
-        with pytest.raises(DataFormatError, match="truncated header"):
-            load_model(str(short))
+        for blob in [b"SDCK", b"SDCK" + bytes(16), b"SDCK" + bytes(31)]:
+            short.write_bytes(blob)
+            with pytest.raises(DataFormatError, match="truncated header"):
+                load_model(str(short))
         wrong = tmp_path / "w.ckpt"
         wrong.write_bytes(b"XXXX" + bytes(40))
         with pytest.raises(DataFormatError, match="magic mismatch"):

@@ -5,8 +5,9 @@
   arbitrary finite parameter bits (signed zeros, subnormals), reads back
   and re-saves to the same bytes; a checkpoint with a NaN or infinite
   parameter is not well-formed.  A one-byte
-  corruption with the CRC re-stamped either still parses or raises
-  ``DataFormatError``, never another exception.
+  corruption with the CRC re-stamped either raises ``DataFormatError``,
+  never another exception, or loads and re-saves to exactly its own bytes:
+  no header a save would not write back is accepted.
 * Dataset CSVs: ``load_csv`` makes the same decision as the per-line
   parser it replaced (``reference_load_csv``), with bitwise-equal arrays
   and the same message; any bytes at all load or raise ``DataFormatError``.
@@ -29,6 +30,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from samediff import (  # noqa: E402
     DataFormatError,
+    EmbeddedFeatures,
     FullyLabeledDataset,
     load_csv,
     load_idx,
@@ -83,12 +85,15 @@ def test_one_byte_corruption_parses_or_is_a_format_error(tmp_path_factory, case,
     payload = bytearray(blob[:-4])
     offset = data.draw(st.integers(0, len(payload) - 1))
     payload[offset] = data.draw(st.integers(0, 255))
-    path = tmp_path_factory.mktemp("bad") / "p.sdpf"
-    path.write_bytes(stamp(bytes(payload)))
+    d = tmp_path_factory.mktemp("bad")
+    corrupt = stamp(bytes(payload))
+    (d / "in.sdpf").write_bytes(corrupt)
     try:
-        load_pairs(str(path))
+        pairs = load_pairs(str(d / "in.sdpf"))
     except DataFormatError:
-        pass
+        return
+    save_pairs(pairs, str(d / "out.sdpf"), inline=isinstance(pairs.source, EmbeddedFeatures))
+    assert (d / "out.sdpf").read_bytes() == corrupt
 
 
 def finite_params(draw, count):
@@ -138,12 +143,15 @@ def test_checkpoint_one_byte_corruption_parses_or_is_a_format_error(
     payload = bytearray(blob[:-4])
     offset = data.draw(st.integers(0, len(payload) - 1))
     payload[offset] = data.draw(st.integers(0, 255))
-    path = tmp_path_factory.mktemp("badck") / "m.ckpt"
-    path.write_bytes(stamp(bytes(payload)))
+    d = tmp_path_factory.mktemp("badck")
+    corrupt = stamp(bytes(payload))
+    (d / "in.ckpt").write_bytes(corrupt)
     try:
-        load_model(str(path))
+        model, seed = load_model(str(d / "in.ckpt"))
     except DataFormatError:
-        pass
+        return
+    save_model(model, str(d / "out.ckpt"), seed=seed)
+    assert (d / "out.ckpt").read_bytes() == corrupt
 
 
 # -- dataset CSV ----------------------------------------------------------

@@ -37,7 +37,7 @@ from samediff import (
 )
 from samediff.privacy import StrengthReport
 
-from conftest import as_lists
+from conftest import as_lists, from_lists
 
 
 def reference_pair_disjoint(ds, n_pairs, seed=0):
@@ -478,7 +478,8 @@ class TestAgreementOracle:
 
     def test_label_array_indexed_by_id(self):
         """Labels as an array indexed by id, the form ``encrypt_disjoint``
-        passes for its slot ids, give the float the dict form gives."""
+        passes for its slot ids, give the float the dict form gives, and an
+        id outside ``[0, len(labels))`` raises the dict form's ``KeyError``."""
         rng = np.random.default_rng(37)
         for _ in range(60):
             n_ids = int(rng.integers(2, 150))
@@ -494,6 +495,11 @@ class TestAgreementOracle:
             labels = {int(p): int(by_id[p]) for c in comps for p in c}
             assert (pairwise_agreement(clusters, by_id)
                     == reference_pairwise_agreement(comps, labels))
+        by_id = np.array([0, 0, 1, 1])
+        for comps, bad in ([[-2, -1], [0, 1]], -2), ([[0, 1], [2, 9]], 9):
+            for labels in by_id, dict(enumerate(by_id.tolist())):
+                with pytest.raises(KeyError, match=f"^{bad}$"):
+                    pairwise_agreement(from_lists(comps), labels)
 
 
 def reference_strength_report(pairs, true_labels):

@@ -11,7 +11,6 @@ from samediff import (
     FiniteProblem,
     generalization_bound,
     generate_problem,
-    image_support_size,
     required_head_norm,
     run_verification_suite,
     signed_mean,
@@ -27,6 +26,7 @@ from samediff.theory import (
 )
 from conftest import (
     half_best_gamma,
+    image_support_size,
     min_head_risk_grid,
     required_head_norm_bisect,
     with_constant_map,

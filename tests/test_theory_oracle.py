@@ -4,8 +4,8 @@
 risk and collapse test off the problem's (K, m, p) hypothesis stack once,
 the suite hands that report's risks and collapsing separation optima on to
 the head-norm check and the risk cross-check and scans the direction grid
-once per problem, 1-d lengths are ``math.sqrt(v.dot(v))`` and
-``image_support_size`` takes every row-pair distance in one array.  None
+once per problem, 1-d lengths are ``math.sqrt(v.dot(v))`` and the
+support count takes every row-pair distance in one array.  None
 of that may change a result: the frozen functions below keep the
 verification code as it stood while each statistic was recomputed wherever
 it was needed, and every report, generated problem and suite outcome must
@@ -32,7 +32,6 @@ from samediff.theory import (
     SuiteResult,
     _cross_check_slack,
     generate_problem,
-    image_support_size,
     run_verification_suite,
     signed_mean,
     verify_collapse_optimality,
@@ -42,6 +41,7 @@ from samediff.rng import substream
 from conftest import (
     frozen_min_head_risk,
     frozen_pair_objective_value,
+    image_support_size,
     min_head_risk_grid,
     required_head_norm_bisect,
     with_constant_map,
